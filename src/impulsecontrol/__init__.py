@@ -2,10 +2,10 @@
 
 The pipeline: define an :class:`~impulsecontrol.model.ImpulseProblem`,
 discretize it onto a grid, solve the multiplier-modified Bellman equation per
-Lagrange multiplier, maximize the concave dual functional, and assemble a
-feasible mixture of minimizer policies with complementary slackness.  The
-fluid-buffer benchmark in :mod:`impulsecontrol.fluidq` has a closed-form
-optimum used as the end-to-end oracle.
+Lagrange multiplier, maximize the concave dual functional by cutting planes,
+and mix the cut policies into a feasible mixture with complementary
+slackness.  The fluid-buffer benchmark in :mod:`impulsecontrol.fluidq` has a
+closed-form optimum used as the end-to-end oracle.
 """
 
 from .model import (CEMETERY, INFINITY, ConfigError, DiscreteMDP, GridSpec,
@@ -19,10 +19,10 @@ from .policy_eval import (CostVector, MixedPolicy, OccupationMeasure,
                           check_characteristic, eval_mixture, eval_policy,
                           occupation_measure, policy_from_table,
                           policy_to_table, simulate_oracle, threshold_rule)
-from .dual import (CertificateReport, DualBracketError, DualConfig, DualPoint,
-                   DualResult, MixtureInfeasibleError, build_mixture,
-                   dual_value, maximize_dual, mix_weights, solve_constrained,
-                   verify_optimality)
+from .dual import (BellmanNotConvergedError, CertificateReport,
+                   DualBracketError, DualConfig, DualPoint, DualResult,
+                   MixtureInfeasibleError, dual_value, maximize_dual,
+                   mix_weights, solve_constrained, verify_optimality)
 from . import fluidq
 
 __all__ = [
@@ -35,9 +35,10 @@ __all__ = [
     "CostVector", "MixedPolicy", "OccupationMeasure", "check_characteristic",
     "eval_mixture", "eval_policy", "occupation_measure", "policy_from_table",
     "policy_to_table", "simulate_oracle", "threshold_rule",
-    "CertificateReport", "DualBracketError", "DualConfig", "DualPoint",
-    "DualResult", "MixtureInfeasibleError", "build_mixture", "dual_value",
-    "maximize_dual", "mix_weights", "solve_constrained", "verify_optimality",
+    "BellmanNotConvergedError", "CertificateReport", "DualBracketError",
+    "DualConfig", "DualPoint", "DualResult", "MixtureInfeasibleError",
+    "dual_value", "maximize_dual", "mix_weights", "solve_constrained",
+    "verify_optimality",
     "fluidq",
 ]
 

@@ -27,8 +27,8 @@ from .model import ConfigError, discretize, problem_from_config, validate
 from .bellman import BellmanConfig, StationaryPolicy, solve_W
 from .policy_eval import (check_characteristic, eval_policy, occupation_measure,
                           policy_from_table, simulate_oracle)
-from .dual import (DualBracketError, DualConfig, MixtureInfeasibleError,
-                   dual_value, solve_constrained)
+from .dual import (BellmanNotConvergedError, DualBracketError, DualConfig,
+                   MixtureInfeasibleError, dual_value, solve_constrained)
 from . import fluidq
 
 EXIT_OK = 0
@@ -141,9 +141,7 @@ def load_config(run: RunConfig) -> dict:
 
 
 def _dual_config(run: RunConfig) -> DualConfig:
-    return DualConfig(
-        bellman=BellmanConfig(tolerance=1e-9 * run.tol_scale),
-        g_tol=1e-8 * run.tol_scale)
+    return DualConfig(bellman=BellmanConfig(tolerance=1e-9 * run.tol_scale))
 
 
 def _policy_rows(mdp, pol: StationaryPolicy) -> list:
@@ -189,11 +187,12 @@ def cmd_solve(run: RunConfig) -> int:
     t0 = time.perf_counter()
     try:
         result = solve_constrained(mdp, dcfg)
-    except (DualBracketError, MixtureInfeasibleError) as exc:
+    except (BellmanNotConvergedError, DualBracketError,
+            MixtureInfeasibleError) as exc:
         sys.stderr.write(f"solve failed: {exc}\n")
         return EXIT_NOT_CONVERGED
     wall = time.perf_counter() - t0
-    sol = solve_W(mdp, result.g_star, dcfg.bellman)
+    sol = result.solution
     if run.bellman_trace is not None:
         lines = ["iteration,residual"]
         lines += [f"{k},{format(r, '.17g')}" for k, r in sol.trace]

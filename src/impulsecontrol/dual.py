@@ -1,31 +1,30 @@
 """Lagrangian dual route for the constrained problem.
 
 The dual functional is h(g) = W*_g(x0) - sum_j g_j d_j where W*_g is the
-Bellman value under the combined cost; it is a pointwise minimum of g-affine
-functions, hence concave.  The constrained solve proceeds in four steps:
-evaluate h per multiplier, maximize it over nonnegative multipliers (golden
-section for one constraint, projected supergradient ascent otherwise),
-extract the near-minimizer action sets at the maximizer, and mix candidate
-deterministic stationary policies so the mixture is feasible with every
-active constraint tight (complementary slackness).  Optimality certificates
-(feasibility, Lagrangian value, slackness, weak duality) are checked last.
+Bellman value under the combined cost.  Each evaluation at g yields the greedy
+policy f and its cost vector, and h(g') <= V0(f) + g'.(V(f) - d) for every g'
+(with equality at g), so h is a pointwise minimum of affine cuts and concave.
 
-Dual evaluations are memoized by the exact bit pattern of g, so golden
-section re-probing identical points is free.  Evaluations at distinct g are
-independent; only the memo insert needs to be atomic if run concurrently.
+The constrained solve maximizes h with Kelley's cutting-plane method over
+those cuts (Kelley 1960), one algorithm for any number of constraints.  Read
+as Dantzig-Wolfe column generation, every cut policy is also a column of the
+mixture program: the feasible mixture is one small LP over the cut policies
+(weights summing to 1, active constraints tight, V0 minimized), whose vertex
+mixes at most J+1 of them.  Optimality certificates (feasibility, Lagrangian
+value, slackness, weak duality) are checked last.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
 
 from .model import DiscreteMDP
-from .bellman import (BellmanConfig, MinimizerSet, StationaryPolicy,
-                      argmin_set, default_slack, solve_W)
+from .bellman import (BellmanConfig, BellmanSolution, StationaryPolicy,
+                      solve_W)
+from .bellman import argmin_set  # noqa: F401  (kept importable from here)
 from .policy_eval import CostVector, MixedPolicy, eval_mixture, eval_policy
 
 
@@ -38,9 +37,16 @@ class DualBracketError(RuntimeError):
 
 
 class MixtureInfeasibleError(RuntimeError):
-    """No convex combination of candidate policies meets the constraints.
+    """No convex combination of the cut policies meets the constraints.
 
-    Retry with a larger minimizer slack (more candidates) or a finer grid.
+    Retry with a finer grid.
+    """
+
+
+class BellmanNotConvergedError(RuntimeError):
+    """A dual evaluation's Bellman solve hit its iteration cap unconverged.
+
+    Its dual value is only a lower estimate, so the search never uses it.
     """
 
 
@@ -48,43 +54,60 @@ class MixtureInfeasibleError(RuntimeError):
 class DualConfig:
     """Tuning for the dual maximization and mixture construction.
 
-    ``argmin_slack`` is the starting relative slack for minimizer-set
-    extraction; when no feasible mixture exists among the candidates the
-    slack grows by ``slack_growth`` up to ``max_slack``.  Multipliers above
-    ``multiplier_tol`` mark their constraint active (tight in the mixture
-    program).
+    The cutting-plane search keeps its multipliers in a box [0, G] that
+    starts at ``g_init`` in every coordinate and doubles where the bound
+    binds; past ``bracket_cap`` the dual counts as unbounded.  The search
+    stops at a relative gap between the cut model and the dual value of
+    1000 times ``bellman.tolerance``, so that tolerance scales it.
+    Multipliers above ``multiplier_tol`` mark their constraint active (tight
+    in the mixture program).  The remaining fields are certificate
+    tolerances.
     """
 
     bellman: BellmanConfig = BellmanConfig()
     g_init: float = 1.0
-    g_tol: float = 1e-8
     bracket_cap: float = 2.0 ** 60
-    ascent_iterations: int = 300
-    ascent_step: float = 1.0
-    argmin_slack: float = 1e-7
-    slack_growth: float = 10.0
-    max_slack: float = 2e-2
     multiplier_tol: float = 1e-6
     feasibility_tol: float = 1e-6
     slackness_tol: float = 1e-4
     certificate_tol: float = 1e-2
-    mixture_cap: int = 64
-    seed: int = 0
+
+
+def _gap_tol(cfg: BellmanConfig) -> float:
+    """Relative gap at which the cutting-plane search stops.
+
+    A dual value is only as exact as its value iteration, whose stopping
+    tolerance bounds the per-sweep change, not the error; the factor leaves
+    room for the error of slowly contracting solves.
+    """
+    return 1e3 * cfg.tolerance
 
 
 @dataclass(frozen=True)
 class DualPoint:
-    """One dual evaluation: multiplier, dual value, W*_g(x0), greedy slacks."""
+    """One dual evaluation: multiplier, dual value, W*_g(x0), greedy slacks.
+
+    ``solution`` is the Bellman solve at g and ``costs`` the cost vector of
+    its greedy policy; together they make the cut
+    h(g') <= V0 + g'.(V - d).
+    """
 
     g: np.ndarray
     h: float
     W0: float
     slacks: np.ndarray  # V_j(greedy policy) - d_j
     converged: bool
+    solution: BellmanSolution
+    costs: CostVector
 
     def __post_init__(self):
         object.__setattr__(self, "g", np.asarray(self.g, dtype=float))
         object.__setattr__(self, "slacks", np.asarray(self.slacks, dtype=float))
+
+    @property
+    def policy(self) -> StationaryPolicy:
+        """The greedy policy of the Bellman solve at g."""
+        return self.solution.policy
 
 
 @dataclass(frozen=True)
@@ -151,18 +174,24 @@ class CertificateReport:
 
 @dataclass(frozen=True)
 class DualResult:
-    """Everything the constrained solve produced."""
+    """Everything the constrained solve produced.
+
+    ``slack_used`` is the relative gap of the search: at g* the mixture
+    minimizes the Lagrangian within it.  ``solution`` is the Bellman solve
+    at g*.
+    """
 
     g_star: np.ndarray
     h_star: float
     W0: float
-    F: tuple                     # candidate minimizer policies
+    F: tuple                     # cut policies, one per dual evaluation
     mixture: MixedPolicy
     costs: CostVector            # mixture cost vector
     certificates: CertificateReport
-    trace: tuple                 # DualPoint per distinct evaluated g
+    trace: tuple                 # DualPoint per dual evaluation
     slack_used: float
     converged: bool
+    solution: BellmanSolution
 
 
 def _bounds_vector(mdp: DiscreteMDP) -> np.ndarray:
@@ -173,166 +202,86 @@ def dual_value(mdp: DiscreteMDP, g, cfg: BellmanConfig = BellmanConfig()) -> Dua
     """Evaluate the dual functional at one multiplier.
 
     Solves the combined-cost Bellman problem and returns
-    h(g) = W*_g(x0) - sum g_j d_j together with the constraint slacks of the
-    greedy policy (the supergradient surrogate used by the ascent).
+    h(g) = W*_g(x0) - sum g_j d_j together with the greedy policy's cost
+    vector and constraint slacks (a supergradient of h at g).
     """
     g = np.atleast_1d(np.asarray(g, dtype=float))
     d = _bounds_vector(mdp)
     sol = solve_W(mdp, g, cfg)
     W0 = float(sol.W[mdp.x0_index])
-    v = eval_policy(mdp, sol.policy).v
+    costs = eval_policy(mdp, sol.policy)
     return DualPoint(
-        g=g, h=W0 - float(g @ d), W0=W0, slacks=v[1:] - d,
-        converged=sol.converged)
+        g=g, h=W0 - float(g @ d), W0=W0, slacks=costs.v[1:] - d,
+        converged=sol.converged, solution=sol, costs=costs)
 
 
-class _DualCache:
-    """Memo of dual evaluations keyed by the exact bit pattern of g."""
-
-    def __init__(self, mdp: DiscreteMDP, cfg: DualConfig):
-        self.mdp = mdp
-        self.cfg = cfg
-        self.points: dict[bytes, DualPoint] = {}
-        self.order: list[DualPoint] = []
-
-    def eval(self, g) -> DualPoint:
-        g = np.atleast_1d(np.asarray(g, dtype=float))
-        key = g.tobytes()
-        pt = self.points.get(key)
-        if pt is None:
-            pt = dual_value(self.mdp, g, self.cfg.bellman)
-            self.points[key] = pt
-            self.order.append(pt)
-        return pt
-
-    def best(self) -> DualPoint:
-        return max(self.order, key=lambda p: p.h)
+def _evaluate(mdp: DiscreteMDP, g, cfg: BellmanConfig) -> DualPoint:
+    pt = dual_value(mdp, g, cfg)
+    if not pt.converged:
+        raise BellmanNotConvergedError(
+            f"Bellman solve at multiplier {pt.g.tolist()} did not converge "
+            f"within max_iterations={cfg.max_iterations} (last sup-norm "
+            f"change {pt.solution.residual:.3g}, tolerance {cfg.tolerance:.3g})")
+    return pt
 
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+def _master(cuts: list, d: np.ndarray, box: np.ndarray):
+    """Maximize the cut model min_k V0(f_k) + g.(V(f_k) - d) over [0, box].
 
-
-def _golden_section(cache: _DualCache, lo: float, hi: float, tol: float) -> None:
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d_ = a + _INVPHI * (b - a)
-    fc = cache.eval([c]).h
-    fd = cache.eval([d_]).h
-    while b - a > tol:
-        if fc >= fd:
-            b, d_, fd = d_, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = cache.eval([c]).h
-        else:
-            a, c, fc = c, d_, fd
-            d_ = a + _INVPHI * (b - a)
-            fd = cache.eval([d_]).h
-
-
-def _maximize_scalar(cache: _DualCache) -> None:
-    cfg = cache.cfg
-    h_prev = cache.eval([0.0]).h
-    g_prev = 0.0
-    g_cur = cfg.g_init
-    h_cur = cache.eval([g_cur]).h
-    if h_cur > h_prev:
-        # double until the dual value drops
-        while True:
-            g_next = 2.0 * g_cur
-            if g_next > cfg.bracket_cap:
-                raise DualBracketError(
-                    "dual functional still increasing at multiplier "
-                    f"{g_cur:.6g} (doubling cap {cfg.bracket_cap:.3g}); the "
-                    "constraints appear to admit no strictly feasible point")
-            h_next = cache.eval([g_next]).h
-            if h_next < h_cur:
-                lo, hi = g_prev, g_next
-                break
-            g_prev, h_prev = g_cur, h_cur
-            g_cur, h_cur = g_next, h_next
-    else:
-        lo, hi = 0.0, g_cur
-    _golden_section(cache, lo, hi, cfg.g_tol * (1.0 + hi))
-
-
-def _maximize_ascent(cache: _DualCache, n: int) -> None:
-    cfg = cache.cfg
-    g = np.zeros(n)
-    pt = cache.eval(g)
-    for k in range(1, cfg.ascent_iterations + 1):
-        if not np.all(np.isfinite(pt.slacks)):
-            break
-        step = cfg.ascent_step / math.sqrt(k)
-        g = np.maximum(g + step * pt.slacks, 0.0)
-        pt = cache.eval(g)
+    Returns the maximizer and the optimal value, an upper bound on h over
+    the box.
+    """
+    V = np.asarray([pt.costs.v for pt in cuts])
+    # variables (t, g): max t s.t. t + g.(d - V(f_k)) <= V0(f_k)
+    c = np.zeros(d.size + 1)
+    c[0] = -1.0
+    res = linprog(
+        c, A_ub=np.hstack([np.ones((len(cuts), 1)), d - V[:, 1:]]),
+        b_ub=V[:, 0], bounds=[(None, None)] + [(0.0, b) for b in box],
+        method="highs-ds")
+    if not res.success:
+        raise RuntimeError(f"cutting-plane master LP failed: {res.message}")
+    return np.maximum(res.x[1:], 0.0), float(res.x[0])
 
 
 def maximize_dual(mdp: DiscreteMDP, cfg: DualConfig = DualConfig()):
-    """Find a maximizer of the concave dual functional over g >= 0.
+    """Maximize the concave dual functional over g >= 0 by cutting planes.
 
-    One constraint: bracket [0, g_max] by doubling until the dual value
-    decreases, then golden section down to the g tolerance.  Two or more:
-    projected supergradient ascent with step ascent_step/sqrt(k), using the
-    greedy policy's constraint slacks as the supergradient, keeping the best
-    iterate.  Boundary maximizers (g_j = 0) are admissible.  Returns the best
-    multiplier and the trace of every distinct evaluation.
+    Evaluates h at g = 0 first; when that greedy policy already meets every
+    bound, g* = 0.  Otherwise each round maximizes the model built from all
+    cuts so far over the box [0, G] and evaluates h at its maximizer g_m.
+    Coordinates of G whose bound binds double (``DualBracketError`` past
+    ``bracket_cap``).  Otherwise the search stops once
+    h(g_m) >= UB - eps (1 + |UB|), UB being the model's maximum and eps
+    1000 times ``cfg.bellman.tolerance``, or once the greedy policy at g_m
+    is already a cut, so the model cannot move.  A round that neither
+    doubles the box nor stops adds a new deterministic policy, of which
+    there are finitely many, so the search ends.  A non-converged evaluation
+    raises ``BellmanNotConvergedError``.  Returns g* = g_m and the trace of
+    every evaluation; the last trace point is the one at g*.
     """
-    cache = _DualCache(mdp, cfg)
-    n = mdp.n_constraints
-    if n == 0:
-        cache.eval(np.zeros(0))
-    elif n == 1:
-        _maximize_scalar(cache)
-    else:
-        _maximize_ascent(cache, n)
-    best = cache.best()
-    return best.g, list(cache.order)
-
-
-def _enumerate_candidates(sets: MinimizerSet, n_labels: int, cap: int,
-                          rng: np.random.Generator,
-                          extra=()) -> list[StationaryPolicy]:
-    """Candidate policies from per-state minimizer sets.
-
-    Uniform-rank selections and single-switch (threshold-like) combinations
-    of the lowest and highest actions come first; random per-state selections
-    fill up to the cap when the structured candidates run out.
-    """
-    n = len(sets.sets)
-    out: list[StationaryPolicy] = []
-    seen: set[bytes] = set()
-
-    def add(flat) -> None:
-        pol = StationaryPolicy.from_flat(np.asarray(flat, dtype=np.intp), n_labels)
-        key = pol.choice.tobytes()
-        if key not in seen:
-            seen.add(key)
-            out.append(pol)
-
-    for pol in extra:
-        add(pol.flat)
-    max_size = sets.max_size()
-    for r in range(max_size):
-        add([s[min(r, s.size - 1)] for s in sets.sets])
-        if len(out) >= cap:
-            return out[:cap]
-    if max_size == 1:
-        return out
-    low = np.asarray([s[0] for s in sets.sets], dtype=np.intp)
-    high = np.asarray([s[-1] for s in sets.sets], dtype=np.intp)
-    room = max(cap - len(out), 0)
-    n_splits = min(n - 1, max(room // 2, 0))
-    if n_splits > 0:
-        for s in np.unique(np.linspace(1, n - 1, n_splits).astype(int)):
-            add(np.concatenate([high[:s], low[s:]]))
-            add(np.concatenate([low[:s], high[s:]]))
-            if len(out) >= cap:
-                return out[:cap]
-    tries = 0
-    while len(out) < cap and tries < 10 * cap:
-        add([rng.choice(s) for s in sets.sets])
-        tries += 1
-    return out[:cap]
+    d = _bounds_vector(mdp)
+    pt = _evaluate(mdp, np.zeros(d.size), cfg.bellman)
+    trace = [pt]
+    if np.all(pt.slacks <= 0.0):
+        return pt.g, trace
+    eps = _gap_tol(cfg.bellman)
+    box = np.full(d.size, cfg.g_init)
+    while True:
+        g, ub = _master(trace, d, box)
+        pt = _evaluate(mdp, g, cfg.bellman)
+        known = any(pt.policy == cut.policy for cut in trace)
+        trace.append(pt)
+        binds = g >= box * (1.0 - 1e-9)  # vertex on the bound, up to round-off
+        if binds.any():
+            box = np.where(binds, 2.0 * box, box)
+            if np.any(box > cfg.bracket_cap):
+                raise DualBracketError(
+                    f"dual functional still increasing at multiplier "
+                    f"{g.tolist()} (doubling cap {cfg.bracket_cap:.3g}); the "
+                    "constraints appear to admit no strictly feasible point")
+        elif known or pt.h >= ub - eps * (1.0 + abs(ub)):
+            return g, trace
 
 
 def mix_weights(values: np.ndarray, d: np.ndarray, active: np.ndarray,
@@ -372,102 +321,6 @@ def mix_weights(values: np.ndarray, d: np.ndarray, active: np.ndarray,
     return w / total
 
 
-def _reduce_support(w: np.ndarray, values: np.ndarray, d: np.ndarray,
-                    active: np.ndarray, max_support: int) -> np.ndarray:
-    """Trim a feasible weighting to at most max_support positive weights.
-
-    Moves along null directions of the tight rows until weights drop to zero,
-    rejecting directions that would break an inactive constraint.  The LP
-    vertex already satisfies the support bound in practice; this is a guard
-    for degenerate ties.
-    """
-    for _ in range(len(w)):
-        support = np.nonzero(w > 0.0)[0]
-        if support.size <= max_support:
-            return w
-        rows = [np.ones(support.size)]
-        for j in range(values.shape[1]):
-            if active[j]:
-                rows.append(values[support, j])
-        A = np.asarray(rows)
-        _, s, vt = np.linalg.svd(A)
-        null = vt[np.sum(s > 1e-12):]
-        if null.size == 0:
-            return w
-        moved = False
-        for z in (null[0], -null[0]):
-            neg = z < -1e-15
-            if not np.any(neg):
-                continue
-            t = np.min(w[support][neg] / -z[neg])
-            w_new = w.copy()
-            w_new[support] = np.maximum(w[support] + t * z, 0.0)
-            w_new /= w_new.sum()
-            ok = True
-            for j in range(values.shape[1]):
-                if not active[j] and w_new @ values[:, j] > d[j] + 1e-9 * (1.0 + d[j]):
-                    ok = False
-                    break
-            if ok:
-                w = w_new
-                moved = True
-                break
-        if not moved:
-            return w
-    return w
-
-
-def _mixture_from_sets(mdp: DiscreteMDP, g_star, F_sets: MinimizerSet,
-                       cfg: DualConfig, extra_candidates):
-    """Candidate policies and a feasible mixture over them, or raise."""
-    g_star = np.atleast_1d(np.asarray(g_star, dtype=float))
-    d = _bounds_vector(mdp)
-    rng = np.random.default_rng(cfg.seed)
-    candidates = _enumerate_candidates(
-        F_sets, mdp.n_labels, cfg.mixture_cap, rng, extra=extra_candidates)
-    vectors = []
-    kept = []
-    for pol in candidates:
-        v = eval_policy(mdp, pol).v
-        if np.all(np.isfinite(v)):
-            vectors.append(v)
-            kept.append(pol)
-    if not kept:
-        raise MixtureInfeasibleError(
-            "every candidate minimizer policy has infinite cost")
-    V = np.asarray(vectors)
-    active = g_star > cfg.multiplier_tol
-    w = mix_weights(V[:, 1:], d, active, objective=V[:, 0])
-    if w is None:
-        raise MixtureInfeasibleError(
-            f"no feasible mixture among {len(kept)} candidates (active "
-            f"constraints {np.nonzero(active)[0].tolist()}); increase the "
-            "minimizer slack or refine the grid")
-    w = _reduce_support(w, V[:, 1:], d, active, max_support=d.size + 1)
-    support = np.nonzero(w > 0.0)[0]
-    mixture = MixedPolicy(
-        weights=tuple(float(w[i]) for i in support),
-        policies=tuple(kept[i] for i in support))
-    return mixture, tuple(kept)
-
-
-def build_mixture(mdp: DiscreteMDP, g_star, F_sets: MinimizerSet,
-                  cfg: DualConfig = DualConfig(), extra_candidates=()) -> MixedPolicy:
-    """Mix candidate minimizer policies to meet the constraints.
-
-    Enumerates candidate deterministic stationary policies from the per-state
-    minimizer sets (threshold-like single-switch selectors, capped), evaluates
-    their cost vectors, and solves the small feasibility program: weights
-    nonnegative and summing to 1, weighted constraint costs <= d_j with
-    equality for every j whose multiplier exceeds the multiplier tolerance.
-    The returned mixture has at most J+1 strictly positive weights.  Raises
-    MixtureInfeasibleError when no candidate combination works (increase the
-    minimizer slack or refine the grid).
-    """
-    mixture, _ = _mixture_from_sets(mdp, g_star, F_sets, cfg, extra_candidates)
-    return mixture
-
-
 def verify_optimality(mdp: DiscreteMDP, result: DualResult,
                       d=None, cfg: DualConfig = DualConfig()) -> CertificateReport:
     """Check the optimality certificates of a solved instance (report-only).
@@ -477,13 +330,17 @@ def verify_optimality(mdp: DiscreteMDP, result: DualResult,
     duality of every dual trace point against the mixture value.
     """
     d = _bounds_vector(mdp) if d is None else np.asarray(d, dtype=float)
-    v = result.costs.v
-    g = result.g_star
-    h_star = result.h_star
+    return _certify(result.g_star, result.h_star, result.costs, result.trace,
+                    d, cfg)
+
+
+def _certify(g: np.ndarray, h_star: float, costs: CostVector, trace,
+             d: np.ndarray, cfg: DualConfig) -> CertificateReport:
+    v = costs.v
     slack_terms = v[1:] - d
     scale = 1.0 + abs(h_star)
     weak_tol = 10.0 * cfg.bellman.tolerance + 1e-8 * scale
-    violations = [pt.h - v[0] for pt in result.trace]
+    violations = [pt.h - v[0] for pt in trace]
     return CertificateReport(
         feasibility_excess=np.maximum(slack_terms, 0.0),
         feasibility_tol=cfg.feasibility_tol * (1.0 + d),
@@ -500,47 +357,30 @@ def verify_optimality(mdp: DiscreteMDP, result: DualResult,
 def solve_constrained(mdp: DiscreteMDP, cfg: DualConfig = DualConfig()) -> DualResult:
     """Run the full dual procedure and certify the result.
 
-    Maximizes the dual, extracts minimizer sets at the best multiplier, and
-    builds the constrained mixture; when the mixture program is infeasible
-    the minimizer slack escalates geometrically up to ``cfg.max_slack``
-    before giving up (a wider slack admits more candidate policies at a
-    slightly weaker optimality guarantee, reported via ``slack_used``).
+    Maximizes the dual by cutting planes, then mixes the cut policies with
+    one :func:`mix_weights` program: bounds met, with equality on every
+    constraint whose multiplier exceeds ``multiplier_tol``, V0 minimized.
+    Raises MixtureInfeasibleError when that program has no solution.
     """
     g_star, trace = maximize_dual(mdp, cfg)
-    sol = solve_W(mdp, g_star, cfg.bellman)
-    W = sol.values
-    W0 = float(sol.W[mdp.x0_index])
+    star = trace[-1]
     d = _bounds_vector(mdp)
-    h_star = W0 - float(g_star @ d)
-
-    rel = cfg.argmin_slack
-    mixture = None
-    candidates: tuple = ()
-    slack_used = rel
-    last_err: Exception | None = None
-    while rel <= cfg.max_slack:
-        F_sets = argmin_set(mdp, W, g_star, default_slack(W, rel))
-        try:
-            mixture, candidates = _mixture_from_sets(
-                mdp, g_star, F_sets, cfg, extra_candidates=(sol.policy,))
-            slack_used = rel
-            break
-        except MixtureInfeasibleError as err:
-            last_err = err
-            rel *= cfg.slack_growth
-    if mixture is None:
+    V = np.asarray([pt.costs.v for pt in trace])
+    active = g_star > cfg.multiplier_tol
+    w = mix_weights(V[:, 1:], d, active, objective=V[:, 0])
+    if w is None:
         raise MixtureInfeasibleError(
-            f"no feasible mixture up to relative slack {cfg.max_slack:.3g}: "
-            f"{last_err}")
-
+            f"no feasible mixture of the {len(trace)} cut policies (active "
+            f"constraints {np.nonzero(active)[0].tolist()}); refine the grid")
+    support = np.nonzero(w > 0.0)[0]
+    mixture = MixedPolicy(
+        weights=tuple(float(w[i]) for i in support),
+        policies=tuple(trace[i].policy for i in support))
     costs = eval_mixture(mdp, mixture)
-    partial = DualResult(
-        g_star=g_star, h_star=h_star, W0=W0, F=candidates, mixture=mixture,
-        costs=costs, certificates=None, trace=tuple(trace),
-        slack_used=slack_used,
-        converged=sol.converged and all(pt.converged for pt in trace))
-    certificates = verify_optimality(mdp, partial, d=d, cfg=cfg)
+    trace = tuple(trace)
     return DualResult(
-        g_star=g_star, h_star=h_star, W0=W0, F=candidates, mixture=mixture,
-        costs=costs, certificates=certificates, trace=tuple(trace),
-        slack_used=slack_used, converged=partial.converged)
+        g_star=g_star, h_star=star.h, W0=star.W0,
+        F=tuple(pt.policy for pt in trace), mixture=mixture, costs=costs,
+        certificates=_certify(g_star, star.h, costs, trace, d, cfg),
+        trace=trace, slack_used=_gap_tol(cfg.bellman),
+        converged=all(pt.converged for pt in trace), solution=star.solution)

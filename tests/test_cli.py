@@ -204,6 +204,13 @@ def test_bracket_failure_exits_4(config_file, monkeypatch):
     assert cli.main(["solve", "--config", config_file]) == 4
 
 
+def test_nonconverged_evaluation_exits_4(config_file, monkeypatch):
+    def boom(mdp, cfg):
+        raise ic.BellmanNotConvergedError("did not converge")
+    monkeypatch.setattr(cli, "solve_constrained", boom)
+    assert cli.main(["solve", "--config", config_file]) == 4
+
+
 def test_set_override_changes_nested_fields(config_file, capsys):
     assert cli.main(["dual-curve", "--config", config_file,
                      "--set", "grid.theta_n=40", "--g-steps", "3"]) == 0

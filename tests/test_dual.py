@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -86,25 +87,41 @@ def test_maximizer_matches_analytic(small_mdp, bench_analytic):
     assert all(pt.h <= h_star for pt in trace)
 
 
+# constant unit rate: every strategy pays 1/alpha on the constraint, so
+# d = 0.5 is infeasible and the dual grows without bound
+INFEASIBLE_J1_DOC = {
+    "model": "custom", "alpha": 1.0, "x0": 0.0,
+    "flow": {"type": "drift", "rate": 1.0},
+    "reset": {"type": "constant", "value": 0.0},
+    "actions": ["a"], "bounds": [0.5],
+    "gradual_costs": [{"type": "constant", "value": 0.0},
+                      {"type": "constant", "value": 1.0}],
+    "impulse_costs": [{"type": "constant", "value": 1.0},
+                      {"type": "constant", "value": 0.0}],
+    "grid": {"state_min": 0.0, "state_max": 4.0, "state_n": 40,
+             "theta_max": 4.0, "theta_n": 40, "quadrature_step": 0.01},
+}
+
+
 def test_unbounded_dual_reports_bracket_failure():
-    # constant unit rate: every strategy pays 1/alpha on the constraint,
-    # so d = 0.5 is infeasible and the dual grows without bound
-    doc = {
-        "model": "custom", "alpha": 1.0, "x0": 0.0,
-        "flow": {"type": "drift", "rate": 1.0},
-        "reset": {"type": "constant", "value": 0.0},
-        "actions": ["a"], "bounds": [0.5],
-        "gradual_costs": [{"type": "constant", "value": 0.0},
-                          {"type": "constant", "value": 1.0}],
-        "impulse_costs": [{"type": "constant", "value": 1.0},
-                          {"type": "constant", "value": 0.0}],
-        "grid": {"state_min": 0.0, "state_max": 4.0, "state_n": 40,
-                 "theta_max": 4.0, "theta_n": 40, "quadrature_step": 0.01},
-    }
-    prob, grid = ic.problem_from_config(doc)
+    prob, grid = ic.problem_from_config(INFEASIBLE_J1_DOC)
     mdp = ic.discretize(prob, grid)
     with pytest.raises(ic.DualBracketError, match="increasing"):
         ic.maximize_dual(mdp, ic.DualConfig(bracket_cap=2.0 ** 6))
+
+
+def test_nonconverged_evaluation_stops_the_search():
+    # Bellman sweeps grow with the multiplier here, so the doubling reaches
+    # a solve that hits the iteration cap long before the default bracket
+    # cap; that evaluation must end the search, not feed it
+    prob, grid = ic.problem_from_config(INFEASIBLE_J1_DOC)
+    mdp = ic.discretize(prob, grid)
+    cfg = ic.DualConfig(bellman=ic.BellmanConfig(max_iterations=1000))
+    t0 = time.perf_counter()
+    with pytest.raises(ic.BellmanNotConvergedError,
+                       match=r"multiplier \[1024\.0\].*max_iterations=1000"):
+        ic.maximize_dual(mdp, cfg)
+    assert time.perf_counter() - t0 <= 5.0
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +219,7 @@ def test_dual_point_below_maximum_and_primal(solved):
 
 
 # ---------------------------------------------------------------------------
-# two constraints: projected ascent
+# two constraints
 
 
 J2_DOC = {
@@ -232,7 +249,7 @@ def j2_mdp():
 
 
 def test_two_constraint_solve_certifies(j2_mdp):
-    res = ic.solve_constrained(j2_mdp, ic.DualConfig(ascent_iterations=150))
+    res = ic.solve_constrained(j2_mdp)
     assert res.converged
     assert res.costs.v[1] == pytest.approx(0.5, abs=1e-8)   # active
     assert res.costs.v[2] <= 1.9 + 1e-8                     # inactive
@@ -240,19 +257,10 @@ def test_two_constraint_solve_certifies(j2_mdp):
     assert res.certificates.ok
 
 
-def test_slack_escalation_recovers_imprecise_maximizer(j2_mdp):
-    # few ascent iterations leave the multiplier off any dual kink, so the
-    # tight minimizer slack finds no straddling candidates and must escalate
-    res = ic.solve_constrained(j2_mdp, ic.DualConfig(ascent_iterations=30))
-    assert res.slack_used > ic.DualConfig().argmin_slack
-    assert res.costs.v[1] == pytest.approx(0.5, abs=1e-8)
-    assert res.certificates.ok
-
-
 def test_ascent_respects_inactive_boundary(j2_mdp):
-    # the second constraint is slack at every iterate, so its multiplier
-    # never leaves zero under projection
-    _, trace = ic.maximize_dual(j2_mdp, ic.DualConfig(ascent_iterations=150))
+    # every cut policy leaves the second constraint slack, so the cut model
+    # never raises its multiplier above zero
+    _, trace = ic.maximize_dual(j2_mdp)
     assert all(pt.g[1] == 0.0 for pt in trace)
     assert any(pt.g[0] > 0.0 for pt in trace)
 
@@ -261,8 +269,19 @@ def test_infeasible_two_constraint_problem_raises():
     doc = dict(J2_DOC, bounds=[0.5, 1.6])
     prob, grid = ic.problem_from_config(doc)
     mdp = ic.discretize(prob, grid)
-    with pytest.raises(ic.MixtureInfeasibleError):
-        ic.solve_constrained(mdp, ic.DualConfig(ascent_iterations=40))
+    with pytest.raises(ic.DualBracketError, match="increasing"):
+        ic.solve_constrained(mdp, ic.DualConfig(bracket_cap=2.0 ** 6))
+
+
+@pytest.mark.parametrize("bounds", [[0.1, 2.5], [0.3, 2.5]])
+def test_two_constraint_large_multiplier_certifies(bounds):
+    # d1 = 0.1 puts g*_1 near 44, far past the initial multiplier box
+    prob, grid = ic.problem_from_config(dict(J2_DOC, bounds=bounds))
+    res = ic.solve_constrained(ic.discretize(prob, grid))
+    assert res.certificates.ok
+    assert res.costs.v[1] == pytest.approx(bounds[0], abs=1e-8)
+    if bounds[0] == 0.1:
+        assert res.g_star[0] > 40.0
 
 
 def test_pipeline_matches_analytic_for_general_parameters():
@@ -285,18 +304,6 @@ def test_pipeline_matches_analytic_for_general_parameters():
     analytic = np.asarray([fluidq.W_star(p, sol.g_star, float(x))
                            for x in mdp.states])
     assert np.max(np.abs(bell.W - analytic)) <= 5e-3 * analytic[0]
-
-
-def test_reduce_support_trims_degenerate_weightings():
-    from impulsecontrol.dual import _reduce_support
-    # three collinear candidates carrying weight; two suffice for V1 = 0.5
-    w = np.asarray([0.25, 0.5, 0.25])
-    values = np.asarray([[0.2], [0.5], [0.8]])
-    out = _reduce_support(w, values, d=np.asarray([0.5]),
-                          active=np.asarray([True]), max_support=2)
-    assert np.count_nonzero(out) <= 2
-    assert out.sum() == pytest.approx(1.0, abs=1e-12)
-    assert float(out @ values[:, 0]) == pytest.approx(0.5, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
