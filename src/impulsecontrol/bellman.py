@@ -76,23 +76,18 @@ class StationaryPolicy:
 class BellmanConfig:
     """Stopping parameters for successive approximation.
 
-    ``tolerance`` is the sup-norm change threshold; ``argmin_slack`` is the
-    relative slack used by :func:`default_slack` when extracting near
-    minimizers (absolute slack per state is argmin_slack * (1 + W(x)), so the
-    extraction is scale-free).
+    ``tolerance`` is the sup-norm change threshold; ``max_iterations`` caps
+    the number of sweeps.
     """
 
     tolerance: float = 1e-9
     max_iterations: int = 100_000
-    argmin_slack: float = 1e-7
 
     def __post_init__(self):
         if self.tolerance <= 0.0:
             raise ValueError("tolerance must be > 0")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.argmin_slack < 0.0:
-            raise ValueError("argmin_slack must be >= 0")
 
 
 @dataclass(frozen=True)

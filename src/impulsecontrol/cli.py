@@ -140,8 +140,13 @@ def load_config(run: RunConfig) -> dict:
     return doc
 
 
+def _bellman_config(tol_scale: float) -> BellmanConfig:
+    """Bellman stopping rule with the default tolerance scaled by ``--tol``."""
+    return BellmanConfig(tolerance=1e-9 * tol_scale)
+
+
 def _dual_config(run: RunConfig) -> DualConfig:
-    return DualConfig(bellman=BellmanConfig(tolerance=1e-9 * run.tol_scale))
+    return DualConfig(bellman=_bellman_config(run.tol_scale))
 
 
 def _policy_rows(mdp, pol: StationaryPolicy) -> list:
@@ -271,7 +276,7 @@ def cmd_dual_curve(run: RunConfig) -> int:
                 "problems (use the config 'dual_grid' field)")
         grid_pts = [np.asarray([g]) for g in
                     np.linspace(run.g_min, run.g_max, run.g_steps)]
-    bcfg = BellmanConfig(tolerance=1e-9 * run.tol_scale)
+    bcfg = _bellman_config(run.tol_scale)
     header = ([f"g_{j + 1}" for j in range(J)] + ["h", "W0"]
               + [f"slack_{j + 1}" for j in range(J)])
     lines = [",".join(header)]
@@ -353,7 +358,7 @@ def _verify_checks(problem, grid, mdp, tol_scale: float):
                     worst = max(worst, abs(got - ref) / (1.0 + abs(ref)))
     yield "stage-cost-quadrature", worst <= 1e-8, f"max rel err {worst:.3e}"
 
-    bcfg = BellmanConfig(tolerance=1e-9 * tol_scale)
+    bcfg = _bellman_config(tol_scale)
     ones = np.ones(mdp.n_constraints)
     for tag, g in (("zero", np.zeros(mdp.n_constraints)), ("ones", ones)):
         sol = solve_W(mdp, g, bcfg)
@@ -361,18 +366,23 @@ def _verify_checks(problem, grid, mdp, tol_scale: float):
         yield (f"bellman-converges-g-{tag}", ok,
                f"iterations={sol.iterations} residual={sol.residual:.3e}")
 
-    # occupation and oracle identities on a few constant-waiting policies
+    # occupation and oracle identities on a few constant-waiting policies;
+    # the feasible ones also bound the dual values below (weak duality)
     m_fin = th.size - 1
     probes = sorted({max(1, m_fin // 8), max(1, m_fin // 4),
                      max(1, m_fin // 2), m_fin - 1})
+    d = np.asarray(mdp.bounds, dtype=float)
     occ_ok, occ_detail = True, []
     tri_ok, tri_detail = True, []
+    feas_values = []
     for k in probes:
         flat = np.full(mdp.n_states, k * L, dtype=np.intp)
         pol = StationaryPolicy.from_flat(flat, L)
         costs = eval_policy(mdp, pol)
         if not costs.finite:
             continue
+        if np.all(costs.v[1:] <= d + 1e-9):
+            feas_values.append(costs.v[0])
         mu = occupation_measure(mdp, pol)
         resid = check_characteristic(mdp, mu)
         occ_ok &= resid <= 1e-9
@@ -389,13 +399,6 @@ def _verify_checks(problem, grid, mdp, tol_scale: float):
     yield "oracle-agreement", tri_ok, "; ".join(tri_detail)
 
     # weak duality: dual values never exceed feasible policy values
-    d = np.asarray(mdp.bounds, dtype=float)
-    feas_values = []
-    for k in probes:
-        pol = StationaryPolicy.from_flat(np.full(mdp.n_states, k * L, dtype=np.intp), L)
-        v = eval_policy(mdp, pol).v
-        if np.all(np.isfinite(v)) and np.all(v[1:] <= d + 1e-9):
-            feas_values.append(v[0])
     wd_ok = True
     worst_gap = -math.inf
     if feas_values and mdp.n_constraints >= 1:

@@ -13,13 +13,20 @@ running-cost integrals are computed by composite Simpson quadrature, landing
 states are represented by linear interpolation weights between bracketing grid
 points, and the infinite waiting time is kept as an exact sentinel (never a
 large float) so that killing is exact.
+
+User maps (flow, reset, cost rates, lump costs) are called once on whole-grid
+numpy arrays, so they should be written with numpy operations.  A map that
+only accepts scalars still works: when a call on arrays raises TypeError or
+ValueError (what numpy raises when ``math.exp`` or an ``if`` meets an array)
+the map is evaluated point by point, which is much slower.  Any other
+exception from a user map propagates.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -213,19 +220,8 @@ class DiscreteMDP:
     def n_constraints(self) -> int:
         return self.n_costs - 1
 
-    @property
-    def delta_index(self) -> int:
-        """Index of the cemetery state (one past the grid)."""
-        return self.n_states
-
     def theta_of_action(self, q) -> np.ndarray | float:
         return self.theta_points[np.asarray(q) // self.n_labels]
-
-    def label_of_action(self, q: int):
-        return self.action_labels[q % self.n_labels]
-
-    def action_index(self, theta_index: int, label_index: int = 0) -> int:
-        return theta_index * self.n_labels + label_index
 
     def expected_next_value(self, values: np.ndarray) -> np.ndarray:
         """survival * interpolated next-state value, per (state, action).
@@ -289,43 +285,26 @@ class ValidationReport:
 
 
 # ---------------------------------------------------------------------------
-# evaluation helpers: user maps may be scalar-only, so try vectorized first
+# evaluation of user maps
 
 
-def _eval_map(f, xs: np.ndarray) -> np.ndarray:
-    xs = np.asarray(xs, dtype=float)
+def _eval(f, *args) -> np.ndarray:
+    """``f(*args)`` as a float array shaped like its broadcast array arguments.
+
+    ``f`` is called once on the whole arrays; arguments that are not arrays
+    (an action label, a scalar state) are passed through unchanged, and a 0-d
+    result is broadcast.  A scalar-only map makes numpy raise TypeError or
+    ValueError when it meets an array; only then is ``f`` evaluated point by
+    point.  Every other exception propagates.
+    """
+    shape = np.broadcast_shapes(
+        *(a.shape for a in args if isinstance(a, np.ndarray)))
     try:
-        out = np.asarray(f(xs), dtype=float)
-        if out.shape == xs.shape:
-            return out
-    except Exception:
-        pass
-    flat = np.asarray([float(f(x)) for x in xs.ravel()], dtype=float)
-    return flat.reshape(xs.shape)
-
-
-def _eval_map2(f, xs: np.ndarray, a) -> np.ndarray:
-    xs = np.asarray(xs, dtype=float)
-    try:
-        out = np.asarray(f(xs, a), dtype=float)
-        if out.shape == xs.shape:
-            return out
-    except Exception:
-        pass
-    flat = np.asarray([float(f(x, a)) for x in xs.ravel()], dtype=float)
-    return flat.reshape(xs.shape)
-
-
-def _eval_flow_grid(flow, xs: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """flow evaluated on the outer grid of states x times t, shape (len(xs), len(ts))."""
-    try:
-        out = np.asarray(flow(xs[:, np.newaxis], ts[np.newaxis, :]), dtype=float)
-        if out.shape == (xs.size, ts.size):
-            return out
-    except Exception:
-        pass
-    cols = [_eval_map(lambda x, _t=t: flow(x, _t), xs) for t in ts]
-    return np.stack(cols, axis=1)
+        out = np.asarray(f(*args), dtype=float)
+    except (TypeError, ValueError):
+        fixed = {i for i, a in enumerate(args) if not isinstance(a, np.ndarray)}
+        out = np.vectorize(f, otypes=[float], excluded=fixed)(*args)
+    return out if out.shape == shape else np.broadcast_to(out, shape)
 
 
 def _simpson_weights(a: float, b: float, step: float) -> tuple[np.ndarray, np.ndarray]:
@@ -357,8 +336,7 @@ def _running_integral_scalar(problem: ImpulseProblem, x: float, theta: float,
     else:
         a, b = 0.0, theta
     tt, w = _simpson_weights(a, b, step)
-    ys = _eval_map(lambda t: problem.flow(x, t), tt)
-    vals = _eval_map(rate, ys) * np.exp(-alpha * tt)
+    vals = _eval(rate, _eval(problem.flow, x, tt)) * np.exp(-alpha * tt)
     return float(np.dot(w, vals))
 
 
@@ -448,10 +426,10 @@ def _tabulate_running_integrals(problem: ImpulseProblem, grid: GridSpec) -> np.n
         if seg_starts:
             tt_all = np.concatenate(seg_nodes)
             w_all = np.concatenate(seg_w)
-            flow_vals = _eval_flow_grid(problem.flow, xs, tt_all)
+            flow_vals = _eval(problem.flow, xs[:, np.newaxis], tt_all[np.newaxis, :])
             disc = np.exp(-alpha * tt_all)
             for j in quad_js:
-                rates = _eval_map(problem.gradual_costs[j], flow_vals)
+                rates = _eval(problem.gradual_costs[j], flow_vals)
                 weighted = rates * (disc * w_all)[np.newaxis, :]
                 seg_int = np.add.reduceat(weighted, seg_starts, axis=1)
                 R[j, :, 1:m_fin] = np.cumsum(seg_int, axis=1)
@@ -463,9 +441,10 @@ def _tabulate_running_integrals(problem: ImpulseProblem, grid: GridSpec) -> np.n
         block = max(1, 2_000_000 // tt_inf.size)
         for start in range(0, n, block):
             stop = min(start + block, n)
-            flow_inf = _eval_flow_grid(problem.flow, xs[start:stop], tt_inf)
+            flow_inf = _eval(problem.flow, xs[start:stop, np.newaxis],
+                             tt_inf[np.newaxis, :])
             for j in quad_js:
-                rates = _eval_map(problem.gradual_costs[j], flow_inf)
+                rates = _eval(problem.gradual_costs[j], flow_inf)
                 R[j, start:stop, m_fin] = rates @ disc_w
     return R
 
@@ -511,35 +490,33 @@ def discretize(problem: ImpulseProblem, grid: GridSpec) -> DiscreteMDP:
     next_hi = np.zeros((n, n_actions), dtype=np.intp)
     w_lo = np.ones((n, n_actions))
     w_hi = np.zeros((n, n_actions))
-    costs = np.zeros((jn, n, n_actions))
+    # action q = k*L + a carries R[j, :, k]; the INF column keeps just that
+    costs = np.repeat(R, L, axis=2)
+    # (n, m, L) views of the (n, m*L) tables: [:, :-1, a] is label a at the
+    # finite thetas; the INF column keeps the cemetery defaults set here
+    lo_v, hi_v, wlo_v, whi_v = (t.reshape(n, m, L)
+                                for t in (next_lo, next_hi, w_lo, w_hi))
+    costs_v = costs.reshape(jn, n, m, L)
     clamp_tol = 1e-12 * (1.0 + xs[-1] - xs[0])
     clamped = 0
 
-    for k, theta in enumerate(thetas):
-        inf_theta = math.isinf(theta)
-        y_flow = None if inf_theta else _eval_map(lambda x, _t=theta: problem.flow(x, _t), xs)
-        for a_idx, label in enumerate(labels):
-            q = k * L + a_idx
-            if inf_theta:
-                for j in range(jn):
-                    costs[j, :, q] = R[j, :, k]
-                continue
-            landing = _eval_map2(problem.reset, y_flow, label)
-            clamped += int(np.sum((landing < xs[0] - clamp_tol)
-                                  | (landing > xs[-1] + clamp_tol)))
-            landing = np.clip(landing, xs[0], xs[-1])
-            hi = np.clip(np.searchsorted(xs, landing), 1, n - 1)
-            lo = hi - 1
-            frac = (landing - xs[lo]) / (xs[hi] - xs[lo])
-            frac = np.clip(frac, 0.0, 1.0)
-            next_lo[:, q] = lo
-            next_hi[:, q] = hi
-            w_lo[:, q] = 1.0 - frac
-            w_hi[:, q] = frac
-            s = survival[q]
-            for j in range(jn):
-                lump = _eval_map2(problem.impulse_costs[j], y_flow, label)
-                costs[j, :, q] = R[j, :, k] + s * lump
+    y_flow = _eval(problem.flow, xs[:, np.newaxis], thetas[np.newaxis, :-1])
+    surv_fin = survival[::L][:-1]
+    for a_idx, label in enumerate(labels):
+        landing = _eval(problem.reset, y_flow, label)
+        clamped += int(np.sum((landing < xs[0] - clamp_tol)
+                              | (landing > xs[-1] + clamp_tol)))
+        landing = np.clip(landing, xs[0], xs[-1])
+        hi = np.clip(np.searchsorted(xs, landing), 1, n - 1)
+        lo = hi - 1
+        frac = np.clip((landing - xs[lo]) / (xs[hi] - xs[lo]), 0.0, 1.0)
+        lo_v[:, :-1, a_idx] = lo
+        hi_v[:, :-1, a_idx] = hi
+        wlo_v[:, :-1, a_idx] = 1.0 - frac
+        whi_v[:, :-1, a_idx] = frac
+        for j in range(jn):
+            costs_v[j, :, :-1, a_idx] += surv_fin * _eval(
+                problem.impulse_costs[j], y_flow, label)
 
     bad = ~np.isfinite(costs) | (costs < 0.0)
     if np.any(bad):
@@ -574,18 +551,16 @@ def validate(problem: ImpulseProblem, grid: GridSpec,
     sample = xs[np.unique(np.linspace(0, xs.size - 1, flow_samples).astype(int))]
 
     delta_hat = math.inf
-    for label in problem.actions:
-        delta_hat = min(delta_hat, float(_eval_map2(problem.impulse_costs[0], xs, label).min()))
-
-    sup_rate = 0.0
+    sup_rate = sup_lump = 0.0
     for j in range(problem.n_costs):
         c = problem.constant_rate(j)
-        vals = np.full(1, c) if c is not None else _eval_map(problem.gradual_costs[j], xs)
-        sup_rate = max(sup_rate, float(np.max(vals)))
-    sup_lump = 0.0
-    for j in range(problem.n_costs):
+        rate = c if c is not None else np.max(_eval(problem.gradual_costs[j], xs))
+        sup_rate = max(sup_rate, float(rate))
         for label in problem.actions:
-            sup_lump = max(sup_lump, float(_eval_map2(problem.impulse_costs[j], xs, label).max()))
+            lump = _eval(problem.impulse_costs[j], xs, label)
+            sup_lump = max(sup_lump, float(lump.max()))
+            if j == 0:
+                delta_hat = min(delta_hat, float(lump.min()))
     cost_sup = sup_rate + sup_lump
 
     th_max = grid.theta_points[-2] if grid.theta_points.size > 1 else 1.0
@@ -748,13 +723,7 @@ def problem_from_config(cfg: dict) -> tuple[ImpulseProblem, GridSpec]:
                 d=float(_require(cfg, "d", "")),
             )
             if "x0" in cfg and float(cfg["x0"]) != 0.0:
-                prob = ImpulseProblem(
-                    flow=prob.flow, reset=prob.reset,
-                    gradual_costs=prob.gradual_costs,
-                    impulse_costs=prob.impulse_costs,
-                    alpha=alpha, x0=float(cfg["x0"]),
-                    bounds=prob.bounds, actions=prob.actions,
-                    constant_rates=prob.constant_rates)
+                prob = replace(prob, x0=float(cfg["x0"]))
             return prob, grid
         if model == "custom":
             actions = tuple(_require(cfg, "actions", ""))

@@ -10,6 +10,25 @@ from impulsecontrol.model import CEMETERY, INFINITY, ConfigError
 from conftest import fluid_mdp
 
 
+# two actions, off-grid landings (scale reset) and label-dependent lump costs
+CUSTOM_TWO_ACTION_DOC = {
+    "model": "custom", "alpha": 1.0, "x0": 0.0,
+    "flow": {"type": "drift", "rate": 2.0},
+    "reset": {"type": "scale", "factor": 0.5},
+    "actions": ["a", "b"],
+    "bounds": [1.0],
+    "gradual_costs": [
+        {"type": "constant", "value": 0.5},
+        {"type": "piecewise_constant", "breakpoints": [1.0], "values": [2.0, 3.0]}],
+    "impulse_costs": [
+        {"type": "polynomial", "coeffs": [1.0, 0.5],
+         "action_factors": {"b": 2.0}},
+        {"type": "constant", "value": 0.0}],
+    "grid": {"state_min": 0.0, "state_max": 2.0, "state_n": 5,
+             "theta_max": 1.0, "theta_n": 5, "quadrature_step": 0.01},
+}
+
+
 @pytest.fixture(scope="module")
 def fluid_problem():
     return ic.fluid_problem(alpha=1.0, h=1.0, K=1.0, d=0.5)
@@ -119,20 +138,51 @@ def test_discretize_kernel_mass(small_mdp):
     assert np.max(np.abs(small_mdp.w_lo + small_mdp.w_hi - 1.0)) <= 1e-12
 
 
-def test_discretize_table_matches_stage_cost(fluid_problem):
+def _check_cells_against_references(prob, grid, mdp, cells, jumps):
+    """Each (i, k, label index) cell against stage_cost and transition.
+
+    ``jumps`` maps a cost index to the jump of its piecewise-constant rate:
+    Simpson's error at a jump is of order quadrature_step * jump, and the
+    table's segment-wise rule and stage_cost's single span put their nodes in
+    different places, so those costs get that tolerance instead of 1e-8.
+    """
+    L = mdp.n_labels
+    for i, k, a in cells:
+        x, theta = float(mdp.states[i]), float(mdp.theta_points[k])
+        label = mdp.action_labels[a]
+        q = k * L + a
+        for j in range(mdp.n_costs):
+            ref = ic.stage_cost(prob, x, theta, label, j,
+                                step=grid.quadrature_step)
+            tol = (grid.quadrature_step * jumps[j] if j in jumps
+                   else 1e-8 * (1.0 + ref))
+            assert abs(float(mdp.costs[j, i, q]) - ref) <= tol, (i, k, a, j)
+        nxt, s = ic.transition(prob, x, theta, label)
+        assert mdp.survival[q] == pytest.approx(s, rel=1e-15, abs=0.0)
+        if nxt is CEMETERY:
+            continue
+        assert mdp.w_lo[i, q] + mdp.w_hi[i, q] == pytest.approx(1.0, abs=1e-15)
+        assert mdp.next_hi[i, q] == mdp.next_lo[i, q] + 1
+        landed = (mdp.w_lo[i, q] * mdp.states[mdp.next_lo[i, q]]
+                  + mdp.w_hi[i, q] * mdp.states[mdp.next_hi[i, q]])
+        assert landed == pytest.approx(nxt, abs=1e-12)
+
+
+def test_discretize_table_matches_stage_cost():
+    # fluid benchmark: 25 random cells of a one-action table
     prob, grid, mdp = fluid_mdp(state_n=40, theta_n=40, state_max=2.0,
                                 theta_max=2.0)
     rng = np.random.default_rng(3)
-    L = mdp.n_labels
-    for _ in range(25):
-        i = int(rng.integers(0, mdp.n_states))
-        k = int(rng.integers(0, mdp.theta_points.size))
-        for j in range(mdp.n_costs):
-            ref = ic.stage_cost(prob, float(mdp.states[i]),
-                                float(mdp.theta_points[k]), "reset", j,
-                                step=grid.quadrature_step)
-            got = float(mdp.costs[j, i, k * L])
-            assert abs(got - ref) <= 1e-8 * (1.0 + ref)
+    cells = [(int(rng.integers(0, mdp.n_states)),
+              int(rng.integers(0, mdp.theta_points.size)), 0)
+             for _ in range(25)]
+    _check_cells_against_references(prob, grid, mdp, cells, jumps={})
+
+    # every cell of the two-action config: checks the q = k*L + a layout
+    prob, grid = ic.problem_from_config(CUSTOM_TWO_ACTION_DOC)
+    mdp = ic.discretize(prob, grid)
+    cells = np.ndindex(mdp.n_states, mdp.theta_points.size, mdp.n_labels)
+    _check_cells_against_references(prob, grid, mdp, cells, jumps={1: 1.0})
 
 
 def test_discretize_rejects_x0_off_grid(fluid_problem):
@@ -173,6 +223,65 @@ def test_discretize_rejects_non_finite_cell():
     grid = ic.GridSpec.uniform(0.0, 1.0, 5, theta_max=1.0, theta_n=5,
                                quadrature_step=0.01)
     with pytest.raises(ValueError, match="non-finite"):
+        ic.discretize(prob, grid)
+
+
+def _twin_problem(scalar: bool):
+    """One problem written with numpy maps, or with scalar-only maps."""
+    factor = {"a": 1.0, "b": 2.0}
+    if scalar:
+        flow = lambda x, t: x * math.exp(-0.3 * t)
+        reset = lambda x, a: 0.5 * x if x > 1.0 else x + 0.5
+        rates = (lambda x: 0.2, lambda x: math.exp(-x))
+        lump = lambda x, a: factor[a] * (1.0 + x if x > 1.0 else 1.0)
+    else:
+        flow = lambda x, t: x * np.exp(-0.3 * t)
+        reset = lambda x, a: np.where(x > 1.0, 0.5 * x, x + 0.5)
+        rates = (lambda x: 0.2 + 0.0 * x, lambda x: np.exp(-x))
+        lump = lambda x, a: factor[a] * np.where(x > 1.0, 1.0 + x, 1.0)
+    return ic.ImpulseProblem(
+        flow=flow, reset=reset, gradual_costs=rates,
+        impulse_costs=(lump, lambda x, a: 0.0 * x),
+        alpha=1.0, x0=0.0, bounds=(1.0,), actions=("a", "b"))
+
+
+def test_scalar_only_maps_match_their_vectorized_twins():
+    # math.exp and np.exp may differ in the last bit, so not bitwise
+    grid = ic.GridSpec.uniform(0.0, 3.0, 16, theta_max=2.0, theta_n=9,
+                               quadrature_step=0.05)
+    mdps = [ic.discretize(_twin_problem(scalar), grid) for scalar in (True, False)]
+    reports = [ic.validate(_twin_problem(scalar), grid) for scalar in (True, False)]
+
+    def landed(mdp):
+        return (mdp.w_lo * mdp.states[mdp.next_lo]
+                + mdp.w_hi * mdp.states[mdp.next_hi])
+
+    scalar, vec = mdps
+    np.testing.assert_allclose(scalar.costs, vec.costs, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(landed(scalar), landed(vec), rtol=1e-12, atol=0.0)
+    assert np.array_equal(scalar.survival, vec.survival)
+    assert scalar.clamped_cells == vec.clamped_cells
+    for field in ("delta_hat", "cost_sup", "semigroup_residual"):
+        assert getattr(reports[0], field) == pytest.approx(
+            getattr(reports[1], field), rel=1e-12, abs=1e-15)
+
+
+def test_user_map_error_on_arrays_propagates():
+    # only TypeError/ValueError mean "scalar-only map"; anything else is a bug
+    # in the map and must not be hidden by a per-point retry
+    def rate(x):
+        if isinstance(x, np.ndarray):
+            raise RuntimeError("rate table unavailable")
+        return 1.0
+
+    prob = ic.ImpulseProblem(
+        flow=lambda x, t: x + t, reset=lambda x, a: 0.0 * x,
+        gradual_costs=(lambda x: 0.0 * x, rate),
+        impulse_costs=(lambda x, a: 1.0 + 0.0 * x, lambda x, a: 0.0 * x),
+        alpha=1.0, x0=0.0, bounds=(0.5,), actions=("a",))
+    grid = ic.GridSpec.uniform(0.0, 1.0, 5, theta_max=1.0, theta_n=5,
+                               quadrature_step=0.01)
+    with pytest.raises(RuntimeError, match="rate table unavailable"):
         ic.discretize(prob, grid)
 
 
@@ -264,23 +373,7 @@ def test_problem_from_config_fluid_roundtrip():
 
 
 def test_problem_from_config_custom_cost_tables():
-    doc = {
-        "model": "custom", "alpha": 1.0, "x0": 0.0,
-        "flow": {"type": "drift", "rate": 2.0},
-        "reset": {"type": "scale", "factor": 0.5},
-        "actions": ["a", "b"],
-        "bounds": [1.0],
-        "gradual_costs": [
-            {"type": "constant", "value": 0.5},
-            {"type": "piecewise_constant", "breakpoints": [1.0], "values": [2.0, 3.0]}],
-        "impulse_costs": [
-            {"type": "polynomial", "coeffs": [1.0, 0.5],
-             "action_factors": {"b": 2.0}},
-            {"type": "constant", "value": 0.0}],
-        "grid": {"state_min": 0.0, "state_max": 2.0, "state_n": 5,
-                 "theta_max": 1.0, "theta_n": 5, "quadrature_step": 0.01},
-    }
-    prob, grid = ic.problem_from_config(doc)
+    prob, grid = ic.problem_from_config(CUSTOM_TWO_ACTION_DOC)
     assert prob.flow(1.0, 0.5) == 2.0
     assert prob.reset(2.0, "a") == 1.0
     assert prob.constant_rates == (0.5, None)
