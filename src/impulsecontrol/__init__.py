@@ -14,7 +14,7 @@ from .model import (CEMETERY, INFINITY, ConfigError, DiscreteMDP, GridSpec,
                     transition, validate)
 from .bellman import (BellmanConfig, BellmanSolution, MinimizerSet,
                       StationaryPolicy, ValueFn, argmin_set, bellman_backup,
-                      default_slack, residual, solve_W)
+                      default_slack, policy_iteration, residual, solve_W)
 from .policy_eval import (CostVector, MixedPolicy, OccupationMeasure,
                           check_characteristic, eval_mixture, eval_policy,
                           occupation_measure, policy_from_table,
@@ -30,8 +30,8 @@ __all__ = [
     "ImpulseProblem", "ValidationReport", "discretize", "fluid_problem",
     "problem_from_config", "stage_cost", "transition", "validate",
     "BellmanConfig", "BellmanSolution", "MinimizerSet", "StationaryPolicy",
-    "ValueFn", "argmin_set", "bellman_backup", "default_slack", "residual",
-    "solve_W",
+    "ValueFn", "argmin_set", "bellman_backup", "default_slack",
+    "policy_iteration", "residual", "solve_W",
     "CostVector", "MixedPolicy", "OccupationMeasure", "check_characteristic",
     "eval_mixture", "eval_policy", "occupation_measure", "policy_from_table",
     "policy_to_table", "simulate_oracle", "threshold_rule",

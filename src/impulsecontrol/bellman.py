@@ -6,12 +6,22 @@ cost_0 + sum_j g_j cost_j, and the value function solves
     W(x) = min over actions (theta, a) of
            combined_cost(x, (theta, a)) + survival * W(next state),
 
-with W = 0 at the cemetery.  Successive approximation from W = 0 produces
-pointwise nondecreasing iterates (all quantities are nonnegative and the
-backup is monotone, exactly so in floating point), which doubles as a runtime
-sanity check.  Each sweep is a Jacobi iteration reading only the previous
-iterate, so sweeps are order-independent and could be evaluated in parallel;
-the vectorized numpy kernels below already have that structure.
+with W = 0 at the cemetery.  Two solvers are kept.
+
+Howard's policy iteration (:func:`policy_iteration`, Howard 1960; Puterman
+1994, section 6.4) is the kernel of every dual evaluation: each step
+evaluates a policy exactly by one sparse linear solve and improves it
+greedily, so it needs a handful of steps where value iteration needs about
+1/(alpha * mean wait) sweeps, and it can start from the policy of a nearby
+multiplier.
+
+Successive approximation from W = 0 (:func:`solve_W`) is the checked
+reference.  It produces pointwise nondecreasing iterates (all quantities are
+nonnegative and the backup is monotone, exactly so in floating point), which
+doubles as a runtime sanity check.  Each sweep is a Jacobi iteration reading
+only the previous iterate, so sweeps are order-independent and could be
+evaluated in parallel; the vectorized numpy kernels below already have that
+structure.
 """
 
 from __future__ import annotations
@@ -74,10 +84,12 @@ class StationaryPolicy:
 
 @dataclass(frozen=True)
 class BellmanConfig:
-    """Stopping parameters for successive approximation.
+    """Stopping parameters of the Bellman solvers.
 
-    ``tolerance`` is the sup-norm change threshold; ``max_iterations`` caps
-    the number of sweeps.
+    For value iteration ``tolerance`` is the sup-norm change threshold and
+    ``max_iterations`` caps the number of sweeps.  Policy iteration switches
+    a state's action only where that gains more than
+    ``tolerance * (1 + |W|)``, and ``max_iterations`` caps its steps.
     """
 
     tolerance: float = 1e-9
@@ -105,7 +117,7 @@ class MinimizerSet:
 
 @dataclass(frozen=True)
 class BellmanSolution:
-    """Converged value function with its greedy policy and iteration trace."""
+    """Value function with its policy and per-iteration (or per-step) trace."""
 
     values: ValueFn
     policy: StationaryPolicy
@@ -203,6 +215,56 @@ def solve_W(mdp: DiscreteMDP, g, cfg: BellmanConfig = BellmanConfig(),
     return BellmanSolution(
         values=ValueFn(W), policy=StationaryPolicy.from_flat(flat, mdp.n_labels),
         iterations=iterations, converged=converged, residual=sup_change,
+        trace=tuple(trace))
+
+
+def policy_iteration(mdp: DiscreteMDP, g, cfg: BellmanConfig = BellmanConfig(),
+                     start: StationaryPolicy | None = None) -> BellmanSolution:
+    """Howard's policy iteration from ``start`` (default: never impulse).
+
+    Each step solves W = c_f + P_f W for the current policy f by sparse LU,
+    then switches a state to its smallest-index Q minimizer only where that
+    beats the current action by more than ``tolerance * (1 + |W|)``, so
+    round-off cannot cycle between tied actions.  It stops when no state
+    switches; after ``max_iterations`` steps it returns the last evaluated
+    policy flagged ``converged=False``.
+
+    The never-impulse start kills all mass in one step, so it is proper (no
+    survival-1 cycle).  With positive impulse costs a zero-wait loop never
+    improves on a proper policy, so every step stays proper whatever g is,
+    and the policy of any other multiplier is a safe start.  The returned
+    policy is the evaluated, stable one and W is exactly its value, so its
+    cut is exact; a fresh argmin of the final Q table could pick a costlier
+    tied action.  ``trace`` holds (step, Bellman residual) pairs, the
+    residual being sup |min_a Q - W| for that step's policy.
+    """
+    cost = combined_cost(mdp, g)
+    rows = np.arange(mdp.n_states)
+    if start is None:
+        flat = np.full(mdp.n_states, mdp.n_actions - mdp.n_labels, dtype=np.intp)
+    elif start.n_states != mdp.n_states:
+        raise ValueError("start policy does not match the MDP state grid")
+    else:
+        flat = start.flat
+    trace = []
+    for k in range(1, cfg.max_iterations + 1):
+        W = mdp.solve_policy(flat, cost[rows, flat])
+        if W is None:
+            raise RuntimeError(
+                f"policy iteration step {k} met a survival-1 cycle; impulse "
+                "costs must be positive")
+        q = _q_table(mdp, cost, W)
+        best = q.argmin(axis=1)
+        q_best = q[rows, best]
+        res = float(np.max(np.abs(q_best - W)))
+        trace.append((k, res))
+        switch = q[rows, flat] - q_best > cfg.tolerance * (1.0 + np.abs(W))
+        if not switch.any() or k == cfg.max_iterations:
+            break
+        flat = np.where(switch, best, flat)
+    return BellmanSolution(
+        values=ValueFn(W), policy=StationaryPolicy.from_flat(flat, mdp.n_labels),
+        iterations=k, converged=not switch.any(), residual=res,
         trace=tuple(trace))
 
 

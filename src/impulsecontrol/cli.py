@@ -24,7 +24,7 @@ import numpy as np
 
 from . import model
 from .model import ConfigError, discretize, problem_from_config, validate
-from .bellman import BellmanConfig, StationaryPolicy, solve_W
+from .bellman import BellmanConfig, StationaryPolicy, policy_iteration, solve_W
 from .policy_eval import (check_characteristic, eval_policy, occupation_measure,
                           policy_from_table, simulate_oracle)
 from .dual import (BellmanNotConvergedError, DualBracketError, DualConfig,
@@ -365,6 +365,14 @@ def _verify_checks(problem, grid, mdp, tol_scale: float):
         ok = sol.converged and sol.residual <= bcfg.tolerance
         yield (f"bellman-converges-g-{tag}", ok,
                f"iterations={sol.iterations} residual={sol.residual:.3e}")
+
+    # the dual search's policy iteration against the value-iteration
+    # reference, which the loop above left at g = ones
+    pi = policy_iteration(mdp, ones, bcfg)
+    rel = float(np.max(np.abs(pi.W - sol.W) / (1.0 + np.abs(sol.W))))
+    ok = pi.converged and rel <= 1e3 * bcfg.tolerance
+    yield ("policy-iteration-agreement", ok,
+           f"steps={pi.iterations} max rel diff {rel:.3e}")
 
     # occupation and oracle identities on a few constant-waiting policies;
     # the feasible ones also bound the dual values below (weak duality)

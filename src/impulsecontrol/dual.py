@@ -23,8 +23,8 @@ from scipy.optimize import linprog
 
 from .model import DiscreteMDP
 from .bellman import (BellmanConfig, BellmanSolution, StationaryPolicy,
-                      solve_W)
-from .bellman import argmin_set  # noqa: F401  (kept importable from here)
+                      policy_iteration)
+from .bellman import argmin_set, solve_W  # noqa: F401  (kept importable from here)
 from .policy_eval import CostVector, MixedPolicy, eval_mixture, eval_policy
 
 
@@ -76,9 +76,10 @@ class DualConfig:
 def _gap_tol(cfg: BellmanConfig) -> float:
     """Relative gap at which the cutting-plane search stops.
 
-    A dual value is only as exact as its value iteration, whose stopping
-    tolerance bounds the per-sweep change, not the error; the factor leaves
-    room for the error of slowly contracting solves.
+    A dual value is the exact value of its policy-iteration policy, but that
+    policy is optimal only up to the switching threshold
+    ``tolerance * (1 + |W|)`` per step, an error the discounting can amplify
+    by 1/(1 - survival); the factor leaves room for it.
     """
     return 1e3 * cfg.tolerance
 
@@ -138,15 +139,15 @@ class CertificateReport:
 
     @property
     def lagrangian_ok(self) -> bool:
-        return self.lagrangian_gap <= self.lagrangian_tol
+        return bool(self.lagrangian_gap <= self.lagrangian_tol)
 
     @property
     def slackness_ok(self) -> bool:
-        return self.slackness_residual <= self.slackness_tol
+        return bool(self.slackness_residual <= self.slackness_tol)
 
     @property
     def weak_duality_ok(self) -> bool:
-        return self.weak_duality_violation <= self.weak_duality_tol
+        return bool(self.weak_duality_violation <= self.weak_duality_tol)
 
     @property
     def ok(self) -> bool:
@@ -198,16 +199,18 @@ def _bounds_vector(mdp: DiscreteMDP) -> np.ndarray:
     return np.asarray(mdp.bounds, dtype=float)
 
 
-def dual_value(mdp: DiscreteMDP, g, cfg: BellmanConfig = BellmanConfig()) -> DualPoint:
+def dual_value(mdp: DiscreteMDP, g, cfg: BellmanConfig = BellmanConfig(),
+               start: StationaryPolicy | None = None) -> DualPoint:
     """Evaluate the dual functional at one multiplier.
 
-    Solves the combined-cost Bellman problem and returns
-    h(g) = W*_g(x0) - sum g_j d_j together with the greedy policy's cost
-    vector and constraint slacks (a supergradient of h at g).
+    Solves the combined-cost Bellman problem by policy iteration (from
+    ``start`` when given) and returns h(g) = W*_g(x0) - sum g_j d_j together
+    with the greedy policy's cost vector and constraint slacks (a
+    supergradient of h at g).
     """
     g = np.atleast_1d(np.asarray(g, dtype=float))
     d = _bounds_vector(mdp)
-    sol = solve_W(mdp, g, cfg)
+    sol = policy_iteration(mdp, g, cfg, start)
     W0 = float(sol.W[mdp.x0_index])
     costs = eval_policy(mdp, sol.policy)
     return DualPoint(
@@ -215,8 +218,9 @@ def dual_value(mdp: DiscreteMDP, g, cfg: BellmanConfig = BellmanConfig()) -> Dua
         converged=sol.converged, solution=sol, costs=costs)
 
 
-def _evaluate(mdp: DiscreteMDP, g, cfg: BellmanConfig) -> DualPoint:
-    pt = dual_value(mdp, g, cfg)
+def _evaluate(mdp: DiscreteMDP, g, cfg: BellmanConfig,
+              start: StationaryPolicy | None = None) -> DualPoint:
+    pt = dual_value(mdp, g, cfg, start)
     if not pt.converged:
         raise BellmanNotConvergedError(
             f"Bellman solve at multiplier {pt.g.tolist()} did not converge "
@@ -251,13 +255,15 @@ def maximize_dual(mdp: DiscreteMDP, cfg: DualConfig = DualConfig()):
     bound, g* = 0.  Otherwise each round maximizes the model built from all
     cuts so far over the box [0, G] and evaluates h at its maximizer g_m.
     Coordinates of G whose bound binds double (``DualBracketError`` past
-    ``bracket_cap``).  Otherwise the search stops once
+    ``bracket_cap``, or when the master LP fails after a doubling).
+    Otherwise the search stops once
     h(g_m) >= UB - eps (1 + |UB|), UB being the model's maximum and eps
     1000 times ``cfg.bellman.tolerance``, or once the greedy policy at g_m
     is already a cut, so the model cannot move.  A round that neither
     doubles the box nor stops adds a new deterministic policy, of which
     there are finitely many, so the search ends.  A non-converged evaluation
-    raises ``BellmanNotConvergedError``.  Returns g* = g_m and the trace of
+    raises ``BellmanNotConvergedError``.  Each evaluation's policy iteration
+    starts from the previous cut's policy.  Returns g* = g_m and the trace of
     every evaluation; the last trace point is the one at g*.
     """
     d = _bounds_vector(mdp)
@@ -268,8 +274,19 @@ def maximize_dual(mdp: DiscreteMDP, cfg: DualConfig = DualConfig()):
     eps = _gap_tol(cfg.bellman)
     box = np.full(d.size, cfg.g_init)
     while True:
-        g, ub = _master(trace, d, box)
-        pt = _evaluate(mdp, g, cfg.bellman)
+        try:
+            g, ub = _master(trace, d, box)
+        except RuntimeError as exc:
+            if np.all(box == cfg.g_init):
+                raise
+            # the box only grows while h keeps increasing, and a large
+            # enough box fails the LP once g.(V - d) swamps V0 in double
+            # precision
+            raise DualBracketError(
+                f"{exc} at multiplier box {box.tolist()}; the dual "
+                "functional kept increasing, so the constraints appear to "
+                "admit no strictly feasible point") from exc
+        pt = _evaluate(mdp, g, cfg.bellman, start=pt.policy)
         known = any(pt.policy == cut.policy for cut in trace)
         trace.append(pt)
         binds = g >= box * (1.0 - 1e-9)  # vertex on the bound, up to round-off
@@ -348,7 +365,7 @@ def _certify(g: np.ndarray, h_star: float, costs: CostVector, trace,
         lagrangian_tol=cfg.certificate_tol * scale,
         slackness_residual=abs(float(g @ slack_terms)),
         slackness_tol=cfg.slackness_tol * scale,
-        weak_duality_violation=max(0.0, max(violations) if violations else 0.0),
+        weak_duality_violation=float(max([0.0, *violations])),
         weak_duality_tol=weak_tol,
         duality_gap=abs(h_star - float(v[0])),
     )

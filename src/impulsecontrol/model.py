@@ -30,6 +30,8 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
+import scipy.sparse as sparse
+from scipy.sparse.linalg import splu
 
 INFINITY = math.inf
 
@@ -139,8 +141,8 @@ class GridSpec:
         tp = np.asarray(self.theta_points, dtype=float)
         object.__setattr__(self, "state_points", sp)
         object.__setattr__(self, "theta_points", tp)
-        if sp.size == 0:
-            raise ValueError("state_points must be nonempty")
+        if sp.size < 2:
+            raise ValueError("state_points must hold at least two points")
         if np.any(np.diff(sp) <= 0.0):
             raise ValueError("state_points must be strictly increasing")
         if tp.size < 2 or tp[0] != 0.0 or not math.isinf(tp[-1]):
@@ -231,6 +233,35 @@ class DiscreteMDP:
         """
         interp = self.w_lo * values[self.next_lo] + self.w_hi * values[self.next_hi]
         return self.survival[np.newaxis, :] * interp
+
+    def solve_policy(self, flat: np.ndarray, rhs: np.ndarray,
+                     transpose: bool = False) -> np.ndarray | None:
+        """Solve (I - P) x = rhs, or (I - P^T) x = rhs, by sparse LU.
+
+        P is the sub-stochastic state-to-state matrix of the chain that takes
+        action ``flat[i]`` at grid state i (the killed mass leaves it).
+        ``rhs`` may have one column per right-hand side.  Returns None when
+        the system is singular (a survival-1 cycle) or the solution is not
+        finite.
+        """
+        n = self.n_states
+        rows = np.arange(n)
+        s = self.survival[flat]
+        P = sparse.coo_matrix(
+            (np.concatenate([self.w_lo[rows, flat] * s, self.w_hi[rows, flat] * s]),
+             (np.concatenate([rows, rows]),
+              np.concatenate([self.next_lo[rows, flat], self.next_hi[rows, flat]]))),
+            shape=(n, n)).tocsr()
+        A = (sparse.eye(n, format="csc") - (P.T if transpose else P).tocsc()).tocsc()
+        try:
+            lu = splu(A)
+        except RuntimeError:
+            return None
+        with np.errstate(all="ignore"):
+            x = lu.solve(rhs)
+        if not np.all(np.isfinite(x)):
+            return None
+        return x
 
 
 @dataclass(frozen=True)

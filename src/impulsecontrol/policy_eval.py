@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .model import DiscreteMDP, ImpulseProblem, stage_cost
 from .bellman import StationaryPolicy
@@ -71,47 +69,9 @@ class MixedPolicy:
             raise ValueError(f"mixture weights must sum to 1, got sum {w.sum()!r}")
 
 
-def _policy_transition(mdp: DiscreteMDP, f: StationaryPolicy) -> sp.csr_matrix:
-    """Sub-stochastic state-to-state matrix of the chain induced by f."""
-    n = mdp.n_states
-    rows = np.arange(n)
-    q = f.flat
-    s = mdp.survival[q]
-    lo = mdp.next_lo[rows, q]
-    hi = mdp.next_hi[rows, q]
-    wl = mdp.w_lo[rows, q] * s
-    wh = mdp.w_hi[rows, q] * s
-    mat = sp.coo_matrix(
-        (np.concatenate([wl, wh]),
-         (np.concatenate([rows, rows]), np.concatenate([lo, hi]))),
-        shape=(n, n))
-    return mat.tocsr()
-
-
-def _policy_cells(mdp: DiscreteMDP, f: StationaryPolicy):
-    rows = np.arange(mdp.n_states)
-    q = f.flat
-    return rows, q, mdp.costs[:, rows, q]  # (n,), (n,), (n_costs, n)
-
-
-def _solve_sparse(A: sp.csc_matrix, b: np.ndarray) -> np.ndarray | None:
-    """Solve A x = b columnwise; None when A is singular or the solve blows up."""
-    try:
-        lu = spla.splu(A)
-    except RuntimeError:
-        return None
-    with np.errstate(all="ignore"):
-        x = lu.solve(b)
-    if not np.all(np.isfinite(x)):
-        return None
-    return x
-
-
 def _eval_by_linear_solve(mdp: DiscreteMDP, f: StationaryPolicy) -> CostVector:
-    T = _policy_transition(mdp, f)
-    _, _, c = _policy_cells(mdp, f)
-    A = (sp.eye(mdp.n_states, format="csc") - T.tocsc()).tocsc()
-    V = _solve_sparse(A, c.T)
+    c = mdp.costs[:, np.arange(mdp.n_states), f.flat]  # (n_costs, n)
+    V = mdp.solve_policy(f.flat, c.T)
     if V is None:
         raise ValueError(
             "policy evaluation system is singular (a survival-1 cycle); "
@@ -181,11 +141,9 @@ def occupation_measure(mdp: DiscreteMDP, f: StationaryPolicy) -> OccupationMeasu
     occupation measure is not finite).
     """
     n = mdp.n_states
-    T = _policy_transition(mdp, f)
     e0 = np.zeros(n)
     e0[mdp.x0_index] = 1.0
-    A = (sp.eye(n, format="csc") - T.T.tocsc()).tocsc()
-    m = _solve_sparse(A, e0)
+    m = mdp.solve_policy(f.flat, e0, transpose=True)
     if m is None or np.any(m < -1e-9):
         cyc = _unit_cycle_states(mdp, f)
         raise ValueError(

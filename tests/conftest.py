@@ -9,6 +9,26 @@ from impulsecontrol import fluidq
 # benchmark parameters used throughout: alpha=1, h=1, K=1, d=0.5
 BENCH = dict(alpha=1.0, h=1.0, K=1.0, d=0.5)
 
+# two constraints: holding cost (active at 0.5) and a piecewise rate (slack)
+J2_DOC = {
+    "model": "custom", "alpha": 1.0, "x0": 0.0,
+    "flow": {"type": "drift", "rate": 1.0},
+    "reset": {"type": "constant", "value": 0.0},
+    "actions": ["flush"],
+    "bounds": [0.5, 1.9],
+    "gradual_costs": [
+        {"type": "constant", "value": 0.0},
+        {"type": "polynomial", "coeffs": [0.0, 1.0]},
+        {"type": "piecewise_constant", "breakpoints": [0.8, 1.6],
+         "values": [2.0, 1.0, 0.2]}],
+    "impulse_costs": [
+        {"type": "constant", "value": 1.0},
+        {"type": "constant", "value": 0.0},
+        {"type": "constant", "value": 0.0}],
+    "grid": {"state_min": 0.0, "state_max": 4.0, "state_n": 100,
+             "theta_max": 4.0, "theta_n": 100, "quadrature_step": 0.01},
+}
+
 
 def fluid_mdp(d=0.5, state_n=120, theta_n=120, state_max=5.0, theta_max=5.0,
               step=0.01, extra_thetas=()):
@@ -60,3 +80,9 @@ def small_fluid(bench_analytic):
 @pytest.fixture(scope="session")
 def small_mdp(small_fluid):
     return small_fluid[2]
+
+
+@pytest.fixture(scope="session")
+def j2_mdp():
+    prob, grid = ic.problem_from_config(J2_DOC)
+    return ic.discretize(prob, grid)

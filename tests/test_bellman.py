@@ -163,3 +163,52 @@ def test_multiplier_validation(small_mdp):
         ic.solve_W(small_mdp, [-0.1])
     with pytest.raises(ValueError, match="expected 1"):
         ic.solve_W(small_mdp, [0.1, 0.2])
+
+
+# ---------------------------------------------------------------------------
+# policy iteration against the value-iteration reference
+
+
+@pytest.mark.parametrize("mdp_name, g", [
+    ("small_mdp", [0.0]), ("small_mdp", [0.5 * G_STAR]), ("small_mdp", [G_STAR]),
+    ("small_mdp", [2.0 * G_STAR]), ("small_mdp", [10.0]),
+    ("j2_mdp", [1.0, 0.0]), ("j2_mdp", [3.0, 0.5])])
+def test_policy_iteration_matches_value_iteration(request, mdp_name, g):
+    mdp = request.getfixturevalue(mdp_name)
+    cfg = ic.BellmanConfig()
+    pi = ic.policy_iteration(mdp, g, cfg)
+    vi = ic.solve_W(mdp, g, cfg)
+    assert pi.converged
+    rel = np.max(np.abs(pi.W - vi.W) / (1.0 + np.abs(vi.W)))
+    assert rel <= 1e3 * cfg.tolerance
+
+
+def test_policy_iteration_warm_start_matches_cold_start(small_mdp, j2_mdp):
+    for mdp, g_prev, g in ((small_mdp, [1.0], [G_STAR]),
+                           (j2_mdp, [1.0, 0.0], [3.0, 0.5])):
+        cold = ic.policy_iteration(mdp, g)
+        prev = ic.policy_iteration(mdp, g_prev).policy
+        warm = ic.policy_iteration(mdp, g, start=prev)
+        assert warm.policy == cold.policy
+        assert np.array_equal(warm.W, cold.W)
+
+
+def test_policy_iteration_cut_is_exact(small_mdp, j2_mdp):
+    # W(x0) is the evaluated policy's own combined cost, so the dual value
+    # h(g) = V0(f) + g.(V(f) - d) holds to round-off
+    for mdp, g in ((small_mdp, np.asarray([G_STAR])),
+                   (small_mdp, np.asarray([40.0])),
+                   (j2_mdp, np.asarray([3.0, 0.5]))):
+        sol = ic.policy_iteration(mdp, g)
+        v = ic.eval_policy(mdp, sol.policy).v
+        d = np.asarray(mdp.bounds)
+        h = sol.W[mdp.x0_index] - float(g @ d)
+        assert h == pytest.approx(v[0] + float(g @ (v[1:] - d)), rel=1e-12)
+
+
+def test_policy_iteration_step_cap(small_mdp):
+    sol = ic.policy_iteration(small_mdp, [G_STAR],
+                              ic.BellmanConfig(max_iterations=1))
+    assert not sol.converged and sol.iterations == 1
+    # the returned policy is the one evaluated: never impulse
+    assert np.all(sol.policy.choice[:, 0] == small_mdp.theta_points.size - 1)

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import time
 
@@ -6,10 +7,10 @@ import numpy as np
 import pytest
 
 import impulsecontrol as ic
-from impulsecontrol import fluidq
+from impulsecontrol import cli, fluidq
 from impulsecontrol.dual import mix_weights
 
-from conftest import constant_theta_policy, fluid_mdp
+from conftest import J2_DOC, constant_theta_policy, fluid_mdp
 
 
 D_BENCH = 0.5
@@ -110,17 +111,15 @@ def test_unbounded_dual_reports_bracket_failure():
         ic.maximize_dual(mdp, ic.DualConfig(bracket_cap=2.0 ** 6))
 
 
-def test_nonconverged_evaluation_stops_the_search():
-    # Bellman sweeps grow with the multiplier here, so the doubling reaches
-    # a solve that hits the iteration cap long before the default bracket
-    # cap; that evaluation must end the search, not feed it
-    prob, grid = ic.problem_from_config(INFEASIBLE_J1_DOC)
-    mdp = ic.discretize(prob, grid)
-    cfg = ic.DualConfig(bellman=ic.BellmanConfig(max_iterations=1000))
+def test_nonconverged_evaluation_stops_the_search(small_mdp):
+    # policy iteration at g = 1 needs at least two steps from the g = 0
+    # policy, so a one-step cap leaves that evaluation unconverged; it must
+    # end the search, not feed it
+    cfg = ic.DualConfig(bellman=ic.BellmanConfig(max_iterations=1))
     t0 = time.perf_counter()
     with pytest.raises(ic.BellmanNotConvergedError,
-                       match=r"multiplier \[1024\.0\].*max_iterations=1000"):
-        ic.maximize_dual(mdp, cfg)
+                       match=r"multiplier \[1\.0\].*max_iterations=1\b"):
+        ic.maximize_dual(small_mdp, cfg)
     assert time.perf_counter() - t0 <= 5.0
 
 
@@ -211,6 +210,19 @@ def test_weak_duality_against_feasible_policies(small_mdp):
             assert h <= v0 + 1e-8
 
 
+def test_positive_weak_duality_round_off_renders(solved, small_mdp):
+    # an exact dual value may exceed the mixture value by round-off; the
+    # report must still hold plain floats and bools
+    bumped = dataclasses.replace(solved.trace[-1],
+                                 h=float(solved.costs.v[0]) + 1e-12)
+    report = ic.verify_optimality(
+        small_mdp, dataclasses.replace(solved, trace=solved.trace + (bumped,)))
+    assert report.weak_duality_violation > 0.0
+    assert report.weak_duality_ok is True and report.ok is True
+    rendered = json.loads(cli.render_json(report.as_dict()))
+    assert rendered["weak_duality_ok"] is True
+
+
 def test_dual_point_below_maximum_and_primal(solved):
     h_star = solved.h_star
     for pt in solved.trace:
@@ -220,32 +232,6 @@ def test_dual_point_below_maximum_and_primal(solved):
 
 # ---------------------------------------------------------------------------
 # two constraints
-
-
-J2_DOC = {
-    "model": "custom", "alpha": 1.0, "x0": 0.0,
-    "flow": {"type": "drift", "rate": 1.0},
-    "reset": {"type": "constant", "value": 0.0},
-    "actions": ["flush"],
-    "bounds": [0.5, 1.9],
-    "gradual_costs": [
-        {"type": "constant", "value": 0.0},
-        {"type": "polynomial", "coeffs": [0.0, 1.0]},
-        {"type": "piecewise_constant", "breakpoints": [0.8, 1.6],
-         "values": [2.0, 1.0, 0.2]}],
-    "impulse_costs": [
-        {"type": "constant", "value": 1.0},
-        {"type": "constant", "value": 0.0},
-        {"type": "constant", "value": 0.0}],
-    "grid": {"state_min": 0.0, "state_max": 4.0, "state_n": 100,
-             "theta_max": 4.0, "theta_n": 100, "quadrature_step": 0.01},
-}
-
-
-@pytest.fixture(scope="module")
-def j2_mdp():
-    prob, grid = ic.problem_from_config(J2_DOC)
-    return ic.discretize(prob, grid)
 
 
 def test_two_constraint_solve_certifies(j2_mdp):
@@ -271,6 +257,20 @@ def test_infeasible_two_constraint_problem_raises():
     mdp = ic.discretize(prob, grid)
     with pytest.raises(ic.DualBracketError, match="increasing"):
         ic.solve_constrained(mdp, ic.DualConfig(bracket_cap=2.0 ** 6))
+
+
+@pytest.mark.parametrize(
+    "doc", [INFEASIBLE_J1_DOC, dict(J2_DOC, bounds=[0.5, 1.6])],
+    ids=["J1", "J2"])
+def test_infeasible_bounds_fail_fast_on_default_config(doc):
+    # J = 1 doubles up to bracket_cap; J = 2 stops where the grown box makes
+    # the master LP fail, which must not surface as a raw RuntimeError
+    prob, grid = ic.problem_from_config(doc)
+    mdp = ic.discretize(prob, grid)
+    t0 = time.perf_counter()
+    with pytest.raises(ic.DualBracketError, match="increasing"):
+        ic.solve_constrained(mdp)
+    assert time.perf_counter() - t0 <= 5.0
 
 
 @pytest.mark.parametrize("bounds", [[0.1, 2.5], [0.3, 2.5]])

@@ -406,6 +406,12 @@ def test_grid_spec_invariants():
         ic.GridSpec(np.array([0.0, 1.0]), np.array([0.0, math.inf]), 0.0)
 
 
+def test_grid_spec_rejects_single_state_point():
+    # one point leaves no bracket for interpolated landings
+    with pytest.raises(ValueError, match="at least two"):
+        ic.GridSpec(np.array([0.0]), np.array([0.0, 1.0, math.inf]), 0.01)
+
+
 def test_impulse_problem_invariants():
     with pytest.raises(ValueError, match="alpha"):
         ic.fluid_problem(alpha=-1.0, h=1.0, K=1.0, d=0.5)
