@@ -12,15 +12,15 @@ from .model import (CEMETERY, INFINITY, ConfigError, DiscreteMDP, GridSpec,
                     ImpulseProblem, ValidationReport, discretize,
                     fluid_problem, problem_from_config, stage_cost,
                     transition, validate)
-from .bellman import (BellmanConfig, BellmanSolution, MinimizerSet,
-                      StationaryPolicy, ValueFn, argmin_set, bellman_backup,
-                      default_slack, policy_iteration, residual, solve_W)
+from .bellman import (BellmanConfig, BellmanSolution, StationaryPolicy,
+                      argmin_set, bellman_backup, policy_iteration, residual,
+                      solve_W)
 from .policy_eval import (CostVector, MixedPolicy, OccupationMeasure,
                           check_characteristic, eval_mixture, eval_policy,
                           occupation_measure, policy_from_table,
                           policy_to_table, simulate_oracle, threshold_rule)
 from .dual import (BellmanNotConvergedError, CertificateReport,
-                   DualBracketError, DualConfig, DualPoint, DualResult,
+                   DualBracketError, DualPoint, DualResult,
                    MixtureInfeasibleError, dual_value, maximize_dual,
                    mix_weights, solve_constrained, verify_optimality)
 from . import fluidq
@@ -29,14 +29,13 @@ __all__ = [
     "CEMETERY", "INFINITY", "ConfigError", "DiscreteMDP", "GridSpec",
     "ImpulseProblem", "ValidationReport", "discretize", "fluid_problem",
     "problem_from_config", "stage_cost", "transition", "validate",
-    "BellmanConfig", "BellmanSolution", "MinimizerSet", "StationaryPolicy",
-    "ValueFn", "argmin_set", "bellman_backup", "default_slack",
-    "policy_iteration", "residual", "solve_W",
+    "BellmanConfig", "BellmanSolution", "StationaryPolicy", "argmin_set",
+    "bellman_backup", "policy_iteration", "residual", "solve_W",
     "CostVector", "MixedPolicy", "OccupationMeasure", "check_characteristic",
     "eval_mixture", "eval_policy", "occupation_measure", "policy_from_table",
     "policy_to_table", "simulate_oracle", "threshold_rule",
     "BellmanNotConvergedError", "CertificateReport", "DualBracketError",
-    "DualConfig", "DualPoint", "DualResult", "MixtureInfeasibleError",
+    "DualPoint", "DualResult", "MixtureInfeasibleError",
     "dual_value", "maximize_dual", "mix_weights", "solve_constrained",
     "verify_optimality",
     "fluidq",

@@ -35,51 +35,35 @@ from .model import DiscreteMDP
 
 
 @dataclass(frozen=True)
-class ValueFn:
-    """Grid-indexed value function; the cemetery value is implicitly 0."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-
-    @staticmethod
-    def zeros(mdp: DiscreteMDP) -> "ValueFn":
-        return ValueFn(np.zeros(mdp.n_states))
-
-
-@dataclass(frozen=True)
 class StationaryPolicy:
-    """Deterministic stationary strategy: one (theta index, label index) per state."""
+    """Deterministic stationary strategy: one flattened action per grid state.
 
-    choice: np.ndarray  # (n_states, 2) int
+    ``flat[i]`` is the action index q = theta_index * n_labels + label_index
+    (theta major, label minor, as in :class:`DiscreteMDP`).
+    """
+
+    flat: np.ndarray  # (n_states,) int
     n_labels: int
 
     def __post_init__(self):
-        object.__setattr__(self, "choice", np.asarray(self.choice, dtype=np.intp))
-
-    @staticmethod
-    def from_flat(flat: np.ndarray, n_labels: int) -> "StationaryPolicy":
-        flat = np.asarray(flat, dtype=np.intp)
-        return StationaryPolicy(
-            np.stack([flat // n_labels, flat % n_labels], axis=1), n_labels)
+        object.__setattr__(self, "flat", np.asarray(self.flat, dtype=np.intp))
 
     @property
-    def flat(self) -> np.ndarray:
-        """Flattened action indices (theta major, label minor)."""
-        return self.choice[:, 0] * self.n_labels + self.choice[:, 1]
+    def choice(self) -> np.ndarray:
+        """(theta index, label index) per state, shape (n_states, 2)."""
+        return np.stack(np.divmod(self.flat, self.n_labels), axis=1)
 
     @property
     def n_states(self) -> int:
-        return self.choice.shape[0]
+        return self.flat.size
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, StationaryPolicy)
                 and self.n_labels == other.n_labels
-                and np.array_equal(self.choice, other.choice))
+                and np.array_equal(self.flat, other.flat))
 
     def __hash__(self) -> int:
-        return hash((self.n_labels, self.choice.tobytes()))
+        return hash((self.n_labels, self.flat.tobytes()))
 
 
 @dataclass(frozen=True)
@@ -89,46 +73,31 @@ class BellmanConfig:
     For value iteration ``tolerance`` is the sup-norm change threshold and
     ``max_iterations`` caps the number of sweeps.  Policy iteration switches
     a state's action only where that gains more than
-    ``tolerance * (1 + |W|)``, and ``max_iterations`` caps its steps.
+    ``tolerance * (1 + |W|)``, and ``max_iterations`` caps its steps.  These
+    two values are the only settings of the constrained solve; its stopping
+    gap scales with ``tolerance``.
     """
 
     tolerance: float = 1e-9
     max_iterations: int = 100_000
 
     def __post_init__(self):
-        if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be > 0")
+        if not self.tolerance > 0.0:
+            raise ValueError(f"tolerance must be > 0, got {self.tolerance}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-
-
-@dataclass(frozen=True)
-class MinimizerSet:
-    """Per-state action indices achieving the Bellman minimum within a slack."""
-
-    sets: tuple  # tuple of sorted int arrays, one per grid state
-
-    def __len__(self) -> int:
-        return len(self.sets)
-
-    def max_size(self) -> int:
-        return max(s.size for s in self.sets)
 
 
 @dataclass(frozen=True)
 class BellmanSolution:
     """Value function with its policy and per-iteration (or per-step) trace."""
 
-    values: ValueFn
+    W: np.ndarray  # (n_states,) values at the grid states
     policy: StationaryPolicy
     iterations: int
     converged: bool
     residual: float
     trace: tuple  # (iteration, sup-norm change) pairs
-
-    @property
-    def W(self) -> np.ndarray:
-        return self.values.values
 
 
 def _check_multipliers(mdp: DiscreteMDP, g) -> np.ndarray:
@@ -136,7 +105,7 @@ def _check_multipliers(mdp: DiscreteMDP, g) -> np.ndarray:
     if g.size != mdp.n_constraints:
         raise ValueError(
             f"expected {mdp.n_constraints} multipliers, got {g.size}")
-    if np.any(g < 0.0):
+    if not np.all(g >= 0.0):
         raise ValueError(f"multipliers must be nonnegative, got {g}")
     return g
 
@@ -155,22 +124,23 @@ def _q_table(mdp: DiscreteMDP, cost: np.ndarray, W: np.ndarray) -> np.ndarray:
     return cost + mdp.expected_next_value(W)
 
 
-def bellman_backup(mdp: DiscreteMDP, W: ValueFn, g) -> tuple[ValueFn, StationaryPolicy]:
-    """One Bellman backup; ties break toward the smallest action index.
+def bellman_backup(mdp: DiscreteMDP, W: np.ndarray,
+                   g) -> tuple[np.ndarray, StationaryPolicy]:
+    """One Bellman backup of the grid values W, with its greedy policy.
 
-    The action order is theta ascending then label order, so ties prefer the
-    shortest waiting time (argmin picks the first minimizer).
+    Ties break toward the smallest action index: the action order is theta
+    ascending then label order, so ties prefer the shortest waiting time
+    (argmin picks the first minimizer).
     """
-    q = _q_table(mdp, combined_cost(mdp, g), W.values)
+    q = _q_table(mdp, combined_cost(mdp, g), W)
     flat = q.argmin(axis=1)
-    new = q[np.arange(mdp.n_states), flat]
-    return ValueFn(new), StationaryPolicy.from_flat(flat, mdp.n_labels)
+    return q[np.arange(mdp.n_states), flat], StationaryPolicy(flat, mdp.n_labels)
 
 
-def residual(mdp: DiscreteMDP, W: ValueFn, g) -> float:
+def residual(mdp: DiscreteMDP, W: np.ndarray, g) -> float:
     """Sup-norm of backup(W) - W."""
-    q = _q_table(mdp, combined_cost(mdp, g), W.values)
-    return float(np.max(np.abs(q.min(axis=1) - W.values)))
+    q = _q_table(mdp, combined_cost(mdp, g), W)
+    return float(np.max(np.abs(q.min(axis=1) - W)))
 
 
 def solve_W(mdp: DiscreteMDP, g, cfg: BellmanConfig = BellmanConfig(),
@@ -213,7 +183,7 @@ def solve_W(mdp: DiscreteMDP, g, cfg: BellmanConfig = BellmanConfig(),
     q = _q_table(mdp, cost, W)
     flat = q.argmin(axis=1)
     return BellmanSolution(
-        values=ValueFn(W), policy=StationaryPolicy.from_flat(flat, mdp.n_labels),
+        W=W, policy=StationaryPolicy(flat, mdp.n_labels),
         iterations=iterations, converged=converged, residual=sup_change,
         trace=tuple(trace))
 
@@ -263,24 +233,17 @@ def policy_iteration(mdp: DiscreteMDP, g, cfg: BellmanConfig = BellmanConfig(),
             break
         flat = np.where(switch, best, flat)
     return BellmanSolution(
-        values=ValueFn(W), policy=StationaryPolicy.from_flat(flat, mdp.n_labels),
+        W=W, policy=StationaryPolicy(flat, mdp.n_labels),
         iterations=k, converged=not switch.any(), residual=res,
         trace=tuple(trace))
 
 
-def default_slack(W: ValueFn, rel: float = 1e-7) -> np.ndarray:
-    """Per-state absolute slack rel * (1 + W(x)) for minimizer extraction."""
-    return rel * (1.0 + W.values)
-
-
-def argmin_set(mdp: DiscreteMDP, W: ValueFn, g, slack) -> MinimizerSet:
-    """All actions within ``slack`` of the per-state Bellman minimum.
+def argmin_set(mdp: DiscreteMDP, W: np.ndarray, g, slack) -> tuple:
+    """Per-state sorted action indices within ``slack`` of the Bellman minimum.
 
     ``slack`` may be a scalar or a per-state array of absolute slacks; the
-    strict argmin is always included.
+    strict argmin is always included.  Returns one index array per state.
     """
-    q = _q_table(mdp, combined_cost(mdp, g), W.values)
-    m = q.min(axis=1)
-    thr = m + np.asarray(slack, dtype=float)
-    sets = tuple(np.nonzero(q[i] <= thr[i])[0] for i in range(mdp.n_states))
-    return MinimizerSet(sets)
+    q = _q_table(mdp, combined_cost(mdp, g), W)
+    thr = q.min(axis=1) + np.asarray(slack, dtype=float)
+    return tuple(np.nonzero(q[i] <= thr[i])[0] for i in range(mdp.n_states))

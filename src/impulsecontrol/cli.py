@@ -18,7 +18,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +26,7 @@ from .model import ConfigError, discretize, problem_from_config, validate
 from .bellman import BellmanConfig, StationaryPolicy, policy_iteration, solve_W
 from .policy_eval import (check_characteristic, eval_policy, occupation_measure,
                           policy_from_table, simulate_oracle)
-from .dual import (BellmanNotConvergedError, DualBracketError, DualConfig,
+from .dual import (MULTIPLIER_TOL, BellmanNotConvergedError, DualBracketError,
                    MixtureInfeasibleError, dual_value, solve_constrained)
 from . import fluidq
 
@@ -36,23 +35,6 @@ EXIT_CONFIG = 2
 EXIT_VALIDATION = 3
 EXIT_NOT_CONVERGED = 4
 EXIT_VERIFY_FAILED = 5
-
-
-@dataclass
-class RunConfig:
-    """Parsed invocation: command, config document, output target, overrides."""
-
-    command: str
-    problem_file: str
-    output: str | None
-    overrides: dict
-    dual_grid: list | None = None
-    tol_scale: float = 1.0
-    policy_file: str | None = None
-    bellman_trace: str | None = None
-    g_min: float = 0.0
-    g_max: float = 2.0
-    g_steps: int = 21
 
 
 # ---------------------------------------------------------------------------
@@ -108,11 +90,15 @@ def _emit(text: str, out: str | None) -> None:
 # configuration loading
 
 
-def _parse_override_value(raw: str):
+def _override(item: str) -> tuple:
+    """``--set KEY=VALUE`` as (key, value); VALUE is read as JSON if it parses."""
+    if "=" not in item:
+        raise argparse.ArgumentTypeError(f"expects KEY=VALUE, got {item!r}")
+    key, _, raw = item.partition("=")
     try:
-        return json.loads(raw)
+        return key.strip(), json.loads(raw.strip())
     except json.JSONDecodeError:
-        return raw
+        return key.strip(), raw.strip()
 
 
 def _apply_override(doc: dict, key: str, value) -> None:
@@ -125,37 +111,33 @@ def _apply_override(doc: dict, key: str, value) -> None:
     node[parts[-1]] = value
 
 
-def load_config(run: RunConfig) -> dict:
+def load_config(args: argparse.Namespace) -> dict:
+    """The ``--config`` document with every ``--set`` override applied."""
     try:
-        with open(run.problem_file) as fh:
+        with open(args.config) as fh:
             doc = json.load(fh)
     except FileNotFoundError:
-        raise ConfigError(f"config file not found: {run.problem_file}")
+        raise ConfigError(f"config file not found: {args.config}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}")
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
-    for key, value in run.overrides.items():
+    for key, value in args.set:
         _apply_override(doc, key, value)
     return doc
 
 
 def _bellman_config(tol_scale: float) -> BellmanConfig:
     """Bellman stopping rule with the default tolerance scaled by ``--tol``."""
-    return BellmanConfig(tolerance=1e-9 * tol_scale)
-
-
-def _dual_config(run: RunConfig) -> DualConfig:
-    return DualConfig(bellman=_bellman_config(run.tol_scale))
+    try:
+        return BellmanConfig(tolerance=1e-9 * tol_scale)
+    except ValueError as exc:
+        raise ConfigError(f"--tol {tol_scale}: {exc}") from exc
 
 
 def _policy_rows(mdp, pol: StationaryPolicy) -> list:
-    rows = []
-    for i in range(mdp.n_states):
-        t_idx, a_idx = pol.choice[i]
-        theta = float(mdp.theta_points[t_idx])
-        rows.append([float(mdp.states[i]), theta, str(mdp.action_labels[a_idx])])
-    return rows
+    return [[float(x), float(mdp.theta_points[t_idx]), str(mdp.action_labels[a_idx])]
+            for x, (t_idx, a_idx) in zip(mdp.states, pol.choice)]
 
 
 def _grid_metadata(doc: dict, mdp) -> dict:
@@ -168,8 +150,8 @@ def _grid_metadata(doc: dict, mdp) -> dict:
 # commands
 
 
-def _prepare(run: RunConfig, need_delta: bool = True):
-    doc = load_config(run)
+def _prepare(args: argparse.Namespace, need_delta: bool = True):
+    doc = load_config(args)
     problem, grid = problem_from_config(doc)
     report = validate(problem, grid)
     if need_delta and not report.delta_ok:
@@ -184,25 +166,24 @@ def _prepare(run: RunConfig, need_delta: bool = True):
     return doc, problem, grid, mdp
 
 
-def cmd_solve(run: RunConfig) -> int:
-    doc, problem, grid, mdp = _prepare(run)
+def cmd_solve(args: argparse.Namespace) -> int:
+    doc, problem, grid, mdp = _prepare(args)
     if mdp is None:
         return EXIT_VALIDATION
-    dcfg = _dual_config(run)
     t0 = time.perf_counter()
     try:
-        result = solve_constrained(mdp, dcfg)
+        result = solve_constrained(mdp, _bellman_config(args.tol))
     except (BellmanNotConvergedError, DualBracketError,
             MixtureInfeasibleError) as exc:
         sys.stderr.write(f"solve failed: {exc}\n")
         return EXIT_NOT_CONVERGED
     wall = time.perf_counter() - t0
     sol = result.solution
-    if run.bellman_trace is not None:
+    if args.bellman_trace is not None:
         lines = ["iteration,residual"]
         lines += [f"{k},{format(r, '.17g')}" for k, r in sol.trace]
-        _emit("\n".join(lines), run.bellman_trace)
-    regime = ("constrained" if np.any(result.g_star > dcfg.multiplier_tol)
+        _emit("\n".join(lines), args.bellman_trace)
+    regime = ("constrained" if np.any(result.g_star > MULTIPLIER_TOL)
               else "unconstrained")
     report = {
         "schema": "solve_report.schema.json",
@@ -221,12 +202,13 @@ def cmd_solve(run: RunConfig) -> int:
         "dual_evaluations": len(result.trace),
         "bellman_iterations": int(sol.iterations),
         "minimizer_slack": float(result.slack_used),
-        "converged": bool(result.converged),
+        # every dual evaluation converged, or the solve raised above
+        "converged": True,
         "grid": _grid_metadata(doc, mdp),
         "wall_time_seconds": float(wall),
     }
-    _emit(render_json(report), run.output)
-    return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
+    _emit(render_json(report), args.out)
+    return EXIT_OK
 
 
 def _fluid_params(doc: dict) -> fluidq.FluidParams:
@@ -235,12 +217,15 @@ def _fluid_params(doc: dict) -> fluidq.FluidParams:
     for key in ("alpha", "h", "K", "d"):
         if key not in doc:
             raise ConfigError(f"missing required field '{key}'")
-    return fluidq.FluidParams(alpha=float(doc["alpha"]), h=float(doc["h"]),
-                              K=float(doc["K"]), d=float(doc["d"]))
+    try:
+        return fluidq.FluidParams(alpha=float(doc["alpha"]), h=float(doc["h"]),
+                                  K=float(doc["K"]), d=float(doc["d"]))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
 
 
-def cmd_analytic(run: RunConfig) -> int:
-    doc = load_config(run)
+def cmd_analytic(args: argparse.Namespace) -> int:
+    doc = load_config(args)
     params = _fluid_params(doc)
     sol = fluidq.solve_analytic(params)
     report = {
@@ -255,54 +240,70 @@ def cmd_analytic(run: RunConfig) -> int:
         "V1": sol.V1,
         "W0": sol.W0,
     }
-    _emit(render_json(report), run.output)
+    _emit(render_json(report), args.out)
     return EXIT_OK
 
 
-def cmd_dual_curve(run: RunConfig) -> int:
-    doc, problem, grid, mdp = _prepare(run)
-    if mdp is None:
-        return EXIT_VALIDATION
-    J = mdp.n_constraints
-    grid_pts: list
-    if run.dual_grid is not None:
-        grid_pts = [np.atleast_1d(np.asarray(g, dtype=float)) for g in run.dual_grid]
-    elif "dual_grid" in doc:
-        grid_pts = [np.atleast_1d(np.asarray(g, dtype=float)) for g in doc["dual_grid"]]
+def _dual_grid(doc: dict, args: argparse.Namespace, J: int) -> list:
+    """Multipliers for ``dual-curve``, each J nonnegative numbers.
+
+    The config's ``dual_grid`` when present, else the ``--g-min``/``--g-max``/
+    ``--g-steps`` line (single-constraint problems only).
+    """
+    if "dual_grid" in doc:
+        try:
+            grid_pts = [np.atleast_1d(np.asarray(g, dtype=float))
+                        for g in doc["dual_grid"]]
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"dual_grid: {exc}") from exc
+    elif J != 1:
+        raise ConfigError(
+            "dual-curve needs an explicit dual_grid for multi-constraint "
+            "problems (use the config 'dual_grid' field)")
+    elif args.g_steps < 1:
+        raise ConfigError(f"--g-steps must be >= 1, got {args.g_steps}")
     else:
-        if J != 1:
-            raise ConfigError(
-                "dual-curve needs an explicit dual_grid for multi-constraint "
-                "problems (use the config 'dual_grid' field)")
         grid_pts = [np.asarray([g]) for g in
-                    np.linspace(run.g_min, run.g_max, run.g_steps)]
-    bcfg = _bellman_config(run.tol_scale)
-    header = ([f"g_{j + 1}" for j in range(J)] + ["h", "W0"]
-              + [f"slack_{j + 1}" for j in range(J)])
-    lines = [",".join(header)]
+                    np.linspace(args.g_min, args.g_max, args.g_steps)]
     for g in grid_pts:
         if g.size != J:
             raise ConfigError(
                 f"dual_grid entry {g.tolist()} has {g.size} components, "
                 f"expected {J}")
+        if not np.all(g >= 0.0):
+            raise ConfigError(
+                f"dual-curve multiplier {g.tolist()}: every component must "
+                "be a nonnegative number")
+    return grid_pts
+
+
+def cmd_dual_curve(args: argparse.Namespace) -> int:
+    doc, problem, grid, mdp = _prepare(args)
+    if mdp is None:
+        return EXIT_VALIDATION
+    J = mdp.n_constraints
+    grid_pts = _dual_grid(doc, args, J)
+    bcfg = _bellman_config(args.tol)
+    header = ([f"g_{j + 1}" for j in range(J)] + ["h", "W0"]
+              + [f"slack_{j + 1}" for j in range(J)])
+    lines = [",".join(header)]
+    for g in grid_pts:
         pt = dual_value(mdp, g, bcfg)
         row = ([format(float(x), ".17g") for x in pt.g]
                + [format(pt.h, ".17g"), format(pt.W0, ".17g")]
                + [format(float(s), ".17g") for s in pt.slacks])
         lines.append(",".join(row))
-    _emit("\n".join(lines), run.output)
+    _emit("\n".join(lines), args.out)
     return EXIT_OK
 
 
-def cmd_eval(run: RunConfig) -> int:
-    doc, problem, grid, mdp = _prepare(run, need_delta=False)
-    if run.policy_file is None:
-        raise ConfigError("eval requires --policy <table file>")
+def cmd_eval(args: argparse.Namespace) -> int:
+    doc, problem, grid, mdp = _prepare(args, need_delta=False)
     try:
-        with open(run.policy_file) as fh:
+        with open(args.policy) as fh:
             text = fh.read()
     except FileNotFoundError:
-        raise ConfigError(f"policy file not found: {run.policy_file}")
+        raise ConfigError(f"policy file not found: {args.policy}")
     try:
         pol = policy_from_table(mdp, text)
     except ValueError as exc:
@@ -317,7 +318,7 @@ def cmd_eval(run: RunConfig) -> int:
         "feasible": bool(np.all(costs.v[1:] <= np.asarray(mdp.bounds) + 1e-9))
         if mdp.n_constraints else True,
     }
-    _emit(render_json(report), run.output)
+    _emit(render_json(report), args.out)
     return EXIT_OK
 
 
@@ -338,7 +339,7 @@ def _verify_checks(problem, grid, mdp, tol_scale: float):
     s_fin = mdp.survival[::L][:-1]
     zero_ok = bool(np.all(mdp.survival[(th.size - 1) * L:] == 0.0))
     one_ok = bool(np.all(mdp.survival[:L] == 1.0))
-    mono = bool(np.all(np.diff(s_fin) < 0.0)) if s_fin.size > 1 else True
+    mono = bool(np.all(np.diff(s_fin) < 0.0))
     yield ("survival-shape", zero_ok and one_ok and mono,
            "exact kill at INF, exact carry at 0, strictly decreasing between")
 
@@ -385,7 +386,7 @@ def _verify_checks(problem, grid, mdp, tol_scale: float):
     feas_values = []
     for k in probes:
         flat = np.full(mdp.n_states, k * L, dtype=np.intp)
-        pol = StationaryPolicy.from_flat(flat, L)
+        pol = StationaryPolicy(flat, L)
         costs = eval_policy(mdp, pol)
         if not costs.finite:
             continue
@@ -420,10 +421,10 @@ def _verify_checks(problem, grid, mdp, tol_scale: float):
            else "no feasible probe policy")
 
 
-def cmd_verify(run: RunConfig) -> int:
-    doc, problem, grid, mdp = _prepare(run, need_delta=False)
+def cmd_verify(args: argparse.Namespace) -> int:
+    doc, problem, grid, mdp = _prepare(args, need_delta=False)
     failures = 0
-    for name, passed, detail in _verify_checks(problem, grid, mdp, run.tol_scale):
+    for name, passed, detail in _verify_checks(problem, grid, mdp, args.tol):
         status = "PASS" if passed else "FAIL"
         print(f"{status} {name}: {detail}")
         failures += 0 if passed else 1
@@ -436,82 +437,50 @@ def cmd_verify(run: RunConfig) -> int:
 # argument parsing
 
 
-def _parse_args(argv) -> RunConfig:
+def _parse_args(argv) -> argparse.Namespace:
     parser = argparse.ArgumentParser(
         prog="impulsecontrol",
         description="Constrained impulse control solver and analytic benchmark")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, summary):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
         p.add_argument("--config", required=True, help="problem definition JSON")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+        p.add_argument("--set", action="append", default=[], type=_override,
+                       metavar="KEY=VALUE",
                        help="override a config field (dotted path, repeatable)")
         p.add_argument("--tol", type=float, default=1.0,
                        help="global tolerance scale factor")
+        return p
 
-    p_solve = sub.add_parser("solve", help="run the constrained dual pipeline")
-    common(p_solve)
+    p_solve = command("solve", cmd_solve, "run the constrained dual pipeline")
     p_solve.add_argument("--bellman-trace", default=None,
                          help="write the final Bellman solve trace CSV here")
 
-    p_analytic = sub.add_parser("analytic", help="closed-form fluid solution")
-    common(p_analytic)
+    command("analytic", cmd_analytic, "closed-form fluid solution")
 
-    p_curve = sub.add_parser("dual-curve", help="CSV of dual values over a grid")
-    common(p_curve)
+    p_curve = command("dual-curve", cmd_dual_curve, "CSV of dual values over a grid")
     p_curve.add_argument("--g-min", type=float, default=0.0)
     p_curve.add_argument("--g-max", type=float, default=2.0)
     p_curve.add_argument("--g-steps", type=int, default=21)
 
-    p_eval = sub.add_parser("eval", help="evaluate a policy table")
-    common(p_eval)
+    p_eval = command("eval", cmd_eval, "evaluate a policy table")
     p_eval.add_argument("--policy", required=True, help="policy table file")
 
-    p_verify = sub.add_parser("verify", help="run the invariant suite")
-    common(p_verify)
-
-    args = parser.parse_args(argv)
-    overrides = {}
-    for item in args.set:
-        if "=" not in item:
-            parser.error(f"--set expects KEY=VALUE, got {item!r}")
-        key, _, raw = item.partition("=")
-        overrides[key.strip()] = _parse_override_value(raw.strip())
-    return RunConfig(
-        command=args.command,
-        problem_file=args.config,
-        output=args.out,
-        overrides=overrides,
-        tol_scale=args.tol,
-        policy_file=getattr(args, "policy", None),
-        bellman_trace=getattr(args, "bellman_trace", None),
-        g_min=getattr(args, "g_min", 0.0),
-        g_max=getattr(args, "g_max", 2.0),
-        g_steps=getattr(args, "g_steps", 21),
-    )
-
-
-_COMMANDS = {
-    "solve": cmd_solve,
-    "analytic": cmd_analytic,
-    "dual-curve": cmd_dual_curve,
-    "eval": cmd_eval,
-    "verify": cmd_verify,
-}
-
-
-def run(config: RunConfig) -> int:
-    """Dispatch a parsed run configuration; returns the process exit status."""
-    try:
-        return _COMMANDS[config.command](config)
-    except ConfigError as exc:
-        sys.stderr.write(f"config error: {exc}\n")
-        return EXIT_CONFIG
+    command("verify", cmd_verify, "run the invariant suite")
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    return run(_parse_args(argv))
+    """Run one command; returns the process exit status."""
+    args = _parse_args(argv)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        sys.stderr.write(f"config error: {exc}\n")
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

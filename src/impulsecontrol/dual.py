@@ -24,7 +24,8 @@ from scipy.optimize import linprog
 from .model import DiscreteMDP
 from .bellman import (BellmanConfig, BellmanSolution, StationaryPolicy,
                       policy_iteration)
-from .bellman import argmin_set, solve_W  # noqa: F401  (kept importable from here)
+# unused here; the benchmark tracer (perfbench/tracing.py) patches both names
+from .bellman import argmin_set, solve_W  # noqa: F401
 from .policy_eval import CostVector, MixedPolicy, eval_mixture, eval_policy
 
 
@@ -50,27 +51,17 @@ class BellmanNotConvergedError(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
-class DualConfig:
-    """Tuning for the dual maximization and mixture construction.
-
-    The cutting-plane search keeps its multipliers in a box [0, G] that
-    starts at ``g_init`` in every coordinate and doubles where the bound
-    binds; past ``bracket_cap`` the dual counts as unbounded.  The search
-    stops at a relative gap between the cut model and the dual value of
-    1000 times ``bellman.tolerance``, so that tolerance scales it.
-    Multipliers above ``multiplier_tol`` mark their constraint active (tight
-    in the mixture program).  The remaining fields are certificate
-    tolerances.
-    """
-
-    bellman: BellmanConfig = BellmanConfig()
-    g_init: float = 1.0
-    bracket_cap: float = 2.0 ** 60
-    multiplier_tol: float = 1e-6
-    feasibility_tol: float = 1e-6
-    slackness_tol: float = 1e-4
-    certificate_tol: float = 1e-2
+# The cutting-plane search keeps its multipliers in a box [0, G] that starts
+# at G_INIT in every coordinate and doubles where the bound binds; past
+# BRACKET_CAP the dual counts as unbounded.
+G_INIT = 1.0
+BRACKET_CAP = 2.0 ** 60
+# multipliers above this mark their constraint active (tight in the mixture)
+MULTIPLIER_TOL = 1e-6
+# certificate tolerances, relative to 1 + d_j and to 1 + |h(g*)|
+FEASIBILITY_TOL = 1e-6
+SLACKNESS_TOL = 1e-4
+CERTIFICATE_TOL = 1e-2
 
 
 def _gap_tol(cfg: BellmanConfig) -> float:
@@ -97,7 +88,6 @@ class DualPoint:
     h: float
     W0: float
     slacks: np.ndarray  # V_j(greedy policy) - d_j
-    converged: bool
     solution: BellmanSolution
     costs: CostVector
 
@@ -191,7 +181,6 @@ class DualResult:
     certificates: CertificateReport
     trace: tuple                 # DualPoint per dual evaluation
     slack_used: float
-    converged: bool
     solution: BellmanSolution
 
 
@@ -215,13 +204,13 @@ def dual_value(mdp: DiscreteMDP, g, cfg: BellmanConfig = BellmanConfig(),
     costs = eval_policy(mdp, sol.policy)
     return DualPoint(
         g=g, h=W0 - float(g @ d), W0=W0, slacks=costs.v[1:] - d,
-        converged=sol.converged, solution=sol, costs=costs)
+        solution=sol, costs=costs)
 
 
 def _evaluate(mdp: DiscreteMDP, g, cfg: BellmanConfig,
               start: StationaryPolicy | None = None) -> DualPoint:
     pt = dual_value(mdp, g, cfg, start)
-    if not pt.converged:
+    if not pt.solution.converged:
         raise BellmanNotConvergedError(
             f"Bellman solve at multiplier {pt.g.tolist()} did not converge "
             f"within max_iterations={cfg.max_iterations} (last sup-norm "
@@ -248,36 +237,38 @@ def _master(cuts: list, d: np.ndarray, box: np.ndarray):
     return np.maximum(res.x[1:], 0.0), float(res.x[0])
 
 
-def maximize_dual(mdp: DiscreteMDP, cfg: DualConfig = DualConfig()):
+def maximize_dual(mdp: DiscreteMDP, cfg: BellmanConfig = BellmanConfig()):
     """Maximize the concave dual functional over g >= 0 by cutting planes.
 
-    Evaluates h at g = 0 first; when that greedy policy already meets every
-    bound, g* = 0.  Otherwise each round maximizes the model built from all
-    cuts so far over the box [0, G] and evaluates h at its maximizer g_m.
-    Coordinates of G whose bound binds double (``DualBracketError`` past
-    ``bracket_cap``, or when the master LP fails after a doubling).
-    Otherwise the search stops once
+    ``cfg`` is the stopping rule of every policy-iteration evaluation, and
+    the search's own stopping gap scales with its tolerance.  Evaluates h at
+    g = 0 first; when that greedy policy already meets every bound, g* = 0.
+    Otherwise each round maximizes the model built from all cuts so far over
+    the box [0, G] (G starts at ``G_INIT`` = 1) and evaluates h at its
+    maximizer g_m.  Coordinates of G whose bound binds double
+    (``DualBracketError`` past ``BRACKET_CAP``, or when the master LP fails
+    after a doubling).  Otherwise the search stops once
     h(g_m) >= UB - eps (1 + |UB|), UB being the model's maximum and eps
-    1000 times ``cfg.bellman.tolerance``, or once the greedy policy at g_m
-    is already a cut, so the model cannot move.  A round that neither
-    doubles the box nor stops adds a new deterministic policy, of which
-    there are finitely many, so the search ends.  A non-converged evaluation
-    raises ``BellmanNotConvergedError``.  Each evaluation's policy iteration
-    starts from the previous cut's policy.  Returns g* = g_m and the trace of
-    every evaluation; the last trace point is the one at g*.
+    1000 times ``cfg.tolerance``, or once the greedy policy at g_m is
+    already a cut, so the model cannot move.  A round that neither doubles
+    the box nor stops adds a new deterministic policy, of which there are
+    finitely many, so the search ends.  A non-converged evaluation raises
+    ``BellmanNotConvergedError``.  Each evaluation's policy iteration starts
+    from the previous cut's policy.  Returns g* = g_m and the trace of every
+    evaluation; the last trace point is the one at g*.
     """
     d = _bounds_vector(mdp)
-    pt = _evaluate(mdp, np.zeros(d.size), cfg.bellman)
+    pt = _evaluate(mdp, np.zeros(d.size), cfg)
     trace = [pt]
     if np.all(pt.slacks <= 0.0):
         return pt.g, trace
-    eps = _gap_tol(cfg.bellman)
-    box = np.full(d.size, cfg.g_init)
+    eps = _gap_tol(cfg)
+    box = np.full(d.size, G_INIT)
     while True:
         try:
             g, ub = _master(trace, d, box)
         except RuntimeError as exc:
-            if np.all(box == cfg.g_init):
+            if np.all(box == G_INIT):
                 raise
             # the box only grows while h keeps increasing, and a large
             # enough box fails the LP once g.(V - d) swamps V0 in double
@@ -286,16 +277,16 @@ def maximize_dual(mdp: DiscreteMDP, cfg: DualConfig = DualConfig()):
                 f"{exc} at multiplier box {box.tolist()}; the dual "
                 "functional kept increasing, so the constraints appear to "
                 "admit no strictly feasible point") from exc
-        pt = _evaluate(mdp, g, cfg.bellman, start=pt.policy)
+        pt = _evaluate(mdp, g, cfg, start=pt.policy)
         known = any(pt.policy == cut.policy for cut in trace)
         trace.append(pt)
         binds = g >= box * (1.0 - 1e-9)  # vertex on the bound, up to round-off
         if binds.any():
             box = np.where(binds, 2.0 * box, box)
-            if np.any(box > cfg.bracket_cap):
+            if np.any(box > BRACKET_CAP):
                 raise DualBracketError(
                     f"dual functional still increasing at multiplier "
-                    f"{g.tolist()} (doubling cap {cfg.bracket_cap:.3g}); the "
+                    f"{g.tolist()} (doubling cap {BRACKET_CAP:.3g}); the "
                     "constraints appear to admit no strictly feasible point")
         elif known or pt.h >= ub - eps * (1.0 + abs(ub)):
             return g, trace
@@ -339,51 +330,56 @@ def mix_weights(values: np.ndarray, d: np.ndarray, active: np.ndarray,
 
 
 def verify_optimality(mdp: DiscreteMDP, result: DualResult,
-                      d=None, cfg: DualConfig = DualConfig()) -> CertificateReport:
+                      cfg: BellmanConfig = BellmanConfig()) -> CertificateReport:
     """Check the optimality certificates of a solved instance (report-only).
 
-    Feasibility of the mixture, Lagrangian minimality at g* (the mixture's
-    Lagrangian value must match h(g*)), complementary slackness, and weak
-    duality of every dual trace point against the mixture value.
+    Feasibility of the mixture against the MDP's bounds, Lagrangian
+    minimality at g* (the mixture's Lagrangian value must match h(g*)),
+    complementary slackness, and weak duality of every dual trace point
+    against the mixture value.  The weak-duality tolerance grows with
+    ``cfg.tolerance``; the other tolerances are the module constants
+    ``FEASIBILITY_TOL``, ``CERTIFICATE_TOL`` and ``SLACKNESS_TOL``.
     """
-    d = _bounds_vector(mdp) if d is None else np.asarray(d, dtype=float)
     return _certify(result.g_star, result.h_star, result.costs, result.trace,
-                    d, cfg)
+                    _bounds_vector(mdp), cfg)
 
 
 def _certify(g: np.ndarray, h_star: float, costs: CostVector, trace,
-             d: np.ndarray, cfg: DualConfig) -> CertificateReport:
+             d: np.ndarray, cfg: BellmanConfig) -> CertificateReport:
     v = costs.v
     slack_terms = v[1:] - d
     scale = 1.0 + abs(h_star)
-    weak_tol = 10.0 * cfg.bellman.tolerance + 1e-8 * scale
+    weak_tol = 10.0 * cfg.tolerance + 1e-8 * scale
     violations = [pt.h - v[0] for pt in trace]
     return CertificateReport(
         feasibility_excess=np.maximum(slack_terms, 0.0),
-        feasibility_tol=cfg.feasibility_tol * (1.0 + d),
+        feasibility_tol=FEASIBILITY_TOL * (1.0 + d),
         lagrangian_gap=abs(float(v[0] + g @ slack_terms) - h_star),
-        lagrangian_tol=cfg.certificate_tol * scale,
+        lagrangian_tol=CERTIFICATE_TOL * scale,
         slackness_residual=abs(float(g @ slack_terms)),
-        slackness_tol=cfg.slackness_tol * scale,
+        slackness_tol=SLACKNESS_TOL * scale,
         weak_duality_violation=float(max([0.0, *violations])),
         weak_duality_tol=weak_tol,
         duality_gap=abs(h_star - float(v[0])),
     )
 
 
-def solve_constrained(mdp: DiscreteMDP, cfg: DualConfig = DualConfig()) -> DualResult:
+def solve_constrained(mdp: DiscreteMDP,
+                      cfg: BellmanConfig = BellmanConfig()) -> DualResult:
     """Run the full dual procedure and certify the result.
 
-    Maximizes the dual by cutting planes, then mixes the cut policies with
-    one :func:`mix_weights` program: bounds met, with equality on every
-    constraint whose multiplier exceeds ``multiplier_tol``, V0 minimized.
-    Raises MixtureInfeasibleError when that program has no solution.
+    ``cfg`` is the Bellman stopping rule passed to :func:`maximize_dual` and
+    the certificates.  Maximizes the dual by cutting planes, then mixes the
+    cut policies with one :func:`mix_weights` program: bounds met, with
+    equality on every constraint whose multiplier exceeds
+    ``MULTIPLIER_TOL``, V0 minimized.  Raises MixtureInfeasibleError when
+    that program has no solution.
     """
     g_star, trace = maximize_dual(mdp, cfg)
     star = trace[-1]
     d = _bounds_vector(mdp)
     V = np.asarray([pt.costs.v for pt in trace])
-    active = g_star > cfg.multiplier_tol
+    active = g_star > MULTIPLIER_TOL
     w = mix_weights(V[:, 1:], d, active, objective=V[:, 0])
     if w is None:
         raise MixtureInfeasibleError(
@@ -399,5 +395,4 @@ def solve_constrained(mdp: DiscreteMDP, cfg: DualConfig = DualConfig()) -> DualR
         g_star=g_star, h_star=star.h, W0=star.W0,
         F=tuple(pt.policy for pt in trace), mixture=mixture, costs=costs,
         certificates=_certify(g_star, star.h, costs, trace, d, cfg),
-        trace=trace, slack_used=_gap_tol(cfg.bellman),
-        converged=all(pt.converged for pt in trace), solution=star.solution)
+        trace=trace, slack_used=_gap_tol(cfg), solution=star.solution)

@@ -101,7 +101,7 @@ class FluidParams:
 
     def __post_init__(self):
         for name in ("alpha", "h", "K", "d"):
-            if getattr(self, name) <= 0.0:
+            if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
 
 

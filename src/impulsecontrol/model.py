@@ -70,7 +70,7 @@ class ImpulseProblem:
     alpha:
         Discount factor, > 0.
     x0:
-        Initial state.
+        Initial state, finite.
     bounds:
         Constraint bounds d_1..d_J, all > 0 (empty for unconstrained).
     actions:
@@ -92,8 +92,10 @@ class ImpulseProblem:
     constant_rates: tuple | None = None
 
     def __post_init__(self):
-        if self.alpha <= 0.0:
+        if not self.alpha > 0.0:
             raise ValueError(f"alpha must be > 0, got {self.alpha}")
+        if not math.isfinite(self.x0):
+            raise ValueError(f"x0 must be finite, got {self.x0}")
         if len(self.gradual_costs) != len(self.impulse_costs):
             raise ValueError("gradual_costs and impulse_costs must have equal length")
         if len(self.gradual_costs) != len(self.bounds) + 1:
@@ -101,7 +103,7 @@ class ImpulseProblem:
                 f"expected {len(self.bounds) + 1} cost pairs for "
                 f"{len(self.bounds)} constraints, got {len(self.gradual_costs)}"
             )
-        if any(d <= 0.0 for d in self.bounds):
+        if not all(d > 0.0 for d in self.bounds):
             raise ValueError(f"all constraint bounds must be > 0, got {self.bounds}")
         if not self.actions:
             raise ValueError("at least one impulse action is required")
@@ -126,10 +128,11 @@ class ImpulseProblem:
 class GridSpec:
     """Finite truncation of the state space and waiting-time axis.
 
-    ``state_points`` is a strictly increasing array covering the truncated
-    state interval; ``theta_points`` is a sorted array of waiting times that
-    must contain 0.0 and end with the INFINITY sentinel; ``quadrature_step``
-    bounds the Simpson step for running-cost integrals.
+    ``state_points`` is a strictly increasing array of finite points covering
+    the truncated state interval; ``theta_points`` is a sorted array of
+    finite waiting times that starts at 0.0 and ends with the INFINITY
+    sentinel; ``quadrature_step`` bounds the Simpson step for running-cost
+    integrals.
     """
 
     state_points: np.ndarray
@@ -143,16 +146,21 @@ class GridSpec:
         object.__setattr__(self, "theta_points", tp)
         if sp.size < 2:
             raise ValueError("state_points must hold at least two points")
+        if not np.all(np.isfinite(sp)):
+            raise ValueError("state_points must be finite")
         if np.any(np.diff(sp) <= 0.0):
             raise ValueError("state_points must be strictly increasing")
-        if tp.size < 2 or tp[0] != 0.0 or not math.isinf(tp[-1]):
+        if tp.size < 2 or tp[0] != 0.0 or tp[-1] != INFINITY:
             raise ValueError("theta_points must start at 0.0 and end with INFINITY")
+        if not np.all(np.isfinite(tp[:-1])):
+            raise ValueError("theta_points before the INFINITY sentinel must be finite")
         if np.any(np.diff(tp[:-1]) <= 0.0):
             raise ValueError("finite theta_points must be strictly increasing")
         if np.any(tp[:-1] < 0.0):
             raise ValueError("theta_points must be nonnegative")
-        if self.quadrature_step <= 0.0:
-            raise ValueError("quadrature_step must be > 0")
+        if not self.quadrature_step > 0.0:
+            raise ValueError(
+                f"quadrature_step must be > 0, got {self.quadrature_step}")
 
     @staticmethod
     def uniform(state_min: float, state_max: float, state_n: int,
@@ -500,8 +508,7 @@ def discretize(problem: ImpulseProblem, grid: GridSpec) -> DiscreteMDP:
     alpha = problem.alpha
 
     i0 = int(np.argmin(np.abs(xs - problem.x0)))
-    spacing = np.diff(xs).min() if n > 1 else 1.0
-    if abs(xs[i0] - problem.x0) > 0.5 * spacing + 1e-12:
+    if abs(xs[i0] - problem.x0) > 0.5 * np.diff(xs).min() + 1e-12:
         raise ValueError(
             f"x0={problem.x0} is not within half a cell of the state grid "
             f"(nearest point {xs[i0]})")
@@ -594,8 +601,7 @@ def validate(problem: ImpulseProblem, grid: GridSpec,
                 delta_hat = min(delta_hat, float(lump.min()))
     cost_sup = sup_rate + sup_lump
 
-    th_max = grid.theta_points[-2] if grid.theta_points.size > 1 else 1.0
-    ss = np.linspace(0.0, max(th_max, 1e-6), 4)
+    ss = np.linspace(0.0, max(grid.theta_points[-2], 1e-6), 4)
     semigroup = 0.0
     identity = 0.0
     for x in sample:
@@ -628,8 +634,9 @@ def fluid_problem(alpha: float, h: float, K: float, d: float,
     bound d on the discounted holding cost, whose rate is h per unit of
     buffer content.
     """
-    if h <= 0.0 or K <= 0.0 or d <= 0.0:
-        raise ConfigError("fluid model requires h > 0, K > 0, d > 0")
+    if not (h > 0.0 and K > 0.0 and d > 0.0):
+        raise ConfigError(
+            f"fluid model requires h > 0, K > 0, d > 0, got h={h}, K={K}, d={d}")
     return ImpulseProblem(
         flow=lambda x, t: x + t,
         reset=lambda x, a: 0.0 * x,
@@ -744,8 +751,8 @@ def problem_from_config(cfg: dict) -> tuple[ImpulseProblem, GridSpec]:
     """
     model = _require(cfg, "model", "")
     grid = grid_from_config(cfg)
-    alpha = float(_require(cfg, "alpha", ""))
     try:
+        alpha = float(_require(cfg, "alpha", ""))
         if model == "fluid":
             prob = fluid_problem(
                 alpha=alpha,

@@ -173,14 +173,13 @@ def _unit_cycle_states(mdp: DiscreteMDP, f: StationaryPolicy) -> list[int]:
     return path
 
 
-def check_characteristic(mdp: DiscreteMDP, mu: OccupationMeasure,
-                         f: StationaryPolicy | None = None) -> float:
+def check_characteristic(mdp: DiscreteMDP, mu: OccupationMeasure) -> float:
     """Sup-norm residual of the occupation-measure balance equation.
 
     Evaluates |mu(x, all actions) - delta_x0(x) - inflow(x)| cellwise over
     grid states, where inflow aggregates survival-weighted interpolation mass
     from every (state, action) cell.  The balance equation does not depend on
-    the policy; ``f`` is accepted for interface symmetry and ignored.
+    the policy.
     """
     n = mdp.n_states
     out = mu.mass.sum(axis=1).astype(float)
@@ -222,7 +221,7 @@ def policy_rule(mdp: DiscreteMDP, f: StationaryPolicy):
 
     def rule(x: float):
         i = int(np.argmin(np.abs(mdp.states - x)))
-        t_idx, a_idx = f.choice[i]
+        t_idx, a_idx = divmod(int(f.flat[i]), mdp.n_labels)
         return float(mdp.theta_points[t_idx]), mdp.action_labels[a_idx]
 
     return rule
@@ -277,8 +276,7 @@ def simulate_oracle(problem: ImpulseProblem, policy, horizon: int,
 def policy_to_table(mdp: DiscreteMDP, f: StationaryPolicy) -> str:
     """Serialize a policy as text rows: grid state, theta or INF, action label."""
     lines = ["# state theta action"]
-    for i in range(mdp.n_states):
-        t_idx, a_idx = f.choice[i]
+    for i, (t_idx, a_idx) in enumerate(f.choice):
         theta = float(mdp.theta_points[t_idx])
         theta_s = "INF" if math.isinf(theta) else repr(theta)
         lines.append(f"{float(mdp.states[i])!r} {theta_s} {mdp.action_labels[a_idx]}")
@@ -290,7 +288,8 @@ def policy_from_table(mdp: DiscreteMDP, text: str) -> StationaryPolicy:
 
     Rows are whitespace separated: state, theta (or INF), and an optional
     action label (defaults to the first action).  States and waiting times
-    must match grid points within 1e-6 relative.
+    must match grid points within 1e-6 relative (NaN and -inf match
+    nothing), and a second row for the same grid state is an error.
     """
     flat = np.full(mdp.n_states, -1, dtype=np.intp)
     finite_thetas = mdp.theta_points[:-1]
@@ -303,18 +302,22 @@ def policy_from_table(mdp: DiscreteMDP, text: str) -> StationaryPolicy:
             raise ValueError(f"policy table line {ln}: expected 2 or 3 fields")
         x = float(parts[0])
         i = int(np.argmin(np.abs(mdp.states - x)))
-        if abs(mdp.states[i] - x) > 1e-6 * (1.0 + abs(x)):
+        if not (math.isfinite(x) and abs(mdp.states[i] - x) <= 1e-6 * (1.0 + abs(x))):
             raise ValueError(
                 f"policy table line {ln}: state {x} is not a grid point")
+        if flat[i] >= 0:
+            raise ValueError(
+                f"policy table line {ln}: second row for grid state {mdp.states[i]}")
         if parts[1].upper() in ("INF", "INFINITY"):
             t_idx = mdp.theta_points.size - 1
         else:
             theta = float(parts[1])
-            if math.isinf(theta):
+            if theta == math.inf:
                 t_idx = mdp.theta_points.size - 1
             else:
                 t_idx = int(np.argmin(np.abs(finite_thetas - theta)))
-                if abs(finite_thetas[t_idx] - theta) > 1e-6 * (1.0 + abs(theta)):
+                if not (math.isfinite(theta) and abs(finite_thetas[t_idx] - theta)
+                        <= 1e-6 * (1.0 + abs(theta))):
                     raise ValueError(
                         f"policy table line {ln}: theta {theta} is not on the grid")
         label = parts[2] if len(parts) == 3 else mdp.action_labels[0]
@@ -326,4 +329,4 @@ def policy_from_table(mdp: DiscreteMDP, text: str) -> StationaryPolicy:
         missing = int(np.argmax(flat < 0))
         raise ValueError(
             f"policy table is missing a row for grid state {mdp.states[missing]}")
-    return StationaryPolicy.from_flat(flat, mdp.n_labels)
+    return StationaryPolicy(flat, mdp.n_labels)

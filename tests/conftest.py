@@ -48,7 +48,7 @@ def constant_theta_policy(mdp, theta_index, label_index=0):
     """Wait theta_points[theta_index] at every state, then impulse."""
     flat = np.full(mdp.n_states, theta_index * mdp.n_labels + label_index,
                    dtype=np.intp)
-    return ic.StationaryPolicy.from_flat(flat, mdp.n_labels)
+    return ic.StationaryPolicy(flat, mdp.n_labels)
 
 
 def threshold_policy(mdp, xbar):
@@ -57,7 +57,7 @@ def threshold_policy(mdp, xbar):
     flat = np.asarray(
         [int(np.argmin(np.abs(finite - max(xbar - float(x), 0.0)))) * mdp.n_labels
          for x in mdp.states], dtype=np.intp)
-    return ic.StationaryPolicy.from_flat(flat, mdp.n_labels)
+    return ic.StationaryPolicy(flat, mdp.n_labels)
 
 
 @pytest.fixture(scope="session")

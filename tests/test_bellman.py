@@ -7,7 +7,7 @@ from hypothesis.extra import numpy as hnp
 
 import impulsecontrol as ic
 from impulsecontrol import fluidq
-from impulsecontrol.bellman import ValueFn, combined_cost
+from impulsecontrol.bellman import combined_cost
 
 from conftest import fluid_mdp
 
@@ -16,9 +16,9 @@ G_STAR = 1.8480894645490473  # analytic multiplier for the benchmark
 
 
 def test_backup_from_zero_at_g0_prefers_never_impulse(small_mdp):
-    W0 = ValueFn.zeros(small_mdp)
+    W0 = np.zeros(small_mdp.n_states)
     W1, pol = ic.bellman_backup(small_mdp, W0, [0.0])
-    assert np.all(W1.values == 0.0)
+    assert np.all(W1 == 0.0)
     assert np.all(pol.choice[:, 0] == small_mdp.theta_points.size - 1)
 
 
@@ -26,9 +26,9 @@ def test_backup_monotone_in_value_argument(small_mdp):
     rng = np.random.default_rng(11)
     Wa = rng.uniform(0.0, 2.0, small_mdp.n_states)
     Wb = Wa + rng.uniform(0.0, 1.0, small_mdp.n_states)
-    Ba, _ = ic.bellman_backup(small_mdp, ValueFn(Wa), [0.7])
-    Bb, _ = ic.bellman_backup(small_mdp, ValueFn(Wb), [0.7])
-    assert np.all(Ba.values <= Bb.values)
+    Ba, _ = ic.bellman_backup(small_mdp, Wa, [0.7])
+    Bb, _ = ic.bellman_backup(small_mdp, Wb, [0.7])
+    assert np.all(Ba <= Bb)
 
 
 @settings(max_examples=20, deadline=None)
@@ -39,9 +39,9 @@ def test_backup_monotone_property(data):
                                 elements=st.floats(0.0, 5.0)))
     bump = data.draw(hnp.arrays(np.float64, mdp.n_states,
                                 elements=st.floats(0.0, 3.0)))
-    lo, _ = ic.bellman_backup(mdp, ValueFn(base), [1.0])
-    hi, _ = ic.bellman_backup(mdp, ValueFn(base + bump), [1.0])
-    assert np.all(lo.values <= hi.values)
+    lo, _ = ic.bellman_backup(mdp, base, [1.0])
+    hi, _ = ic.bellman_backup(mdp, base + bump, [1.0])
+    assert np.all(lo <= hi)
 
 
 def test_solve_at_g0_is_identically_zero(small_mdp):
@@ -112,48 +112,47 @@ def test_non_converged_flag(small_mdp):
 
 def test_residual_of_converged_solution_is_small(small_mdp):
     sol = ic.solve_W(small_mdp, [G_STAR])
-    assert ic.residual(small_mdp, sol.values, [G_STAR]) <= 1e-9
+    assert ic.residual(small_mdp, sol.W, [G_STAR]) <= 1e-9
 
 
 def test_residual_at_zero_equals_cheapest_stage_cost(small_mdp):
     g = [G_STAR]
     expected = float(np.max(combined_cost(small_mdp, g).min(axis=1)))
-    got = ic.residual(small_mdp, ValueFn.zeros(small_mdp), g)
+    got = ic.residual(small_mdp, np.zeros(small_mdp.n_states), g)
     assert got == pytest.approx(expected, rel=1e-12)
     assert got > 0.0
 
 
 def test_residual_of_sampled_analytic_solution(small_mdp, bench_params):
-    W = ValueFn(np.asarray(
-        [fluidq.W_star(bench_params, G_STAR, float(x)) for x in small_mdp.states]))
+    W = np.asarray(
+        [fluidq.W_star(bench_params, G_STAR, float(x)) for x in small_mdp.states])
     # off only by the theta-grid quantization of the minimizer
     assert ic.residual(small_mdp, W, [G_STAR]) <= 1e-3
 
 
 def test_argmin_set_slack_extremes(small_mdp):
     sol = ic.solve_W(small_mdp, [G_STAR])
-    tight = ic.argmin_set(small_mdp, sol.values, [G_STAR], 0.0)
+    tight = ic.argmin_set(small_mdp, sol.W, [G_STAR], 0.0)
     # far above the threshold the zero-wait action is a strict argmin
-    assert tight.sets[-1].size == 1
-    assert np.all([s.size >= 1 for s in tight.sets])
-    loose = ic.argmin_set(small_mdp, sol.values, [G_STAR], math.inf)
-    assert all(s.size == small_mdp.n_actions for s in loose.sets)
+    assert tight[-1].size == 1
+    assert np.all([s.size >= 1 for s in tight])
+    loose = ic.argmin_set(small_mdp, sol.W, [G_STAR], math.inf)
+    assert all(s.size == small_mdp.n_actions for s in loose)
     # strict argmin of the greedy policy is always included
     flat = sol.policy.flat
     for i in range(small_mdp.n_states):
-        assert flat[i] in tight.sets[i]
+        assert flat[i] in tight[i]
 
 
 def test_argmin_set_matches_analytic_threshold_rule(small_mdp, bench_analytic):
     g = bench_analytic.g_star
     sol = ic.solve_W(small_mdp, [g])
-    sets = ic.argmin_set(small_mdp, sol.values, [g],
-                         ic.default_slack(sol.values))
+    sets = ic.argmin_set(small_mdp, sol.W, [g], 1e-7 * (1.0 + sol.W))
     x_star = bench_analytic.x_star
     dtheta = float(small_mdp.theta_points[1] - small_mdp.theta_points[0])
     for i, x in enumerate(small_mdp.states):
         want = max(x_star - float(x), 0.0)
-        for q in sets.sets[i]:
+        for q in sets[i]:
             got = float(small_mdp.theta_of_action(int(q)))
             assert abs(got - want) <= 2.5 * dtheta
 

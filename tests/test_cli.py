@@ -177,6 +177,46 @@ def test_malformed_config_exits_2(tmp_path):
     assert cli.main(["solve", "--config", str(empty)]) == 2
 
 
+
+@pytest.mark.parametrize("field", ["alpha", "d", "grid.quadrature_step",
+                                   "grid.state_max", "grid.theta_max"])
+def test_nan_config_field_exits_2(config_file, field, capsys):
+    assert cli.main(["solve", "--config", config_file,
+                     "--set", f"{field}=NaN"]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_nan_analytic_parameter_exits_2(config_file, capsys):
+    assert cli.main(["analytic", "--config", config_file,
+                     "--set", "d=NaN"]) == 2
+    assert "d must be > 0" in capsys.readouterr().err
+
+
+def test_dual_curve_bad_multiplier_grid_exits_2(config_file, tmp_path, capsys):
+    assert cli.main(["dual-curve", "--config", config_file,
+                     "--g-min", "-1", "--g-steps", "3"]) == 2
+    assert "[-1.0]" in capsys.readouterr().err
+    assert cli.main(["dual-curve", "--config", config_file,
+                     "--g-steps", "-1"]) == 2
+    assert "--g-steps" in capsys.readouterr().err
+    doc = dict(BASE_DOC, dual_grid=[0.5, -0.25])
+    path = tmp_path / "neg.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["dual-curve", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "[-0.25]" in err and "nonnegative" in err
+
+
+def test_eval_duplicate_row_exits_2(config_file, tmp_path, capsys):
+    prob, grid = ic.problem_from_config(BASE_DOC)
+    mdp = ic.discretize(prob, grid)
+    table = tmp_path / "dup.txt"
+    table.write_text(ic.policy_to_table(mdp, threshold_policy(mdp, 1.25))
+                     + "0.0 INF\n")
+    assert cli.main(["eval", "--config", config_file,
+                     "--policy", str(table)]) == 2
+    assert "second row" in capsys.readouterr().err
+
 def test_zero_impulse_cost_refuses_solve_with_exit_3(tmp_path, capsys):
     doc = {
         "model": "custom", "alpha": 1.0, "x0": 0.0,

@@ -37,7 +37,6 @@ def _h_closed_form(params, g):
 def test_dual_value_at_zero(small_mdp):
     pt = ic.dual_value(small_mdp, [0.0])
     assert pt.h == 0.0 and pt.W0 == 0.0
-    assert pt.converged
     # never-impulse slack: V1 - d = h/alpha^2 - d
     assert pt.slacks[0] == pytest.approx(1.0 - D_BENCH, abs=1e-9)
 
@@ -75,7 +74,6 @@ def test_maximizer_is_zero_when_bound_is_loose():
         _, _, mdp = fluid_mdp(d=d, state_n=80, theta_n=80)
         g_star, trace = ic.maximize_dual(mdp)
         assert g_star[0] <= 1e-4
-        assert all(pt.converged for pt in trace)
 
 
 def test_maximizer_matches_analytic(small_mdp, bench_analytic):
@@ -108,14 +106,14 @@ def test_unbounded_dual_reports_bracket_failure():
     prob, grid = ic.problem_from_config(INFEASIBLE_J1_DOC)
     mdp = ic.discretize(prob, grid)
     with pytest.raises(ic.DualBracketError, match="increasing"):
-        ic.maximize_dual(mdp, ic.DualConfig(bracket_cap=2.0 ** 6))
+        ic.maximize_dual(mdp)
 
 
 def test_nonconverged_evaluation_stops_the_search(small_mdp):
     # policy iteration at g = 1 needs at least two steps from the g = 0
     # policy, so a one-step cap leaves that evaluation unconverged; it must
     # end the search, not feed it
-    cfg = ic.DualConfig(bellman=ic.BellmanConfig(max_iterations=1))
+    cfg = ic.BellmanConfig(max_iterations=1)
     t0 = time.perf_counter()
     with pytest.raises(ic.BellmanNotConvergedError,
                        match=r"multiplier \[1\.0\].*max_iterations=1\b"):
@@ -236,7 +234,6 @@ def test_dual_point_below_maximum_and_primal(solved):
 
 def test_two_constraint_solve_certifies(j2_mdp):
     res = ic.solve_constrained(j2_mdp)
-    assert res.converged
     assert res.costs.v[1] == pytest.approx(0.5, abs=1e-8)   # active
     assert res.costs.v[2] <= 1.9 + 1e-8                     # inactive
     assert len(res.mixture.weights) <= 3
@@ -256,14 +253,14 @@ def test_infeasible_two_constraint_problem_raises():
     prob, grid = ic.problem_from_config(doc)
     mdp = ic.discretize(prob, grid)
     with pytest.raises(ic.DualBracketError, match="increasing"):
-        ic.solve_constrained(mdp, ic.DualConfig(bracket_cap=2.0 ** 6))
+        ic.solve_constrained(mdp)
 
 
 @pytest.mark.parametrize(
     "doc", [INFEASIBLE_J1_DOC, dict(J2_DOC, bounds=[0.5, 1.6])],
     ids=["J1", "J2"])
 def test_infeasible_bounds_fail_fast_on_default_config(doc):
-    # J = 1 doubles up to bracket_cap; J = 2 stops where the grown box makes
+    # J = 1 doubles up to BRACKET_CAP; J = 2 stops where the grown box makes
     # the master LP fail, which must not surface as a raw RuntimeError
     prob, grid = ic.problem_from_config(doc)
     mdp = ic.discretize(prob, grid)

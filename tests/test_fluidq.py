@@ -215,3 +215,11 @@ def test_params_must_be_positive():
         FluidParams(alpha=0.0, h=1.0, K=1.0, d=0.5)
     with pytest.raises(ValueError):
         FluidParams(alpha=1.0, h=1.0, K=-1.0, d=0.5)
+
+
+@pytest.mark.parametrize("field", ["alpha", "h", "K", "d"])
+def test_params_reject_nan(field):
+    kwargs = dict(alpha=1.0, h=1.0, K=1.0, d=0.5)
+    kwargs[field] = math.nan
+    with pytest.raises(ValueError, match=field):
+        FluidParams(**kwargs)

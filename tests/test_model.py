@@ -421,3 +421,44 @@ def test_impulse_problem_invariants():
             gradual_costs=(lambda x: 0.0, lambda x: x),
             impulse_costs=(lambda x, a: 1.0, lambda x, a: 0.0),
             alpha=1.0, x0=0.0, bounds=(-0.5,), actions=("a",))
+
+
+
+NAN = math.nan
+
+
+def _problem(**kw):
+    args = dict(flow=lambda x, t: x + t, reset=lambda x, a: 0.0,
+                gradual_costs=(lambda x: 0.0, lambda x: x),
+                impulse_costs=(lambda x, a: 1.0, lambda x, a: 0.0),
+                alpha=1.0, x0=0.0, bounds=(0.5,), actions=("a",))
+    return ic.ImpulseProblem(**dict(args, **kw))
+
+
+@pytest.mark.parametrize("build, needle", [
+    (lambda: ic.GridSpec.uniform(0.0, NAN, 10, 1.0, 10, 0.01),
+     "state_points must be finite"),
+    (lambda: ic.GridSpec.uniform(0.0, 1.0, 10, NAN, 10, 0.01),
+     "theta_points must start at 0.0"),
+    (lambda: ic.GridSpec(np.array([0.0, 1.0]),
+                         np.array([0.0, NAN, math.inf]), 0.01),
+     "before the INFINITY sentinel must be finite"),
+    (lambda: ic.GridSpec.uniform(0.0, 1.0, 10, 1.0, 10, NAN),
+     "quadrature_step must be > 0, got nan"),
+    (lambda: ic.GridSpec(np.array([0.0, 1.0, math.inf]),
+                         np.array([0.0, math.inf]), 0.01),
+     "state_points must be finite"),
+    (lambda: ic.GridSpec(np.array([0.0, 1.0]),
+                         np.array([0.0, 1.0, -math.inf]), 0.01),
+     "end with INFINITY"),
+    (lambda: ic.fluid_problem(alpha=NAN, h=1.0, K=1.0, d=0.5), "alpha"),
+    (lambda: ic.fluid_problem(alpha=1.0, h=NAN, K=1.0, d=0.5), "h=nan"),
+    (lambda: ic.fluid_problem(alpha=1.0, h=1.0, K=NAN, d=0.5), "K=nan"),
+    (lambda: ic.fluid_problem(alpha=1.0, h=1.0, K=1.0, d=NAN), "d=nan"),
+    (lambda: _problem(bounds=(NAN,)), "bounds"),
+    (lambda: _problem(x0=NAN), "x0 must be finite"),
+], ids=["state_max", "theta_max", "nan_theta", "quadrature_step", "inf_state",
+        "neg_inf_sentinel", "alpha", "h", "K", "d", "bound", "x0"])
+def test_nan_and_infinite_inputs_are_rejected(build, needle):
+    with pytest.raises(ValueError, match=needle):
+        build()

@@ -122,7 +122,7 @@ def test_characteristic_accepts_hand_built_measure(fluid):
     mass = np.zeros((mdp.n_states, mdp.n_actions))
     mass[mdp.x0_index, k * mdp.n_labels] = 1.0 / (1.0 - math.exp(-theta))
     mu = ic.OccupationMeasure(mass=mass, total=float(mass.sum()))
-    assert ic.check_characteristic(mdp, mu, pol) <= 1e-9
+    assert ic.check_characteristic(mdp, mu) <= 1e-9
 
 
 def test_occupation_raises_on_zero_wait_cycle(fluid):
@@ -246,7 +246,7 @@ def test_policy_table_roundtrip_with_inf_rows(fluid):
     flat = np.asarray(
         [(10 if x <= 2.0 else inf_idx) * mdp.n_labels for x in mdp.states],
         dtype=np.intp)
-    pol = ic.StationaryPolicy.from_flat(flat, mdp.n_labels)
+    pol = ic.StationaryPolicy(flat, mdp.n_labels)
     text = ic.policy_to_table(mdp, pol)
     assert " INF " in text
     assert ic.policy_from_table(mdp, text) == pol
@@ -260,3 +260,23 @@ def test_policy_table_parse_errors(fluid):
         ic.policy_from_table(mdp, "7.77 INF\n")
     with pytest.raises(ValueError, match="unknown action"):
         ic.policy_from_table(mdp, "0.0 INF nope\n")
+
+
+@pytest.mark.parametrize("row, needle", [
+    ("nan INF", "not a grid point"),
+    ("0.0 nan", "not on the grid"),
+    ("0.0 -inf", "not on the grid"),
+    ("inf INF", "not a grid point"),
+], ids=["nan_state", "nan_theta", "neg_inf_theta", "inf_state"])
+def test_policy_table_rejects_nan_rows(fluid, row, needle):
+    _, _, mdp = fluid
+    rows = [row] + [f"{float(x)!r} INF" for x in mdp.states[1:]]
+    with pytest.raises(ValueError, match=needle):
+        ic.policy_from_table(mdp, "\n".join(rows) + "\n")
+
+
+def test_policy_table_rejects_duplicate_rows(fluid):
+    _, _, mdp = fluid
+    text = ic.policy_to_table(mdp, threshold_policy(mdp, 1.3))
+    with pytest.raises(ValueError, match="line 3: second row for grid state 0.0"):
+        ic.policy_from_table(mdp, text.replace("\n", "\n0.0 INF\n", 1))
