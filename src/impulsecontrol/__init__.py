@@ -20,9 +20,9 @@ from .policy_eval import (CostVector, MixedPolicy, OccupationMeasure,
                           occupation_measure, policy_from_table,
                           policy_to_table, simulate_oracle, threshold_rule)
 from .dual import (BellmanNotConvergedError, CertificateReport,
-                   DualBracketError, DualPoint, DualResult,
-                   MixtureInfeasibleError, dual_value, maximize_dual,
-                   mix_weights, solve_constrained, verify_optimality)
+                   DualBracketError, DualPoint, DualResult, dual_value,
+                   maximize_dual, mix_weights, solve_constrained,
+                   verify_optimality)
 from . import fluidq
 
 __all__ = [
@@ -35,9 +35,8 @@ __all__ = [
     "eval_mixture", "eval_policy", "occupation_measure", "policy_from_table",
     "policy_to_table", "simulate_oracle", "threshold_rule",
     "BellmanNotConvergedError", "CertificateReport", "DualBracketError",
-    "DualPoint", "DualResult", "MixtureInfeasibleError",
-    "dual_value", "maximize_dual", "mix_weights", "solve_constrained",
-    "verify_optimality",
+    "DualPoint", "DualResult", "dual_value", "maximize_dual", "mix_weights",
+    "solve_constrained", "verify_optimality",
     "fluidq",
 ]
 

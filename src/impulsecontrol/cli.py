@@ -27,7 +27,7 @@ from .bellman import BellmanConfig, StationaryPolicy, policy_iteration, solve_W
 from .policy_eval import (check_characteristic, eval_policy, occupation_measure,
                           policy_from_table, simulate_oracle)
 from .dual import (MULTIPLIER_TOL, BellmanNotConvergedError, DualBracketError,
-                   MixtureInfeasibleError, dual_value, solve_constrained)
+                   dual_value, solve_constrained)
 from . import fluidq
 
 EXIT_OK = 0
@@ -173,8 +173,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     try:
         result = solve_constrained(mdp, _bellman_config(args.tol))
-    except (BellmanNotConvergedError, DualBracketError,
-            MixtureInfeasibleError) as exc:
+    except (BellmanNotConvergedError, DualBracketError) as exc:
         sys.stderr.write(f"solve failed: {exc}\n")
         return EXIT_NOT_CONVERGED
     wall = time.perf_counter() - t0
@@ -287,8 +286,14 @@ def cmd_dual_curve(args: argparse.Namespace) -> int:
     header = ([f"g_{j + 1}" for j in range(J)] + ["h", "W0"]
               + [f"slack_{j + 1}" for j in range(J)])
     lines = [",".join(header)]
+    pt = None
     for g in grid_pts:
-        pt = dual_value(mdp, g, bcfg)
+        # policy iteration starts from the previous grid point's policy
+        try:
+            pt = dual_value(mdp, g, bcfg, None if pt is None else pt.policy)
+        except BellmanNotConvergedError as exc:
+            sys.stderr.write(f"dual-curve failed: {exc}\n")
+            return EXIT_NOT_CONVERGED
         row = ([format(float(x), ".17g") for x in pt.g]
                + [format(pt.h, ".17g"), format(pt.W0, ".17g")]
                + [format(float(s), ".17g") for s in pt.slacks])
@@ -410,15 +415,18 @@ def _verify_checks(problem, grid, mdp, tol_scale: float):
     # weak duality: dual values never exceed feasible policy values
     wd_ok = True
     worst_gap = -math.inf
+    detail = "no feasible probe policy"
     if feas_values and mdp.n_constraints >= 1:
-        for scale in (0.0, 0.5, 1.0, 2.0, 4.0):
-            pt = dual_value(mdp, scale * ones, bcfg)
-            gap = pt.h - min(feas_values)
-            worst_gap = max(worst_gap, gap)
-            wd_ok &= gap <= 10.0 * bcfg.tolerance + 1e-9
-    yield ("weak-duality", wd_ok,
-           f"max h(g) - V0(feasible) = {worst_gap:.3e}" if feas_values
-           else "no feasible probe policy")
+        try:
+            for scale in (0.0, 0.5, 1.0, 2.0, 4.0):
+                pt = dual_value(mdp, scale * ones, bcfg)
+                gap = pt.h - min(feas_values)
+                worst_gap = max(worst_gap, gap)
+                wd_ok &= gap <= 10.0 * bcfg.tolerance + 1e-9
+            detail = f"max h(g) - V0(feasible) = {worst_gap:.3e}"
+        except BellmanNotConvergedError as exc:
+            wd_ok, detail = False, str(exc)
+    yield "weak-duality", wd_ok, detail
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

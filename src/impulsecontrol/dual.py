@@ -6,12 +6,13 @@ policy f and its cost vector, and h(g') <= V0(f) + g'.(V(f) - d) for every g'
 (with equality at g), so h is a pointwise minimum of affine cuts and concave.
 
 The constrained solve maximizes h with Kelley's cutting-plane method over
-those cuts (Kelley 1960), one algorithm for any number of constraints.  Read
-as Dantzig-Wolfe column generation, every cut policy is also a column of the
-mixture program: the feasible mixture is one small LP over the cut policies
-(weights summing to 1, active constraints tight, V0 minimized), whose vertex
-mixes at most J+1 of them.  Optimality certificates (feasibility, Lagrangian
-value, slackness, weak duality) are checked last.
+those cuts (Kelley 1960), one algorithm for any number of constraints.  Its
+master program is one LP and its LP dual (Dantzig and Wolfe 1960): the
+restricted master over mixtures of the cut policies, whose bound-row duals
+maximize the cut model over the multiplier box and whose primal weights are
+the mixture, a vertex that mixes at most J+1 cut policies.  Optimality
+certificates (feasibility, Lagrangian value, slackness, weak duality) are
+checked last.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .model import DiscreteMDP
 from .bellman import (BellmanConfig, BellmanSolution, StationaryPolicy,
@@ -37,17 +37,11 @@ class DualBracketError(RuntimeError):
     """
 
 
-class MixtureInfeasibleError(RuntimeError):
-    """No convex combination of the cut policies meets the constraints.
-
-    Retry with a finer grid.
-    """
-
-
 class BellmanNotConvergedError(RuntimeError):
     """A dual evaluation's Bellman solve hit its iteration cap unconverged.
 
-    Its dual value is only a lower estimate, so the search never uses it.
+    Its value is that of a policy not shown optimal, not the dual value, so
+    no caller uses it.
     """
 
 
@@ -56,7 +50,7 @@ class BellmanNotConvergedError(RuntimeError):
 # BRACKET_CAP the dual counts as unbounded.
 G_INIT = 1.0
 BRACKET_CAP = 2.0 ** 60
-# multipliers above this mark their constraint active (tight in the mixture)
+# multipliers above this label a solve's regime "constrained"
 MULTIPLIER_TOL = 1e-6
 # certificate tolerances, relative to 1 + d_j and to 1 + |h(g*)|
 FEASIBILITY_TOL = 1e-6
@@ -195,11 +189,17 @@ def dual_value(mdp: DiscreteMDP, g, cfg: BellmanConfig = BellmanConfig(),
     Solves the combined-cost Bellman problem by policy iteration (from
     ``start`` when given) and returns h(g) = W*_g(x0) - sum g_j d_j together
     with the greedy policy's cost vector and constraint slacks (a
-    supergradient of h at g).
+    supergradient of h at g).  Raises ``BellmanNotConvergedError`` when policy
+    iteration stops at its step cap, whose value is then not h(g).
     """
     g = np.atleast_1d(np.asarray(g, dtype=float))
     d = _bounds_vector(mdp)
     sol = policy_iteration(mdp, g, cfg, start)
+    if not sol.converged:
+        raise BellmanNotConvergedError(
+            f"Bellman solve at multiplier {g.tolist()} did not converge "
+            f"within max_iterations={cfg.max_iterations} (last sup-norm "
+            f"change {sol.residual:.3g}, tolerance {cfg.tolerance:.3g})")
     W0 = float(sol.W[mdp.x0_index])
     costs = eval_policy(mdp, sol.policy)
     return DualPoint(
@@ -207,34 +207,38 @@ def dual_value(mdp: DiscreteMDP, g, cfg: BellmanConfig = BellmanConfig(),
         solution=sol, costs=costs)
 
 
-def _evaluate(mdp: DiscreteMDP, g, cfg: BellmanConfig,
-              start: StationaryPolicy | None = None) -> DualPoint:
-    pt = dual_value(mdp, g, cfg, start)
-    if not pt.solution.converged:
-        raise BellmanNotConvergedError(
-            f"Bellman solve at multiplier {pt.g.tolist()} did not converge "
-            f"within max_iterations={cfg.max_iterations} (last sup-norm "
-            f"change {pt.solution.residual:.3g}, tolerance {cfg.tolerance:.3g})")
-    return pt
+def mix_weights(V: np.ndarray, d: np.ndarray, box: np.ndarray):
+    """Solve the restricted master program over the cut policies.
 
+    ``V`` is (n_cuts, 1 + J), row k the cost vector (V0, V_1, ..., V_J) of
+    cut policy f_k.  The LP is the elastic Dantzig-Wolfe master
 
-def _master(cuts: list, d: np.ndarray, box: np.ndarray):
-    """Maximize the cut model min_k V0(f_k) + g.(V(f_k) - d) over [0, box].
+        min  sum_k w_k V0(f_k) + sum_j box_j mu_j
+        s.t. sum_k w_k V_j(f_k) - mu_j <= d_j,  sum_k w_k = 1,  w, mu >= 0,
 
-    Returns the maximizer and the optimal value, an upper bound on h over
-    the box.
+    which is always feasible.  Its LP dual maximizes the cut model
+    min_k V0(f_k) + g.(V(f_k) - d) over g in [0, box], so the bound rows'
+    duals g maximize the model, the optimal value UB bounds h from above on
+    the box, and w is a mixture of the cut policies.  Where g_j < box_j,
+    mu_j = 0 and complementary slackness makes bound j tight when g_j > 0.
+    Dual simplex returns a vertex, supported on at most J+1 cuts.  Returns
+    (w, g, UB); raises RuntimeError when the LP solver fails.
     """
-    V = np.asarray([pt.costs.v for pt in cuts])
-    # variables (t, g): max t s.t. t + g.(d - V(f_k)) <= V0(f_k)
-    c = np.zeros(d.size + 1)
-    c[0] = -1.0
+    # imported here so that commands which never solve an LP skip loading
+    # scipy.optimize
+    from scipy.optimize import linprog
+
+    n_cuts, J = V.shape[0], d.size
     res = linprog(
-        c, A_ub=np.hstack([np.ones((len(cuts), 1)), d - V[:, 1:]]),
-        b_ub=V[:, 0], bounds=[(None, None)] + [(0.0, b) for b in box],
-        method="highs-ds")
+        np.concatenate([V[:, 0], box]),
+        A_ub=np.hstack([V[:, 1:].T, -np.eye(J)]), b_ub=d,
+        A_eq=np.concatenate([np.ones(n_cuts), np.zeros(J)])[None, :],
+        b_eq=[1.0], bounds=(0.0, None), method="highs-ds")
     if not res.success:
         raise RuntimeError(f"cutting-plane master LP failed: {res.message}")
-    return np.maximum(res.x[1:], 0.0), float(res.x[0])
+    w = np.maximum(res.x[:n_cuts], 0.0)
+    w[w < 1e-12] = 0.0
+    return w / w.sum(), np.maximum(-res.ineqlin.marginals, 0.0), float(res.fun)
 
 
 def maximize_dual(mdp: DiscreteMDP, cfg: BellmanConfig = BellmanConfig()):
@@ -243,30 +247,34 @@ def maximize_dual(mdp: DiscreteMDP, cfg: BellmanConfig = BellmanConfig()):
     ``cfg`` is the stopping rule of every policy-iteration evaluation, and
     the search's own stopping gap scales with its tolerance.  Evaluates h at
     g = 0 first; when that greedy policy already meets every bound, g* = 0.
-    Otherwise each round maximizes the model built from all cuts so far over
-    the box [0, G] (G starts at ``G_INIT`` = 1) and evaluates h at its
-    maximizer g_m.  Coordinates of G whose bound binds double
-    (``DualBracketError`` past ``BRACKET_CAP``, or when the master LP fails
-    after a doubling).  Otherwise the search stops once
+    Otherwise each round solves the master program :func:`mix_weights` on
+    all cuts so far over the box [0, G] (G starts at ``G_INIT`` = 1) and
+    evaluates h at its multiplier g_m.  Coordinates of G whose bound binds
+    double (``DualBracketError`` past ``BRACKET_CAP``, or when the master LP
+    fails after a doubling).  Otherwise the search stops once
     h(g_m) >= UB - eps (1 + |UB|), UB being the model's maximum and eps
     1000 times ``cfg.tolerance``, or once the greedy policy at g_m is
     already a cut, so the model cannot move.  A round that neither doubles
     the box nor stops adds a new deterministic policy, of which there are
     finitely many, so the search ends.  A non-converged evaluation raises
     ``BellmanNotConvergedError``.  Each evaluation's policy iteration starts
-    from the previous cut's policy.  Returns g* = g_m and the trace of every
-    evaluation; the last trace point is the one at g*.
+    from the previous cut's policy.
+
+    Returns (g*, trace, weights): g* = g_m, the trace of every evaluation
+    (the last one is at g*), and the mixture weights over the trace's
+    leading cuts from the master program that gave g*, or ``[1.0]`` when
+    g* = 0 at the first evaluation.
     """
     d = _bounds_vector(mdp)
-    pt = _evaluate(mdp, np.zeros(d.size), cfg)
+    pt = dual_value(mdp, np.zeros(d.size), cfg)
     trace = [pt]
     if np.all(pt.slacks <= 0.0):
-        return pt.g, trace
+        return pt.g, trace, np.ones(1)
     eps = _gap_tol(cfg)
     box = np.full(d.size, G_INIT)
     while True:
         try:
-            g, ub = _master(trace, d, box)
+            w, g, ub = mix_weights(np.asarray([p.costs.v for p in trace]), d, box)
         except RuntimeError as exc:
             if np.all(box == G_INIT):
                 raise
@@ -277,7 +285,7 @@ def maximize_dual(mdp: DiscreteMDP, cfg: BellmanConfig = BellmanConfig()):
                 f"{exc} at multiplier box {box.tolist()}; the dual "
                 "functional kept increasing, so the constraints appear to "
                 "admit no strictly feasible point") from exc
-        pt = _evaluate(mdp, g, cfg, start=pt.policy)
+        pt = dual_value(mdp, g, cfg, start=pt.policy)
         known = any(pt.policy == cut.policy for cut in trace)
         trace.append(pt)
         binds = g >= box * (1.0 - 1e-9)  # vertex on the bound, up to round-off
@@ -289,44 +297,7 @@ def maximize_dual(mdp: DiscreteMDP, cfg: BellmanConfig = BellmanConfig()):
                     f"{g.tolist()} (doubling cap {BRACKET_CAP:.3g}); the "
                     "constraints appear to admit no strictly feasible point")
         elif known or pt.h >= ub - eps * (1.0 + abs(ub)):
-            return g, trace
-
-
-def mix_weights(values: np.ndarray, d: np.ndarray, active: np.ndarray,
-                objective: np.ndarray | None = None) -> np.ndarray | None:
-    """Nonnegative weights summing to 1 with constrained weighted costs.
-
-    ``values`` is (n_candidates, J) of constraint cost values; the weighted
-    sum must equal d_j where ``active`` and stay <= d_j elsewhere.  Among
-    feasible weightings the ``objective`` (default: zeros) is minimized;
-    returns None when infeasible.  The LP is solved with dual simplex so the
-    solution is a vertex, hence supported on at most J+1 candidates.
-    """
-    n_cand, J = values.shape
-    c = np.zeros(n_cand) if objective is None else np.asarray(objective, dtype=float)
-    A_eq = [np.ones(n_cand)]
-    b_eq = [1.0]
-    A_ub, b_ub = [], []
-    for j in range(J):
-        if active[j]:
-            A_eq.append(values[:, j])
-            b_eq.append(d[j])
-        else:
-            A_ub.append(values[:, j])
-            b_ub.append(d[j])
-    res = linprog(
-        c, A_ub=np.asarray(A_ub) if A_ub else None,
-        b_ub=np.asarray(b_ub) if b_ub else None,
-        A_eq=np.asarray(A_eq), b_eq=np.asarray(b_eq),
-        bounds=(0.0, None), method="highs-ds")
-    if not res.success:
-        return None
-    w = np.maximum(res.x, 0.0)
-    w[w < 1e-12] = 0.0
-    total = w.sum()
-    if total <= 0.0:
-        return None
-    return w / total
+            return g, trace, w
 
 
 def verify_optimality(mdp: DiscreteMDP, result: DualResult,
@@ -369,23 +340,14 @@ def solve_constrained(mdp: DiscreteMDP,
     """Run the full dual procedure and certify the result.
 
     ``cfg`` is the Bellman stopping rule passed to :func:`maximize_dual` and
-    the certificates.  Maximizes the dual by cutting planes, then mixes the
-    cut policies with one :func:`mix_weights` program: bounds met, with
-    equality on every constraint whose multiplier exceeds
-    ``MULTIPLIER_TOL``, V0 minimized.  Raises MixtureInfeasibleError when
-    that program has no solution.
+    the certificates.  The mixture is the primal solution of the master
+    program that gave g*: bounds met, tight where g*_j > 0, V0 minimized
+    over the cut policies.  Its costs are re-evaluated policy by policy for
+    the certificates.
     """
-    g_star, trace = maximize_dual(mdp, cfg)
+    g_star, trace, w = maximize_dual(mdp, cfg)
     star = trace[-1]
-    d = _bounds_vector(mdp)
-    V = np.asarray([pt.costs.v for pt in trace])
-    active = g_star > MULTIPLIER_TOL
-    w = mix_weights(V[:, 1:], d, active, objective=V[:, 0])
-    if w is None:
-        raise MixtureInfeasibleError(
-            f"no feasible mixture of the {len(trace)} cut policies (active "
-            f"constraints {np.nonzero(active)[0].tolist()}); refine the grid")
-    support = np.nonzero(w > 0.0)[0]
+    support = np.nonzero(w)[0]
     mixture = MixedPolicy(
         weights=tuple(float(w[i]) for i in support),
         policies=tuple(trace[i].policy for i in support))
@@ -394,5 +356,6 @@ def solve_constrained(mdp: DiscreteMDP,
     return DualResult(
         g_star=g_star, h_star=star.h, W0=star.W0,
         F=tuple(pt.policy for pt in trace), mixture=mixture, costs=costs,
-        certificates=_certify(g_star, star.h, costs, trace, d, cfg),
+        certificates=_certify(g_star, star.h, costs, trace,
+                              _bounds_vector(mdp), cfg),
         trace=trace, slack_used=_gap_tol(cfg), solution=star.solution)

@@ -50,6 +50,9 @@ CEMETERY = Cemetery()
 # Horizon (in units of 1/alpha) for quadrature of infinite-wait running costs.
 # exp(-60) ~ 9e-27, negligible for any subexponential cost rate.
 _INF_HORIZON = 60.0
+# validate's flow identities: grid states sampled and the residual they allow
+FLOW_SAMPLES = 12
+FLOW_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -281,14 +284,14 @@ class ValidationReport:
     zero-wait impulse loops stop being ruled out.  ``cost_sup`` is the largest
     running rate plus largest impulse cost on the grid and must be finite.
     ``semigroup_residual`` and ``identity_residual`` measure how far the flow
-    is from a semiflow on sampled (x, s, t) triples.
+    is from a semiflow on sampled (x, s, t) triples; each must be at most
+    ``FLOW_TOLERANCE``.
     """
 
     delta_hat: float
     cost_sup: float
     semigroup_residual: float
     identity_residual: float
-    flow_tolerance: float = 1e-9
 
     @property
     def delta_ok(self) -> bool:
@@ -300,8 +303,8 @@ class ValidationReport:
 
     @property
     def flow_ok(self) -> bool:
-        return (self.semigroup_residual <= self.flow_tolerance
-                and self.identity_residual <= self.flow_tolerance)
+        return (self.semigroup_residual <= FLOW_TOLERANCE
+                and self.identity_residual <= FLOW_TOLERANCE)
 
     @property
     def ok(self) -> bool:
@@ -577,16 +580,16 @@ def discretize(problem: ImpulseProblem, grid: GridSpec) -> DiscreteMDP:
         bounds=tuple(problem.bounds), clamped_cells=clamped)
 
 
-def validate(problem: ImpulseProblem, grid: GridSpec,
-             flow_samples: int = 12) -> ValidationReport:
+def validate(problem: ImpulseProblem, grid: GridSpec) -> ValidationReport:
     """Check solvability conditions and flow identities on the grid (report-only).
 
     Computes the minimum base impulse cost and the largest running/impulse
     cost over the grid, and the worst semigroup and identity residuals of the
-    flow over a deterministic sample of (x, s, t) triples.
+    flow over a deterministic sample of (x, s, t) triples (``FLOW_SAMPLES``
+    evenly spaced grid states).
     """
     xs = grid.state_points
-    sample = xs[np.unique(np.linspace(0, xs.size - 1, flow_samples).astype(int))]
+    sample = xs[np.unique(np.linspace(0, xs.size - 1, FLOW_SAMPLES).astype(int))]
 
     delta_hat = math.inf
     sup_rate = sup_lump = 0.0
@@ -626,8 +629,7 @@ class ConfigError(ValueError):
     """Malformed problem configuration; message names the offending field."""
 
 
-def fluid_problem(alpha: float, h: float, K: float, d: float,
-                  action: str = "reset") -> ImpulseProblem:
+def fluid_problem(alpha: float, h: float, K: float, d: float) -> ImpulseProblem:
     """Single-server fluid buffer: unit inflow drift, reset-to-empty impulse.
 
     Minimizes the discounted impulse spend (price K per impulse) subject to a
@@ -645,7 +647,7 @@ def fluid_problem(alpha: float, h: float, K: float, d: float,
         alpha=alpha,
         x0=0.0,
         bounds=(d,),
-        actions=(action,),
+        actions=("reset",),
         constant_rates=(0.0, None),
     )
 
@@ -725,18 +727,26 @@ def _reset_from_spec(spec, path: str):
     raise ConfigError(f"unknown reset type '{kind}' at '{path}'")
 
 
+def _count(g: dict, key: str) -> int:
+    """An integral grid count; 400 and 400.0 pass, 400.9 and NaN do not."""
+    raw = _require(g, key, "grid.")
+    if not float(raw).is_integer():
+        raise ValueError(f"{key} must be an integer, got {raw!r}")
+    return int(float(raw))
+
+
 def grid_from_config(cfg: dict) -> GridSpec:
     g = _require(cfg, "grid", "")
     try:
         return GridSpec.uniform(
             state_min=float(_require(g, "state_min", "grid.")),
             state_max=float(_require(g, "state_max", "grid.")),
-            state_n=int(_require(g, "state_n", "grid.")),
+            state_n=_count(g, "state_n"),
             theta_max=float(_require(g, "theta_max", "grid.")),
-            theta_n=int(_require(g, "theta_n", "grid.")),
+            theta_n=_count(g, "theta_n"),
             quadrature_step=float(_require(g, "quadrature_step", "grid.")),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"grid: {exc}") from exc
 
 

@@ -204,9 +204,12 @@ def eval_mixture(mdp: DiscreteMDP, m: MixedPolicy) -> CostVector:
 # grid-free trajectory oracle
 
 
-def threshold_rule(problem: ImpulseProblem, xbar: float, action=None):
-    """Decision rule 'wait max(xbar - x, 0) then impulse' (never, if xbar=inf)."""
-    label = problem.actions[0] if action is None else action
+def threshold_rule(problem: ImpulseProblem, xbar: float):
+    """Decision rule 'wait max(xbar - x, 0) then impulse' (never, if xbar=inf).
+
+    The impulse takes the problem's first action.
+    """
+    label = problem.actions[0]
 
     def rule(x: float):
         if math.isinf(xbar):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import jsonschema
 import pytest
@@ -186,6 +187,25 @@ def test_nan_config_field_exits_2(config_file, field, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value, needle", [
+    ("grid.state_n", "400.9", "state_n must be an integer, got 400.9"),
+    ("grid.state_n", "1.5", "state_n must be an integer"),
+    ("grid.theta_n", "80.5", "theta_n must be an integer"),
+    ("grid.theta_n", "NaN", "theta_n must be an integer"),
+    ("grid.state_n", "null", "grid: ")])
+def test_fractional_grid_count_exits_2(config_file, field, value, needle,
+                                       capsys):
+    assert cli.main(["solve", "--config", config_file,
+                     "--set", f"{field}={value}"]) == 2
+    assert needle in capsys.readouterr().err
+
+
+def test_integral_float_grid_count_is_accepted(config_file, capsys):
+    assert cli.main(["dual-curve", "--config", config_file,
+                     "--set", "grid.state_n=80.0", "--g-steps", "2"]) == 0
+    capsys.readouterr()
+
+
 def test_nan_analytic_parameter_exits_2(config_file, capsys):
     assert cli.main(["analytic", "--config", config_file,
                      "--set", "d=NaN"]) == 2
@@ -249,6 +269,46 @@ def test_nonconverged_evaluation_exits_4(config_file, monkeypatch):
         raise ic.BellmanNotConvergedError("did not converge")
     monkeypatch.setattr(cli, "solve_constrained", boom)
     assert cli.main(["solve", "--config", config_file]) == 4
+
+
+def test_dual_curve_nonconverged_evaluation_exits_4(config_file, monkeypatch,
+                                                   capsys):
+    monkeypatch.setattr(cli, "_bellman_config",
+                        lambda tol: ic.BellmanConfig(max_iterations=1))
+    assert cli.main(["dual-curve", "--config", config_file]) == 4
+    err = capsys.readouterr().err
+    # g = 0 keeps the never-impulse start, the first g > 0 with a better
+    # policy needs a second step
+    assert re.search(r"multiplier \[0\.\d+\] did not converge", err)
+
+
+def test_verify_weak_duality_fails_on_nonconverged_probe(config_file,
+                                                        monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_bellman_config",
+                        lambda tol: ic.BellmanConfig(max_iterations=1))
+    assert cli.main(["verify", "--config", config_file]) == 5
+    line = [ln for ln in capsys.readouterr().out.splitlines()
+            if "weak-duality" in ln]
+    assert line[0].startswith("FAIL weak-duality: ")
+    assert "did not converge" in line[0]
+
+
+def test_dual_curve_warm_start_matches_cold_start(capsys):
+    # each grid point's policy iteration starts from the previous point's
+    # policy; the values must agree with cold starts to the search's gap
+    from pathlib import Path
+    shipped = Path(__file__).resolve().parent.parent / "configs" / "fluid_benchmark.json"
+    assert cli.main(["dual-curve", "--config", str(shipped)]) == 0
+    rows = [list(map(float, ln.split(",")))
+            for ln in capsys.readouterr().out.strip().splitlines()[1:]]
+    assert len(rows) == 21
+    prob, grid = ic.problem_from_config(json.loads(shipped.read_text()))
+    mdp = ic.discretize(prob, grid)
+    tol = 1e3 * ic.BellmanConfig().tolerance
+    for g, h, w0, _ in rows:
+        cold = ic.dual_value(mdp, [g])
+        assert abs(h - cold.h) <= tol * abs(cold.h)
+        assert abs(w0 - cold.W0) <= tol * abs(cold.W0)
 
 
 def test_set_override_changes_nested_fields(config_file, capsys):

@@ -1,13 +1,20 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import impulsecontrol as ic
-from impulsecontrol import cli, fluidq
+from impulsecontrol import cli, dual, fluidq
 from impulsecontrol.dual import mix_weights
 
 from conftest import J2_DOC, constant_theta_policy, fluid_mdp
@@ -72,14 +79,14 @@ def test_dual_midpoint_concavity(small_mdp):
 def test_maximizer_is_zero_when_bound_is_loose():
     for d in (1.0, 2.0):
         _, _, mdp = fluid_mdp(d=d, state_n=80, theta_n=80)
-        g_star, trace = ic.maximize_dual(mdp)
+        g_star, trace, _ = ic.maximize_dual(mdp)
         assert g_star[0] <= 1e-4
 
 
 def test_maximizer_matches_analytic(small_mdp, bench_analytic):
     # 3% on this coarse unit grid; the 1% contract on production grids is
     # covered by the acceptance benchmark
-    g_star, trace = ic.maximize_dual(small_mdp)
+    g_star, trace, _ = ic.maximize_dual(small_mdp)
     assert abs(g_star[0] - bench_analytic.g_star) <= 3e-2 * bench_analytic.g_star
     # dual values never exceed the maximum along the trace
     h_star = max(pt.h for pt in trace)
@@ -125,22 +132,127 @@ def test_nonconverged_evaluation_stops_the_search(small_mdp):
 # mixture construction
 
 
-def test_mix_weights_interpolates_to_equality():
-    values = np.asarray([[0.2], [0.8]])
-    w = mix_weights(values, d=np.asarray([0.5]), active=np.asarray([True]))
+def test_mix_weights_active_bound_is_tight():
+    # cut model min(1 - 0.3 g, 0.3 g) peaks at g = 5/3 with value 1/2
+    V = np.asarray([[1.0, 0.2], [0.0, 0.8]])
+    w, g, ub = mix_weights(V, np.asarray([0.5]), np.asarray([10.0]))
     assert np.allclose(w, [0.5, 0.5], atol=1e-12)
+    assert w @ V[:, 1] == pytest.approx(0.5, abs=1e-12)
+    assert g[0] == pytest.approx(5.0 / 3.0, abs=1e-12)
+    assert ub == pytest.approx(0.5, abs=1e-12)
 
 
-def test_mix_weights_inactive_constraint_picks_cheapest():
-    values = np.asarray([[0.2], [0.8]])
-    w = mix_weights(values, d=np.asarray([1.0]), active=np.asarray([False]),
-                    objective=np.asarray([3.0, 1.0]))
+def test_mix_weights_loose_bound_picks_cheapest():
+    V = np.asarray([[3.0, 0.2], [1.0, 0.8]])
+    w, g, ub = mix_weights(V, np.asarray([1.0]), np.asarray([1.0]))
     assert np.allclose(w, [0.0, 1.0], atol=1e-12)
+    assert g[0] == 0.0
+    assert ub == pytest.approx(1.0, abs=1e-12)
 
 
-def test_mix_weights_infeasible_returns_none():
-    values = np.asarray([[0.8], [0.9]])
-    assert mix_weights(values, np.asarray([0.5]), np.asarray([True])) is None
+def test_mix_weights_infeasible_bound_sits_on_the_box():
+    # no mixture meets d = 0.5, so the elastic variable mu pays for the excess
+    # and the multiplier sits on the box
+    V = np.asarray([[1.0, 0.8], [0.0, 0.9]])
+    box = np.asarray([1.0])
+    w, g, ub = mix_weights(V, np.asarray([0.5]), box)
+    assert g[0] == pytest.approx(box[0], abs=1e-12)
+    mu = (ub - w @ V[:, 0]) / box[0]
+    assert mu > 0.0
+    assert w @ V[:, 1] - 0.5 == pytest.approx(mu, abs=1e-12)
+
+
+def _cut_model_max(V, d, box):
+    """max over g in [0, box] of min_k V0_k + g.(V_k - d), as its own LP.
+
+    Test-side reference: variables (t, g), max t s.t.
+    t + g.(d - V_k) <= V0_k.
+    """
+    c = np.zeros(d.size + 1)
+    c[0] = -1.0
+    res = scipy.optimize.linprog(
+        c, A_ub=np.hstack([np.ones((len(V), 1)), d - V[:, 1:]]), b_ub=V[:, 0],
+        bounds=[(None, None)] + [(0.0, b) for b in box], method="highs-ds")
+    assert res.success
+    return float(res.x[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_mix_weights_agrees_with_cut_model(data):
+    J = data.draw(st.sampled_from([1, 2]))
+    n_cuts = data.draw(st.integers(1, 6))
+    V = data.draw(hnp.arrays(np.float64, (n_cuts, 1 + J),
+                             elements=st.floats(0.0, 2.0)))
+    d = data.draw(hnp.arrays(np.float64, J, elements=st.floats(0.1, 1.5)))
+    box = data.draw(hnp.arrays(np.float64, J, elements=st.floats(0.5, 8.0)))
+    w, g, ub = mix_weights(V, d, box)
+    ref = _cut_model_max(V, d, box)
+    # HiGHS stops within its default 1e-7 primal and dual feasibility
+    # tolerances, so either LP may settle on a cut cheaper by less than that
+    tol = 1e-7 * (1.0 + abs(ref))
+    assert ub == pytest.approx(ref, abs=tol)
+    # g maximizes the cut model
+    assert np.all(g >= 0.0) and np.all(g <= box * (1.0 + 1e-12))
+    assert float(np.min(V[:, 0] + (V[:, 1:] - d) @ g)) == pytest.approx(ref, abs=tol)
+    # w is a mixture whose elastic cost is the same optimum
+    assert np.all(w >= 0.0) and w.sum() == pytest.approx(1.0, abs=1e-12)
+    excess = np.maximum(w @ V[:, 1:] - d, 0.0)
+    assert float(w @ V[:, 0] + box @ excess) == pytest.approx(ref, abs=tol)
+
+
+def test_mix_weights_is_the_only_lp_of_a_solve(monkeypatch, j2_mdp):
+    real = dual.mix_weights
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(dual, "mix_weights", counting)
+    res = ic.solve_constrained(j2_mdp)
+    assert len(calls) == len(res.trace) - 1 >= 1
+    calls.clear()
+    _, _, mdp = fluid_mdp(d=2.0, state_n=40, theta_n=40)
+    res = ic.solve_constrained(mdp)
+    assert len(res.trace) == 1 and not calls
+
+
+def test_master_lp_failure_after_doubling_is_a_bracket_error(monkeypatch):
+    prob, grid = ic.problem_from_config(INFEASIBLE_J1_DOC)
+    mdp = ic.discretize(prob, grid)
+    real = scipy.optimize.linprog
+    calls = []
+
+    def failing_from(n):
+        def linprog(*args, **kwargs):
+            calls.append(1)
+            if len(calls) < n:
+                return real(*args, **kwargs)
+            return scipy.optimize.OptimizeResult(
+                success=False, status=4, message="forced failure")
+        return linprog
+
+    # a failure in the first box is a plain LP failure
+    monkeypatch.setattr(scipy.optimize, "linprog", failing_from(1))
+    with pytest.raises(RuntimeError, match="forced failure") as info:
+        ic.maximize_dual(mdp)
+    assert not isinstance(info.value, ic.DualBracketError)
+    # after the box has doubled it means the dual kept increasing
+    calls.clear()
+    monkeypatch.setattr(scipy.optimize, "linprog", failing_from(3))
+    with pytest.raises(ic.DualBracketError, match="forced failure.*increasing"):
+        ic.maximize_dual(mdp)
+    assert len(calls) == 3
+
+
+def test_import_does_not_load_the_lp_solver():
+    src = str(Path(ic.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, impulsecontrol, impulsecontrol.cli; "
+            "assert 'scipy.optimize' not in sys.modules")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_solved_mixture_hits_bound_exactly(solved, small_mdp, bench_analytic):
@@ -243,7 +355,7 @@ def test_two_constraint_solve_certifies(j2_mdp):
 def test_ascent_respects_inactive_boundary(j2_mdp):
     # every cut policy leaves the second constraint slack, so the cut model
     # never raises its multiplier above zero
-    _, trace = ic.maximize_dual(j2_mdp)
+    _, trace, _ = ic.maximize_dual(j2_mdp)
     assert all(pt.g[1] == 0.0 for pt in trace)
     assert any(pt.g[0] > 0.0 for pt in trace)
 
@@ -260,8 +372,8 @@ def test_infeasible_two_constraint_problem_raises():
     "doc", [INFEASIBLE_J1_DOC, dict(J2_DOC, bounds=[0.5, 1.6])],
     ids=["J1", "J2"])
 def test_infeasible_bounds_fail_fast_on_default_config(doc):
-    # J = 1 doubles up to BRACKET_CAP; J = 2 stops where the grown box makes
-    # the master LP fail, which must not surface as a raw RuntimeError
+    # both double the multiplier box up to BRACKET_CAP; the elastic master
+    # LP stays solvable all the way
     prob, grid = ic.problem_from_config(doc)
     mdp = ic.discretize(prob, grid)
     t0 = time.perf_counter()
