@@ -120,10 +120,6 @@ def combined_cost(mdp: DiscreteMDP, g) -> np.ndarray:
     return out
 
 
-def _q_table(mdp: DiscreteMDP, cost: np.ndarray, W: np.ndarray) -> np.ndarray:
-    return cost + mdp.expected_next_value(W)
-
-
 def bellman_backup(mdp: DiscreteMDP, W: np.ndarray,
                    g) -> tuple[np.ndarray, StationaryPolicy]:
     """One Bellman backup of the grid values W, with its greedy policy.
@@ -132,14 +128,14 @@ def bellman_backup(mdp: DiscreteMDP, W: np.ndarray,
     ascending then label order, so ties prefer the shortest waiting time
     (argmin picks the first minimizer).
     """
-    q = _q_table(mdp, combined_cost(mdp, g), W)
+    q = combined_cost(mdp, g) + mdp.expected_next_value(W)
     flat = q.argmin(axis=1)
     return q[np.arange(mdp.n_states), flat], StationaryPolicy(flat, mdp.n_labels)
 
 
 def residual(mdp: DiscreteMDP, W: np.ndarray, g) -> float:
     """Sup-norm of backup(W) - W."""
-    q = _q_table(mdp, combined_cost(mdp, g), W)
+    q = combined_cost(mdp, g) + mdp.expected_next_value(W)
     return float(np.max(np.abs(q.min(axis=1) - W)))
 
 
@@ -164,7 +160,7 @@ def solve_W(mdp: DiscreteMDP, g, cfg: BellmanConfig = BellmanConfig(),
     if on_iterate is not None:
         on_iterate(0, W.copy())
     for k in range(1, cfg.max_iterations + 1):
-        q = _q_table(mdp, cost, W)
+        q = cost + mdp.expected_next_value(W)
         W_new = q.min(axis=1)
         if np.any(W_new < W):
             i = int(np.argmax(W - W_new))
@@ -180,7 +176,7 @@ def solve_W(mdp: DiscreteMDP, g, cfg: BellmanConfig = BellmanConfig(),
         if sup_change <= cfg.tolerance:
             break
     converged = sup_change <= cfg.tolerance
-    q = _q_table(mdp, cost, W)
+    q = cost + mdp.expected_next_value(W)
     flat = q.argmin(axis=1)
     return BellmanSolution(
         W=W, policy=StationaryPolicy(flat, mdp.n_labels),
@@ -223,7 +219,7 @@ def policy_iteration(mdp: DiscreteMDP, g, cfg: BellmanConfig = BellmanConfig(),
             raise RuntimeError(
                 f"policy iteration step {k} met a survival-1 cycle; impulse "
                 "costs must be positive")
-        q = _q_table(mdp, cost, W)
+        q = cost + mdp.expected_next_value(W)
         best = q.argmin(axis=1)
         q_best = q[rows, best]
         res = float(np.max(np.abs(q_best - W)))
@@ -244,6 +240,6 @@ def argmin_set(mdp: DiscreteMDP, W: np.ndarray, g, slack) -> tuple:
     ``slack`` may be a scalar or a per-state array of absolute slacks; the
     strict argmin is always included.  Returns one index array per state.
     """
-    q = _q_table(mdp, combined_cost(mdp, g), W)
+    q = combined_cost(mdp, g) + mdp.expected_next_value(W)
     thr = q.min(axis=1) + np.asarray(slack, dtype=float)
     return tuple(np.nonzero(q[i] <= thr[i])[0] for i in range(mdp.n_states))

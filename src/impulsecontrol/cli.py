@@ -162,7 +162,10 @@ def _prepare(args: argparse.Namespace, need_delta: bool = True):
             "away from zero so that endless zero-wait impulse chains are "
             "infinitely costly\n")
         return doc, None, None, None
-    mdp = discretize(problem, grid)
+    try:
+        mdp = discretize(problem, grid)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return doc, problem, grid, mdp
 
 
@@ -335,8 +338,8 @@ def _verify_checks(problem, grid, mdp, tol_scale: float):
     yield ("flow-identities", rep.flow_ok,
            f"semigroup={rep.semigroup_residual:.3e} identity={rep.identity_residual:.3e}")
 
-    mass_err = float(np.max(np.abs(mdp.w_lo + mdp.w_hi - 1.0)))
-    nonneg = bool(np.all(mdp.w_lo >= 0.0) and np.all(mdp.w_hi >= 0.0))
+    mass_err = float(np.max(np.abs(mdp.kernel.sum(axis=1) - 1.0)))
+    nonneg = bool(np.all(mdp.kernel.data >= 0.0))
     yield "kernel-mass", mass_err <= 1e-12 and nonneg, f"max|w_lo+w_hi-1|={mass_err:.3e}"
 
     L = mdp.n_labels

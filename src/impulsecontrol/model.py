@@ -12,7 +12,8 @@ This module owns discretization onto a finite state/waiting-time grid:
 running-cost integrals are computed by composite Simpson quadrature, landing
 states are represented by linear interpolation weights between bracketing grid
 points, and the infinite waiting time is kept as an exact sentinel (never a
-large float) so that killing is exact.
+large float) so that killing is exact.  The landing map is stored once, as
+the sparse matrix ``DiscreteMDP.kernel`` that every solver reads.
 
 User maps (flow, reset, cost rates, lump costs) are called once on whole-grid
 numpy arrays, so they should be written with numpy operations.  A map that
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -185,10 +186,12 @@ class DiscreteMDP:
     ``q = theta_index * n_labels + label_index``, so the action order is theta
     ascending (INFINITY last) with label order breaking ties.  ``survival[q]``
     is exp(-alpha*theta), exactly 0 for the INFINITY column and exactly 1 for
-    theta = 0.  Landing states are stored as two bracketing grid indices with
-    convex interpolation weights; the killed mass 1 - survival goes to the
-    cemetery implicitly.  All arrays are written once at construction and are
-    read-only afterwards, so instances are safe to share across threads.
+    theta = 0.  Row ``i * n_actions + q`` of ``kernel`` holds the two grid
+    states bracketing the landing from cell (i, q), lower first, with their
+    convex interpolation weights (``next_lo``, ``next_hi``, ``w_lo``, ``w_hi``
+    view them); the killed mass 1 - survival[q] goes to the cemetery.  All
+    arrays are written once at construction and are read-only afterwards, so
+    instances are safe to share across threads.
     """
 
     states: np.ndarray            # (n_states,) grid points
@@ -197,18 +200,24 @@ class DiscreteMDP:
     alpha: float
     x0_index: int
     survival: np.ndarray          # (n_actions,)
-    next_lo: np.ndarray           # (n_states, n_actions) int
-    next_hi: np.ndarray           # (n_states, n_actions) int
-    w_lo: np.ndarray              # (n_states, n_actions)
-    w_hi: np.ndarray              # (n_states, n_actions)
+    kernel: sparse.csr_matrix     # (n_states * n_actions, n_states)
     costs: np.ndarray             # (n_costs, n_states, n_actions)
     bounds: tuple = ()            # constraint bounds d_1..d_J
     clamped_cells: int = 0
+    next_lo: np.ndarray = field(init=False, repr=False)  # (n_states, n_actions)
+    next_hi: np.ndarray = field(init=False, repr=False)
+    w_lo: np.ndarray = field(init=False, repr=False)
+    w_hi: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        for name in ("states", "theta_points", "survival", "next_lo", "next_hi",
-                     "w_lo", "w_hi", "costs"):
-            getattr(self, name).setflags(write=False)
+        for arr in (self.states, self.theta_points, self.survival, self.costs,
+                    self.kernel.data, self.kernel.indices, self.kernel.indptr):
+            arr.setflags(write=False)
+        cols, weights = (a.reshape(self.states.size, -1, 2)
+                         for a in (self.kernel.indices, self.kernel.data))
+        for name, view in (("next_lo", cols[:, :, 0]), ("next_hi", cols[:, :, 1]),
+                           ("w_lo", weights[:, :, 0]), ("w_hi", weights[:, :, 1])):
+            object.__setattr__(self, name, view)
         if len(self.bounds) != self.costs.shape[0] - 1:
             raise ValueError(
                 f"expected {self.costs.shape[0] - 1} bounds, got {len(self.bounds)}")
@@ -236,33 +245,36 @@ class DiscreteMDP:
     def theta_of_action(self, q) -> np.ndarray | float:
         return self.theta_points[np.asarray(q) // self.n_labels]
 
+    def landing(self, i: int, q: int) -> tuple[float, float, int]:
+        """Survival, weight and grid state of cell (i, q)'s heavier landing."""
+        k = 2 * (i * self.n_actions + q)
+        k += int(self.kernel.data[k + 1] > self.kernel.data[k])  # ties go low
+        return self.survival[q], self.kernel.data[k], int(self.kernel.indices[k])
+
     def expected_next_value(self, values: np.ndarray) -> np.ndarray:
         """survival * interpolated next-state value, per (state, action).
 
         ``values`` is a (n_states,) array over grid states; the cemetery value
-        is identically 0 so the killed mass drops out.
+        is identically 0 so the killed mass drops out.  The kernel product is
+        bitwise ``w_lo * values[next_lo] + w_hi * values[next_hi]``.
         """
-        interp = self.w_lo * values[self.next_lo] + self.w_hi * values[self.next_hi]
-        return self.survival[np.newaxis, :] * interp
+        return (self.kernel @ values).reshape(self.n_states, -1) * self.survival
 
     def solve_policy(self, flat: np.ndarray, rhs: np.ndarray,
                      transpose: bool = False) -> np.ndarray | None:
         """Solve (I - P) x = rhs, or (I - P^T) x = rhs, by sparse LU.
 
         P is the sub-stochastic state-to-state matrix of the chain that takes
-        action ``flat[i]`` at grid state i (the killed mass leaves it).
+        action ``flat[i]`` at grid state i (the killed mass leaves it): the
+        kernel rows of the cells (i, flat[i]), each scaled by its survival.
         ``rhs`` may have one column per right-hand side.  Returns None when
         the system is singular (a survival-1 cycle) or the solution is not
         finite.
         """
         n = self.n_states
-        rows = np.arange(n)
-        s = self.survival[flat]
-        P = sparse.coo_matrix(
-            (np.concatenate([self.w_lo[rows, flat] * s, self.w_hi[rows, flat] * s]),
-             (np.concatenate([rows, rows]),
-              np.concatenate([self.next_lo[rows, flat], self.next_hi[rows, flat]]))),
-            shape=(n, n)).tocsr()
+        P = self.kernel[np.arange(n) * self.n_actions + flat]
+        # the row slice is a fresh copy with two entries per row
+        P.data *= np.repeat(self.survival[flat], 2)
         A = (sparse.eye(n, format="csc") - (P.T if transpose else P).tocsc()).tocsc()
         try:
             lu = splu(A)
@@ -495,10 +507,10 @@ def discretize(problem: ImpulseProblem, grid: GridSpec) -> DiscreteMDP:
     """Tabulate stage costs and the transition kernel on the grid.
 
     Landing states get linear interpolation weights between the bracketing
-    grid points; landings beyond the truncation clamp to the boundary with a
-    warning.  Cost maps are evaluated eagerly here; iteration never calls
-    back into user code.  Raises ValueError naming the offending cell if any
-    tabulated cost is non-finite or negative.
+    grid points, the rows of ``DiscreteMDP.kernel``; landings beyond the
+    truncation clamp to the boundary with a warning.  User maps are called
+    here, never during iteration.  Raises ValueError naming the offending
+    cell if any tabulated cost is non-finite or negative.
     """
     xs = grid.state_points
     thetas = grid.theta_points
@@ -527,16 +539,13 @@ def discretize(problem: ImpulseProblem, grid: GridSpec) -> DiscreteMDP:
 
     R = _tabulate_running_integrals(problem, grid)
 
-    next_lo = np.zeros((n, n_actions), dtype=np.intp)
-    next_hi = np.zeros((n, n_actions), dtype=np.intp)
-    w_lo = np.ones((n, n_actions))
-    w_hi = np.zeros((n, n_actions))
+    # kernel entries [i, k, a] = (lower, upper) of cell (i, k*L + a); INF cells
+    # are all killed, and a zero weight on state 1 keeps the CSR canonical
+    cols = np.empty((n, m, L, 2), dtype=np.int32)
+    weights = np.empty((n, m, L, 2))
+    cols[:, -1], weights[:, -1] = (0, 1), (1.0, 0.0)
     # action q = k*L + a carries R[j, :, k]; the INF column keeps just that
     costs = np.repeat(R, L, axis=2)
-    # (n, m, L) views of the (n, m*L) tables: [:, :-1, a] is label a at the
-    # finite thetas; the INF column keeps the cemetery defaults set here
-    lo_v, hi_v, wlo_v, whi_v = (t.reshape(n, m, L)
-                                for t in (next_lo, next_hi, w_lo, w_hi))
     costs_v = costs.reshape(jn, n, m, L)
     clamp_tol = 1e-12 * (1.0 + xs[-1] - xs[0])
     clamped = 0
@@ -551,10 +560,8 @@ def discretize(problem: ImpulseProblem, grid: GridSpec) -> DiscreteMDP:
         hi = np.clip(np.searchsorted(xs, landing), 1, n - 1)
         lo = hi - 1
         frac = np.clip((landing - xs[lo]) / (xs[hi] - xs[lo]), 0.0, 1.0)
-        lo_v[:, :-1, a_idx] = lo
-        hi_v[:, :-1, a_idx] = hi
-        wlo_v[:, :-1, a_idx] = 1.0 - frac
-        whi_v[:, :-1, a_idx] = frac
+        cols[:, :-1, a_idx, 0], cols[:, :-1, a_idx, 1] = lo, hi
+        weights[:, :-1, a_idx, 0], weights[:, :-1, a_idx, 1] = 1.0 - frac, frac
         for j in range(jn):
             costs_v[j, :, :-1, a_idx] += surv_fin * _eval(
                 problem.impulse_costs[j], y_flow, label)
@@ -573,10 +580,12 @@ def discretize(problem: ImpulseProblem, grid: GridSpec) -> DiscreteMDP:
             "were clamped to the boundary; enlarge the state grid if they are "
             "visited at optimum", RuntimeWarning, stacklevel=2)
 
+    indptr = np.arange(0, weights.size + 1, 2, dtype=np.int32)  # two per row
+    kernel = sparse.csr_matrix((weights.ravel(), cols.ravel(), indptr),
+                               shape=(n * n_actions, n))
     return DiscreteMDP(
         states=xs.copy(), theta_points=thetas.copy(), action_labels=tuple(labels),
-        alpha=alpha, x0_index=i0, survival=survival,
-        next_lo=next_lo, next_hi=next_hi, w_lo=w_lo, w_hi=w_hi, costs=costs,
+        alpha=alpha, x0_index=i0, survival=survival, kernel=kernel, costs=costs,
         bounds=tuple(problem.bounds), clamped_cells=clamped)
 
 

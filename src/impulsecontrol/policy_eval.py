@@ -116,10 +116,8 @@ def eval_policy(mdp: DiscreteMDP, f: StationaryPolicy) -> CostVector:
                 tail = step_disc[p] * cycle * (rho / (1.0 - rho))
             return CostVector(totals + tail)
         q = int(f.flat[idx])
-        s = float(mdp.survival[q])
-        wl = float(mdp.w_lo[idx, q])
-        wh = float(mdp.w_hi[idx, q])
-        if s > 0.0 and wl < 1.0 - 1e-12 and wh < 1.0 - 1e-12:
+        s, w, nxt = mdp.landing(idx, q)
+        if s > 0.0 and w < 1.0 - 1e-12:
             return _eval_by_linear_solve(mdp, f)
         position[idx] = len(step_costs)
         c = mdp.costs[:, idx, q].copy()
@@ -130,7 +128,7 @@ def eval_policy(mdp: DiscreteMDP, f: StationaryPolicy) -> CostVector:
         disc *= s
         if s == 0.0:
             return CostVector(totals)
-        idx = int(mdp.next_lo[idx, q] if wl >= wh else mdp.next_hi[idx, q])
+        idx = nxt
 
 
 def occupation_measure(mdp: DiscreteMDP, f: StationaryPolicy) -> OccupationMeasure:
@@ -165,11 +163,9 @@ def _unit_cycle_states(mdp: DiscreteMDP, f: StationaryPolicy) -> list[int]:
             return path[seen[idx]:]
         seen[idx] = len(path)
         path.append(idx)
-        q = int(f.flat[idx])
-        if mdp.survival[q] == 0.0:
+        s, _, idx = mdp.landing(idx, int(f.flat[idx]))
+        if s == 0.0:
             break
-        wl = float(mdp.w_lo[idx, q])
-        idx = int(mdp.next_lo[idx, q] if wl >= 0.5 else mdp.next_hi[idx, q])
     return path
 
 
@@ -178,17 +174,12 @@ def check_characteristic(mdp: DiscreteMDP, mu: OccupationMeasure) -> float:
 
     Evaluates |mu(x, all actions) - delta_x0(x) - inflow(x)| cellwise over
     grid states, where inflow aggregates survival-weighted interpolation mass
-    from every (state, action) cell.  The balance equation does not depend on
-    the policy.
+    from every (state, action) cell: the transposed kernel applied to the
+    surviving mass.  The balance equation does not depend on the policy.
     """
-    n = mdp.n_states
     out = mu.mass.sum(axis=1).astype(float)
     out[mdp.x0_index] -= 1.0
-    inflow = np.zeros(n)
-    contrib_lo = (mdp.survival[np.newaxis, :] * mdp.w_lo * mu.mass).ravel()
-    contrib_hi = (mdp.survival[np.newaxis, :] * mdp.w_hi * mu.mass).ravel()
-    np.add.at(inflow, mdp.next_lo.ravel(), contrib_lo)
-    np.add.at(inflow, mdp.next_hi.ravel(), contrib_hi)
+    inflow = mdp.kernel.T @ (mdp.survival * mu.mass).ravel()
     return float(np.max(np.abs(out - inflow)))
 
 

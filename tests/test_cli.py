@@ -200,6 +200,43 @@ def test_fractional_grid_count_exits_2(config_file, field, value, needle,
     assert needle in capsys.readouterr().err
 
 
+# a lump cost of -x: negative at every state but 0
+NEGATIVE_COST_DOC = {
+    "model": "custom", "alpha": 1.0, "x0": 0.0,
+    "flow": {"type": "drift", "rate": 1.0},
+    "reset": {"type": "constant", "value": 0.0},
+    "actions": ["a"], "bounds": [0.5],
+    "gradual_costs": [{"type": "constant", "value": 0.0},
+                      {"type": "polynomial", "coeffs": [0.0, 1.0]}],
+    "impulse_costs": [{"type": "constant", "value": 1.0},
+                      {"type": "polynomial", "coeffs": [0.0, -1.0]}],
+    "grid": {"state_min": 0.0, "state_max": 4.0, "state_n": 30,
+             "theta_max": 4.0, "theta_n": 30, "quadrature_step": 0.01},
+}
+
+
+@pytest.mark.parametrize("command", ["solve", "eval", "verify"])
+@pytest.mark.parametrize("doc, override, needle", [
+    pytest.param(BASE_DOC, "x0=100", "x0=100.0 is not within half a cell",
+                 id="x0-off-grid"),
+    pytest.param(BASE_DOC, "alpha=1000", "underflows to 0", id="large-alpha"),
+    pytest.param(BASE_DOC, "grid.theta_max=1e6", "underflows to 0",
+                 id="large-theta-max"),
+    pytest.param(NEGATIVE_COST_DOC, "x0=0.0", "non-finite or negative",
+                 id="negative-cost")])
+def test_inputs_discretize_rejects_exit_2(tmp_path, command, doc, override,
+                                          needle, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    argv = [command, "--config", str(path), "--set", override]
+    if command == "eval":
+        # rejected before the policy file is read
+        argv += ["--policy", str(tmp_path / "absent.txt")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and needle in err
+
+
 def test_integral_float_grid_count_is_accepted(config_file, capsys):
     assert cli.main(["dual-curve", "--config", config_file,
                      "--set", "grid.state_n=80.0", "--g-steps", "2"]) == 0

@@ -138,6 +138,39 @@ def test_discretize_kernel_mass(small_mdp):
     assert np.max(np.abs(small_mdp.w_lo + small_mdp.w_hi - 1.0)) <= 1e-12
 
 
+@pytest.mark.parametrize("table", ["fluid", "custom-two-action"])
+def test_kernel_is_stored_once(small_mdp, table):
+    if table == "fluid":
+        mdp = small_mdp
+    else:
+        mdp = ic.discretize(*ic.problem_from_config(CUSTOM_TWO_ACTION_DOC))
+    n, n_actions = mdp.n_states, mdp.n_actions
+    k = mdp.kernel
+    assert k.shape == (n * n_actions, n)
+    assert np.all(np.diff(k.indptr) == 2) and k.indices.dtype == np.int32
+    # the four per-cell tables are views of the kernel, not copies
+    for view, store in ((mdp.next_lo, k.indices), (mdp.next_hi, k.indices),
+                        (mdp.w_lo, k.data), (mdp.w_hi, k.data)):
+        assert view.shape == (n, n_actions)
+        assert np.shares_memory(view, store)
+    # sorted and duplicate-free, so no scipy call rewrites the arrays in place
+    assert k.has_canonical_format
+    with pytest.raises(ValueError, match="read-only"):
+        k.data[0] = 0.5
+    # the sparse product is bitwise the two-point interpolation
+    W = np.random.default_rng(7).uniform(0.0, 10.0, n)
+    ref = mdp.survival * (mdp.w_lo * W[mdp.next_lo] + mdp.w_hi * W[mdp.next_hi])
+    assert np.array_equal(mdp.expected_next_value(W), ref)
+    # both trajectory walks follow the heavier landing point, the lower on ties
+    for i in range(n):
+        for q in range(n_actions):
+            lo_wins = mdp.w_lo[i, q] >= mdp.w_hi[i, q]
+            s, w, nxt = mdp.landing(i, q)
+            assert s == mdp.survival[q]
+            assert w == (mdp.w_lo if lo_wins else mdp.w_hi)[i, q]
+            assert nxt == (mdp.next_lo if lo_wins else mdp.next_hi)[i, q]
+
+
 def _check_cells_against_references(prob, grid, mdp, cells, jumps):
     """Each (i, k, label index) cell against stage_cost and transition.
 

@@ -27,3 +27,13 @@ def test_tracer_installs_and_restores_every_patch():
         assert all(p is not b for p, b in zip(patched, before))
     after = [getattr(mod, attr) for mod, attr, _, _ in tracing.PATCHES]
     assert all(a is b for a, b in zip(after, before))
+
+
+def test_tracer_reads_the_kernel_tables(small_mdp):
+    # ``_mdp_bytes`` reads next_lo, next_hi, w_lo and w_hi by name; they are
+    # views of the kernel, so their bytes are the kernel's indices and data
+    tracing = _load_tracing()
+    k = small_mdp.kernel
+    expected = (k.indices.nbytes + k.data.nbytes
+                + small_mdp.costs[0].nbytes + small_mdp.survival.nbytes)
+    assert tracing._mdp_bytes(small_mdp) == {"sweep_bytes": expected}
