@@ -15,11 +15,13 @@ points, and the infinite waiting time is kept as an exact sentinel (never a
 large float) so that killing is exact.  The landing map is stored once, as
 the sparse matrix ``DiscreteMDP.kernel`` that every solver reads.
 
-User maps (flow, reset, cost rates, lump costs) are called once on whole-grid
-numpy arrays, so they should be written with numpy operations.  A map that
-only accepts scalars still works: when a call on arrays raises TypeError or
-ValueError (what numpy raises when ``math.exp`` or an ``if`` meets an array)
-the map is evaluated point by point, which is much slower.  Any other
+User maps (flow, reset, cost rates, lump costs) are called on numpy arrays,
+once per block of grid states (a block is the whole grid except in the
+running-cost quadrature, whose blocks are sized to stay in cache), so they
+should be written with numpy operations.  A map that only accepts scalars
+still works: when a call on a block's arrays raises TypeError or ValueError
+(what numpy raises when ``math.exp`` or an ``if`` meets an array) the map is
+evaluated point by point within that block, which is much slower.  Any other
 exception from a user map propagates.
 """
 
@@ -51,6 +53,9 @@ CEMETERY = Cemetery()
 # Horizon (in units of 1/alpha) for quadrature of infinite-wait running costs.
 # exp(-60) ~ 9e-27, negligible for any subexponential cost rate.
 _INF_HORIZON = 60.0
+# float64 elements of one (states x quadrature nodes) workspace of the
+# running-cost tabulation: 512 KiB, so a block's workspaces stay in L2 cache
+_BLOCK_ELEMENTS = 2 ** 16
 # validate's flow identities: grid states sampled and the residual they allow
 FLOW_SAMPLES = 12
 FLOW_TOLERANCE = 1e-9
@@ -345,11 +350,12 @@ class ValidationReport:
 def _eval(f, *args) -> np.ndarray:
     """``f(*args)`` as a float array shaped like its broadcast array arguments.
 
-    ``f`` is called once on the whole arrays; arguments that are not arrays
-    (an action label, a scalar state) are passed through unchanged, and a 0-d
-    result is broadcast.  A scalar-only map makes numpy raise TypeError or
-    ValueError when it meets an array; only then is ``f`` evaluated point by
-    point.  Every other exception propagates.
+    ``f`` is called once on the arrays of one block of grid states; arguments
+    that are not arrays (an action label, a scalar state) are passed through
+    unchanged, and a 0-d result is broadcast to a read-only view.  A
+    scalar-only map makes numpy raise TypeError or ValueError when it meets an
+    array; only then is ``f`` evaluated point by point over the block.  Every
+    other exception propagates.
     """
     shape = np.broadcast_shapes(
         *(a.shape for a in args if isinstance(a, np.ndarray)))
@@ -361,16 +367,30 @@ def _eval(f, *args) -> np.ndarray:
     return out if out.shape == shape else np.broadcast_to(out, shape)
 
 
-def _simpson_weights(a: float, b: float, step: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of composite Simpson on [a, b] with step <= ``step``."""
+def _simpson_lattice(a, b, step: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Composite Simpson nodes and weights on every span [a[k], b[k]] at once.
+
+    Span k gets the even number n_k = max(2, 2*ceil(span_k / (2*step))) of
+    intervals, so its step is at most ``step``; its n_k + 1 nodes are bitwise
+    ``np.linspace(a[k], b[k], n_k + 1)`` and follow span k-1's nodes (a shared
+    end point appears in both spans).  Returns (nodes, weights, starts), where
+    ``starts[k]`` is the offset of span k's first node, as ``np.add.reduceat``
+    takes it.
+    """
+    a, b = np.atleast_1d(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     span = b - a
-    n = max(2, 2 * math.ceil(span / (2.0 * step)))
-    tt = np.linspace(a, b, n + 1)
-    w = np.full(n + 1, 2.0)
-    w[1::2] = 4.0
-    w[0] = w[-1] = 1.0
-    w *= span / n / 3.0
-    return tt, w
+    n = np.maximum(2, 2 * np.ceil(span / (2.0 * step)).astype(np.int64))
+    ends = np.cumsum(n + 1) - 1
+    starts = ends - n
+    seg = np.repeat(np.arange(n.size), n + 1)
+    local = np.arange(seg.size) - starts[seg]
+    h = span / n
+    nodes = local * h[seg] + a[seg]
+    nodes[ends] = b
+    weights = np.where(local % 2 == 1, 4.0, 2.0)
+    weights[starts] = weights[ends] = 1.0
+    weights *= (h / 3.0)[seg]
+    return nodes, weights, starts
 
 
 def _running_integral_scalar(problem: ImpulseProblem, x: float, theta: float,
@@ -389,7 +409,7 @@ def _running_integral_scalar(problem: ImpulseProblem, x: float, theta: float,
         a, b = 0.0, _INF_HORIZON / alpha
     else:
         a, b = 0.0, theta
-    tt, w = _simpson_weights(a, b, step)
+    tt, w, _ = _simpson_lattice(a, b, step)
     vals = _eval(rate, _eval(problem.flow, x, tt)) * np.exp(-alpha * tt)
     return float(np.dot(w, vals))
 
@@ -449,9 +469,13 @@ def _tabulate_running_integrals(problem: ImpulseProblem, grid: GridSpec) -> np.n
 
     Finite theta columns accumulate segment-wise composite Simpson between
     consecutive theta grid points (step bounded by quadrature_step); the last
-    column is the infinite-wait integral over [0, 60/alpha].  Values agree
-    with the single-span rule used by :func:`stage_cost` to quadrature
-    accuracy, not bitwise.
+    column is the infinite-wait integral over [0, 60/alpha].  Both lattices
+    come from :func:`_simpson_lattice`, the rule :func:`stage_cost` uses on
+    its single span, so values agree with it to quadrature accuracy, not
+    bitwise.  The flow and the cost rates are called once per block of
+    ``_BLOCK_ELEMENTS // nodes`` grid states, where ``nodes`` is the larger
+    lattice, so the (states x nodes) workspaces stay cache-sized whatever the
+    grid and the discount rate.
     """
     xs = grid.state_points
     th_fin = grid.theta_points[:-1]
@@ -466,40 +490,29 @@ def _tabulate_running_integrals(problem: ImpulseProblem, grid: GridSpec) -> np.n
         if c is not None:
             R[j, :, :m_fin] = c * (-np.expm1(-alpha * th_fin)) / alpha
             R[j, :, m_fin] = c / alpha
+    if not quad_js:
+        return R
 
-    if quad_js:
-        # one quadrature lattice for all finite segments, grouped by segment
-        seg_nodes, seg_w, seg_starts = [], [], []
-        pos = 0
-        for k in range(1, m_fin):
-            tt, w = _simpson_weights(th_fin[k - 1], th_fin[k], step)
-            seg_nodes.append(tt)
-            seg_w.append(w)
-            seg_starts.append(pos)
-            pos += tt.size
-        if seg_starts:
-            tt_all = np.concatenate(seg_nodes)
-            w_all = np.concatenate(seg_w)
-            flow_vals = _eval(problem.flow, xs[:, np.newaxis], tt_all[np.newaxis, :])
-            disc = np.exp(-alpha * tt_all)
+    # discount times weight on the finite segments' lattice (empty when the
+    # only finite theta is 0) and on the infinite wait's ~60/(alpha*step) nodes
+    tt, w, starts = _simpson_lattice(th_fin[:-1], th_fin[1:], step)
+    disc_w = np.exp(-alpha * tt) * w
+    tt_inf, w_inf, _ = _simpson_lattice(0.0, _INF_HORIZON / alpha, step)
+    disc_w_inf = np.exp(-alpha * tt_inf) * w_inf
+    block = max(1, _BLOCK_ELEMENTS // max(tt.size, tt_inf.size))
+    for lo in range(0, n, block):
+        rows = slice(lo, lo + block)
+        x = xs[rows, np.newaxis]
+        if m_fin > 1:
+            flow = _eval(problem.flow, x, tt)
             for j in quad_js:
-                rates = _eval(problem.gradual_costs[j], flow_vals)
-                weighted = rates * (disc * w_all)[np.newaxis, :]
-                seg_int = np.add.reduceat(weighted, seg_starts, axis=1)
-                R[j, :, 1:m_fin] = np.cumsum(seg_int, axis=1)
-
-        # the infinite-wait lattice has ~60/(alpha*step) nodes; chunk the
-        # (states x nodes) workspace so small discount rates stay in memory
-        tt_inf, w_inf = _simpson_weights(0.0, _INF_HORIZON / alpha, step)
-        disc_w = np.exp(-alpha * tt_inf) * w_inf
-        block = max(1, 2_000_000 // tt_inf.size)
-        for start in range(0, n, block):
-            stop = min(start + block, n)
-            flow_inf = _eval(problem.flow, xs[start:stop, np.newaxis],
-                             tt_inf[np.newaxis, :])
-            for j in quad_js:
-                rates = _eval(problem.gradual_costs[j], flow_inf)
-                R[j, start:stop, m_fin] = rates @ disc_w
+                # _eval may return a read-only broadcast view: never scale in place
+                seg = np.add.reduceat(_eval(problem.gradual_costs[j], flow) * disc_w,
+                                      starts, axis=1)
+                np.cumsum(seg, axis=1, out=R[j, rows, 1:m_fin])
+        flow = _eval(problem.flow, x, tt_inf)
+        for j in quad_js:
+            R[j, rows, m_fin] = _eval(problem.gradual_costs[j], flow) @ disc_w_inf
     return R
 
 
@@ -509,8 +522,11 @@ def discretize(problem: ImpulseProblem, grid: GridSpec) -> DiscreteMDP:
     Landing states get linear interpolation weights between the bracketing
     grid points, the rows of ``DiscreteMDP.kernel``; landings beyond the
     truncation clamp to the boundary with a warning.  User maps are called
-    here, never during iteration.  Raises ValueError naming the offending
-    cell if any tabulated cost is non-finite or negative.
+    here, never during iteration: the flow and the running-cost rates once
+    per cache-sized block of grid states, the flow, reset and lump costs for
+    the landings once on the whole grid (a scalar-only map falls back to
+    point by point within each call).  Raises ValueError naming the
+    offending cell if any tabulated cost is non-finite or negative.
     """
     xs = grid.state_points
     thetas = grid.theta_points

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import impulsecontrol as ic
+from impulsecontrol import fluidq
 from impulsecontrol.model import CEMETERY, INFINITY, ConfigError
 
 from conftest import fluid_mdp
@@ -319,7 +321,8 @@ def test_user_map_error_on_arrays_propagates():
 
 
 def test_discretize_infinite_wait_integrals_at_small_discount():
-    # ~600k quadrature nodes per state here; exercises the chunked path
+    # ~600k infinite-wait nodes per state, above _BLOCK_ELEMENTS: one state
+    # per block
     prob = ic.fluid_problem(alpha=0.01, h=1.0, K=1.0, d=100.0)
     grid = ic.GridSpec.uniform(0.0, 50.0, 40, theta_max=50.0, theta_n=10,
                                quadrature_step=0.01)
@@ -330,6 +333,86 @@ def test_discretize_infinite_wait_integrals_at_small_discount():
         want = x / 0.01 + 1.0 / 0.01 ** 2  # h x / alpha + h / alpha^2
         got = float(mdp.costs[1, i, inf_q])
         assert abs(got - want) <= 1e-7 * (1.0 + want)
+
+
+BLOCK_CASES = {
+    # 6001 infinite-wait nodes: 10 states per block, the last block ragged
+    "fluid": lambda: (ic.fluid_problem(alpha=1.0, h=1.0, K=1.0, d=0.5),
+                      ic.GridSpec.uniform(0.0, 2.0, 43, 2.0, 30, 0.01)),
+    "custom-two-action": lambda: ic.problem_from_config(CUSTOM_TWO_ACTION_DOC),
+    # scalar-only maps: each block retries point by point after the TypeError,
+    # and the rate returning 0.2 comes back as a read-only broadcast view
+    "scalar-twin": lambda: (_twin_problem(True), ic.GridSpec.uniform(
+        0.0, 3.0, 16, theta_max=2.0, theta_n=9, quadrature_step=0.05)),
+}
+
+
+@pytest.mark.parametrize("case", BLOCK_CASES)
+def test_block_size_does_not_change_the_tables(monkeypatch, case):
+    prob, grid = BLOCK_CASES[case]()
+    ref = ic.discretize(prob, grid)
+    # one state per block, then the whole grid as one block
+    for elements in (1, 2 ** 40):
+        monkeypatch.setattr(ic.model, "_BLOCK_ELEMENTS", elements)
+        mdp = ic.discretize(prob, grid)
+        np.testing.assert_allclose(mdp.costs, ref.costs, rtol=1e-13, atol=0.0)
+        for attr in ("data", "indices", "indptr"):
+            got, want = getattr(mdp.kernel, attr), getattr(ref.kernel, attr)
+            assert got.dtype == want.dtype and np.array_equal(got, want), attr
+        assert mdp.clamped_cells == ref.clamped_cells
+
+
+def test_simpson_lattice_is_linspace_per_span():
+    # spans of 0.01 and 0.003 need 2 intervals, 0.254 and 1.303 more; on
+    # [0.267, 1.57] the last node 28 * (1.303 / 28) + 0.267 misses 1.57
+    points = np.array([0.0, 0.01, 0.013, 0.267, 1.57])
+    step = 0.05
+    nodes, weights, starts = ic.model._simpson_lattice(points[:-1], points[1:], step)
+    ends = np.append(starts[1:], nodes.size)
+    sizes = []
+    for k, (a, b) in enumerate(zip(points[:-1], points[1:])):
+        tt, w = nodes[starts[k]:ends[k]], weights[starts[k]:ends[k]]
+        n = tt.size - 1
+        sizes.append(n)
+        assert n % 2 == 0 and (b - a) / n <= step
+        assert np.array_equal(tt, np.linspace(a, b, n + 1))
+        assert w.sum() == pytest.approx(b - a, rel=1e-14, abs=0.0)
+    assert sizes == [2, 2, 6, 28]
+
+    # Simpson is exact on cubics, span by span
+    def f(t):
+        return 1.0 - 2.0 * t + 3.0 * t ** 2 + 4.0 * t ** 3
+
+    def antiderivative(t):
+        return t - t ** 2 + t ** 3 + t ** 4
+
+    got = np.add.reduceat(f(nodes) * weights, starts)
+    want = antiderivative(points[1:]) - antiderivative(points[:-1])
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
+
+    # the one-span case is what stage_cost integrates with
+    tt, w, starts = ic.model._simpson_lattice(0.2, 1.7, step)
+    assert starts.tolist() == [0]
+    assert np.array_equal(tt, np.linspace(0.2, 1.7, 31))
+    assert np.dot(w, f(tt)) == pytest.approx(
+        antiderivative(1.7) - antiderivative(0.2), rel=1e-14, abs=0.0)
+
+
+def test_discretize_peak_memory_is_a_small_multiple_of_its_output():
+    # the acceptance fluid grid: 400x400 on [0, 4x*], theta_max 5
+    x_star = fluidq.solve_analytic(fluidq.FluidParams(1.0, 1.0, 1.0, 0.5)).x_star
+    prob = ic.fluid_problem(alpha=1.0, h=1.0, K=1.0, d=0.5)
+    grid = ic.GridSpec.uniform(0.0, 4.0 * x_star, 400, 5.0, 400, 0.01)
+    ic.discretize(prob, ic.GridSpec.uniform(0.0, 1.0, 5, 1.0, 5, 0.01))  # warm
+    tracemalloc.start()
+    try:
+        mdp = ic.discretize(prob, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    k = mdp.kernel
+    output = mdp.costs.nbytes + k.data.nbytes + k.indices.nbytes + k.indptr.nbytes
+    assert peak <= 3 * output, peak / output
 
 
 # ---------------------------------------------------------------------------
