@@ -111,12 +111,20 @@ def _check_multipliers(mdp: DiscreteMDP, g) -> np.ndarray:
 
 
 def combined_cost(mdp: DiscreteMDP, g) -> np.ndarray:
-    """cost_0 + sum_j g_j cost_j as a (n_states, n_actions) table."""
+    """cost_0 + sum_j g_j cost_j as a fresh (n_states, n_actions) table.
+
+    Terms with g_j = 0 are skipped.  The first other term is scaled straight
+    into the output, so a single constraint needs no temporary table.
+    """
     g = _check_multipliers(mdp, g)
-    out = mdp.costs[0].copy()
-    for j, gj in enumerate(g):
-        if gj != 0.0:
-            out += gj * mdp.costs[1 + j]
+    terms = [(gj, mdp.costs[1 + j]) for j, gj in enumerate(g) if gj != 0.0]
+    if not terms:
+        return mdp.costs[0].copy()
+    (g1, cost1), *rest = terms
+    out = g1 * cost1
+    out += mdp.costs[0]
+    for gj, cost in rest:
+        out += gj * cost
     return out
 
 
@@ -128,14 +136,16 @@ def bellman_backup(mdp: DiscreteMDP, W: np.ndarray,
     ascending then label order, so ties prefer the shortest waiting time
     (argmin picks the first minimizer).
     """
-    q = combined_cost(mdp, g) + mdp.expected_next_value(W)
+    q = mdp.expected_next_value(W)
+    q += combined_cost(mdp, g)
     flat = q.argmin(axis=1)
     return q[np.arange(mdp.n_states), flat], StationaryPolicy(flat, mdp.n_labels)
 
 
 def residual(mdp: DiscreteMDP, W: np.ndarray, g) -> float:
     """Sup-norm of backup(W) - W."""
-    q = combined_cost(mdp, g) + mdp.expected_next_value(W)
+    q = mdp.expected_next_value(W)
+    q += combined_cost(mdp, g)
     return float(np.max(np.abs(q.min(axis=1) - W)))
 
 
@@ -160,8 +170,10 @@ def solve_W(mdp: DiscreteMDP, g, cfg: BellmanConfig = BellmanConfig(),
     if on_iterate is not None:
         on_iterate(0, W.copy())
     for k in range(1, cfg.max_iterations + 1):
-        q = cost + mdp.expected_next_value(W)
+        q = mdp.expected_next_value(W)
+        q += cost
         W_new = q.min(axis=1)
+        del q  # one Q table alive at a time
         if np.any(W_new < W):
             i = int(np.argmax(W - W_new))
             raise RuntimeError(
@@ -176,7 +188,8 @@ def solve_W(mdp: DiscreteMDP, g, cfg: BellmanConfig = BellmanConfig(),
         if sup_change <= cfg.tolerance:
             break
     converged = sup_change <= cfg.tolerance
-    q = cost + mdp.expected_next_value(W)
+    q = mdp.expected_next_value(W)
+    q += cost
     flat = q.argmin(axis=1)
     return BellmanSolution(
         W=W, policy=StationaryPolicy(flat, mdp.n_labels),
@@ -219,12 +232,14 @@ def policy_iteration(mdp: DiscreteMDP, g, cfg: BellmanConfig = BellmanConfig(),
             raise RuntimeError(
                 f"policy iteration step {k} met a survival-1 cycle; impulse "
                 "costs must be positive")
-        q = cost + mdp.expected_next_value(W)
+        q = mdp.expected_next_value(W)
+        q += cost
         best = q.argmin(axis=1)
         q_best = q[rows, best]
         res = float(np.max(np.abs(q_best - W)))
         trace.append((k, res))
         switch = q[rows, flat] - q_best > cfg.tolerance * (1.0 + np.abs(W))
+        del q  # one Q table alive at a time
         if not switch.any() or k == cfg.max_iterations:
             break
         flat = np.where(switch, best, flat)
@@ -240,6 +255,7 @@ def argmin_set(mdp: DiscreteMDP, W: np.ndarray, g, slack) -> tuple:
     ``slack`` may be a scalar or a per-state array of absolute slacks; the
     strict argmin is always included.  Returns one index array per state.
     """
-    q = combined_cost(mdp, g) + mdp.expected_next_value(W)
+    q = mdp.expected_next_value(W)
+    q += combined_cost(mdp, g)
     thr = q.min(axis=1) + np.asarray(slack, dtype=float)
     return tuple(np.nonzero(q[i] <= thr[i])[0] for i in range(mdp.n_states))

@@ -338,8 +338,9 @@ def _verify_checks(problem, grid, mdp, tol_scale: float):
     yield ("flow-identities", rep.flow_ok,
            f"semigroup={rep.semigroup_residual:.3e} identity={rep.identity_residual:.3e}")
 
-    mass_err = float(np.max(np.abs(mdp.kernel.sum(axis=1) - 1.0)))
-    nonneg = bool(np.all(mdp.kernel.data >= 0.0))
+    data = mdp.kernel.data
+    mass_err = float(np.max(np.abs(np.add.reduceat(data, mdp.kernel.indptr[:-1]) - 1.0)))
+    nonneg = bool(np.all(data >= 0.0))
     yield "kernel-mass", mass_err <= 1e-12 and nonneg, f"max|w_lo+w_hi-1|={mass_err:.3e}"
 
     L = mdp.n_labels
@@ -404,6 +405,7 @@ def _verify_checks(problem, grid, mdp, tol_scale: float):
         resid = check_characteristic(mdp, mu)
         occ_ok &= resid <= 1e-9
         dual_costs = np.tensordot(mu.mass, mdp.costs, axes=([0, 1], [1, 2]))
+        del mu  # a full table; the weak-duality solves below need two
         rel = float(np.max(np.abs(dual_costs - costs.v) / (1.0 + np.abs(costs.v))))
         occ_ok &= rel <= 1e-8
         occ_detail.append(f"theta={th[k]:.4g}: char={resid:.2e} dual={rel:.2e}")
@@ -422,8 +424,12 @@ def _verify_checks(problem, grid, mdp, tol_scale: float):
     if feas_values and mdp.n_constraints >= 1:
         try:
             for scale in (0.0, 0.5, 1.0, 2.0, 4.0):
-                pt = dual_value(mdp, scale * ones, bcfg)
-                gap = pt.h - min(feas_values)
+                if scale == 1.0 and pi.converged:
+                    # the cold policy iteration above is h's solve at g = ones
+                    h = float(pi.W[mdp.x0_index]) - float(ones @ d)
+                else:
+                    h = dual_value(mdp, scale * ones, bcfg).h
+                gap = h - min(feas_values)
                 worst_gap = max(worst_gap, gap)
                 wd_ok &= gap <= 10.0 * bcfg.tolerance + 1e-9
             detail = f"max h(g) - V0(feasible) = {worst_gap:.3e}"

@@ -16,9 +16,11 @@ large float) so that killing is exact.  The landing map is stored once, as
 the sparse matrix ``DiscreteMDP.kernel`` that every solver reads.
 
 User maps (flow, reset, cost rates, lump costs) are called on numpy arrays,
-once per block of grid states (a block is the whole grid except in the
-running-cost quadrature, whose blocks are sized to stay in cache), so they
-should be written with numpy operations.  A map that only accepts scalars
+once per block of grid states, never on the whole grid at once: the flow,
+reset and lump maps once per block of about ``_BLOCK_CELLS`` (state, action)
+cells, and the flow and cost rates of the running-cost quadrature once per
+smaller inner block sized to stay in cache.  So they should be written with
+numpy operations.  A map that only accepts scalars
 still works: when a call on a block's arrays raises TypeError or ValueError
 (what numpy raises when ``math.exp`` or an ``if`` meets an array) the map is
 evaluated point by point within that block, which is much slower.  Any other
@@ -56,6 +58,8 @@ _INF_HORIZON = 60.0
 # float64 elements of one (states x quadrature nodes) workspace of the
 # running-cost tabulation: 512 KiB, so a block's workspaces stay in L2 cache
 _BLOCK_ELEMENTS = 2 ** 16
+# (state, action) cells per block of discretize's one pass over its tables
+_BLOCK_CELLS = 2 ** 16
 # validate's flow identities: grid states sampled and the residual they allow
 FLOW_SAMPLES = 12
 FLOW_TOLERANCE = 1e-9
@@ -261,9 +265,12 @@ class DiscreteMDP:
 
         ``values`` is a (n_states,) array over grid states; the cemetery value
         is identically 0 so the killed mass drops out.  The kernel product is
-        bitwise ``w_lo * values[next_lo] + w_hi * values[next_hi]``.
+        bitwise ``w_lo * values[next_lo] + w_hi * values[next_hi]``.  Returns
+        a fresh (n_states, n_actions) array that callers may update in place.
         """
-        return (self.kernel @ values).reshape(self.n_states, -1) * self.survival
+        q = (self.kernel @ values).reshape(self.n_states, -1)
+        q *= self.survival
+        return q
 
     def solve_policy(self, flat: np.ndarray, rhs: np.ndarray,
                      transpose: bool = False) -> np.ndarray | None:
@@ -272,17 +279,28 @@ class DiscreteMDP:
         P is the sub-stochastic state-to-state matrix of the chain that takes
         action ``flat[i]`` at grid state i (the killed mass leaves it): the
         kernel rows of the cells (i, flat[i]), each scaled by its survival.
-        ``rhs`` may have one column per right-hand side.  Returns None when
-        the system is singular (a survival-1 cycle) or the solution is not
-        finite.
+        I - P is assembled directly, three entries per row (the diagonal 1,
+        then -survival * weight at the two landings), with duplicates summed
+        and zeros dropped.  ``rhs`` may have one column per right-hand side.
+        Returns None when the system is singular (a survival-1 cycle) or the
+        solution is not finite.
         """
         n = self.n_states
-        P = self.kernel[np.arange(n) * self.n_actions + flat]
-        # the row slice is a fresh copy with two entries per row
-        P.data *= np.repeat(self.survival[flat], 2)
-        A = (sparse.eye(n, format="csc") - (P.T if transpose else P).tocsc()).tocsc()
+        k = 2 * (np.arange(n) * self.n_actions + flat)  # first kernel entry
+        s = self.survival[flat]
+        cols = np.empty((n, 3), dtype=np.int32)
+        vals = np.empty((n, 3))
+        cols[:, 0], vals[:, 0] = np.arange(n), 1.0
+        for e in (1, 2):
+            cols[:, e] = self.kernel.indices[k + e - 1]
+            vals[:, e] = -(s * self.kernel.data[k + e - 1])
+        A = sparse.csr_matrix((vals.ravel(), cols.ravel(),
+                               np.arange(0, 3 * n + 1, 3, dtype=np.int32)),
+                              shape=(n, n))
+        A.sum_duplicates()
+        A.eliminate_zeros()
         try:
-            lu = splu(A)
+            lu = splu((A.T if transpose else A).tocsc())
         except RuntimeError:
             return None
         with np.errstate(all="ignore"):
@@ -464,56 +482,73 @@ def transition(problem: ImpulseProblem, x, theta: float, a):
     return nxt, math.exp(-problem.alpha * theta)
 
 
-def _tabulate_running_integrals(problem: ImpulseProblem, grid: GridSpec) -> np.ndarray:
-    """Cumulative discounted running integrals R[j, state, theta_index].
+def _running_integral_blocks(problem: ImpulseProblem, grid: GridSpec, R: np.ndarray):
+    """Write the cumulative discounted running integrals into R, block by block.
 
+    ``R[j, i, k]`` becomes the integral of rate j over [0, theta_k] from grid
+    state i; R may be a strided view, such as one label's columns of the cost
+    table.  Yields the slice of grid states of each block of about
+    ``_BLOCK_CELLS`` (state, action) cells once its rows of R are written.
     Finite theta columns accumulate segment-wise composite Simpson between
     consecutive theta grid points (step bounded by quadrature_step); the last
     column is the infinite-wait integral over [0, 60/alpha].  Both lattices
     come from :func:`_simpson_lattice`, the rule :func:`stage_cost` uses on
     its single span, so values agree with it to quadrature accuracy, not
-    bitwise.  The flow and the cost rates are called once per block of
+    bitwise.  Constant rates take the closed form.
+
+    The flow and the cost rates are called once per inner block of
     ``_BLOCK_ELEMENTS // nodes`` grid states, where ``nodes`` is the larger
     lattice, so the (states x nodes) workspaces stay cache-sized whatever the
-    grid and the discount rate.
+    grid and the discount rate.  A block is a whole number of inner blocks,
+    so each inner block, and the rounding of its infinite-wait product, is
+    the same whatever ``_BLOCK_CELLS`` is.
     """
     xs = grid.state_points
     th_fin = grid.theta_points[:-1]
     alpha = problem.alpha
     step = grid.quadrature_step
     n, m_fin, jn = xs.size, th_fin.size, problem.n_costs
-    R = np.zeros((jn, n, m_fin + 1))
 
     quad_js = [j for j in range(jn) if problem.constant_rate(j) is None]
-    for j in range(jn):
-        c = problem.constant_rate(j)
-        if c is not None:
-            R[j, :, :m_fin] = c * (-np.expm1(-alpha * th_fin)) / alpha
-            R[j, :, m_fin] = c / alpha
-    if not quad_js:
-        return R
+    inner = 1
+    if quad_js:
+        # discount times weight on the finite segments' lattice (empty when
+        # the only finite theta is 0) and on the infinite wait's
+        # ~60/(alpha*step) nodes
+        tt, w, starts = _simpson_lattice(th_fin[:-1], th_fin[1:], step)
+        disc_w = np.exp(-alpha * tt) * w
+        tt_inf, w_inf, _ = _simpson_lattice(0.0, _INF_HORIZON / alpha, step)
+        disc_w_inf = np.exp(-alpha * tt_inf) * w_inf
+        inner = max(1, _BLOCK_ELEMENTS // max(tt.size, tt_inf.size))
+    cells = (m_fin + 1) * len(problem.actions)
+    block = min(n, inner * max(1, _BLOCK_CELLS // (cells * inner)))
 
-    # discount times weight on the finite segments' lattice (empty when the
-    # only finite theta is 0) and on the infinite wait's ~60/(alpha*step) nodes
-    tt, w, starts = _simpson_lattice(th_fin[:-1], th_fin[1:], step)
-    disc_w = np.exp(-alpha * tt) * w
-    tt_inf, w_inf, _ = _simpson_lattice(0.0, _INF_HORIZON / alpha, step)
-    disc_w_inf = np.exp(-alpha * tt_inf) * w_inf
-    block = max(1, _BLOCK_ELEMENTS // max(tt.size, tt_inf.size))
     for lo in range(0, n, block):
-        rows = slice(lo, lo + block)
-        x = xs[rows, np.newaxis]
-        if m_fin > 1:
-            flow = _eval(problem.flow, x, tt)
+        rows = slice(lo, min(lo + block, n))
+        for j in range(jn):
+            c = problem.constant_rate(j)
+            if c is None:
+                R[j, rows, 0] = 0.0  # nothing accrues over theta = 0
+            else:
+                R[j, rows, :m_fin] = c * (-np.expm1(-alpha * th_fin)) / alpha
+                R[j, rows, m_fin] = c / alpha
+        for sub in range(lo, rows.stop, inner) if quad_js else ():
+            x = xs[sub:min(sub + inner, rows.stop), np.newaxis]
+            part = slice(sub, sub + x.shape[0])
+            if m_fin > 1:
+                flow = _eval(problem.flow, x, tt)
+                for j in quad_js:
+                    # _eval may return a read-only broadcast view: never
+                    # scale in place
+                    seg = np.add.reduceat(
+                        _eval(problem.gradual_costs[j], flow) * disc_w,
+                        starts, axis=1)
+                    np.cumsum(seg, axis=1, out=R[j, part, 1:m_fin])
+            flow = _eval(problem.flow, x, tt_inf)
             for j in quad_js:
-                # _eval may return a read-only broadcast view: never scale in place
-                seg = np.add.reduceat(_eval(problem.gradual_costs[j], flow) * disc_w,
-                                      starts, axis=1)
-                np.cumsum(seg, axis=1, out=R[j, rows, 1:m_fin])
-        flow = _eval(problem.flow, x, tt_inf)
-        for j in quad_js:
-            R[j, rows, m_fin] = _eval(problem.gradual_costs[j], flow) @ disc_w_inf
-    return R
+                R[j, part, m_fin] = _eval(problem.gradual_costs[j], flow) @ disc_w_inf
+        flow = seg = None  # no workspace outlives its block
+        yield rows
 
 
 def discretize(problem: ImpulseProblem, grid: GridSpec) -> DiscreteMDP:
@@ -522,10 +557,13 @@ def discretize(problem: ImpulseProblem, grid: GridSpec) -> DiscreteMDP:
     Landing states get linear interpolation weights between the bracketing
     grid points, the rows of ``DiscreteMDP.kernel``; landings beyond the
     truncation clamp to the boundary with a warning.  User maps are called
-    here, never during iteration: the flow and the running-cost rates once
-    per cache-sized block of grid states, the flow, reset and lump costs for
-    the landings once on the whole grid (a scalar-only map falls back to
-    point by point within each call).  Raises ValueError naming the
+    here, never during iteration, and the tables are built in one pass over
+    blocks of about ``_BLOCK_CELLS`` (state, action) cells, written straight
+    into the output: per block, the flow and the running-cost rates once per
+    cache-sized inner block of grid states (see
+    :func:`_running_integral_blocks`), then the flow, reset and lump costs
+    for the landings once on the block, not once on the whole grid (a
+    scalar-only map falls back to point by point within each call).  Raises ValueError naming the
     offending cell if any tabulated cost is non-finite or negative.
     """
     xs = grid.state_points
@@ -553,38 +591,43 @@ def discretize(problem: ImpulseProblem, grid: GridSpec) -> DiscreteMDP:
             "exp(-alpha*theta) underflows to 0 for a finite theta point; "
             "reduce theta_max or alpha")
 
-    R = _tabulate_running_integrals(problem, grid)
-
     # kernel entries [i, k, a] = (lower, upper) of cell (i, k*L + a); INF cells
     # are all killed, and a zero weight on state 1 keeps the CSR canonical
     cols = np.empty((n, m, L, 2), dtype=np.int32)
     weights = np.empty((n, m, L, 2))
     cols[:, -1], weights[:, -1] = (0, 1), (1.0, 0.0)
-    # action q = k*L + a carries R[j, :, k]; the INF column keeps just that
-    costs = np.repeat(R, L, axis=2)
+    costs = np.empty((jn, n, n_actions))
     costs_v = costs.reshape(jn, n, m, L)
     clamp_tol = 1e-12 * (1.0 + xs[-1] - xs[0])
     clamped = 0
+    all_ok = True
 
-    y_flow = _eval(problem.flow, xs[:, np.newaxis], thetas[np.newaxis, :-1])
     surv_fin = survival[::L][:-1]
-    for a_idx, label in enumerate(labels):
-        landing = _eval(problem.reset, y_flow, label)
-        clamped += int(np.sum((landing < xs[0] - clamp_tol)
-                              | (landing > xs[-1] + clamp_tol)))
-        landing = np.clip(landing, xs[0], xs[-1])
-        hi = np.clip(np.searchsorted(xs, landing), 1, n - 1)
-        lo = hi - 1
-        frac = np.clip((landing - xs[lo]) / (xs[hi] - xs[lo]), 0.0, 1.0)
-        cols[:, :-1, a_idx, 0], cols[:, :-1, a_idx, 1] = lo, hi
-        weights[:, :-1, a_idx, 0], weights[:, :-1, a_idx, 1] = 1.0 - frac, frac
-        for j in range(jn):
-            costs_v[j, :, :-1, a_idx] += surv_fin * _eval(
-                problem.impulse_costs[j], y_flow, label)
+    # action q = k*L + a carries the running integral R[j, :, k], written
+    # into label 0 and copied to the others; the INF column keeps just that
+    for rows in _running_integral_blocks(problem, grid, costs_v[..., 0]):
+        block = costs_v[:, rows]
+        for a_idx in range(1, L):
+            block[..., a_idx] = block[..., 0]
+        y_flow = _eval(problem.flow, xs[rows, np.newaxis], thetas[np.newaxis, :-1])
+        for a_idx, label in enumerate(labels):
+            landing = _eval(problem.reset, y_flow, label)
+            clamped += int(np.sum((landing < xs[0] - clamp_tol)
+                                  | (landing > xs[-1] + clamp_tol)))
+            landing = np.clip(landing, xs[0], xs[-1])
+            hi = np.clip(np.searchsorted(xs, landing), 1, n - 1)
+            lo = hi - 1
+            frac = np.clip((landing - xs[lo]) / (xs[hi] - xs[lo]), 0.0, 1.0)
+            cols[rows, :-1, a_idx, 0], cols[rows, :-1, a_idx, 1] = lo, hi
+            weights[rows, :-1, a_idx, 0], weights[rows, :-1, a_idx, 1] = 1.0 - frac, frac
+            for j in range(jn):
+                block[j, :, :-1, a_idx] += surv_fin * _eval(
+                    problem.impulse_costs[j], y_flow, label)
+        # a flag only: the scan below names the first bad cell in table order
+        all_ok &= bool(np.all(block >= 0.0) and np.isfinite(block).all())
 
-    bad = ~np.isfinite(costs) | (costs < 0.0)
-    if np.any(bad):
-        j, i, q = np.argwhere(bad)[0]
+    if not all_ok:
+        j, i, q = np.argwhere(~np.isfinite(costs) | (costs < 0.0))[0]
         raise ValueError(
             f"tabulated cost is non-finite or negative at state {xs[i]} "
             f"(index {i}), theta={thetas[q // L]}, action={labels[q % L]!r}, "

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -44,6 +45,24 @@ def fluid_mdp(d=0.5, state_n=120, theta_n=120, state_max=5.0, theta_max=5.0,
     return prob, grid, ic.discretize(prob, grid)
 
 
+def accept_fluid_problem():
+    """The acceptance fluid problem on its 400x400 grid over [0, 4x*]."""
+    x_star = fluidq.solve_analytic(fluidq.FluidParams(**BENCH)).x_star
+    return (ic.fluid_problem(**BENCH),
+            ic.GridSpec.uniform(0.0, 4.0 * x_star, 400, 5.0, 400, 0.01))
+
+
+def traced_peak(fn):
+    """(peak bytes tracemalloc sees while ``fn()`` runs, its result)."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, out
+
+
 def constant_theta_policy(mdp, theta_index, label_index=0):
     """Wait theta_points[theta_index] at every state, then impulse."""
     flat = np.full(mdp.n_states, theta_index * mdp.n_labels + label_index,
@@ -86,3 +105,10 @@ def small_mdp(small_fluid):
 def j2_mdp():
     prob, grid = ic.problem_from_config(J2_DOC)
     return ic.discretize(prob, grid)
+
+
+@pytest.fixture(scope="session")
+def accept_fluid():
+    """(problem, grid, mdp) of the acceptance 400x400 fluid grid."""
+    prob, grid = accept_fluid_problem()
+    return prob, grid, ic.discretize(prob, grid)

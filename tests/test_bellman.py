@@ -9,7 +9,7 @@ import impulsecontrol as ic
 from impulsecontrol import fluidq
 from impulsecontrol.bellman import combined_cost
 
-from conftest import fluid_mdp
+from conftest import fluid_mdp, traced_peak
 
 
 G_STAR = 1.8480894645490473  # analytic multiplier for the benchmark
@@ -211,3 +211,35 @@ def test_policy_iteration_step_cap(small_mdp):
     assert not sol.converged and sol.iterations == 1
     # the returned policy is the one evaluated: never impulse
     assert np.all(sol.policy.choice[:, 0] == small_mdp.theta_points.size - 1)
+
+
+@pytest.mark.parametrize("g", [[3.0, 0.5], [0.0, 0.5], [3.0, 0.0], [0.0, 0.0]])
+def test_combined_cost_is_the_left_to_right_sum(j2_mdp, g):
+    # cost_0 + g_1 cost_1 + g_2 cost_2 in that order, zero terms skipped
+    want = j2_mdp.costs[0].copy()
+    for gj, cost in zip(g, j2_mdp.costs[1:]):
+        if gj != 0.0:
+            want += gj * cost
+    got = combined_cost(j2_mdp, g)
+    assert np.array_equal(got, want)
+    assert got.flags.writeable and not np.shares_memory(got, j2_mdp.costs)
+
+
+def test_expected_next_value_is_a_fresh_writable_table(small_mdp):
+    W = np.linspace(0.0, 1.0, small_mdp.n_states)
+    q = small_mdp.expected_next_value(W)
+    assert q.shape == (small_mdp.n_states, small_mdp.n_actions)
+    assert q.flags.writeable
+    assert not any(np.shares_memory(q, a) for a in (
+        small_mdp.kernel.data, small_mdp.survival, small_mdp.costs))
+
+
+@pytest.mark.parametrize("solver", [ic.policy_iteration, ic.solve_W])
+def test_bellman_solve_keeps_one_q_table(accept_fluid, solver):
+    # the combined cost and one Q table, plus per-state vectors and the
+    # policy's sparse system; one table is n_states * n_actions * 8 bytes
+    _, _, mdp = accept_fluid
+    table = mdp.n_states * mdp.n_actions * 8
+    solver(mdp, [1.0])  # warm
+    peak, _ = traced_peak(lambda: solver(mdp, [1.0]))
+    assert peak <= 2.2 * table, peak / table

@@ -8,7 +8,7 @@ from importlib import resources
 import impulsecontrol as ic
 import impulsecontrol.cli as cli
 
-from conftest import threshold_policy
+from conftest import threshold_policy, traced_peak
 
 
 BASE_DOC = {
@@ -328,6 +328,40 @@ def test_verify_weak_duality_fails_on_nonconverged_probe(config_file,
             if "weak-duality" in ln]
     assert line[0].startswith("FAIL weak-duality: ")
     assert "did not converge" in line[0]
+
+
+def test_verify_weak_duality_reuses_the_agreement_solve(config_file,
+                                                      monkeypatch, capsys):
+    # at g = ones the weak-duality probe is the policy-iteration-agreement
+    # check's cold solve, so only the other four scales call dual_value
+    calls = []
+    real = cli.dual_value
+
+    def counted(mdp, g, cfg):
+        calls.append(g.tolist())
+        return real(mdp, g, cfg)
+
+    monkeypatch.setattr(cli, "dual_value", counted)
+    assert cli.main(["verify", "--config", config_file]) == 0
+    assert calls == [[0.0], [0.5], [2.0], [4.0]]
+    assert "PASS weak-duality: max h(g) - V0(feasible) = " in capsys.readouterr().out
+    # the reused value is bitwise the one dual_value returns
+    prob, grid = ic.problem_from_config(BASE_DOC)
+    mdp = ic.discretize(prob, grid)
+    pi = ic.policy_iteration(mdp, [1.0])
+    assert pi.W[mdp.x0_index] - mdp.bounds[0] == real(mdp, [1.0]).h
+
+
+def test_verify_checks_peak_memory(accept_fluid):
+    # the Bellman checks hold a cost and one Q table, the occupation checks
+    # a mass table and its product with survival, and no table outlives its
+    # check; kernel-mass sums rows without a dense copy.  One table is
+    # n_states * n_actions * 8 bytes.
+    prob, grid, mdp = accept_fluid
+    table = mdp.n_states * mdp.n_actions * 8
+    peak, checks = traced_peak(lambda: list(cli._verify_checks(prob, grid, mdp, 1.0)))
+    assert all(passed for _, passed, _ in checks)
+    assert peak <= 2.2 * table, peak / table
 
 
 def test_dual_curve_warm_start_matches_cold_start(capsys):
