@@ -10,9 +10,11 @@ those cuts (Kelley 1960), one algorithm for any number of constraints.  Its
 master program is one LP and its LP dual (Dantzig and Wolfe 1960): the
 restricted master over mixtures of the cut policies, whose bound-row duals
 maximize the cut model over the multiplier box and whose primal weights are
-the mixture, a vertex that mixes at most J+1 cut policies.  Optimality
-certificates (feasibility, Lagrangian value, slackness, weak duality) are
-checked last.
+the mixture.  The master has J+1 rows and one column per cut, so it is
+solved in process by a dense revised primal simplex with Bland's
+anti-cycling rule (Bland 1977); its optimal basis mixes at most J+1 cut
+policies.  Optimality certificates (feasibility, Lagrangian value,
+slackness, weak duality) are checked last.
 """
 
 from __future__ import annotations
@@ -52,6 +54,10 @@ G_INIT = 1.0
 BRACKET_CAP = 2.0 ** 60
 # multipliers above this label a solve's regime "constrained"
 MULTIPLIER_TOL = 1e-6
+# safety net on the simplex loop of mix_weights, far above the pivots that
+# Bland's rule takes on any master of a solve
+_MAX_PIVOTS = 10_000
+_TINY = np.finfo(float).tiny
 # certificate tolerances, relative to 1 + d_j and to 1 + |h(g*)|
 FEASIBILITY_TOL = 1e-6
 SLACKNESS_TOL = 1e-4
@@ -221,24 +227,76 @@ def mix_weights(V: np.ndarray, d: np.ndarray, box: np.ndarray):
     duals g maximize the model, the optimal value UB bounds h from above on
     the box, and w is a mixture of the cut policies.  Where g_j < box_j,
     mu_j = 0 and complementary slackness makes bound j tight when g_j > 0.
-    Dual simplex returns a vertex, supported on at most J+1 cuts.  Returns
-    (w, g, UB); raises RuntimeError when the LP solver fails.
-    """
-    # imported here so that commands which never solve an LP skip loading
-    # scipy.optimize
-    from scipy.optimize import linprog
 
+    The LP is solved in process by a dense revised primal simplex with
+    Bland's anti-cycling rule (Bland 1977) on the standard form with slacks
+    s_j, starting from the cut of least elastic cost, which is a feasible
+    basis.  It ends on a basis of J+1 columns, so at most J+1 cuts carry
+    weight.  Returns (w, g, UB); raises RuntimeError when the simplex hits
+    its pivot cap, meets a singular basis or ends on a non-finite solution.
+    """
     n_cuts, J = V.shape[0], d.size
-    res = linprog(
-        np.concatenate([V[:, 0], box]),
-        A_ub=np.hstack([V[:, 1:].T, -np.eye(J)]), b_ub=d,
-        A_eq=np.concatenate([np.ones(n_cuts), np.zeros(J)])[None, :],
-        b_eq=[1.0], bounds=(0.0, None), method="highs-ds")
-    if not res.success:
-        raise RuntimeError(f"cutting-plane master LP failed: {res.message}")
-    w = np.maximum(res.x[:n_cuts], 0.0)
+    if not np.isfinite(V).all():
+        raise RuntimeError("cutting-plane master LP failed: non-finite cut costs")
+    # columns w_1..w_K, mu_1..mu_J, s_1..s_J; rows the J bounds, then sum w
+    c = np.concatenate([V[:, 0], box, np.zeros(J)])
+    A = np.zeros((J + 1, n_cuts + 2 * J))
+    A[:J, :n_cuts] = V[:, 1:].T
+    A[:J, n_cuts:] = np.hstack([-np.eye(J), np.eye(J)])
+    A[J, :n_cuts] = 1.0
+    b = np.append(d, 1.0)
+    absA = np.abs(A)
+    excess = V[:, 1:] - d
+    k0 = int(np.argmin(V[:, 0] + np.maximum(excess, 0.0) @ box))
+    rows = np.arange(J)
+    basis = np.append(np.where(excess[k0] > 0.0, n_cuts + rows,
+                               n_cuts + J + rows), k0)
+    for _ in range(_MAX_PIVOTS):
+        try:
+            B_inv = np.linalg.inv(A[:, basis])
+        except np.linalg.LinAlgError as exc:
+            raise RuntimeError(
+                f"cutting-plane master LP failed: {exc}") from exc
+        # tied cut costs make exact zeros in B^-1 that come out as
+        # round-off; dropped, they keep a huge box out of the y_j
+        # that do not depend on it, and move each y_j by at most drop
+        row_max = np.abs(B_inv).max(axis=1)
+        B_inv[np.abs(B_inv) <= 1e-14 * row_max[:, None]] = 0.0
+        drop = 1e-14 * float(np.abs(c[basis]) @ row_max)
+        x_B = B_inv @ b
+        y = c[basis] @ B_inv
+        r = c - y @ A
+        r[basis] = 0.0
+        # Bland: the lowest-index improving column enters, and of the
+        # ratio-test ties the lowest-index basic variable leaves.  The
+        # tolerance is per column: round-off on the terms of r_e (box
+        # enters c), plus what the drop moved y by, which also covers a
+        # y that cancels to round-off, plus a floor for subnormal r_e.
+        tol = (1e-12 * (np.abs(c) + np.abs(y) @ absA)
+               + drop * absA.sum(axis=0) + _TINY)
+        improving = np.flatnonzero(r < -tol)
+        if improving.size == 0:
+            break
+        u = B_inv @ A[:, improving[0]]
+        pivots = np.flatnonzero(u > 1e-12 * np.abs(u).max())
+        if pivots.size == 0:  # box >= 0 rules out an unbounded ray
+            raise RuntimeError(
+                "cutting-plane master LP failed: unbounded ray")
+        ratio = np.maximum(x_B[pivots], 0.0) / u[pivots]
+        ties = pivots[ratio <= ratio.min() + 1e-12 * (1.0 + ratio.min())]
+        basis[ties[np.argmin(basis[ties])]] = improving[0]
+    else:
+        raise RuntimeError(
+            f"cutting-plane master LP failed: no optimal basis within "
+            f"{_MAX_PIVOTS} pivots")
+    x = np.zeros(c.size)
+    x[basis] = x_B
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise RuntimeError(
+            "cutting-plane master LP failed: non-finite solution")
+    w = np.maximum(x[:n_cuts], 0.0)
     w[w < 1e-12] = 0.0
-    return w / w.sum(), np.maximum(-res.ineqlin.marginals, 0.0), float(res.fun)
+    return w / w.sum(), np.clip(-y[:J], 0.0, box), float(c @ x)
 
 
 def maximize_dual(mdp: DiscreteMDP, cfg: BellmanConfig = BellmanConfig()):
@@ -278,9 +336,8 @@ def maximize_dual(mdp: DiscreteMDP, cfg: BellmanConfig = BellmanConfig()):
         except RuntimeError as exc:
             if np.all(box == G_INIT):
                 raise
-            # the box only grows while h keeps increasing, and a large
-            # enough box fails the LP once g.(V - d) swamps V0 in double
-            # precision
+            # the box only grows while h keeps increasing, so a master
+            # that fails on a grown box counts as an unbounded dual
             raise DualBracketError(
                 f"{exc} at multiplier box {box.tolist()}; the dual "
                 "functional kept increasing, so the constraints appear to "

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import impulsecontrol as ic
@@ -166,39 +166,160 @@ def _cut_model_max(V, d, box):
     """max over g in [0, box] of min_k V0_k + g.(V_k - d), as its own LP.
 
     Test-side reference: variables (t, g), max t s.t.
-    t + g.(d - V_k) <= V0_k.
+    t + g.(d - V_k) <= V0_k.  Returns None when HiGHS fails.
     """
     c = np.zeros(d.size + 1)
     c[0] = -1.0
     res = scipy.optimize.linprog(
         c, A_ub=np.hstack([np.ones((len(V), 1)), d - V[:, 1:]]), b_ub=V[:, 0],
         bounds=[(None, None)] + [(0.0, b) for b in box], method="highs-ds")
-    assert res.success
-    return float(res.x[0])
+    return float(res.x[0]) if res.success else None
 
 
-@settings(max_examples=60, deadline=None)
+def _check_master(V, d, box, ref):
+    """(w, g, UB) of mix_weights against the cut model's maximum ``ref``."""
+    J = d.size
+    w, g, ub = mix_weights(V, d, box)
+    # HiGHS stops within its default 1e-7 primal and dual feasibility
+    # tolerances, so either LP may settle on a cut cheaper by less than that.
+    # HiGHS also drops matrix entries below 1e-9 (its small_matrix_value), so
+    # its model misses box_j times any such V_kj - d_j.  And the model at g
+    # is known only up to the round-off of g.(V - d), the elastic cost of w
+    # up to that of box.(w V - d): far below 1e-7 for a box of 8, not for
+    # one of 2^60.
+    gap = np.abs(V[:, 1:] - d)
+    tol = (1e-7 * (1.0 + abs(ref)) + 1e-13 * float(g @ gap.max(axis=0))
+           + float(box @ np.where(gap <= 1e-9, gap, 0.0).max(axis=0)))
+    assert ub == pytest.approx(ref, abs=tol)
+    # g maximizes the cut model, inside the box
+    assert np.all(g >= 0.0) and np.all(g <= box)
+    assert float(np.min(V[:, 0] + (V[:, 1:] - d) @ g)) == pytest.approx(ref, abs=tol)
+    # w is a vertex mixture whose elastic cost is the same optimum
+    assert np.all(w >= 0.0) and w.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.count_nonzero(w) <= J + 1
+    excess = np.maximum(w @ V[:, 1:] - d, 0.0)
+    w_tol = tol + 1e-13 * float(box @ (1.0 + np.abs(V[:, 1:]).max(axis=0)))
+    assert float(w @ V[:, 0] + box @ excess) == pytest.approx(ref, abs=w_tol)
+    return w, g, ub
+
+
+# a coarse lattice makes ties between cuts and cuts on the bound common
+_LATTICE = st.integers(0, 8).map(lambda i: i / 4.0)
+
+
+@settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_mix_weights_agrees_with_cut_model(data):
-    J = data.draw(st.sampled_from([1, 2]))
-    n_cuts = data.draw(st.integers(1, 6))
-    V = data.draw(hnp.arrays(np.float64, (n_cuts, 1 + J),
-                             elements=st.floats(0.0, 2.0)))
-    d = data.draw(hnp.arrays(np.float64, J, elements=st.floats(0.1, 1.5)))
-    box = data.draw(hnp.arrays(np.float64, J, elements=st.floats(0.5, 8.0)))
-    w, g, ub = mix_weights(V, d, box)
+    J = data.draw(st.sampled_from([1, 2, 3]))
+    n_distinct = data.draw(st.integers(1, 6))
+    cuts = data.draw(hnp.arrays(np.float64, (n_distinct, 1 + J), elements=st.one_of(
+        _LATTICE, st.floats(0.0, 2.0))))
+    # repeated rows are duplicate cuts
+    V = cuts[data.draw(st.lists(st.integers(0, n_distinct - 1), min_size=1,
+                                max_size=8))]
+    d = data.draw(hnp.arrays(np.float64, J, elements=st.one_of(
+        st.integers(1, 6).map(lambda i: i / 4.0), st.floats(0.1, 1.5))))
+    box = data.draw(hnp.arrays(np.float64, J, elements=st.one_of(
+        st.floats(0.5, 8.0), st.integers(0, 60).map(lambda e: 2.0 ** e))))
     ref = _cut_model_max(V, d, box)
-    # HiGHS stops within its default 1e-7 primal and dual feasibility
-    # tolerances, so either LP may settle on a cut cheaper by less than that
-    tol = 1e-7 * (1.0 + abs(ref))
-    assert ub == pytest.approx(ref, abs=tol)
-    # g maximizes the cut model
-    assert np.all(g >= 0.0) and np.all(g <= box * (1.0 + 1e-12))
-    assert float(np.min(V[:, 0] + (V[:, 1:] - d) @ g)) == pytest.approx(ref, abs=tol)
-    # w is a mixture whose elastic cost is the same optimum
-    assert np.all(w >= 0.0) and w.sum() == pytest.approx(1.0, abs=1e-12)
-    excess = np.maximum(w @ V[:, 1:] - d, 0.0)
-    assert float(w @ V[:, 0] + box @ excess) == pytest.approx(ref, abs=tol)
+    assume(ref is not None)
+    _check_master(V, d, box, ref)
+
+
+@pytest.mark.parametrize("J", [1, 2, 3])
+def test_mix_weights_on_identical_cuts(J):
+    # every cut the same, meeting every bound but the first
+    row = np.concatenate([[0.75], np.full(J, 0.5)])
+    d = np.full(J, 1.0)
+    d[0] = 0.25
+    V = np.tile(row, (5, 1))
+    box = np.full(J, 4.0)
+    w, g, ub = _check_master(V, d, box, 0.75 + 4.0 * 0.25)
+    assert np.count_nonzero(w) == 1 and w.sum() == 1.0
+    assert g[0] == 4.0 and np.all(g[1:] == 0.0)
+
+
+@pytest.mark.parametrize("V, d", [
+    ([[3e-323, 0.0, 0.0], [0.0, 0.0, 1.8046875], [0.0, 0.0, 1.8046875]],
+     [0.25, 0.25]),
+    ([[0.0, 1.0, 2e-260], [0.0, 1.0, 2e-260], [0.25, 0.0, 1.25]], [0.25, 1.0]),
+], ids=["subnormal-cost", "tiny-bound-cost"])
+def test_mix_weights_on_duplicate_cuts_with_tiny_entries(V, d):
+    # the reduced cost of a duplicate cut comes out as round-off far below
+    # 1e-12 of its terms (subnormal, or after a dropped entry of B^-1),
+    # which must not swap the twins forever
+    V, d, box = np.asarray(V), np.asarray(d), np.asarray([1.0, 1.0])
+    _check_master(V, d, box, _cut_model_max(V, d, box))
+
+
+def test_mix_weights_ignores_duals_that_cancel_to_round_off():
+    # cuts 0 and 1 tie on the main cost, and any mixture of them meeting
+    # both bounds is optimal with g = 0.  y cancels to round-off there:
+    # with y from a solve of B^T y = c_B and a reduced-cost tolerance on
+    # |y| alone, the simplex cycled.
+    V = np.asarray([[1.5, 0.1, 1.9], [1.5, 1.4, 0.4], [1.8, 0.8, 1.6]])
+    d, box = np.asarray([0.8, 1.1]), np.asarray([1.0, 1.0])
+    w, g, ub = _check_master(V, d, box, 1.5)
+    assert np.all(g <= 1e-15) and ub == pytest.approx(1.5, abs=1e-15)
+
+
+@pytest.mark.parametrize("V, d, box, g_expected", [
+    # one cut over every bound: every elastic mu_j is basic, so g = box
+    ([[1.5, 2.0, 1.5, 1.75]], [0.75, 1.0, 1.0], [1.0, 1.0, 2.0 ** 59],
+     [1.0, 1.0, 2.0 ** 59]),
+    # mu_3 basic at a 1.4e17 box; g_1 = 1/4 comes from the small costs only
+    ([[0.75, 1.5, 0.25, 0.75], [1.5, 0.75, 0.5, 1.25], [1.0, 0.5, 0.75, 0.75]],
+     [1.25, 0.5, 0.5], [2.0 ** 37, 2.0 ** 42, 2.0 ** 57], [0.25, 0.0, 2.0 ** 57]),
+    # the basic cuts tie on V_2, so B^-1 has an exact zero that round-off
+    # turns into 1e-17: times the 2^23 box, noise in y_3
+    ([[0.5, 0.5, 1.5, 1.75], [0.5, 2.0, 1.5, 0.0], [1.0, 1.75, 1.5, 1.25],
+      [0.75, 1.0, 2.0, 1.75], [1.5, 1.0, 2.0, 1.5]],
+     [1.25, 1.25, 1.25], [8.0, 2.0 ** 23, 2.0 ** 30], [0.0, 2.0 ** 23, 0.0]),
+], ids=["one-cut", "mu-basic", "tied-costs"])
+def test_mix_weights_keeps_a_huge_box_out_of_the_other_multipliers(
+        V, d, box, g_expected):
+    # Gaussian elimination on B^T y = c_B mixes the huge box into the small
+    # multipliers, by far more than their size, and sends the simplex round
+    # a cycle or along a spurious ray.
+    V, d, box = np.asarray(V), np.asarray(d), np.asarray(box)
+    w, g, ub = _check_master(V, d, box, _cut_model_max(V, d, box))
+    assert np.array_equal(g, g_expected)
+
+
+def test_mix_weights_clips_the_multiplier_to_the_box():
+    # g_3 sits on the box: -y_3 overshoots 1 by round-off
+    V = np.asarray([[1.6, 0.6, 1.6, 0.6], [0.9, 0.3, 1.2, 1.5]])
+    d, box = np.asarray([1.25, 1.5, 0.5]), np.asarray([1.0, 1.0, 1.0])
+    w, g, ub = _check_master(V, d, box, _cut_model_max(V, d, box))
+    assert g[2] == 1.0
+
+
+def test_mix_weights_with_a_cut_exactly_on_the_bound():
+    # cut 1 sits on d = 0.5: the model min(1 - 0.5 g, 0.5, 0.25 + 0.5 g)
+    # is flat at 0.5 for g in [1/2, 1], and the cheapest feasible mixture
+    # is cut 1 alone
+    V = np.asarray([[1.0, 0.0], [0.5, 0.5], [0.25, 1.0]])
+    d, box = np.asarray([0.5]), np.asarray([8.0])
+    w, g, ub = _check_master(V, d, box, 0.5)
+    assert ub == 0.5
+    assert 0.5 <= g[0] <= 1.0
+    assert float(w @ V[:, 1]) == pytest.approx(0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_mix_weights_fails_on_non_finite_cut_costs(bad):
+    V = np.asarray([[1.0, 0.2], [0.0, 0.8]])
+    V[1, 1] = bad
+    with pytest.raises(RuntimeError, match="cutting-plane master LP failed"):
+        mix_weights(V, np.asarray([0.5]), np.asarray([1.0]))
+
+
+def test_mix_weights_fails_at_its_pivot_cap(monkeypatch):
+    monkeypatch.setattr(dual, "_MAX_PIVOTS", 0)
+    with pytest.raises(RuntimeError,
+                       match="cutting-plane master LP failed: .*0 pivots"):
+        mix_weights(np.asarray([[1.0, 0.2], [0.0, 0.8]]), np.asarray([0.5]),
+                    np.asarray([10.0]))
 
 
 def test_mix_weights_is_the_only_lp_of_a_solve(monkeypatch, j2_mdp):
@@ -221,26 +342,25 @@ def test_mix_weights_is_the_only_lp_of_a_solve(monkeypatch, j2_mdp):
 def test_master_lp_failure_after_doubling_is_a_bracket_error(monkeypatch):
     prob, grid = ic.problem_from_config(INFEASIBLE_J1_DOC)
     mdp = ic.discretize(prob, grid)
-    real = scipy.optimize.linprog
+    real = dual.mix_weights
     calls = []
 
     def failing_from(n):
-        def linprog(*args, **kwargs):
+        def mix_weights(*args):
             calls.append(1)
             if len(calls) < n:
-                return real(*args, **kwargs)
-            return scipy.optimize.OptimizeResult(
-                success=False, status=4, message="forced failure")
-        return linprog
+                return real(*args)
+            raise RuntimeError("cutting-plane master LP failed: forced failure")
+        return mix_weights
 
     # a failure in the first box is a plain LP failure
-    monkeypatch.setattr(scipy.optimize, "linprog", failing_from(1))
+    monkeypatch.setattr(dual, "mix_weights", failing_from(1))
     with pytest.raises(RuntimeError, match="forced failure") as info:
         ic.maximize_dual(mdp)
     assert not isinstance(info.value, ic.DualBracketError)
     # after the box has doubled it means the dual kept increasing
     calls.clear()
-    monkeypatch.setattr(scipy.optimize, "linprog", failing_from(3))
+    monkeypatch.setattr(dual, "mix_weights", failing_from(3))
     with pytest.raises(ic.DualBracketError, match="forced failure.*increasing"):
         ic.maximize_dual(mdp)
     assert len(calls) == 3
@@ -251,6 +371,18 @@ def test_import_does_not_load_the_lp_solver():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")]))
     code = ("import sys, impulsecontrol, impulsecontrol.cli; "
+            "assert 'scipy.optimize' not in sys.modules")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_solve_does_not_load_the_lp_solver(tmp_path):
+    root = Path(ic.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root), os.environ.get("PYTHONPATH", "")]))
+    config = root.parent / "configs" / "fluid_benchmark.json"
+    code = ("import sys; from impulsecontrol import cli; "
+            f"assert cli.main(['solve', '--config', {str(config)!r}, "
+            f"'--out', {str(tmp_path / 'report.json')!r}]) == 0; "
             "assert 'scipy.optimize' not in sys.modules")
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
