@@ -27,11 +27,11 @@ structure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import DiscreteMDP
+from .model import DiscreteMDP, solve_factored
 
 
 @dataclass(frozen=True)
@@ -88,9 +88,35 @@ class BellmanConfig:
             raise ValueError("max_iterations must be >= 1")
 
 
+class FactorHandle:
+    """A SuperLU factor handed over at most once.
+
+    :meth:`take` returns the factor and empties the handle, so the taker
+    holds its only reference and the factor, with the SuperLU workspace
+    inside it, is freed as soon as the taker drops it.
+    """
+
+    __slots__ = ("_lu",)
+
+    def __init__(self, lu=None):
+        self._lu = lu
+
+    def take(self):
+        """The factor (None when there is none or it was taken); empties."""
+        lu, self._lu = self._lu, None
+        return lu
+
+
 @dataclass(frozen=True)
 class BellmanSolution:
-    """Value function with its policy and per-iteration (or per-step) trace."""
+    """Value function with its policy and per-iteration (or per-step) trace.
+
+    ``factor`` holds, for a policy-iteration solution, the SuperLU factor of
+    I - P_f for ``policy`` until a warm start from this solution takes it
+    (see :func:`policy_iteration`); it is empty for value iteration.  Code
+    that keeps a solution without warm-starting from it empties the handle,
+    so no factor outlives its use.
+    """
 
     W: np.ndarray  # (n_states,) values at the grid states
     policy: StationaryPolicy
@@ -98,6 +124,8 @@ class BellmanSolution:
     converged: bool
     residual: float
     trace: tuple  # (iteration, sup-norm change) pairs
+    factor: FactorHandle = field(default_factory=FactorHandle, compare=False,
+                                 repr=False)
 
 
 def _check_multipliers(mdp: DiscreteMDP, g) -> np.ndarray:
@@ -198,7 +226,8 @@ def solve_W(mdp: DiscreteMDP, g, cfg: BellmanConfig = BellmanConfig(),
 
 
 def policy_iteration(mdp: DiscreteMDP, g, cfg: BellmanConfig = BellmanConfig(),
-                     start: StationaryPolicy | None = None) -> BellmanSolution:
+                     start: StationaryPolicy | BellmanSolution | None = None
+                     ) -> BellmanSolution:
     """Howard's policy iteration from ``start`` (default: never impulse).
 
     Each step solves W = c_f + P_f W for the current policy f by sparse LU,
@@ -216,9 +245,21 @@ def policy_iteration(mdp: DiscreteMDP, g, cfg: BellmanConfig = BellmanConfig(),
     cut is exact; a fresh argmin of the final Q table could pick a costlier
     tied action.  ``trace`` holds (step, Bellman residual) pairs, the
     residual being sup |min_a Q - W| for that step's policy.
+
+    I - P_f depends on the policy alone, not on g.  The returned solution's
+    ``factor`` holds the SuperLU factor of its policy's I - P_f.  A start
+    given as an earlier solution of the same MDP takes that factor, solves
+    the first step with it instead of factorizing again, and drops it
+    before the next factorization, so at most one factor is alive; SuperLU
+    sees the same matrices either way, so W, the policies and the trace are
+    bitwise those of a start from the bare policy.
     """
     cost = combined_cost(mdp, g)
     rows = np.arange(mdp.n_states)
+    lu = None
+    if isinstance(start, BellmanSolution):
+        lu = start.factor.take()
+        start = start.policy
     if start is None:
         flat = np.full(mdp.n_states, mdp.n_actions - mdp.n_labels, dtype=np.intp)
     elif start.n_states != mdp.n_states:
@@ -227,7 +268,9 @@ def policy_iteration(mdp: DiscreteMDP, g, cfg: BellmanConfig = BellmanConfig(),
         flat = start.flat
     trace = []
     for k in range(1, cfg.max_iterations + 1):
-        W = mdp.solve_policy(flat, cost[rows, flat])
+        if lu is None:
+            lu = mdp.factorize_policy(flat)
+        W = None if lu is None else solve_factored(lu, cost[rows, flat])
         if W is None:
             raise RuntimeError(
                 f"policy iteration step {k} met a survival-1 cycle; impulse "
@@ -243,10 +286,11 @@ def policy_iteration(mdp: DiscreteMDP, g, cfg: BellmanConfig = BellmanConfig(),
         if not switch.any() or k == cfg.max_iterations:
             break
         flat = np.where(switch, best, flat)
+        lu = None  # one factor alive at a time
     return BellmanSolution(
         W=W, policy=StationaryPolicy(flat, mdp.n_labels),
         iterations=k, converged=not switch.any(), residual=res,
-        trace=tuple(trace))
+        trace=tuple(trace), factor=FactorHandle(lu))
 
 
 def argmin_set(mdp: DiscreteMDP, W: np.ndarray, g, slack) -> tuple:

@@ -50,7 +50,34 @@ def _fmt_float(x: float) -> str:
 
 
 def render_json(obj, indent: int = 0) -> str:
-    pad = "  " * indent
+    """``obj`` as indented JSON; floats with 17 digits, +-inf as "INF"/"-INF".
+
+    Exact ``float``, ``str``, ``list``/``tuple`` and ``dict`` leaves and
+    nodes take the first branches; numpy scalars and arrays, ``bool``,
+    ``int`` and ``None`` the ``isinstance`` chain after them.  Each distinct
+    string (an action label, a key) is JSON-encoded once per call.
+    """
+    return _render(obj, indent, {})
+
+
+def _render(obj, indent: int, strings: dict) -> str:
+    kind = type(obj)
+    if kind is float:
+        return _fmt_float(obj)
+    if kind is str:
+        text = strings.get(obj)
+        if text is None:
+            text = strings[obj] = json.dumps(obj)
+        return text
+    if kind is list or kind is tuple:
+        return _render_list(obj, indent, strings)
+    if kind is dict:
+        if not obj:
+            return "{}"
+        pad = "\n" + "  " * (indent + 1)
+        return ("{" + pad + ("," + pad).join(
+            _render(str(k), indent, strings) + ": " + _render(v, indent + 1, strings)
+            for k, v in obj.items()) + "\n" + "  " * indent + "}")
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -62,20 +89,18 @@ def render_json(obj, indent: int = 0) -> str:
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, (list, tuple, np.ndarray)):
-        items = [render_json(v, indent + 1) for v in obj]
-        if not items:
-            return "[]"
-        inner = ",\n".join("  " * (indent + 1) + s for s in items)
-        return "[\n" + inner + "\n" + pad + "]"
+        return _render_list(obj, indent, strings)
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        rows = []
-        for k, v in obj.items():
-            rows.append("  " * (indent + 1) + json.dumps(str(k)) + ": "
-                        + render_json(v, indent + 1))
-        return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
+        return _render(dict(obj), indent, strings)
     raise TypeError(f"cannot render {type(obj)!r} into a report")
+
+
+def _render_list(obj, indent: int, strings: dict) -> str:
+    items = [_render(v, indent + 1, strings) for v in obj]
+    if not items:
+        return "[]"
+    pad = "\n" + "  " * (indent + 1)
+    return "[" + pad + ("," + pad).join(items) + "\n" + "  " * indent + "]"
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -136,8 +161,10 @@ def _bellman_config(tol_scale: float) -> BellmanConfig:
 
 
 def _policy_rows(mdp, pol: StationaryPolicy) -> list:
-    return [[float(x), float(mdp.theta_points[t_idx]), str(mdp.action_labels[a_idx])]
-            for x, (t_idx, a_idx) in zip(mdp.states, pol.choice)]
+    thetas = mdp.theta_points.tolist()
+    labels = [str(a) for a in mdp.action_labels]
+    return [[x, thetas[t_idx], labels[a_idx]]
+            for x, (t_idx, a_idx) in zip(mdp.states.tolist(), pol.choice.tolist())]
 
 
 def _grid_metadata(doc: dict, mdp) -> dict:
@@ -291,9 +318,10 @@ def cmd_dual_curve(args: argparse.Namespace) -> int:
     lines = [",".join(header)]
     pt = None
     for g in grid_pts:
-        # policy iteration starts from the previous grid point's policy
+        # policy iteration starts from the previous grid point's solution
+        # and solves its first step with that solution's factor
         try:
-            pt = dual_value(mdp, g, bcfg, None if pt is None else pt.policy)
+            pt = dual_value(mdp, g, bcfg, None if pt is None else pt.solution)
         except BellmanNotConvergedError as exc:
             sys.stderr.write(f"dual-curve failed: {exc}\n")
             return EXIT_NOT_CONVERGED
@@ -338,8 +366,12 @@ def _verify_checks(problem, grid, mdp, tol_scale: float):
     yield ("flow-identities", rep.flow_ok,
            f"semigroup={rep.semigroup_residual:.3e} identity={rep.identity_residual:.3e}")
 
+    # every kernel row holds exactly two entries, so a row sum is a pair sum
     data = mdp.kernel.data
-    mass_err = float(np.max(np.abs(np.add.reduceat(data, mdp.kernel.indptr[:-1]) - 1.0)))
+    mass = data[0::2] + data[1::2]
+    mass -= 1.0
+    mass_err = float(np.max(np.abs(mass, out=mass)))
+    del mass
     nonneg = bool(np.all(data >= 0.0))
     yield "kernel-mass", mass_err <= 1e-12 and nonneg, f"max|w_lo+w_hi-1|={mass_err:.3e}"
 
@@ -379,6 +411,9 @@ def _verify_checks(problem, grid, mdp, tol_scale: float):
     # the dual search's policy iteration against the value-iteration
     # reference, which the loop above left at g = ones
     pi = policy_iteration(mdp, ones, bcfg)
+    # pi is kept for weak duality, its factor is not: the checks below
+    # factorize their own policies
+    pi.factor.take()
     rel = float(np.max(np.abs(pi.W - sol.W) / (1.0 + np.abs(sol.W))))
     ok = pi.converged and rel <= 1e3 * bcfg.tolerance
     yield ("policy-iteration-agreement", ok,

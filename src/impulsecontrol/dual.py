@@ -189,14 +189,19 @@ def _bounds_vector(mdp: DiscreteMDP) -> np.ndarray:
 
 
 def dual_value(mdp: DiscreteMDP, g, cfg: BellmanConfig = BellmanConfig(),
-               start: StationaryPolicy | None = None) -> DualPoint:
+               start: StationaryPolicy | BellmanSolution | None = None
+               ) -> DualPoint:
     """Evaluate the dual functional at one multiplier.
 
     Solves the combined-cost Bellman problem by policy iteration (from
     ``start`` when given) and returns h(g) = W*_g(x0) - sum g_j d_j together
     with the greedy policy's cost vector and constraint slacks (a
-    supergradient of h at g).  Raises ``BellmanNotConvergedError`` when policy
-    iteration stops at its step cap, whose value is then not h(g).
+    supergradient of h at g).  A ``start`` given as an earlier evaluation's
+    ``solution`` hands its SuperLU factor to the first step (see
+    :func:`policy_iteration`), and the returned point's ``solution`` holds
+    the factor of its own policy for the next warm start.  Raises
+    ``BellmanNotConvergedError`` when policy iteration stops at its step
+    cap, whose value is then not h(g).
     """
     g = np.atleast_1d(np.asarray(g, dtype=float))
     d = _bounds_vector(mdp)
@@ -316,7 +321,9 @@ def maximize_dual(mdp: DiscreteMDP, cfg: BellmanConfig = BellmanConfig()):
     the box nor stops adds a new deterministic policy, of which there are
     finitely many, so the search ends.  A non-converged evaluation raises
     ``BellmanNotConvergedError``.  Each evaluation's policy iteration starts
-    from the previous cut's policy.
+    from the previous cut's solution and solves its first step with that
+    solution's factor; the last factor is dropped on return, so no trace
+    point holds one.
 
     Returns (g*, trace, weights): g* = g_m, the trace of every evaluation
     (the last one is at g*), and the mixture weights over the trace's
@@ -327,6 +334,7 @@ def maximize_dual(mdp: DiscreteMDP, cfg: BellmanConfig = BellmanConfig()):
     pt = dual_value(mdp, np.zeros(d.size), cfg)
     trace = [pt]
     if np.all(pt.slacks <= 0.0):
+        pt.solution.factor.take()
         return pt.g, trace, np.ones(1)
     eps = _gap_tol(cfg)
     box = np.full(d.size, G_INIT)
@@ -342,7 +350,7 @@ def maximize_dual(mdp: DiscreteMDP, cfg: BellmanConfig = BellmanConfig()):
                 f"{exc} at multiplier box {box.tolist()}; the dual "
                 "functional kept increasing, so the constraints appear to "
                 "admit no strictly feasible point") from exc
-        pt = dual_value(mdp, g, cfg, start=pt.policy)
+        pt = dual_value(mdp, g, cfg, start=pt.solution)
         known = any(pt.policy == cut.policy for cut in trace)
         trace.append(pt)
         binds = g >= box * (1.0 - 1e-9)  # vertex on the bound, up to round-off
@@ -354,6 +362,7 @@ def maximize_dual(mdp: DiscreteMDP, cfg: BellmanConfig = BellmanConfig()):
                     f"{g.tolist()} (doubling cap {BRACKET_CAP:.3g}); the "
                     "constraints appear to admit no strictly feasible point")
         elif known or pt.h >= ub - eps * (1.0 + abs(ub)):
+            pt.solution.factor.take()
             return g, trace, w
 
 

@@ -30,6 +30,9 @@ exception from a user map propagates.
 from __future__ import annotations
 
 import math
+import numbers
+import os
+import reprlib
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -63,6 +66,10 @@ _BLOCK_CELLS = 2 ** 16
 # validate's flow identities: grid states sampled and the residual they allow
 FLOW_SAMPLES = 12
 FLOW_TOLERANCE = 1e-9
+# bytes per node of a running-cost Simpson lattice while it is built (span
+# index, offset, node and weight, plus temporaries) and then kept (node,
+# weight, discounted weight)
+_LATTICE_NODE_BYTES = 48
 
 
 @dataclass(frozen=True)
@@ -276,14 +283,25 @@ class DiscreteMDP:
                      transpose: bool = False) -> np.ndarray | None:
         """Solve (I - P) x = rhs, or (I - P^T) x = rhs, by sparse LU.
 
+        :meth:`factorize_policy` then :func:`solve_factored`, the factor
+        dropped on return.  ``rhs`` may have one column per right-hand side.
+        Returns None when the system is singular (a survival-1 cycle) or the
+        solution is not finite.
+        """
+        lu = self.factorize_policy(flat, transpose)
+        return None if lu is None else solve_factored(lu, rhs)
+
+    def factorize_policy(self, flat: np.ndarray, transpose: bool = False):
+        """SuperLU factor of I - P, or of I - P^T; None when it is singular.
+
         P is the sub-stochastic state-to-state matrix of the chain that takes
         action ``flat[i]`` at grid state i (the killed mass leaves it): the
         kernel rows of the cells (i, flat[i]), each scaled by its survival.
         I - P is assembled directly, three entries per row (the diagonal 1,
         then -survival * weight at the two landings), with duplicates summed
-        and zeros dropped.  ``rhs`` may have one column per right-hand side.
-        Returns None when the system is singular (a survival-1 cycle) or the
-        solution is not finite.
+        and zeros dropped.  The factor depends on the policy alone, so one
+        factor serves every cost the policy is evaluated under; it holds
+        SuperLU's workspace, so callers keep it no longer than they use it.
         """
         n = self.n_states
         k = 2 * (np.arange(n) * self.n_actions + flat)  # first kernel entry
@@ -300,14 +318,16 @@ class DiscreteMDP:
         A.sum_duplicates()
         A.eliminate_zeros()
         try:
-            lu = splu((A.T if transpose else A).tocsc())
+            return splu((A.T if transpose else A).tocsc())
         except RuntimeError:
             return None
-        with np.errstate(all="ignore"):
-            x = lu.solve(rhs)
-        if not np.all(np.isfinite(x)):
-            return None
-        return x
+
+
+def solve_factored(lu, rhs: np.ndarray) -> np.ndarray | None:
+    """``lu.solve(rhs)``, or None when the solution is not finite."""
+    with np.errstate(all="ignore"):
+        x = lu.solve(rhs)
+    return x if np.all(np.isfinite(x)) else None
 
 
 @dataclass(frozen=True)
@@ -564,7 +584,9 @@ def discretize(problem: ImpulseProblem, grid: GridSpec) -> DiscreteMDP:
     :func:`_running_integral_blocks`), then the flow, reset and lump costs
     for the landings once on the block, not once on the whole grid (a
     scalar-only map falls back to point by point within each call).  Raises ValueError naming the
-    offending cell if any tabulated cost is non-finite or negative.
+    offending cell if any tabulated cost is non-finite or negative, and,
+    before any table exists, for an off-grid x0, a survival that underflows
+    or a grid that :func:`check_footprint` refuses.
     """
     xs = grid.state_points
     thetas = grid.theta_points
@@ -590,6 +612,7 @@ def discretize(problem: ImpulseProblem, grid: GridSpec) -> DiscreteMDP:
         raise ValueError(
             "exp(-alpha*theta) underflows to 0 for a finite theta point; "
             "reduce theta_max or alpha")
+    check_footprint(problem, grid)
 
     # kernel entries [i, k, a] = (lower, upper) of cell (i, k*L + a); INF cells
     # are all killed, and a zero weight on state 1 keeps the CSR canonical
@@ -646,6 +669,55 @@ def discretize(problem: ImpulseProblem, grid: GridSpec) -> DiscreteMDP:
         states=xs.copy(), theta_points=thetas.copy(), action_labels=tuple(labels),
         alpha=alpha, x0_index=i0, survival=survival, kernel=kernel, costs=costs,
         bounds=tuple(problem.bounds), clamped_cells=clamped)
+
+
+def physical_memory() -> int | None:
+    """Bytes of physical memory from ``os.sysconf``; None where unknown."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):
+        return None
+
+
+def check_footprint(problem: ImpulseProblem, grid: GridSpec) -> None:
+    """Refuse a grid whose tables and quadrature lattice exceed physical memory.
+
+    The estimate uses the grid sizes alone, before any table exists: the
+    cost tables (8 bytes per cost per (state, action) cell), the kernel (two
+    int32 columns and two float64 weights per cell, plus its int32 row
+    pointer), and, when a running-cost rate is not constant, the Simpson
+    lattices of :func:`_running_integral_blocks` (at most
+    span / quadrature_step + 3 nodes per finite theta span, and
+    60 / (alpha * quadrature_step) + 3 on the infinite wait), at
+    ``_LATTICE_NODE_BYTES`` per node.  Raises ValueError naming the grid
+    field behind the larger part, with the byte count, when the estimate
+    exceeds :func:`physical_memory`.
+    """
+    limit = physical_memory()
+    if limit is None:
+        return
+    n, m = grid.state_points.size, grid.theta_points.size
+    cells = n * m * len(problem.actions)
+    tables = cells * (8 * problem.n_costs + 2 * (4 + 8) + 4)
+    lattice = 0
+    if any(problem.constant_rate(j) is None for j in range(problem.n_costs)):
+        step = grid.quadrature_step
+        nodes = (float(grid.theta_points[-2]) / step + 3.0 * (m - 2)
+                 + _INF_HORIZON / (problem.alpha * step) + 3.0)
+        # capped so that a subnormal step's infinite node count stays an int
+        lattice = int(min(nodes * _LATTICE_NODE_BYTES, 2.0 ** 62))
+    total = tables + lattice
+    if total <= limit:
+        return
+    if lattice > tables:
+        what = (f"grid.quadrature_step={grid.quadrature_step!r} needs a "
+                f"running-cost quadrature lattice of {lattice} bytes")
+    else:
+        what = (f"grid.state_n x grid.theta_n = {n} x {m - 1} needs "
+                f"{tables} bytes of cost and kernel tables")
+    raise ValueError(
+        f"{what} ({total} bytes in all, about {total / 2 ** 30:.3g} GiB), "
+        f"more than the {limit} bytes of physical memory")
 
 
 def validate(problem: ImpulseProblem, grid: GridSpec) -> ValidationReport:
@@ -726,6 +798,19 @@ def _require(cfg: dict, key: str, path: str):
     return cfg[key]
 
 
+def _number_list(spec: dict, key: str, path: str) -> np.ndarray:
+    """Required list-of-numbers field ``key`` of ``spec`` as a float array.
+
+    A scalar, ``null``, a string or a boolean entry is refused.
+    """
+    raw = _require(spec, key, path + ".")
+    if not (isinstance(raw, (list, tuple)) and all(
+            isinstance(v, numbers.Real) and not isinstance(v, bool) for v in raw)):
+        raise ConfigError(
+            f"'{path}.{key}' must be a list of numbers, got {reprlib.repr(raw)}")
+    return np.asarray(raw, dtype=float)
+
+
 def _rate_from_spec(spec, path: str):
     """Build (rate map, constant value or None) from a cost-rate table."""
     if isinstance(spec, (int, float)):
@@ -745,8 +830,8 @@ def _rate_from_spec(spec, path: str):
         rev = coeffs[::-1].copy()
         return (lambda x: np.polyval(rev, x)), const
     if kind == "piecewise_constant":
-        brk = np.asarray(_require(spec, "breakpoints", path + "."), dtype=float)
-        vals = np.asarray(_require(spec, "values", path + "."), dtype=float)
+        brk = _number_list(spec, "breakpoints", path)
+        vals = _number_list(spec, "values", path)
         if vals.size != brk.size + 1:
             raise ConfigError(
                 f"'{path}.values' must have one more entry than breakpoints")

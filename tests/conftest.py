@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -29,6 +30,62 @@ J2_DOC = {
     "grid": {"state_min": 0.0, "state_max": 4.0, "state_n": 100,
              "theta_max": 4.0, "theta_n": 100, "quadrature_step": 0.01},
 }
+
+# two actions, off-grid landings (scale reset) and label-dependent lump costs
+CUSTOM_TWO_ACTION_DOC = {
+    "model": "custom", "alpha": 1.0, "x0": 0.0,
+    "flow": {"type": "drift", "rate": 2.0},
+    "reset": {"type": "scale", "factor": 0.5},
+    "actions": ["a", "b"],
+    "bounds": [1.0],
+    "gradual_costs": [
+        {"type": "constant", "value": 0.5},
+        {"type": "piecewise_constant", "breakpoints": [1.0], "values": [2.0, 3.0]}],
+    "impulse_costs": [
+        {"type": "polynomial", "coeffs": [1.0, 0.5],
+         "action_factors": {"b": 2.0}},
+        {"type": "constant", "value": 0.0}],
+    "grid": {"state_min": 0.0, "state_max": 2.0, "state_n": 5,
+             "theta_max": 1.0, "theta_n": 5, "quadrature_step": 0.01},
+}
+
+
+def fluid_doc(d, n, theta_max=None):
+    """Fluid benchmark with bound d on an n x n grid over [0, 4x*].
+
+    ``theta_max`` None means 4x* as well.  These are the benchmark's fluid
+    instances (``perfbench/workloads.py``).
+    """
+    x_star = fluidq.solve_analytic(fluidq.FluidParams(1.0, 1.0, 1.0, d)).x_star
+    tmax = 4.0 * x_star if theta_max is None else theta_max
+    return {"model": "fluid", "alpha": 1.0, "h": 1.0, "K": 1.0, "d": d,
+            "x0": 0.0,
+            "grid": {"state_min": 0.0, "state_max": 4.0 * x_star, "state_n": n,
+                     "theta_max": tmax, "theta_n": n, "quadrature_step": 0.01}}
+
+
+def custom_j2_doc(d1, n):
+    """The README two-constraint custom config with bounds (d1, 1.9), n x n."""
+    doc = json.loads(json.dumps(J2_DOC))
+    doc["bounds"] = [d1, 1.9]
+    doc["gradual_costs"][2] = {"type": "piecewise_constant",
+                               "breakpoints": [0.8], "values": [2.0, 0.2]}
+    doc["grid"].update(state_n=n, theta_n=n)
+    return doc
+
+
+# the benchmark workloads' instance makers and their bands (centre in the
+# middle); the solve workloads only
+BANDS = {
+    "fluid-accept": (lambda d: fluid_doc(d, 400, 5.0), (0.45, 0.5, 0.55)),
+    "fluid-tight": (lambda d: fluid_doc(d, 300), (0.09, 0.1, 0.11)),
+    "custom-j2": (lambda d1: custom_j2_doc(d1, 200), (0.47, 0.5, 0.53)),
+}
+
+
+def band_centre_doc(name):
+    make, band = BANDS[name]
+    return make(band[1])
 
 
 def fluid_mdp(d=0.5, state_n=120, theta_n=120, state_max=5.0, theta_max=5.0,

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import impulsecontrol as ic
-from impulsecontrol import fluidq
+from impulsecontrol import fluidq, model
 from impulsecontrol.bellman import combined_cost
 
 from conftest import fluid_mdp, traced_peak
@@ -190,6 +190,39 @@ def test_policy_iteration_warm_start_matches_cold_start(small_mdp, j2_mdp):
         warm = ic.policy_iteration(mdp, g, start=prev)
         assert warm.policy == cold.policy
         assert np.array_equal(warm.W, cold.W)
+
+
+def test_warm_start_from_a_solution_reuses_its_factor(monkeypatch, small_mdp,
+                                                      j2_mdp):
+    # I - P_f is the policy's alone: a start given as the previous solution
+    # solves its first step with that solution's factor, and the answer is
+    # bitwise that of a start from the bare policy, which factorizes again
+    made = []
+    real = model.splu
+    monkeypatch.setattr(model, "splu", lambda A: made.append(1) or real(A))
+    for mdp, g_prev, g in ((small_mdp, [1.0], [G_STAR]),
+                           (j2_mdp, [1.0, 0.0], [3.0, 0.5])):
+        prev = ic.policy_iteration(mdp, g_prev)
+        made.clear()
+        bare = ic.policy_iteration(mdp, g, start=prev.policy)
+        assert len(made) == bare.iterations
+        made.clear()
+        warm = ic.policy_iteration(mdp, g, start=prev)
+        assert len(made) == warm.iterations - 1
+        assert warm.policy == bare.policy and warm.trace == bare.trace
+        assert np.array_equal(warm.W, bare.W)
+        # the factor was handed over once; a second start factorizes
+        assert prev.factor.take() is None
+        made.clear()
+        again = ic.policy_iteration(mdp, g, start=prev)
+        assert len(made) == again.iterations
+        assert np.array_equal(again.W, bare.W)
+        # a converged solve at g is its own fixed point: one step, no factor
+        made.clear()
+        fixed = ic.policy_iteration(mdp, g, start=warm)
+        assert (len(made), fixed.iterations) == (0, 1)
+        assert np.array_equal(fixed.W, warm.W)
+    assert ic.solve_W(small_mdp, [1.0]).factor.take() is None
 
 
 def test_policy_iteration_cut_is_exact(small_mdp, j2_mdp):

@@ -1,14 +1,18 @@
 import json
+import math
+import os
 import re
 
 import jsonschema
+import numpy as np
 import pytest
 from importlib import resources
 
 import impulsecontrol as ic
 import impulsecontrol.cli as cli
+from impulsecontrol import model
 
-from conftest import threshold_policy, traced_peak
+from conftest import BANDS, J2_DOC, band_centre_doc, threshold_policy, traced_peak
 
 
 BASE_DOC = {
@@ -398,3 +402,175 @@ def test_bellman_trace_written(config_file, tmp_path):
     residuals = [float(ln.split(",")[1]) for ln in lines[1:]]
     assert residuals[-1] <= 1e-9
     assert all(b <= a for a, b in zip(residuals, residuals[1:]))
+
+
+# ---------------------------------------------------------------------------
+# report rendering against the renderer it replaced
+
+
+def _fmt_float_reference(x):
+    if math.isnan(x):
+        raise ValueError("refusing to serialize NaN")
+    if math.isinf(x):
+        return '"INF"' if x > 0 else '"-INF"'
+    return format(float(x), ".17g")
+
+
+def _render_json_reference(obj, indent=0):
+    """render_json as it was: one isinstance chain per leaf."""
+    pad = "  " * indent
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _fmt_float_reference(float(obj))
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        items = [_render_json_reference(v, indent + 1) for v in obj]
+        if not items:
+            return "[]"
+        inner = ",\n".join("  " * (indent + 1) + s for s in items)
+        return "[\n" + inner + "\n" + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        rows = []
+        for k, v in obj.items():
+            rows.append("  " * (indent + 1) + json.dumps(str(k)) + ": "
+                        + _render_json_reference(v, indent + 1))
+        return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
+    raise TypeError(f"cannot render {type(obj)!r} into a report")
+
+
+@pytest.mark.parametrize("name", sorted(BANDS))
+def test_band_centre_report_renders_as_before(tmp_path, monkeypatch, name):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(band_centre_doc(name)))
+    rendered = []
+    real = cli.render_json
+
+    def keep(obj, indent=0):
+        rendered.append((obj, real(obj, indent)))
+        return rendered[-1][1]
+
+    monkeypatch.setattr(cli, "render_json", keep)
+    assert cli.main(["solve", "--config", str(path),
+                     "--out", str(tmp_path / "r.json")]) == 0
+    (report, text), = rendered
+    assert len(report["mixture"]["policies"][0]) == report["grid"]["state_n"]
+    assert text == _render_json_reference(report)
+
+
+EDGE_LEAVES = {
+    "np_float": np.float64(0.1), "np_float32": np.float32(0.1),
+    "np_int": np.int64(-3), "int": 7, "true": True, "false": False,
+    "bool_and_np_int32": [True, np.int32(2)], "none": None,
+    "inf": math.inf, "minus_inf": -math.inf, "np_inf": np.float64(-np.inf),
+    "empty_list": [], "empty_dict": {}, "empty_tuple": (),
+    "tuple": (1.5, "a", None), "array": np.asarray([1.0, 2.5, np.inf]),
+    "int_array": np.arange(3), "matrix": np.eye(2),
+    "nested": {"x": [{"y": ["é", "a\"b\n"]}], 3: 1e-300},
+    "repeated_strings": ["flush", "flush", {"flush": "flush"}],
+    "np_float_product": np.float64(2.0) * 1.5, "tiny": 5e-324, "zero": -0.0,
+}
+
+
+@pytest.mark.parametrize("key", sorted(EDGE_LEAVES))
+def test_edge_leaves_render_as_before(key):
+    for obj in (EDGE_LEAVES[key], [EDGE_LEAVES[key]], {"k": EDGE_LEAVES[key]}):
+        for indent in (0, 2):
+            assert cli.render_json(obj, indent) == _render_json_reference(obj, indent)
+
+
+@pytest.mark.parametrize("nan", [math.nan, np.float64(np.nan), [1.0, math.nan],
+                                 {"a": {"b": np.asarray([math.nan])}}])
+def test_nan_still_refuses_to_render(nan):
+    with pytest.raises(ValueError, match="NaN"):
+        cli.render_json(nan)
+
+
+def test_unknown_leaf_still_refuses_to_render():
+    with pytest.raises(TypeError, match="cannot render"):
+        cli.render_json({"a": [object()]})
+
+
+# ---------------------------------------------------------------------------
+# malformed tables and impossible sizes exit 2 before any work
+
+
+def _j2_30(tmp_path, rate=None):
+    doc = json.loads(json.dumps(J2_DOC))
+    doc["grid"].update(state_n=30, theta_n=30)
+    if rate is not None:
+        doc["gradual_costs"][2] = rate
+    path = tmp_path / "j2.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("rate, needle", [
+    ({"breakpoints": [], "values": 2.0}, "'gradual_costs[2].values' must be a list"),
+    ({"breakpoints": [], "values": None}, "'gradual_costs[2].values' must be a list"),
+    ({"breakpoints": 0.8, "values": [2.0, 0.2]},
+     "'gradual_costs[2].breakpoints' must be a list"),
+    ({"breakpoints": [0.8], "values": [2.0, "0.2"]},
+     "'gradual_costs[2].values' must be a list of numbers"),
+    ({"breakpoints": [0.8], "values": [2.0]},
+     "'gradual_costs[2].values' must have one more entry than breakpoints"),
+    ({"breakpoints": [], "values": [1.0, 2.0]},
+     "'gradual_costs[2].values' must have one more entry than breakpoints")],
+    ids=["scalar-values", "null-values", "scalar-breakpoints", "string-value",
+         "short-values", "long-values"])
+def test_bad_piecewise_constant_table_exits_2(tmp_path, rate, needle, capsys):
+    config = _j2_30(tmp_path, {"type": "piecewise_constant", **rate})
+    for command in ("solve", "verify"):
+        assert cli.main([command, "--config", config]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and needle in err
+
+
+def test_piecewise_constant_without_breakpoints_is_a_constant(tmp_path, capsys):
+    config = _j2_30(tmp_path, {"type": "piecewise_constant",
+                               "breakpoints": [], "values": [0.2]})
+    assert cli.main(["solve", "--config", config]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("overrides, needle", [
+    (["grid.quadrature_step=1e-9"],
+     "grid.quadrature_step=1e-09 needs a running-cost quadrature lattice of "),
+    (["grid.state_n=200000", "grid.theta_n=200000"],
+     "grid.state_n x grid.theta_n = 200000 x 200000 needs ")],
+    ids=["quadrature-step", "grid-size"])
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_impossible_sizes_exit_2_before_allocating(config_file, monkeypatch,
+                                                   capsys, command, overrides,
+                                                   needle):
+    # terabytes either way; the cap keeps the refusal certain on a machine
+    # with more memory than that, where these inputs would really allocate
+    limit = min(model.physical_memory(), 2 ** 36)
+    monkeypatch.setattr(model, "physical_memory", lambda: limit)
+    argv = [command, "--config", config_file]
+    for item in overrides:
+        argv += ["--set", item]
+    peak, code = traced_peak(lambda: cli.main(argv))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and needle in err
+    got = int(re.search(r"\((\d+) bytes in all", err).group(1))
+    assert got > limit and f"more than the {limit} bytes of physical memory" in err
+    # the grid arrays themselves (200000 points), no table or lattice
+    assert peak <= 2 ** 24, peak
+
+
+def test_physical_memory_is_read(config_file, capsys):
+    assert model.physical_memory() > 2 ** 20
+    # the shipped grids are far below it
+    assert cli.main(["solve", "--config", config_file, "--set",
+                     "grid.state_n=800", "--set", "grid.theta_n=800",
+                     "--out", os.devnull]) == 0
+    capsys.readouterr()

@@ -1,10 +1,12 @@
 import dataclasses
+import gc
 import json
 import math
 import os
 import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 
 import numpy as np
@@ -12,12 +14,14 @@ import pytest
 import scipy.optimize
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.sparse.linalg import SuperLU
 
 import impulsecontrol as ic
-from impulsecontrol import cli, dual, fluidq
+from impulsecontrol import cli, dual, fluidq, model
 from impulsecontrol.dual import mix_weights
 
-from conftest import J2_DOC, constant_theta_policy, fluid_mdp
+from conftest import (BANDS, CUSTOM_TWO_ACTION_DOC, J2_DOC, band_centre_doc,
+                      constant_theta_policy, fluid_mdp)
 
 
 D_BENCH = 0.5
@@ -385,6 +389,131 @@ def test_solve_does_not_load_the_lp_solver(tmp_path):
             f"'--out', {str(tmp_path / 'report.json')!r}]) == 0; "
             "assert 'scipy.optimize' not in sys.modules")
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+# ---------------------------------------------------------------------------
+# one SuperLU factorization per policy across the dual search
+
+
+def _band_mdp(doc):
+    return ic.discretize(*ic.problem_from_config(doc))
+
+
+class _FactorLedger:
+    """Stands in for ``model.splu``: counts the factorizations, and wraps
+    each factor so that the factors still alive can be counted."""
+
+    def __init__(self, real):
+        self.real = real
+        self.made = 0
+        self.alive = 0
+        self.alive_at_new = []  # factors alive when each new one was made
+
+    def __call__(self, A):
+        self.alive_at_new.append(self.alive)
+        self.made += 1
+        return _TrackedFactor(self, self.real(A))
+
+
+class _TrackedFactor:
+    def __init__(self, ledger, lu):
+        self.ledger, self.lu = ledger, lu
+        ledger.alive += 1
+
+    def solve(self, rhs):
+        return self.lu.solve(rhs)
+
+    def __del__(self):
+        self.ledger.alive -= 1
+
+
+@pytest.mark.parametrize("name, expected", [
+    ("fluid-tight", 19), ("fluid-accept", 16), ("custom-j2", 10)])
+def test_band_centre_factorizations(monkeypatch, name, expected):
+    # every evaluation after the first solves its first step with the
+    # previous cut's factor: sum of steps - (evaluations - 1) factorizations
+    # (32, 25 and 18 when each step factorizes)
+    mdp = _band_mdp(band_centre_doc(name))
+    ledger = _FactorLedger(model.splu)
+    monkeypatch.setattr(model, "splu", ledger)
+    result = ic.solve_constrained(mdp)
+    steps = sum(pt.solution.iterations for pt in result.trace)
+    assert ledger.made == steps - (len(result.trace) - 1) == expected
+    # no factor outlives its use: none alive when another is made, and none
+    # once the solve has returned
+    assert ledger.alive_at_new == [0] * ledger.made
+    assert ledger.alive == 0
+
+
+def _solve_with_bare_starts(monkeypatch, mdp):
+    """solve_constrained with every warm start given as the bare policy."""
+    real = dual.dual_value
+
+    def bare(mdp, g, cfg=ic.BellmanConfig(), start=None):
+        if isinstance(start, ic.BellmanSolution):
+            start.factor.take()
+            start = start.policy
+        return real(mdp, g, cfg, start)
+
+    with monkeypatch.context() as m:
+        m.setattr(dual, "dual_value", bare)
+        return ic.solve_constrained(mdp)
+
+
+def _custom_two_action_doc():
+    doc = json.loads(json.dumps(CUSTOM_TWO_ACTION_DOC))
+    doc["bounds"] = [2.5]  # the shipped 1.0 is below every policy's cost
+    doc["grid"].update(state_n=30, theta_n=30)
+    return doc
+
+
+@pytest.mark.parametrize("doc", [
+    *(make(v) for make, band in (BANDS["fluid-accept"], BANDS["fluid-tight"])
+      for v in band),
+    J2_DOC, _custom_two_action_doc()],
+    ids=["accept-lo", "accept-centre", "accept-hi", "tight-lo", "tight-centre",
+         "tight-hi", "j2", "custom-two-action-off-grid"])
+def test_factor_reuse_is_bitwise_equal_to_refactorizing(monkeypatch, doc):
+    mdp = _band_mdp(doc)
+    reused = ic.solve_constrained(mdp)
+    fresh = _solve_with_bare_starts(monkeypatch, mdp)
+    assert len(reused.trace) == len(fresh.trace) >= 2
+    for a, b in zip(reused.trace, fresh.trace):
+        assert np.array_equal(a.g, b.g) and a.h == b.h and a.W0 == b.W0
+        assert np.array_equal(a.solution.W, b.solution.W)
+        assert a.policy == b.policy
+        assert a.solution.trace == b.solution.trace
+        assert np.array_equal(a.costs.v, b.costs.v)
+    assert np.array_equal(reused.g_star, fresh.g_star)
+    assert reused.mixture == fresh.mixture
+    assert np.array_equal(reused.costs.v, fresh.costs.v)
+
+
+def _reachable(root):
+    """Every object reachable from ``root`` through references, stopping at
+    types, modules and functions (which reach the whole interpreter)."""
+    seen, stack, found = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(
+                obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        found.append(obj)
+        stack.extend(gc.get_referents(obj))
+    return found
+
+
+def test_no_factor_is_reachable_from_the_dual_result(j2_mdp):
+    # a fresh evaluation holds its factor for the next warm start, so the
+    # walk does see factors where they are; the solve drops the last one
+    def factors(root):
+        return [o for o in _reachable(root) if isinstance(o, SuperLU)]
+
+    assert len(factors(ic.dual_value(j2_mdp, [1.0, 0.0]))) == 1
+    result = ic.solve_constrained(j2_mdp)
+    assert len(result.trace) >= 2
+    assert factors(result) == []
 
 
 def test_solved_mixture_hits_bound_exactly(solved, small_mdp, bench_analytic):

@@ -7,26 +7,8 @@ from hypothesis import given, settings, strategies as st
 import impulsecontrol as ic
 from impulsecontrol.model import CEMETERY, INFINITY, ConfigError
 
-from conftest import accept_fluid_problem, fluid_mdp, traced_peak
-
-
-# two actions, off-grid landings (scale reset) and label-dependent lump costs
-CUSTOM_TWO_ACTION_DOC = {
-    "model": "custom", "alpha": 1.0, "x0": 0.0,
-    "flow": {"type": "drift", "rate": 2.0},
-    "reset": {"type": "scale", "factor": 0.5},
-    "actions": ["a", "b"],
-    "bounds": [1.0],
-    "gradual_costs": [
-        {"type": "constant", "value": 0.5},
-        {"type": "piecewise_constant", "breakpoints": [1.0], "values": [2.0, 3.0]}],
-    "impulse_costs": [
-        {"type": "polynomial", "coeffs": [1.0, 0.5],
-         "action_factors": {"b": 2.0}},
-        {"type": "constant", "value": 0.0}],
-    "grid": {"state_min": 0.0, "state_max": 2.0, "state_n": 5,
-             "theta_max": 1.0, "theta_n": 5, "quadrature_step": 0.01},
-}
+from conftest import (CUSTOM_TWO_ACTION_DOC, accept_fluid_problem, fluid_mdp,
+                      traced_peak)
 
 
 @pytest.fixture(scope="module")
@@ -155,6 +137,9 @@ def test_kernel_is_stored_once(small_mdp, table):
         assert np.shares_memory(view, store)
     # sorted and duplicate-free, so no scipy call rewrites the arrays in place
     assert k.has_canonical_format
+    # two entries a row, so verify's kernel-mass pair sum is the row sum
+    assert np.array_equal(k.data[0::2] + k.data[1::2],
+                          np.add.reduceat(k.data, k.indptr[:-1]))
     with pytest.raises(ValueError, match="read-only"):
         k.data[0] = 0.5
     # the sparse product is bitwise the two-point interpolation
