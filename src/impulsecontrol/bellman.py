@@ -27,11 +27,11 @@ structure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DiscreteMDP, solve_factored
+from .model import DiscreteMDP
 
 
 @dataclass(frozen=True)
@@ -88,34 +88,13 @@ class BellmanConfig:
             raise ValueError("max_iterations must be >= 1")
 
 
-class FactorHandle:
-    """A SuperLU factor handed over at most once.
-
-    :meth:`take` returns the factor and empties the handle, so the taker
-    holds its only reference and the factor, with the SuperLU workspace
-    inside it, is freed as soon as the taker drops it.
-    """
-
-    __slots__ = ("_lu",)
-
-    def __init__(self, lu=None):
-        self._lu = lu
-
-    def take(self):
-        """The factor (None when there is none or it was taken); empties."""
-        lu, self._lu = self._lu, None
-        return lu
-
-
 @dataclass(frozen=True)
 class BellmanSolution:
     """Value function with its policy and per-iteration (or per-step) trace.
 
-    ``factor`` holds, for a policy-iteration solution, the SuperLU factor of
-    I - P_f for ``policy`` until a warm start from this solution takes it
-    (see :func:`policy_iteration`); it is empty for value iteration.  Code
-    that keeps a solution without warm-starting from it empties the handle,
-    so no factor outlives its use.
+    ``V`` holds, for a policy-iteration solution, the policy's per-cost
+    values V_j(policy) at every grid state (column j for cost j), so that
+    W = V @ (1, g); it is None for value iteration.
     """
 
     W: np.ndarray  # (n_states,) values at the grid states
@@ -124,8 +103,7 @@ class BellmanSolution:
     converged: bool
     residual: float
     trace: tuple  # (iteration, sup-norm change) pairs
-    factor: FactorHandle = field(default_factory=FactorHandle, compare=False,
-                                 repr=False)
+    V: np.ndarray | None = None  # (n_states, n_costs) policy values
 
 
 def _check_multipliers(mdp: DiscreteMDP, g) -> np.ndarray:
@@ -230,10 +208,11 @@ def policy_iteration(mdp: DiscreteMDP, g, cfg: BellmanConfig = BellmanConfig(),
                      ) -> BellmanSolution:
     """Howard's policy iteration from ``start`` (default: never impulse).
 
-    Each step solves W = c_f + P_f W for the current policy f by sparse LU,
-    then switches a state to its smallest-index Q minimizer only where that
-    beats the current action by more than ``tolerance * (1 + |W|)``, so
-    round-off cannot cycle between tied actions.  It stops when no state
+    Each step solves V_j = c_j,f + P_f V_j for the current policy f and
+    every cost j in one sparse LU solve, sets W = V @ (1, g), then switches
+    a state to its smallest-index Q minimizer only where that beats the
+    current action by more than ``tolerance * (1 + |W|)``, so round-off
+    cannot cycle between tied actions.  It stops when no state
     switches; after ``max_iterations`` steps it returns the last evaluated
     policy flagged ``converged=False``.
 
@@ -246,19 +225,18 @@ def policy_iteration(mdp: DiscreteMDP, g, cfg: BellmanConfig = BellmanConfig(),
     tied action.  ``trace`` holds (step, Bellman residual) pairs, the
     residual being sup |min_a Q - W| for that step's policy.
 
-    I - P_f depends on the policy alone, not on g.  The returned solution's
-    ``factor`` holds the SuperLU factor of its policy's I - P_f.  A start
-    given as an earlier solution of the same MDP takes that factor, solves
-    the first step with it instead of factorizing again, and drops it
-    before the next factorization, so at most one factor is alive; SuperLU
-    sees the same matrices either way, so W, the policies and the trace are
-    bitwise those of a start from the bare policy.
+    V depends on the policy alone, not on g, and the returned solution
+    carries it.  A start given as an earlier solution of the same MDP takes
+    its first step from that V without a linear solve, so W, the policies
+    and the trace are bitwise those of a start from the bare policy.
     """
+    g = _check_multipliers(mdp, g)
+    weights = np.concatenate(([1.0], g))
     cost = combined_cost(mdp, g)
     rows = np.arange(mdp.n_states)
-    lu = None
+    V = None
     if isinstance(start, BellmanSolution):
-        lu = start.factor.take()
+        V = start.V
         start = start.policy
     if start is None:
         flat = np.full(mdp.n_states, mdp.n_actions - mdp.n_labels, dtype=np.intp)
@@ -268,13 +246,13 @@ def policy_iteration(mdp: DiscreteMDP, g, cfg: BellmanConfig = BellmanConfig(),
         flat = start.flat
     trace = []
     for k in range(1, cfg.max_iterations + 1):
-        if lu is None:
-            lu = mdp.factorize_policy(flat)
-        W = None if lu is None else solve_factored(lu, cost[rows, flat])
-        if W is None:
-            raise RuntimeError(
-                f"policy iteration step {k} met a survival-1 cycle; impulse "
-                "costs must be positive")
+        if V is None:
+            V = mdp.solve_policy(flat, mdp.costs[:, rows, flat].T)
+            if V is None:
+                raise RuntimeError(
+                    f"policy iteration step {k} met a survival-1 cycle; "
+                    "impulse costs must be positive")
+        W = V @ weights
         q = mdp.expected_next_value(W)
         q += cost
         best = q.argmin(axis=1)
@@ -286,11 +264,11 @@ def policy_iteration(mdp: DiscreteMDP, g, cfg: BellmanConfig = BellmanConfig(),
         if not switch.any() or k == cfg.max_iterations:
             break
         flat = np.where(switch, best, flat)
-        lu = None  # one factor alive at a time
+        V = None
     return BellmanSolution(
         W=W, policy=StationaryPolicy(flat, mdp.n_labels),
         iterations=k, converged=not switch.any(), residual=res,
-        trace=tuple(trace), factor=FactorHandle(lu))
+        trace=tuple(trace), V=V)
 
 
 def argmin_set(mdp: DiscreteMDP, W: np.ndarray, g, slack) -> tuple:

@@ -14,6 +14,7 @@ failure, 4 non-converged solve, 5 verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -178,6 +179,8 @@ def _grid_metadata(doc: dict, mdp) -> dict:
 
 
 def _prepare(args: argparse.Namespace, need_delta: bool = True):
+    """(doc, problem, grid, mdp, validation report) for a command; the last
+    four are None when ``need_delta`` and the impulse costs fail it."""
     doc = load_config(args)
     problem, grid = problem_from_config(doc)
     report = validate(problem, grid)
@@ -188,16 +191,16 @@ def _prepare(args: argparse.Namespace, need_delta: bool = True):
             "refusing to run the dual pipeline: impulse costs must be bounded "
             "away from zero so that endless zero-wait impulse chains are "
             "infinitely costly\n")
-        return doc, None, None, None
+        return doc, None, None, None, None
     try:
         mdp = discretize(problem, grid)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return doc, problem, grid, mdp
+    return doc, problem, grid, mdp, report
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    doc, problem, grid, mdp = _prepare(args)
+    doc, problem, grid, mdp, _ = _prepare(args)
     if mdp is None:
         return EXIT_VALIDATION
     t0 = time.perf_counter()
@@ -307,7 +310,7 @@ def _dual_grid(doc: dict, args: argparse.Namespace, J: int) -> list:
 
 
 def cmd_dual_curve(args: argparse.Namespace) -> int:
-    doc, problem, grid, mdp = _prepare(args)
+    doc, problem, grid, mdp, _ = _prepare(args)
     if mdp is None:
         return EXIT_VALIDATION
     J = mdp.n_constraints
@@ -319,7 +322,6 @@ def cmd_dual_curve(args: argparse.Namespace) -> int:
     pt = None
     for g in grid_pts:
         # policy iteration starts from the previous grid point's solution
-        # and solves its first step with that solution's factor
         try:
             pt = dual_value(mdp, g, bcfg, None if pt is None else pt.solution)
         except BellmanNotConvergedError as exc:
@@ -334,7 +336,7 @@ def cmd_dual_curve(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    doc, problem, grid, mdp = _prepare(args, need_delta=False)
+    doc, problem, grid, mdp, _ = _prepare(args, need_delta=False)
     try:
         with open(args.policy) as fh:
             text = fh.read()
@@ -358,9 +360,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _verify_checks(problem, grid, mdp, tol_scale: float):
-    """Yield (name, passed, detail) for the invariant suite."""
-    rep = validate(problem, grid)
+def _verify_checks(problem, grid, mdp, tol_scale: float, rep):
+    """Yield (name, passed, detail) for the invariant suite; ``rep`` is
+    ``validate(problem, grid)``."""
     yield "impulse-cost-positive", rep.delta_ok, f"delta_hat={rep.delta_hat:.6g}"
     yield "costs-bounded", rep.bounded_ok, f"cost_sup={rep.cost_sup:.6g}"
     yield ("flow-identities", rep.flow_ok,
@@ -411,9 +413,6 @@ def _verify_checks(problem, grid, mdp, tol_scale: float):
     # the dual search's policy iteration against the value-iteration
     # reference, which the loop above left at g = ones
     pi = policy_iteration(mdp, ones, bcfg)
-    # pi is kept for weak duality, its factor is not: the checks below
-    # factorize their own policies
-    pi.factor.take()
     rel = float(np.max(np.abs(pi.W - sol.W) / (1.0 + np.abs(sol.W))))
     ok = pi.converged and rel <= 1e3 * bcfg.tolerance
     yield ("policy-iteration-agreement", ok,
@@ -474,9 +473,9 @@ def _verify_checks(problem, grid, mdp, tol_scale: float):
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    doc, problem, grid, mdp = _prepare(args, need_delta=False)
+    doc, problem, grid, mdp, rep = _prepare(args, need_delta=False)
     failures = 0
-    for name, passed, detail in _verify_checks(problem, grid, mdp, args.tol):
+    for name, passed, detail in _verify_checks(problem, grid, mdp, args.tol, rep):
         status = "PASS" if passed else "FAIL"
         print(f"{status} {name}: {detail}")
         failures += 0 if passed else 1
@@ -489,7 +488,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # argument parsing
 
 
-def _parse_args(argv) -> argparse.Namespace:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then reused."""
     parser = argparse.ArgumentParser(
         prog="impulsecontrol",
         description="Constrained impulse control solver and analytic benchmark")
@@ -522,12 +523,12 @@ def _parse_args(argv) -> argparse.Namespace:
     p_eval.add_argument("--policy", required=True, help="policy table file")
 
     command("verify", cmd_verify, "run the invariant suite")
-    return parser.parse_args(argv)
+    return parser
 
 
 def main(argv=None) -> int:
     """Run one command; returns the process exit status."""
-    args = _parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -4,6 +4,8 @@ The dual functional is h(g) = W*_g(x0) - sum_j g_j d_j where W*_g is the
 Bellman value under the combined cost.  Each evaluation at g yields the greedy
 policy f and its cost vector, and h(g') <= V0(f) + g'.(V(f) - d) for every g'
 (with equality at g), so h is a pointwise minimum of affine cuts and concave.
+Policy iteration already solves for f's per-cost values, so the cut reads
+them at x0 and evaluates nothing again.
 
 The constrained solve maximizes h with Kelley's cutting-plane method over
 those cuts (Kelley 1960), one algorithm for any number of constraints.  Its
@@ -14,7 +16,8 @@ the mixture.  The master has J+1 rows and one column per cut, so it is
 solved in process by a dense revised primal simplex with Bland's
 anti-cycling rule (Bland 1977); its optimal basis mixes at most J+1 cut
 policies.  Optimality certificates (feasibility, Lagrangian value,
-slackness, weak duality) are checked last.
+slackness, weak duality) are checked last, on mixture costs evaluated
+independently of the search.
 """
 
 from __future__ import annotations
@@ -26,9 +29,10 @@ import numpy as np
 from .model import DiscreteMDP
 from .bellman import (BellmanConfig, BellmanSolution, StationaryPolicy,
                       policy_iteration)
-# unused here; the benchmark tracer (perfbench/tracing.py) patches both names
+# unused here; the benchmark tracer (perfbench/tracing.py) patches these names
 from .bellman import argmin_set, solve_W  # noqa: F401
-from .policy_eval import CostVector, MixedPolicy, eval_mixture, eval_policy
+from .policy_eval import eval_policy  # noqa: F401
+from .policy_eval import CostVector, MixedPolicy, eval_mixture
 
 
 class DualBracketError(RuntimeError):
@@ -196,12 +200,12 @@ def dual_value(mdp: DiscreteMDP, g, cfg: BellmanConfig = BellmanConfig(),
     Solves the combined-cost Bellman problem by policy iteration (from
     ``start`` when given) and returns h(g) = W*_g(x0) - sum g_j d_j together
     with the greedy policy's cost vector and constraint slacks (a
-    supergradient of h at g).  A ``start`` given as an earlier evaluation's
-    ``solution`` hands its SuperLU factor to the first step (see
-    :func:`policy_iteration`), and the returned point's ``solution`` holds
-    the factor of its own policy for the next warm start.  Raises
-    ``BellmanNotConvergedError`` when policy iteration stops at its step
-    cap, whose value is then not h(g).
+    supergradient of h at g).  The cost vector is the solve's own per-cost
+    values at x0, ``solution.V[x0]``, so the cut costs no further policy
+    evaluation.  A ``start`` given as an earlier evaluation's ``solution``
+    takes its first step from that solution's values (see
+    :func:`policy_iteration`).  Raises ``BellmanNotConvergedError`` when
+    policy iteration stops at its step cap, whose value is then not h(g).
     """
     g = np.atleast_1d(np.asarray(g, dtype=float))
     d = _bounds_vector(mdp)
@@ -212,7 +216,7 @@ def dual_value(mdp: DiscreteMDP, g, cfg: BellmanConfig = BellmanConfig(),
             f"within max_iterations={cfg.max_iterations} (last sup-norm "
             f"change {sol.residual:.3g}, tolerance {cfg.tolerance:.3g})")
     W0 = float(sol.W[mdp.x0_index])
-    costs = eval_policy(mdp, sol.policy)
+    costs = CostVector(sol.V[mdp.x0_index])
     return DualPoint(
         g=g, h=W0 - float(g @ d), W0=W0, slacks=costs.v[1:] - d,
         solution=sol, costs=costs)
@@ -321,9 +325,8 @@ def maximize_dual(mdp: DiscreteMDP, cfg: BellmanConfig = BellmanConfig()):
     the box nor stops adds a new deterministic policy, of which there are
     finitely many, so the search ends.  A non-converged evaluation raises
     ``BellmanNotConvergedError``.  Each evaluation's policy iteration starts
-    from the previous cut's solution and solves its first step with that
-    solution's factor; the last factor is dropped on return, so no trace
-    point holds one.
+    from the previous cut's solution and takes its first step from that
+    solution's per-cost values.
 
     Returns (g*, trace, weights): g* = g_m, the trace of every evaluation
     (the last one is at g*), and the mixture weights over the trace's
@@ -334,7 +337,6 @@ def maximize_dual(mdp: DiscreteMDP, cfg: BellmanConfig = BellmanConfig()):
     pt = dual_value(mdp, np.zeros(d.size), cfg)
     trace = [pt]
     if np.all(pt.slacks <= 0.0):
-        pt.solution.factor.take()
         return pt.g, trace, np.ones(1)
     eps = _gap_tol(cfg)
     box = np.full(d.size, G_INIT)
@@ -362,7 +364,6 @@ def maximize_dual(mdp: DiscreteMDP, cfg: BellmanConfig = BellmanConfig()):
                     f"{g.tolist()} (doubling cap {BRACKET_CAP:.3g}); the "
                     "constraints appear to admit no strictly feasible point")
         elif known or pt.h >= ub - eps * (1.0 + abs(ub)):
-            pt.solution.factor.take()
             return g, trace, w
 
 

@@ -283,25 +283,16 @@ class DiscreteMDP:
                      transpose: bool = False) -> np.ndarray | None:
         """Solve (I - P) x = rhs, or (I - P^T) x = rhs, by sparse LU.
 
-        :meth:`factorize_policy` then :func:`solve_factored`, the factor
-        dropped on return.  ``rhs`` may have one column per right-hand side.
-        Returns None when the system is singular (a survival-1 cycle) or the
-        solution is not finite.
-        """
-        lu = self.factorize_policy(flat, transpose)
-        return None if lu is None else solve_factored(lu, rhs)
-
-    def factorize_policy(self, flat: np.ndarray, transpose: bool = False):
-        """SuperLU factor of I - P, or of I - P^T; None when it is singular.
-
         P is the sub-stochastic state-to-state matrix of the chain that takes
         action ``flat[i]`` at grid state i (the killed mass leaves it): the
         kernel rows of the cells (i, flat[i]), each scaled by its survival.
         I - P is assembled directly, three entries per row (the diagonal 1,
         then -survival * weight at the two landings), with duplicates summed
-        and zeros dropped.  The factor depends on the policy alone, so one
-        factor serves every cost the policy is evaluated under; it holds
-        SuperLU's workspace, so callers keep it no longer than they use it.
+        and zeros dropped.  ``rhs`` may have one column per right-hand side,
+        so one factorization serves every cost the policy is evaluated
+        under; the factor is dropped on return.  Returns None when the
+        system is singular (a survival-1 cycle) or the solution is not
+        finite.
         """
         n = self.n_states
         k = 2 * (np.arange(n) * self.n_actions + flat)  # first kernel entry
@@ -318,16 +309,14 @@ class DiscreteMDP:
         A.sum_duplicates()
         A.eliminate_zeros()
         try:
-            return splu((A.T if transpose else A).tocsc())
+            lu = splu((A.T if transpose else A).tocsc())
         except RuntimeError:
             return None
-
-
-def solve_factored(lu, rhs: np.ndarray) -> np.ndarray | None:
-    """``lu.solve(rhs)``, or None when the solution is not finite."""
-    with np.errstate(all="ignore"):
-        x = lu.solve(rhs)
-    return x if np.all(np.isfinite(x)) else None
+        with np.errstate(all="ignore"):
+            x = lu.solve(rhs)
+        if not np.all(np.isfinite(x)):
+            return None
+        return x
 
 
 @dataclass(frozen=True)

@@ -194,9 +194,10 @@ def test_policy_iteration_warm_start_matches_cold_start(small_mdp, j2_mdp):
 
 def test_warm_start_from_a_solution_reuses_its_factor(monkeypatch, small_mdp,
                                                       j2_mdp):
-    # I - P_f is the policy's alone: a start given as the previous solution
-    # solves its first step with that solution's factor, and the answer is
-    # bitwise that of a start from the bare policy, which factorizes again
+    # the per-cost values V are the policy's alone: a start given as the
+    # previous solution takes its first step from that solution's V, as
+    # often as it is reused, and the answer is bitwise that of a start from
+    # the bare policy, which factorizes again
     made = []
     real = model.splu
     monkeypatch.setattr(model, "splu", lambda A: made.append(1) or real(A))
@@ -211,18 +212,16 @@ def test_warm_start_from_a_solution_reuses_its_factor(monkeypatch, small_mdp,
         assert len(made) == warm.iterations - 1
         assert warm.policy == bare.policy and warm.trace == bare.trace
         assert np.array_equal(warm.W, bare.W)
-        # the factor was handed over once; a second start factorizes
-        assert prev.factor.take() is None
         made.clear()
         again = ic.policy_iteration(mdp, g, start=prev)
-        assert len(made) == again.iterations
+        assert len(made) == again.iterations - 1
         assert np.array_equal(again.W, bare.W)
         # a converged solve at g is its own fixed point: one step, no factor
         made.clear()
         fixed = ic.policy_iteration(mdp, g, start=warm)
         assert (len(made), fixed.iterations) == (0, 1)
         assert np.array_equal(fixed.W, warm.W)
-    assert ic.solve_W(small_mdp, [1.0]).factor.take() is None
+    assert ic.solve_W(small_mdp, [1.0]).V is None
 
 
 def test_policy_iteration_cut_is_exact(small_mdp, j2_mdp):
@@ -232,7 +231,9 @@ def test_policy_iteration_cut_is_exact(small_mdp, j2_mdp):
                    (small_mdp, np.asarray([40.0])),
                    (j2_mdp, np.asarray([3.0, 0.5]))):
         sol = ic.policy_iteration(mdp, g)
+        assert np.array_equal(sol.W, sol.V @ np.concatenate(([1.0], g)))
         v = ic.eval_policy(mdp, sol.policy).v
+        np.testing.assert_allclose(sol.V[mdp.x0_index], v, rtol=1e-12, atol=0)
         d = np.asarray(mdp.bounds)
         h = sol.W[mdp.x0_index] - float(g @ d)
         assert h == pytest.approx(v[0] + float(g @ (v[1:] - d)), rel=1e-12)

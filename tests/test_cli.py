@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -160,6 +161,16 @@ def test_verify_passes_on_default_config(config_file, capsys):
     assert cli.main(["verify", "--config", config_file]) == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out and out.strip().endswith("(0 failing checks)")
+
+
+def test_verify_validates_once(config_file, monkeypatch, capsys):
+    calls = []
+    real = cli.validate
+    monkeypatch.setattr(cli, "validate",
+                        lambda problem, grid: calls.append(1) or real(problem, grid))
+    assert cli.main(["verify", "--config", config_file]) == 0
+    assert len(calls) == 1
+    assert "PASS impulse-cost-positive" in capsys.readouterr().out
 
 
 def test_verify_passes_on_shipped_benchmark_config(capsys):
@@ -363,7 +374,8 @@ def test_verify_checks_peak_memory(accept_fluid):
     # n_states * n_actions * 8 bytes.
     prob, grid, mdp = accept_fluid
     table = mdp.n_states * mdp.n_actions * 8
-    peak, checks = traced_peak(lambda: list(cli._verify_checks(prob, grid, mdp, 1.0)))
+    peak, checks = traced_peak(lambda: list(cli._verify_checks(
+        prob, grid, mdp, 1.0, ic.validate(prob, grid))))
     assert all(passed for _, passed, _ in checks)
     assert peak <= 2.2 * table, peak / table
 
@@ -390,6 +402,29 @@ def test_set_override_changes_nested_fields(config_file, capsys):
     assert cli.main(["dual-curve", "--config", config_file,
                      "--set", "grid.theta_n=40", "--g-steps", "3"]) == 0
     capsys.readouterr()
+
+
+def test_parser_is_built_once_and_forgets_overrides(config_file, monkeypatch,
+                                                    request, capsys):
+    # main reuses one parser; a --set given to one call must not reach the
+    # next one through the parser's defaults
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        if kwargs.get("prog") == "impulsecontrol":
+            built.append(1)
+        real_init(self, *args, **kwargs)
+
+    cli._parser.cache_clear()
+    request.addfinalizer(cli._parser.cache_clear)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    regimes = []
+    for extra in (["--set", "d=3.0"], []):
+        assert cli.main(["analytic", "--config", config_file, *extra]) == 0
+        regimes.append(json.loads(capsys.readouterr().out)["regime"])
+    assert regimes == ["unconstrained", "constrained"]
+    assert len(built) == 1
 
 
 def test_bellman_trace_written(config_file, tmp_path):

@@ -427,18 +427,37 @@ class _TrackedFactor:
         self.ledger.alive -= 1
 
 
-@pytest.mark.parametrize("name, expected", [
-    ("fluid-tight", 19), ("fluid-accept", 16), ("custom-j2", 10)])
-def test_band_centre_factorizations(monkeypatch, name, expected):
-    # every evaluation after the first solves its first step with the
-    # previous cut's factor: sum of steps - (evaluations - 1) factorizations
-    # (32, 25 and 18 when each step factorizes)
-    mdp = _band_mdp(band_centre_doc(name))
+def _custom_two_action_doc():
+    doc = json.loads(json.dumps(CUSTOM_TWO_ACTION_DOC))
+    doc["bounds"] = [2.5]  # the shipped 1.0 is below every policy's cost
+    doc["grid"].update(state_n=30, theta_n=30)
+    return doc
+
+
+@pytest.mark.parametrize("doc, expected", [
+    *(pytest.param(band_centre_doc(name), n, id=f"{name}-{n}") for name, n in
+      (("fluid-tight", 19), ("fluid-accept", 16), ("custom-j2", 10))),
+    pytest.param(_custom_two_action_doc(), 11,
+                 id="custom-two-action-off-grid-11")])
+def test_band_centre_factorizations(monkeypatch, doc, expected):
+    # every evaluation after the first takes its first step from the
+    # previous cut's per-cost values, so the search makes sum of steps -
+    # (evaluations - 1) factorizations (32, 25 and 18 when each step
+    # factorizes).  The cuts read those values too, so off-grid landings
+    # add none there; only the certificates' own evaluation of the mixture
+    # solves, once on the off-grid doc (14 when each cut evaluated its
+    # policy again)
+    mdp = _band_mdp(doc)
     ledger = _FactorLedger(model.splu)
     monkeypatch.setattr(model, "splu", ledger)
+    made_by_search = []
+    real_mixture = dual.eval_mixture
+    monkeypatch.setattr(dual, "eval_mixture", lambda mdp, m: (
+        made_by_search.append(ledger.made) or real_mixture(mdp, m)))
     result = ic.solve_constrained(mdp)
     steps = sum(pt.solution.iterations for pt in result.trace)
-    assert ledger.made == steps - (len(result.trace) - 1) == expected
+    assert made_by_search == [steps - (len(result.trace) - 1)]
+    assert ledger.made == expected
     # no factor outlives its use: none alive when another is made, and none
     # once the solve has returned
     assert ledger.alive_at_new == [0] * ledger.made
@@ -451,20 +470,12 @@ def _solve_with_bare_starts(monkeypatch, mdp):
 
     def bare(mdp, g, cfg=ic.BellmanConfig(), start=None):
         if isinstance(start, ic.BellmanSolution):
-            start.factor.take()
             start = start.policy
         return real(mdp, g, cfg, start)
 
     with monkeypatch.context() as m:
         m.setattr(dual, "dual_value", bare)
         return ic.solve_constrained(mdp)
-
-
-def _custom_two_action_doc():
-    doc = json.loads(json.dumps(CUSTOM_TWO_ACTION_DOC))
-    doc["bounds"] = [2.5]  # the shipped 1.0 is below every policy's cost
-    doc["grid"].update(state_n=30, theta_n=30)
-    return doc
 
 
 @pytest.mark.parametrize("doc", [
@@ -505,12 +516,11 @@ def _reachable(root):
 
 
 def test_no_factor_is_reachable_from_the_dual_result(j2_mdp):
-    # a fresh evaluation holds its factor for the next warm start, so the
-    # walk does see factors where they are; the solve drops the last one
+    # a solution carries its policy's values, not the factor that made them
     def factors(root):
         return [o for o in _reachable(root) if isinstance(o, SuperLU)]
 
-    assert len(factors(ic.dual_value(j2_mdp, [1.0, 0.0]))) == 1
+    assert factors(ic.dual_value(j2_mdp, [1.0, 0.0])) == []
     result = ic.solve_constrained(j2_mdp)
     assert len(result.trace) >= 2
     assert factors(result) == []
