@@ -18,7 +18,8 @@ from .bellman import (BellmanConfig, BellmanSolution, StationaryPolicy,
 from .policy_eval import (CostVector, MixedPolicy, OccupationMeasure,
                           check_characteristic, eval_mixture, eval_policy,
                           occupation_measure, policy_from_table,
-                          policy_to_table, simulate_oracle, threshold_rule)
+                          policy_rule, policy_to_table, simulate_oracle,
+                          threshold_rule)
 from .dual import (BellmanNotConvergedError, CertificateReport,
                    DualBracketError, DualPoint, DualResult, dual_value,
                    maximize_dual, mix_weights, solve_constrained,
@@ -33,7 +34,7 @@ __all__ = [
     "bellman_backup", "policy_iteration", "residual", "solve_W",
     "CostVector", "MixedPolicy", "OccupationMeasure", "check_characteristic",
     "eval_mixture", "eval_policy", "occupation_measure", "policy_from_table",
-    "policy_to_table", "simulate_oracle", "threshold_rule",
+    "policy_rule", "policy_to_table", "simulate_oracle", "threshold_rule",
     "BellmanNotConvergedError", "CertificateReport", "DualBracketError",
     "DualPoint", "DualResult", "dual_value", "maximize_dual", "mix_weights",
     "solve_constrained", "verify_optimality",

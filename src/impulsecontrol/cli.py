@@ -26,7 +26,7 @@ from . import model
 from .model import ConfigError, discretize, problem_from_config, validate
 from .bellman import BellmanConfig, StationaryPolicy, policy_iteration, solve_W
 from .policy_eval import (check_characteristic, eval_policy, occupation_measure,
-                          policy_from_table, simulate_oracle)
+                          policy_from_table, policy_rule, simulate_oracle)
 from .dual import (MULTIPLIER_TOL, BellmanNotConvergedError, DualBracketError,
                    dual_value, solve_constrained)
 from . import fluidq
@@ -443,8 +443,14 @@ def _verify_checks(problem, grid, mdp, tol_scale: float, rep):
         rel = float(np.max(np.abs(dual_costs - costs.v) / (1.0 + np.abs(costs.v))))
         occ_ok &= rel <= 1e-8
         occ_detail.append(f"theta={th[k]:.4g}: char={resid:.2e} dual={rel:.2e}")
-        oracle = simulate_oracle(problem, pol, horizon=4000, mdp=mdp,
-                                 step=grid.quadrature_step)
+        try:
+            oracle = simulate_oracle(problem, policy_rule(mdp, pol), horizon=4000,
+                                     step=grid.quadrature_step)
+        except ValueError as exc:
+            # the true flow can leave the clamped grid for an invalid state
+            tri_ok = False
+            tri_detail.append(f"theta={th[k]:.4g}: {exc}")
+            continue
         rel_o = float(np.max(np.abs(oracle.v - costs.v) / (1.0 + np.abs(costs.v))))
         tri_ok &= rel_o <= 1e-6
         tri_detail.append(f"theta={th[k]:.4g}: oracle={rel_o:.2e}")

@@ -572,10 +572,11 @@ def discretize(problem: ImpulseProblem, grid: GridSpec) -> DiscreteMDP:
     cache-sized inner block of grid states (see
     :func:`_running_integral_blocks`), then the flow, reset and lump costs
     for the landings once on the block, not once on the whole grid (a
-    scalar-only map falls back to point by point within each call).  Raises ValueError naming the
-    offending cell if any tabulated cost is non-finite or negative, and,
-    before any table exists, for an off-grid x0, a survival that underflows
-    or a grid that :func:`check_footprint` refuses.
+    scalar-only map falls back to point by point within each call).  Raises
+    ValueError naming the offending cell if a landing is non-finite (checked
+    per block) or a tabulated cost is non-finite or negative, and, before
+    any table exists, for an off-grid x0, a survival that underflows or a
+    grid that :func:`check_footprint` refuses.
     """
     xs = grid.state_points
     thetas = grid.theta_points
@@ -624,6 +625,13 @@ def discretize(problem: ImpulseProblem, grid: GridSpec) -> DiscreteMDP:
         y_flow = _eval(problem.flow, xs[rows, np.newaxis], thetas[np.newaxis, :-1])
         for a_idx, label in enumerate(labels):
             landing = _eval(problem.reset, y_flow, label)
+            if not np.isfinite(landing).all():
+                r, k = np.argwhere(~np.isfinite(landing))[0]
+                i = rows.start + int(r)
+                raise ValueError(
+                    f"landing state is non-finite at state {float(xs[i])} "
+                    f"(index {i}), theta={float(thetas[k])}, action={label!r}: "
+                    f"{float(landing[r, k])!r}")
             clamped += int(np.sum((landing < xs[0] - clamp_tol)
                                   | (landing > xs[-1] + clamp_tol)))
             landing = np.clip(landing, xs[0], xs[-1])
@@ -812,7 +820,7 @@ def _rate_from_spec(spec, path: str):
         v = float(_require(spec, "value", path + "."))
         return (lambda x: v + 0.0 * x), v
     if kind == "polynomial":
-        coeffs = np.asarray(_require(spec, "coeffs", path + "."), dtype=float)
+        coeffs = _number_list(spec, "coeffs", path)
         if coeffs.size == 0:
             raise ConfigError(f"'{path}.coeffs' must be nonempty")
         const = float(coeffs[0]) if coeffs.size == 1 else None

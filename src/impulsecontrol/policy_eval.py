@@ -1,10 +1,11 @@
 """Exact evaluation of stationary policies, mixtures and occupation measures.
 
 Two deliberately independent evaluation paths are kept for cross-validation:
-a trajectory walk that sums the geometric series of repeating cycles in
-closed form (exact when landings hit grid points), and a sparse linear solve
-of the interpolated fixed-point system (the default for arbitrary policies).
-A third, grid-free oracle integrates the continuous-time cost sum directly
+one walk of the grid trajectory, which sums the geometric series of the
+cycle it ends in (exact when landings hit grid points), and a sparse linear
+solve of the interpolated fixed-point system (used when a landing splits
+between grid points, and for occupation measures).  A third, grid-free
+oracle integrates the continuous-time cost sum of a decision rule directly
 along the true flow.  All operations are pure functions of immutable inputs
 and safe for concurrent use.
 """
@@ -69,66 +70,64 @@ class MixedPolicy:
             raise ValueError(f"mixture weights must sum to 1, got sum {w.sum()!r}")
 
 
-def _eval_by_linear_solve(mdp: DiscreteMDP, f: StationaryPolicy) -> CostVector:
-    c = mdp.costs[:, np.arange(mdp.n_states), f.flat]  # (n_costs, n)
-    V = mdp.solve_policy(f.flat, c.T)
-    if V is None:
-        raise ValueError(
-            "policy evaluation system is singular (a survival-1 cycle); "
-            "the policy has infinite cost")
-    return CostVector(V[mdp.x0_index, :])
+def _walk(mdp: DiscreteMDP, f: StationaryPolicy):
+    """Follow the heavier landing from x0 until the mass dies or a state repeats.
+
+    Returns the running discounted totals and discount, each visited state's
+    (totals, disc) at first entry in visit order, the states of the closing
+    cycle (none if the mass died) and whether a surviving landing split.
+    """
+    totals = np.zeros(mdp.n_costs)
+    disc = 1.0
+    entries: dict[int, tuple] = {}
+    split = False
+    idx = mdp.x0_index
+    while idx not in entries:
+        entries[idx] = (totals.copy(), disc)
+        q = int(f.flat[idx])
+        s, w, nxt = mdp.landing(idx, q)
+        totals += disc * mdp.costs[:, idx, q]
+        disc *= s
+        if s == 0.0:
+            return totals, disc, entries, [], split
+        split |= w < 1.0 - 1e-12
+        idx = nxt
+    path = list(entries)
+    return totals, disc, entries, path[path.index(idx):], split
 
 
 def eval_policy(mdp: DiscreteMDP, f: StationaryPolicy) -> CostVector:
     """Cost vector of a deterministic stationary policy from the initial state.
 
-    Follows the grid trajectory with a running survival product; a revisited
-    state closes a cycle whose remaining cost is the geometric series summed
-    in closed form.  A cycle with per-cycle survival 1 (all zero waits) has
-    infinite cost on every index it accrues, reported as +inf entries.
-    Off-grid landings (interpolation weights split between two grid points)
-    fall back to the linear solve of the interpolated fixed-point system.
+    A revisited state closes a cycle: its cost (totals now minus totals at
+    entry) repeats with ratio rho (discount now over discount at entry), and
+    the geometric tail is added in closed form.  A cycle with rho = 1 (all
+    zero waits) is +inf on every index it accrues.  If a visited landing
+    splits between two grid points, the interpolated fixed-point system is
+    solved instead.
     """
     if f.n_states != mdp.n_states:
         raise ValueError("policy does not match the MDP state grid")
-    n_costs = mdp.n_costs
-    totals = np.zeros(n_costs)
-    disc = 1.0
-    idx = mdp.x0_index
-    position: dict[int, int] = {}
-    step_costs: list[np.ndarray] = []
-    step_surv: list[float] = []
-    step_disc: list[float] = []
-    while True:
-        if idx in position:
-            # cost of the first pass through the cycle, discounted to its entry
-            p = position[idx]
-            cycle = np.zeros(n_costs)
-            within = 1.0
-            for k in range(p, len(step_costs)):
-                cycle += within * step_costs[k]
-                within *= step_surv[k]
-            rho = within
-            if rho >= 1.0:
-                tail = np.where(cycle > 0.0, math.inf, 0.0)
-            else:
-                # totals already holds the first pass; add the repeats
-                tail = step_disc[p] * cycle * (rho / (1.0 - rho))
-            return CostVector(totals + tail)
-        q = int(f.flat[idx])
-        s, w, nxt = mdp.landing(idx, q)
-        if s > 0.0 and w < 1.0 - 1e-12:
-            return _eval_by_linear_solve(mdp, f)
-        position[idx] = len(step_costs)
-        c = mdp.costs[:, idx, q].copy()
-        step_costs.append(c)
-        step_surv.append(s)
-        step_disc.append(disc)
-        totals += disc * c
-        disc *= s
-        if s == 0.0:
-            return CostVector(totals)
-        idx = nxt
+    totals, disc, entries, cycle_states, split = _walk(mdp, f)
+    if split:
+        c = mdp.costs[:, np.arange(mdp.n_states), f.flat]  # (n_costs, n)
+        V = mdp.solve_policy(f.flat, c.T)
+        if V is None:
+            raise ValueError(
+                "policy evaluation system is singular (a survival-1 cycle); "
+                "the policy has infinite cost")
+        return CostVector(V[mdp.x0_index, :])
+    if cycle_states:
+        at_entry, disc_at_entry = entries[cycle_states[0]]
+        # an underflowed prefix discount leaves nothing for the tail
+        rho = disc / disc_at_entry if disc_at_entry > 0.0 else 0.0
+        if rho >= 1.0:
+            # read the costs themselves: a large prefix total can absorb them
+            c = mdp.costs[:, cycle_states, f.flat[cycle_states]]
+            totals = totals + np.where(c.sum(axis=1) > 0.0, math.inf, 0.0)
+        else:
+            totals = totals + (totals - at_entry) * (rho / (1.0 - rho))
+    return CostVector(totals)
 
 
 def occupation_measure(mdp: DiscreteMDP, f: StationaryPolicy) -> OccupationMeasure:
@@ -143,30 +142,14 @@ def occupation_measure(mdp: DiscreteMDP, f: StationaryPolicy) -> OccupationMeasu
     e0[mdp.x0_index] = 1.0
     m = mdp.solve_policy(f.flat, e0, transpose=True)
     if m is None or np.any(m < -1e-9):
-        cyc = _unit_cycle_states(mdp, f)
+        _, _, entries, cyc, _ = _walk(mdp, f)
         raise ValueError(
             "occupation measure is not finite: the policy induces a "
-            f"survival-1 cycle through grid state indices {cyc}")
+            f"survival-1 cycle through grid state indices {cyc or list(entries)}")
     m = np.maximum(m, 0.0)
     mass = np.zeros((n, mdp.n_actions))
     mass[np.arange(n), f.flat] = m
     return OccupationMeasure(mass=mass, total=float(m.sum()))
-
-
-def _unit_cycle_states(mdp: DiscreteMDP, f: StationaryPolicy) -> list[int]:
-    """Best-effort walk from x0 to name a survival-1 cycle."""
-    idx = mdp.x0_index
-    seen: dict[int, int] = {}
-    path: list[int] = []
-    for _ in range(mdp.n_states + 1):
-        if idx in seen:
-            return path[seen[idx]:]
-        seen[idx] = len(path)
-        path.append(idx)
-        s, _, idx = mdp.landing(idx, int(f.flat[idx]))
-        if s == 0.0:
-            break
-    return path
 
 
 def check_characteristic(mdp: DiscreteMDP, mu: OccupationMeasure) -> float:
@@ -221,30 +204,21 @@ def policy_rule(mdp: DiscreteMDP, f: StationaryPolicy):
     return rule
 
 
-def simulate_oracle(problem: ImpulseProblem, policy, horizon: int,
-                    mdp: DiscreteMDP | None = None,
+def simulate_oracle(problem: ImpulseProblem, rule, horizon: int,
                     step: float = 1e-3) -> CostVector:
-    """Continuous-time cost of a policy, evaluated along the true flow.
+    """Continuous-time cost of a decision rule, evaluated along the true flow.
 
-    Sums impulse-by-impulse the discounted stage costs of the original
-    problem (impulse times t_i, discount exp(-alpha*t_i), running integrals
-    along the flow with no grid involved), truncated after ``horizon``
-    impulses.  Truncation stops early once the remaining discount factor
-    cannot contribute above double precision; for agreement checks pick the
-    horizon so that exp(-alpha*t_N) times the cost scale is below the target
-    tolerance.  ``policy`` may be a float threshold (wait max(xbar - x, 0)),
-    a callable x -> (theta, action), or a StationaryPolicy with its ``mdp``.
+    ``rule`` maps a state x to (theta, action), as :func:`threshold_rule`
+    and :func:`policy_rule` build.  Sums impulse-by-impulse the discounted
+    stage costs of the original problem (impulse times t_i, discount
+    exp(-alpha*t_i), running integrals along the flow with no grid
+    involved), truncated after ``horizon`` impulses.  Truncation stops early
+    once the remaining discount factor cannot contribute above double
+    precision; for agreement checks pick the horizon so that
+    exp(-alpha*t_N) times the cost scale is below the target tolerance.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    if isinstance(policy, StationaryPolicy):
-        if mdp is None:
-            raise ValueError("a StationaryPolicy needs the mdp it indexes into")
-        rule = policy_rule(mdp, policy)
-    elif isinstance(policy, (int, float)):
-        rule = threshold_rule(problem, float(policy))
-    else:
-        rule = policy
     totals = np.zeros(problem.n_costs)
     x = problem.x0
     t = 0.0

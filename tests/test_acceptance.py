@@ -161,7 +161,7 @@ def test_criterion_7_oracle_triangle(bench):
         v_traj = ic.eval_policy(mdp, pol).v
         mu = ic.occupation_measure(mdp, pol)
         v_mu = np.tensordot(mu.mass, mdp.costs, axes=([0, 1], [1, 2]))
-        v_sim = ic.simulate_oracle(prob, pol, horizon=6000, mdp=mdp,
+        v_sim = ic.simulate_oracle(prob, ic.policy_rule(mdp, pol), horizon=6000,
                                    step=grid.quadrature_step).v
         for a, b in ((v_traj, v_mu), (v_traj, v_sim), (v_mu, v_sim)):
             worst = max(worst, float(np.max(np.abs(a - b) / (1.0 + np.abs(a)))))

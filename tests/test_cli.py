@@ -3,10 +3,12 @@ import json
 import math
 import os
 import re
+import warnings
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from importlib import resources
 
 import impulsecontrol as ic
@@ -238,7 +240,10 @@ NEGATIVE_COST_DOC = {
     pytest.param(BASE_DOC, "grid.theta_max=1e6", "underflows to 0",
                  id="large-theta-max"),
     pytest.param(NEGATIVE_COST_DOC, "x0=0.0", "non-finite or negative",
-                 id="negative-cost")])
+                 id="negative-cost"),
+    pytest.param(J2_DOC, "reset.value=NaN",
+                 "landing state is non-finite at state 0.0 (index 0), "
+                 "theta=0.0, action='flush': nan", id="nan-landing")])
 def test_inputs_discretize_rejects_exit_2(tmp_path, command, doc, override,
                                           needle, capsys):
     path = tmp_path / "doc.json"
@@ -557,15 +562,39 @@ def _j2_30(tmp_path, rate=None):
     ({"breakpoints": [0.8], "values": [2.0]},
      "'gradual_costs[2].values' must have one more entry than breakpoints"),
     ({"breakpoints": [], "values": [1.0, 2.0]},
-     "'gradual_costs[2].values' must have one more entry than breakpoints")],
+     "'gradual_costs[2].values' must have one more entry than breakpoints"),
+    ({"type": "polynomial", "coeffs": 2.0},
+     "'gradual_costs[2].coeffs' must be a list of numbers, got 2.0"),
+    ({"type": "polynomial", "coeffs": None},
+     "'gradual_costs[2].coeffs' must be a list of numbers, got None"),
+    ({"type": "polynomial", "coeffs": [0.2, True]},
+     "'gradual_costs[2].coeffs' must be a list of numbers")],
     ids=["scalar-values", "null-values", "scalar-breakpoints", "string-value",
-         "short-values", "long-values"])
+         "short-values", "long-values", "scalar-coeffs", "null-coeffs",
+         "bool-coeff"])
 def test_bad_piecewise_constant_table_exits_2(tmp_path, rate, needle, capsys):
     config = _j2_30(tmp_path, {"type": "piecewise_constant", **rate})
     for command in ("solve", "verify"):
         assert cli.main([command, "--config", config]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and needle in err
+
+
+def test_verify_oracle_agreement_fails_where_the_true_flow_leaves_the_grid(
+        tmp_path, capsys):
+    # the reset lands at -1, below the grid: the grid clamps it to 0, while
+    # the oracle follows it to a state where the holding rate is negative
+    config = _j2_30(tmp_path)
+    with pytest.warns(RuntimeWarning, match="clamped"):
+        assert cli.main(["solve", "--config", config, "--set", "reset.value=-1",
+                         "--out", os.devnull]) == 0
+    with pytest.warns(RuntimeWarning, match="clamped"):
+        assert cli.main(["verify", "--config", config,
+                         "--set", "reset.value=-1"]) == 5
+    line = [ln for ln in capsys.readouterr().out.splitlines()
+            if "oracle-agreement" in ln]
+    assert line[0].startswith("FAIL oracle-agreement: theta=")
+    assert "non-finite or negative stage cost" in line[0]
 
 
 def test_piecewise_constant_without_breakpoints_is_a_constant(tmp_path, capsys):
@@ -609,3 +638,81 @@ def test_physical_memory_is_read(config_file, capsys):
                      "grid.state_n=800", "--set", "grid.theta_n=800",
                      "--out", os.devnull]) == 0
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# fuzzed config documents end in a documented exit code
+
+
+def _fuzz_bases():
+    from pathlib import Path
+    root = Path(__file__).resolve().parent.parent
+    fluid = json.loads((root / "configs" / "fluid_benchmark.json").read_text())
+    bases = {"fluid": fluid, "j2": json.loads(json.dumps(J2_DOC))}
+    for doc in bases.values():
+        doc["grid"].update(state_n=30, theta_n=30)
+    return bases
+
+
+def _doc_paths(node, prefix=()):
+    """Every key or index path into a JSON document, containers included."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _doc_paths(child, prefix + (key,))
+
+
+FUZZ_BASES = _fuzz_bases()
+FUZZ_VALUES = (0, -1, 1e-300, 1e300, math.nan, "x", None, [], {}, "<delete>")
+
+
+def _fuzz_case(name):
+    edit = st.tuples(st.sampled_from(list(_doc_paths(FUZZ_BASES[name]))),
+                     st.sampled_from(FUZZ_VALUES))
+    return st.tuples(st.just(name), st.lists(edit, min_size=1, max_size=2))
+
+
+def _mutated(name, edits):
+    """A fresh copy of the base document with each edit applied in turn.
+
+    The value "<delete>" removes the field.  An edit whose path an earlier
+    edit removed is skipped.  Values are copied per edit, so no two places
+    share one list or object.
+    """
+    doc = json.loads(json.dumps(FUZZ_BASES[name]))
+    for path, value in edits:
+        node = doc
+        try:
+            for key in path[:-1]:
+                node = node[key]
+            if value == "<delete>":
+                del node[path[-1]]
+            else:
+                node[path[-1]] = json.loads(json.dumps(value))
+        except (KeyError, IndexError, TypeError):
+            continue
+    return doc
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=st.sampled_from(sorted(FUZZ_BASES)).flatmap(_fuzz_case),
+       command=st.sampled_from(["solve", "verify"]))
+@example(case=("j2", [(("gradual_costs", 1, "coeffs"), 2.0)]), command="solve")
+@example(case=("j2", [(("impulse_costs", 0), {"type": "polynomial",
+                                               "coeffs": None})]),
+         command="verify")
+@example(case=("j2", [(("reset", "value"), math.nan)]), command="verify")
+@example(case=("j2", [(("reset", "value"), -1)]), command="verify")
+def test_fuzzed_config_exits_with_a_documented_code(tmp_path_factory, case,
+                                                    command):
+    path = tmp_path_factory.mktemp("fuzz") / "doc.json"
+    path.write_text(json.dumps(_mutated(*case)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = cli.main([command, "--config", str(path), "--out", os.devnull])
+    assert code in (0, 2, 3, 4, 5)

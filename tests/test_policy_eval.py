@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -77,6 +78,81 @@ def test_eval_falls_back_to_linear_solve_on_split_landings():
     T[rows, mdp.next_hi[rows, q]] += mdp.survival[q] * mdp.w_hi[rows, q]
     ref = np.linalg.solve(np.eye(n) - T, mdp.costs[:, rows, q].T)
     assert np.allclose(v, ref[mdp.x0_index], rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# a cycle entered after a prefix: from x0 = 2 every policy below resets to 0,
+# and the cycle through 0 starts one step in
+
+
+@pytest.fixture(scope="module")
+def prefix():
+    prob = replace(ic.fluid_problem(alpha=1.0, h=1.0, K=1.0, d=0.5), x0=2.0)
+    grid = ic.GridSpec.uniform(0.0, 5.0, 101, 5.0, 101, 0.01)
+    return prob, grid, ic.discretize(prob, grid)
+
+
+def test_eval_cycle_after_prefix_matches_linear_solve(prefix):
+    _, _, mdp = prefix
+    assert mdp.x0_index == 40
+    rows = np.arange(mdp.n_states)
+    for k in (17, 33, 61):
+        pol = constant_theta_policy(mdp, k)
+        V = mdp.solve_policy(pol.flat, mdp.costs[:, rows, pol.flat].T)
+        got = ic.eval_policy(mdp, pol).v
+        assert np.allclose(got, V[mdp.x0_index], rtol=1e-12, atol=0.0)
+
+
+def test_zero_wait_cycle_after_prefix_is_infinite_where_it_accrues(prefix):
+    # wait theta_17 at x0, then impulse at 0 forever: every impulse costs K,
+    # and only the first wait accrues holding cost
+    _, _, mdp = prefix
+    flat = np.zeros(mdp.n_states, dtype=np.intp)
+    flat[mdp.x0_index] = 17 * mdp.n_labels
+    pol = ic.StationaryPolicy(flat, mdp.n_labels)
+    v = ic.eval_policy(mdp, pol).v
+    theta = float(mdp.theta_points[17])
+    e = math.exp(-theta)
+    assert math.isinf(v[0])
+    assert v[1] == pytest.approx(3.0 * (1.0 - e) - theta * e, abs=1e-10)
+    with pytest.raises(ValueError, match=r"grid state indices \[0\]$"):
+        ic.occupation_measure(mdp, pol)
+
+
+def test_zero_wait_cycle_after_a_huge_prefix_cost_is_still_infinite():
+    # the impulse at 3 costs ~3e17, so adding the cycle's unit impulses to
+    # the running total leaves it unchanged
+    prob = ic.ImpulseProblem(
+        flow=lambda x, t: x + t,
+        reset=lambda x, a: 0.0 * x,
+        gradual_costs=(lambda x: 0.0 * x,),
+        impulse_costs=(lambda x, a: 1.0 + 1e17 * x,),
+        alpha=1.0, x0=2.0, bounds=(), actions=("a",), constant_rates=(0.0,))
+    grid = ic.GridSpec.uniform(0.0, 4.0, 5, theta_max=1.0, theta_n=2,
+                               quadrature_step=0.01)
+    mdp = ic.discretize(prob, grid)
+    flat = np.zeros(mdp.n_states, dtype=np.intp)
+    flat[mdp.x0_index] = 1
+    assert ic.eval_policy(mdp, ic.StationaryPolicy(flat, 1)).v[0] == math.inf
+
+
+def test_eval_cycle_entered_after_the_discount_underflows():
+    # 0 -> 2 -> 4 -> 6 -> 8 -> 8: the cycle at 8 starts four waits of
+    # exp(-200) in, where the running discount is exactly 0
+    prob = ic.ImpulseProblem(
+        flow=lambda x, t: x + t,
+        reset=lambda x, a: np.minimum(x, 8.0),
+        gradual_costs=(lambda x: 1.0 + 0.0 * x,),
+        impulse_costs=(lambda x, a: 1.0 + 0.0 * x,),
+        alpha=100.0, x0=0.0, bounds=(), actions=("a",),
+        constant_rates=(1.0,))
+    grid = ic.GridSpec.uniform(0.0, 8.0, 9, theta_max=2.0, theta_n=3,
+                               quadrature_step=0.01)
+    mdp = ic.discretize(prob, grid)
+    pol = constant_theta_policy(mdp, 2)
+    V = mdp.solve_policy(pol.flat, mdp.costs[:, np.arange(9), pol.flat].T)
+    got = ic.eval_policy(mdp, pol).v
+    assert np.allclose(got, V[mdp.x0_index], rtol=1e-12, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -195,13 +271,13 @@ def test_mixed_policy_invariants(fluid):
 def test_oracle_single_impulse_cost(fluid):
     prob, _, mdp = fluid
     theta_hat = float(mdp.theta_points[33])
-    got = ic.simulate_oracle(prob, theta_hat, horizon=1)
+    got = ic.simulate_oracle(prob, ic.threshold_rule(prob, theta_hat), horizon=1)
     assert got.v[0] == pytest.approx(math.exp(-theta_hat), abs=1e-12)
 
 
 def test_oracle_never_impulse_holding_cost(fluid):
     prob, _, _ = fluid
-    got = ic.simulate_oracle(prob, math.inf, horizon=5)
+    got = ic.simulate_oracle(prob, ic.threshold_rule(prob, math.inf), horizon=5)
     assert got.v[0] == 0.0
     assert got.v[1] == pytest.approx(1.0, abs=1e-9)
 
@@ -211,7 +287,7 @@ def test_oracle_converges_to_geometric_series(fluid):
     for k in (17, 61):
         pol = constant_theta_policy(mdp, k)
         grid_v = ic.eval_policy(mdp, pol).v
-        oracle = ic.simulate_oracle(prob, pol, horizon=5000, mdp=mdp,
+        oracle = ic.simulate_oracle(prob, ic.policy_rule(mdp, pol), horizon=5000,
                                     step=grid.quadrature_step)
         assert np.all(np.abs(oracle.v - grid_v) <= 1e-6 * (1.0 + np.abs(grid_v)))
 
@@ -219,13 +295,11 @@ def test_oracle_converges_to_geometric_series(fluid):
 def test_oracle_accepts_threshold_and_callable(fluid):
     prob, _, _ = fluid
     theta_hat = 1.25
-    via_threshold = ic.simulate_oracle(prob, theta_hat, horizon=400)
     rule = ic.threshold_rule(prob, theta_hat)
-    via_callable = ic.simulate_oracle(prob, rule, horizon=400)
-    assert np.array_equal(via_threshold.v, via_callable.v)
+    via_rule = ic.simulate_oracle(prob, rule, horizon=400)
     V0, V1 = _cycle_oracle(theta_hat)
-    assert via_threshold.v[0] == pytest.approx(V0, abs=1e-8)
-    assert via_threshold.v[1] == pytest.approx(V1, abs=1e-8)
+    assert via_rule.v[0] == pytest.approx(V0, abs=1e-8)
+    assert via_rule.v[1] == pytest.approx(V1, abs=1e-8)
 
 
 # ---------------------------------------------------------------------------
