@@ -18,20 +18,32 @@ multiplier.
 Successive approximation from W = 0 (:func:`solve_W`) is the checked
 reference.  It produces pointwise nondecreasing iterates (all quantities are
 nonnegative and the backup is monotone, exactly so in floating point), which
-doubles as a runtime sanity check.  Each sweep is a Jacobi iteration reading
-only the previous iterate, so sweeps are order-independent and could be
-evaluated in parallel; the vectorized numpy kernels below already have that
-structure.
+doubles as a runtime sanity check.
+
+Both solvers, :func:`bellman_backup` and :func:`residual` go through one
+sweep, :func:`_sweep`: Q = survival * kernel @ W + cost, reduced per state
+to its smallest-index minimizer.  A sweep is a Jacobi update, every row
+reading only the previous iterate, so the rows split into independent
+blocks (Bertsekas & Tsitsiklis, *Parallel and Distributed Computation*,
+1989, section 1.2).  A large MDP carries one row block per usable core
+(``DiscreteMDP.sweep_blocks``): the calling thread sweeps the first, a
+shared thread pool the others, and the caller takes back any block the pool
+has not started by the time it is done.  Each block makes and reduces only
+its own rows of the Q table, and each cell is computed by the same
+operations whatever the blocks, so the results are bitwise independent of
+the core count.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DiscreteMDP
+from .model import DiscreteMDP, _usable_cores
 
 
 @dataclass(frozen=True)
@@ -88,13 +100,14 @@ class BellmanConfig:
             raise ValueError("max_iterations must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BellmanSolution:
     """Value function with its policy and per-iteration (or per-step) trace.
 
     ``V`` holds, for a policy-iteration solution, the policy's per-cost
     values V_j(policy) at every grid state (column j for cost j), so that
-    W = V @ (1, g); it is None for value iteration.
+    W = V @ (1, g); it is None for value iteration.  Solutions compare by
+    identity.
     """
 
     W: np.ndarray  # (n_states,) values at the grid states
@@ -134,6 +147,72 @@ def combined_cost(mdp: DiscreteMDP, g) -> np.ndarray:
     return out
 
 
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _executor():
+    """The sweep thread pool, made on first use: one worker per core but one."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+            _pool = ThreadPoolExecutor(max(1, _usable_cores() - 1),
+                                       thread_name_prefix="bellman-sweep")
+        return _pool
+
+
+def _forget_pool() -> None:
+    # a forked child inherits the pool object but none of its threads
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _sweep_rows(kernel, survival, W, cost, flat):
+    q = (kernel @ W).reshape(cost.shape)
+    q *= survival
+    q += cost
+    best = q.argmin(axis=1)
+    rows = np.arange(best.size)
+    return best, q[rows, best], None if flat is None else q[rows, flat]
+
+
+def _sweep(mdp: DiscreteMDP, W: np.ndarray, cost: np.ndarray,
+           flat: np.ndarray | None = None) -> tuple:
+    """One Bellman sweep of W under the (n_states, n_actions) table ``cost``.
+
+    Returns per state the smallest-index minimizer of
+    Q = survival * kernel @ W + cost, its Q value, and the Q value of action
+    ``flat`` (None when ``flat`` is None).  Each row block of
+    ``mdp.sweep_blocks`` makes and reduces its own part of Q.  The calling
+    thread sweeps the first block while the pool takes the others, then
+    takes back and sweeps itself every block no worker has started, so a
+    worker that is slow to wake costs at most the serial sweep.  No pool
+    task waits on another, so concurrent callers cannot deadlock.
+    """
+    first, *rest = mdp.sweep_blocks
+    if not rest:
+        return _sweep_rows(first[2], mdp.survival, W, cost, flat)
+
+    def rows(block):
+        lo, hi, kernel = block
+        return _sweep_rows(kernel, mdp.survival, W, cost[lo:hi],
+                           None if flat is None else flat[lo:hi])
+
+    pool = _executor()
+    futures = [pool.submit(rows, block) for block in rest]
+    parts = [rows(first)]
+    parts += [rows(block) if f.cancel() else f for f, block in zip(futures, rest)]
+    parts = [p if isinstance(p, tuple) else p.result() for p in parts]
+    best, q_best, q_at_flat = zip(*parts)
+    return (np.concatenate(best), np.concatenate(q_best),
+            None if flat is None else np.concatenate(q_at_flat))
+
+
 def bellman_backup(mdp: DiscreteMDP, W: np.ndarray,
                    g) -> tuple[np.ndarray, StationaryPolicy]:
     """One Bellman backup of the grid values W, with its greedy policy.
@@ -142,17 +221,14 @@ def bellman_backup(mdp: DiscreteMDP, W: np.ndarray,
     ascending then label order, so ties prefer the shortest waiting time
     (argmin picks the first minimizer).
     """
-    q = mdp.expected_next_value(W)
-    q += combined_cost(mdp, g)
-    flat = q.argmin(axis=1)
-    return q[np.arange(mdp.n_states), flat], StationaryPolicy(flat, mdp.n_labels)
+    best, q_best, _ = _sweep(mdp, W, combined_cost(mdp, g))
+    return q_best, StationaryPolicy(best, mdp.n_labels)
 
 
 def residual(mdp: DiscreteMDP, W: np.ndarray, g) -> float:
     """Sup-norm of backup(W) - W."""
-    q = mdp.expected_next_value(W)
-    q += combined_cost(mdp, g)
-    return float(np.max(np.abs(q.min(axis=1) - W)))
+    _, q_best, _ = _sweep(mdp, W, combined_cost(mdp, g))
+    return float(np.max(np.abs(q_best - W)))
 
 
 def solve_W(mdp: DiscreteMDP, g, cfg: BellmanConfig = BellmanConfig(),
@@ -176,10 +252,7 @@ def solve_W(mdp: DiscreteMDP, g, cfg: BellmanConfig = BellmanConfig(),
     if on_iterate is not None:
         on_iterate(0, W.copy())
     for k in range(1, cfg.max_iterations + 1):
-        q = mdp.expected_next_value(W)
-        q += cost
-        W_new = q.min(axis=1)
-        del q  # one Q table alive at a time
+        _, W_new, _ = _sweep(mdp, W, cost)
         if np.any(W_new < W):
             i = int(np.argmax(W - W_new))
             raise RuntimeError(
@@ -194,9 +267,7 @@ def solve_W(mdp: DiscreteMDP, g, cfg: BellmanConfig = BellmanConfig(),
         if sup_change <= cfg.tolerance:
             break
     converged = sup_change <= cfg.tolerance
-    q = mdp.expected_next_value(W)
-    q += cost
-    flat = q.argmin(axis=1)
+    flat, _, _ = _sweep(mdp, W, cost)
     return BellmanSolution(
         W=W, policy=StationaryPolicy(flat, mdp.n_labels),
         iterations=iterations, converged=converged, residual=sup_change,
@@ -253,14 +324,10 @@ def policy_iteration(mdp: DiscreteMDP, g, cfg: BellmanConfig = BellmanConfig(),
                     f"policy iteration step {k} met a survival-1 cycle; "
                     "impulse costs must be positive")
         W = V @ weights
-        q = mdp.expected_next_value(W)
-        q += cost
-        best = q.argmin(axis=1)
-        q_best = q[rows, best]
+        best, q_best, q_flat = _sweep(mdp, W, cost, flat)
         res = float(np.max(np.abs(q_best - W)))
         trace.append((k, res))
-        switch = q[rows, flat] - q_best > cfg.tolerance * (1.0 + np.abs(W))
-        del q  # one Q table alive at a time
+        switch = q_flat - q_best > cfg.tolerance * (1.0 + np.abs(W))
         if not switch.any() or k == cfg.max_iterations:
             break
         flat = np.where(switch, best, flat)

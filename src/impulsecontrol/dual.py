@@ -79,7 +79,7 @@ def _gap_tol(cfg: BellmanConfig) -> float:
     return 1e3 * cfg.tolerance
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DualPoint:
     """One dual evaluation: multiplier, dual value, W*_g(x0), greedy slacks.
 
@@ -105,7 +105,7 @@ class DualPoint:
         return self.solution.policy
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CertificateReport:
     """Optimality certificates for a dual result (report-only).
 
@@ -167,7 +167,7 @@ class CertificateReport:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DualResult:
     """Everything the constrained solve produced.
 

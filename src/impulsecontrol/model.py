@@ -70,6 +70,48 @@ FLOW_TOLERANCE = 1e-9
 # index, offset, node and weight, plus temporaries) and then kept (node,
 # weight, discounted weight)
 _LATTICE_NODE_BYTES = 48
+# (state, action) cells from which a Bellman sweep is split into one row
+# block per usable core: a 2 MiB float64 Q table, one core's L2 cache
+_SWEEP_SPLIT_CELLS = 2 ** 18
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on (its CPU affinity where known)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _sweep_block_count(cells: int) -> int:
+    """Row blocks of a Bellman sweep over a Q table of ``cells`` cells."""
+    return _usable_cores() if cells >= _SWEEP_SPLIT_CELLS else 1
+
+
+def _row_blocks(kernel: sparse.csr_matrix, n_states: int,
+                n_blocks: int) -> tuple:
+    """``kernel`` split into ``n_blocks`` contiguous runs of grid states.
+
+    Returns (first state, end state, CSR) triples.  Every kernel row holds
+    exactly two entries, so a block's CSR views a slice of ``kernel.data``
+    and ``kernel.indices`` and a prefix of the shared ``kernel.indptr``; the
+    kernel is never copied.  A single block is ``kernel`` itself.
+    """
+    if n_blocks <= 1:
+        return ((0, n_states, kernel),)
+    n_actions = kernel.shape[0] // n_states
+    edges = [n_states * b // n_blocks for b in range(n_blocks + 1)]
+    blocks = []
+    for lo, hi in zip(edges, edges[1:]):
+        n_rows = (hi - lo) * n_actions
+        rows = slice(2 * lo * n_actions, 2 * hi * n_actions)
+        # the views are set after construction: the (data, indices, indptr)
+        # constructor copies a view that is under half of its base array
+        block = sparse.csr_matrix((n_rows, kernel.shape[1]), dtype=kernel.dtype)
+        block.data, block.indices, block.indptr = (
+            kernel.data[rows], kernel.indices[rows], kernel.indptr[:n_rows + 1])
+        blocks.append((lo, hi, block))
+    return tuple(blocks)
 
 
 @dataclass(frozen=True)
@@ -144,7 +186,7 @@ class ImpulseProblem:
         return self.constant_rates[j]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridSpec:
     """Finite truncation of the state space and waiting-time axis.
 
@@ -193,7 +235,7 @@ class GridSpec:
         return GridSpec(states, thetas, quadrature_step)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteMDP:
     """Tabulated induced MDP on a finite grid.
 
@@ -205,9 +247,15 @@ class DiscreteMDP:
     theta = 0.  Row ``i * n_actions + q`` of ``kernel`` holds the two grid
     states bracketing the landing from cell (i, q), lower first, with their
     convex interpolation weights (``next_lo``, ``next_hi``, ``w_lo``, ``w_hi``
-    view them); the killed mass 1 - survival[q] goes to the cemetery.  All
-    arrays are written once at construction and are read-only afterwards, so
-    instances are safe to share across threads.
+    view them); the killed mass 1 - survival[q] goes to the cemetery.
+
+    ``sweep_blocks`` cuts the kernel into (first state, end state, CSR) row
+    blocks for the Bellman sweep, made once here.  A Q table of at least
+    2^18 cells (2 MiB) gets one block per usable core; a smaller table, or a
+    process with one usable core, gets the single block ``kernel``.  The
+    blocks view the kernel's arrays and copy nothing.  All arrays are written once at construction and are
+    read-only afterwards, so instances are safe to share across threads,
+    sweeps included.
     """
 
     states: np.ndarray            # (n_states,) grid points
@@ -224,6 +272,7 @@ class DiscreteMDP:
     next_hi: np.ndarray = field(init=False, repr=False)
     w_lo: np.ndarray = field(init=False, repr=False)
     w_hi: np.ndarray = field(init=False, repr=False)
+    sweep_blocks: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         for arr in (self.states, self.theta_points, self.survival, self.costs,
@@ -234,6 +283,9 @@ class DiscreteMDP:
         for name, view in (("next_lo", cols[:, :, 0]), ("next_hi", cols[:, :, 1]),
                            ("w_lo", weights[:, :, 0]), ("w_hi", weights[:, :, 1])):
             object.__setattr__(self, name, view)
+        object.__setattr__(self, "sweep_blocks", _row_blocks(
+            self.kernel, self.states.size,
+            _sweep_block_count(self.kernel.shape[0])))
         if len(self.bounds) != self.costs.shape[0] - 1:
             raise ValueError(
                 f"expected {self.costs.shape[0] - 1} bounds, got {len(self.bounds)}")

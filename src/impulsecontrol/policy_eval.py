@@ -21,7 +21,7 @@ from .model import DiscreteMDP, ImpulseProblem, stage_cost
 from .bellman import StationaryPolicy
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CostVector:
     """Discounted total cost per cost index; +inf entries mark divergence."""
 
@@ -41,7 +41,7 @@ class CostVector:
         return self.v.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OccupationMeasure:
     """Expected discounted visit counts per (grid state, action) cell."""
 

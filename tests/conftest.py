@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 import impulsecontrol as ic
-from impulsecontrol import fluidq
+from impulsecontrol import fluidq, model
 
 # benchmark parameters used throughout: alpha=1, h=1, K=1, d=0.5
 BENCH = dict(alpha=1.0, h=1.0, K=1.0, d=0.5)
@@ -100,6 +101,17 @@ def fluid_mdp(d=0.5, state_n=120, theta_n=120, state_max=5.0, theta_max=5.0,
     else:
         grid = ic.GridSpec.uniform(0.0, state_max, state_n, theta_max, theta_n, step)
     return prob, grid, ic.discretize(prob, grid)
+
+
+def with_sweep_blocks(mdp, n_blocks):
+    """A copy of ``mdp`` (sharing its arrays) swept in ``n_blocks`` row blocks.
+
+    The copy is built by ``DiscreteMDP.__post_init__`` with the block count
+    forced, whatever the table size and the number of usable cores.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "_sweep_block_count", lambda cells: n_blocks)
+        return dataclasses.replace(mdp)
 
 
 def accept_fluid_problem():

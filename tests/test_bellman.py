@@ -1,4 +1,8 @@
 import math
+import os
+import signal
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -6,10 +10,10 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import impulsecontrol as ic
-from impulsecontrol import fluidq, model
+from impulsecontrol import bellman, fluidq, model
 from impulsecontrol.bellman import combined_cost
 
-from conftest import fluid_mdp, traced_peak
+from conftest import fluid_mdp, traced_peak, with_sweep_blocks
 
 
 G_STAR = 1.8480894645490473  # analytic multiplier for the benchmark
@@ -277,3 +281,89 @@ def test_bellman_solve_keeps_one_q_table(accept_fluid, solver):
     solver(mdp, [1.0])  # warm
     peak, _ = traced_peak(lambda: solver(mdp, [1.0]))
     assert peak <= 2.2 * table, peak / table
+
+
+def test_sweep_splits_from_two_to_the_eighteen_cells(small_mdp):
+    assert model._sweep_block_count(2 ** 18 - 1) == 1
+    assert model._sweep_block_count(2 ** 18) == model._usable_cores()
+    (lo, hi, kernel), = small_mdp.sweep_blocks  # 120 x 121 cells: one block
+    assert (lo, hi) == (0, small_mdp.n_states) and kernel is small_mdp.kernel
+
+
+@pytest.mark.parametrize("n_blocks", [1, 2, 3, "n_states"])
+def test_sweep_blocks_are_bitwise_the_full_table(small_mdp, n_blocks):
+    k = small_mdp.n_states if n_blocks == "n_states" else n_blocks
+    mdp = with_sweep_blocks(small_mdp, k)
+    edges = [b[:2] for b in mdp.sweep_blocks]
+    assert len(edges) == k and edges[0][0] == 0 and edges[-1][1] == mdp.n_states
+    assert all(a[1] == b[0] for a, b in zip(edges, edges[1:]))
+    kernel = small_mdp.kernel
+    for _, _, block in mdp.sweep_blocks:
+        assert all(np.shares_memory(getattr(block, name), getattr(kernel, name))
+                   for name in ("data", "indices", "indptr"))
+    cost = combined_cost(mdp, [G_STAR])
+    sol = ic.policy_iteration(small_mdp, [G_STAR])
+    flat = sol.policy.flat
+    tied = np.floor(2.0 * cost) / 2.0  # W = 0 makes Q this table
+    assert np.any((tied == tied.min(axis=1, keepdims=True)).sum(axis=1) > 1)
+    rows = np.arange(mdp.n_states)
+    for W, c in ((sol.W, cost), (np.zeros(mdp.n_states), tied)):
+        q = mdp.expected_next_value(W)
+        q += c
+        best, q_best, q_flat = bellman._sweep(mdp, W, c, flat)
+        assert np.array_equal(best, q.argmin(axis=1))
+        assert np.array_equal(q_best, q.min(axis=1))
+        assert np.array_equal(q_flat, q[rows, flat])
+        assert bellman._sweep(mdp, W, c)[2] is None
+    for solver in (ic.policy_iteration, ic.solve_W):
+        want, got = solver(small_mdp, [G_STAR]), solver(mdp, [G_STAR])
+        assert np.array_equal(got.W, want.W) and got.policy == want.policy
+        assert got.trace == want.trace
+
+
+def test_sweep_takes_back_blocks_a_busy_pool_has_not_started(small_mdp):
+    mdp = with_sweep_blocks(small_mdp, 3)
+    W = np.linspace(0.0, 1.0, mdp.n_states)
+    cost = combined_cost(mdp, [1.0])
+    want = bellman._sweep(small_mdp, W, cost)
+    release = threading.Event()
+    pool = bellman._executor()
+    busy = [pool.submit(release.wait, 30.0)
+            for _ in range(max(1, model._usable_cores() - 1))]
+    try:
+        got = bellman._sweep(mdp, W, cost)  # would wait 30 s on a busy pool
+        assert not any(f.done() for f in busy)
+    finally:
+        release.set()
+    assert all(np.array_equal(a, b) for a, b in zip(got[:2], want[:2]))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_sweeps_with_its_own_pool(small_mdp):
+    # the child inherits the pool object but not its worker threads: a task
+    # submitted to that pool would never run, so the child waits with a cap
+    mdp = with_sweep_blocks(small_mdp, 3)
+    W = np.linspace(0.0, 1.0, mdp.n_states)
+    cost = combined_cost(mdp, [1.0])
+    want = bellman._sweep(mdp, W, cost)  # the pool and its worker exist now
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            got = bellman._sweep(mdp, W, cost)
+            bellman._executor().submit(int).result(timeout=20.0)
+            code = 0 if all(np.array_equal(a, b)
+                            for a, b in zip(got[:2], want[:2])) else 2
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 30.0
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's sweep did not finish within 30 s")
+        time.sleep(0.01)
+    assert os.waitstatus_to_exitcode(status) == 0

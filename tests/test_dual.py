@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import time
 import types
 from pathlib import Path
@@ -21,7 +22,7 @@ from impulsecontrol import cli, dual, fluidq, model
 from impulsecontrol.dual import mix_weights
 
 from conftest import (BANDS, CUSTOM_TWO_ACTION_DOC, J2_DOC, band_centre_doc,
-                      constant_theta_policy, fluid_mdp)
+                      constant_theta_policy, fluid_mdp, with_sweep_blocks)
 
 
 D_BENCH = 0.5
@@ -707,3 +708,79 @@ def test_unconstrained_problem_runs_through_pipeline():
     # the mixture value equals the Bellman optimum at the initial state
     assert res.costs.v[0] == pytest.approx(res.W0, abs=1e-7)
     assert res.certificates.ok
+
+
+@pytest.fixture(scope="module")
+def split_fluid():
+    """A fluid MDP of exactly 2^18 cells, as built (one block per core)."""
+    mdp = fluid_mdp(state_n=512, theta_n=511)[2]
+    assert mdp.costs[0].size == model._SWEEP_SPLIT_CELLS
+    return mdp
+
+
+def _same_result(a, b) -> bool:
+    return (np.array_equal(a.g_star, b.g_star) and a.h_star == b.h_star
+            and a.W0 == b.W0 and np.array_equal(a.solution.W, b.solution.W)
+            and a.mixture.weights == b.mixture.weights
+            and a.mixture.policies == b.mixture.policies
+            and np.array_equal(a.costs.v, b.costs.v)
+            and [p.h for p in a.trace] == [p.h for p in b.trace])
+
+
+@pytest.mark.parametrize("n_blocks", [None, 3])
+def test_threads_sharing_an_mdp_get_the_single_block_answer(split_fluid,
+                                                            n_blocks):
+    # None: the blocks the MDP was built with (one per usable core).  More
+    # callers than cores, with frequent thread switches, each join bounded
+    ref = ic.solve_constrained(with_sweep_blocks(split_fluid, 1))
+    shared = split_fluid if n_blocks is None else with_sweep_blocks(
+        split_fluid, n_blocks)
+    n_callers = model._usable_cores() + 1
+    results = [None] * n_callers
+    barrier = threading.Barrier(n_callers)
+
+    def solve(i):
+        barrier.wait(timeout=60.0)
+        results[i] = ic.solve_constrained(shared)
+
+    callers = [threading.Thread(target=solve, args=(i,)) for i in range(n_callers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=120.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert all(r is not None and _same_result(r, ref) for r in results)
+
+
+def _two_records(name, mdp):
+    if name == "BellmanSolution":
+        return [ic.policy_iteration(mdp, [1.0]) for _ in range(2)]
+    if name == "DualPoint":
+        return [ic.dual_value(mdp, [1.0]) for _ in range(2)]
+    if name in ("DualResult", "CertificateReport"):
+        results = [ic.solve_constrained(mdp) for _ in range(2)]
+        return (results if name == "DualResult"
+                else [r.certificates for r in results])
+    if name == "CostVector":
+        return [ic.CostVector(np.array([1.0, 2.0])) for _ in range(2)]
+    if name == "OccupationMeasure":
+        return [ic.OccupationMeasure(np.ones((2, 3)), 6.0) for _ in range(2)]
+    if name == "GridSpec":
+        return [ic.GridSpec.uniform(0.0, 1.0, 5, 1.0, 5, 0.01) for _ in range(2)]
+    return [dataclasses.replace(mdp) for _ in range(2)]
+
+
+@pytest.mark.parametrize("name", [
+    "BellmanSolution", "DualPoint", "DualResult", "CertificateReport",
+    "CostVector", "OccupationMeasure", "GridSpec", "DiscreteMDP"])
+def test_records_holding_arrays_compare_by_identity(small_mdp, name):
+    # the generated __eq__ would compare ndarray fields and raise
+    a, b = _two_records(name, small_mdp)
+    assert type(a).__name__ == name
+    assert a == a and a != b and not a == b
+    assert len({a, b}) == 2
