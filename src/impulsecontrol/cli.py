@@ -246,13 +246,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def _fluid_params(doc: dict) -> fluidq.FluidParams:
     if doc.get("model") != "fluid":
         raise ConfigError("the analytic command requires model = 'fluid'")
-    for key in ("alpha", "h", "K", "d"):
-        if key not in doc:
-            raise ConfigError(f"missing required field '{key}'")
+    values = [model._number(doc, key, "") for key in ("alpha", "h", "K", "d")]
     try:
-        return fluidq.FluidParams(alpha=float(doc["alpha"]), h=float(doc["h"]),
-                                  K=float(doc["K"]), d=float(doc["d"]))
-    except (TypeError, ValueError) as exc:
+        return fluidq.FluidParams(*values)
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 

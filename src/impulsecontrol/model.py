@@ -126,7 +126,9 @@ class ImpulseProblem:
     reset:
         Jump map l(x, a) applied at impulse times.
     gradual_costs:
-        J+1 running cost-rate maps x -> rate >= 0.
+        J+1 running cost rates >= 0, each a real number or a map x -> rate.
+        A number is a constant rate and integrates in closed form; a map is
+        integrated by composite Simpson quadrature.
     impulse_costs:
         J+1 lump-cost maps (x, a) -> cost >= 0.
     alpha:
@@ -137,10 +139,6 @@ class ImpulseProblem:
         Constraint bounds d_1..d_J, all > 0 (empty for unconstrained).
     actions:
         Finite list of impulse action labels.
-    constant_rates:
-        Optional per-cost declaration: entry j is the constant value of
-        gradual_costs[j] if that rate is constant along every flow segment,
-        else None.  Constant rates take an exact closed-form integration path.
     """
 
     flow: Callable
@@ -151,7 +149,6 @@ class ImpulseProblem:
     x0: float
     bounds: tuple
     actions: tuple
-    constant_rates: tuple | None = None
 
     def __post_init__(self):
         if not self.alpha > 0.0:
@@ -169,8 +166,6 @@ class ImpulseProblem:
             raise ValueError(f"all constraint bounds must be > 0, got {self.bounds}")
         if not self.actions:
             raise ValueError("at least one impulse action is required")
-        if self.constant_rates is not None and len(self.constant_rates) != len(self.gradual_costs):
-            raise ValueError("constant_rates must have one entry per cost index")
 
     @property
     def n_constraints(self) -> int:
@@ -181,9 +176,9 @@ class ImpulseProblem:
         return len(self.gradual_costs)
 
     def constant_rate(self, j: int) -> float | None:
-        if self.constant_rates is None:
-            return None
-        return self.constant_rates[j]
+        """Rate j as a float when it is a number, None when it is a map."""
+        rate = self.gradual_costs[j]
+        return None if callable(rate) else float(rate)
 
 
 @dataclass(frozen=True, eq=False)
@@ -505,8 +500,8 @@ def stage_cost(problem: ImpulseProblem, x, theta: float, a, j: int,
     [0, theta] plus exp(-alpha*theta) times the impulse cost at the landing
     point.  The cemetery state costs 0, and the infinite waiting time drops
     the impulse term (the running integral is then taken over [0, inf)).
-    ``step`` bounds the Simpson quadrature step; constant-declared rates use
-    the exact closed form instead.
+    ``step`` bounds the Simpson quadrature step; a numeric (constant) rate
+    uses the exact closed form instead.
     """
     if x is CEMETERY:
         return 0.0
@@ -555,7 +550,7 @@ def _running_integral_blocks(problem: ImpulseProblem, grid: GridSpec, R: np.ndar
     column is the infinite-wait integral over [0, 60/alpha].  Both lattices
     come from :func:`_simpson_lattice`, the rule :func:`stage_cost` uses on
     its single span, so values agree with it to quadrature accuracy, not
-    bitwise.  Constant rates take the closed form.
+    bitwise.  Numeric (constant) rates take the closed form.
 
     The flow and the cost rates are called once per inner block of
     ``_BLOCK_ELEMENTS // nodes`` grid states, where ``nodes`` is the larger
@@ -734,7 +729,7 @@ def check_footprint(problem: ImpulseProblem, grid: GridSpec) -> None:
     The estimate uses the grid sizes alone, before any table exists: the
     cost tables (8 bytes per cost per (state, action) cell), the kernel (two
     int32 columns and two float64 weights per cell, plus its int32 row
-    pointer), and, when a running-cost rate is not constant, the Simpson
+    pointer), and, when a running-cost rate is a map, the Simpson
     lattices of :func:`_running_integral_blocks` (at most
     span / quadrature_step + 3 nodes per finite theta span, and
     60 / (alpha * quadrature_step) + 3 on the infinite wait), at
@@ -751,9 +746,10 @@ def check_footprint(problem: ImpulseProblem, grid: GridSpec) -> None:
     lattice = 0
     if any(problem.constant_rate(j) is None for j in range(problem.n_costs)):
         step = grid.quadrature_step
+        # divided in turn: a tiny alpha * step would underflow to 0, where
+        # this overflows to inf and meets the cap that keeps it an int
         nodes = (float(grid.theta_points[-2]) / step + 3.0 * (m - 2)
-                 + _INF_HORIZON / (problem.alpha * step) + 3.0)
-        # capped so that a subnormal step's infinite node count stays an int
+                 + _INF_HORIZON / problem.alpha / step + 3.0)
         lattice = int(min(nodes * _LATTICE_NODE_BYTES, 2.0 ** 62))
     total = tables + lattice
     if total <= limit:
@@ -793,21 +789,16 @@ def validate(problem: ImpulseProblem, grid: GridSpec) -> ValidationReport:
                 delta_hat = min(delta_hat, float(lump.min()))
     cost_sup = sup_rate + sup_lump
 
+    # phi(phi(x, s), t) against phi(x, s + t) on the (sample x s x t) lattice
     ss = np.linspace(0.0, max(grid.theta_points[-2], 1e-6), 4)
-    semigroup = 0.0
-    identity = 0.0
-    for x in sample:
-        identity = max(identity, abs(float(problem.flow(x, 0.0)) - float(x)))
-        for s in ss:
-            mid = float(problem.flow(x, s))
-            for t in ss:
-                two_step = float(problem.flow(mid, t))
-                one_step = float(problem.flow(x, s + t))
-                semigroup = max(semigroup, abs(two_step - one_step))
+    x, s, t = sample[:, None, None], ss[None, :, None], ss[None, None, :]
+    two_step = _eval(problem.flow, _eval(problem.flow, x, s), t)
+    semigroup = np.max(np.abs(two_step - _eval(problem.flow, x, s + t)))
+    identity = np.max(np.abs(_eval(problem.flow, sample, 0.0) - sample))
 
     return ValidationReport(
         delta_hat=delta_hat, cost_sup=cost_sup,
-        semigroup_residual=semigroup, identity_residual=identity)
+        semigroup_residual=float(semigroup), identity_residual=float(identity))
 
 
 # ---------------------------------------------------------------------------
@@ -831,13 +822,12 @@ def fluid_problem(alpha: float, h: float, K: float, d: float) -> ImpulseProblem:
     return ImpulseProblem(
         flow=lambda x, t: x + t,
         reset=lambda x, a: 0.0 * x,
-        gradual_costs=(lambda x: 0.0 * x, lambda x: h * x),
+        gradual_costs=(0.0, lambda x: h * x),
         impulse_costs=(lambda x, a: K + 0.0 * x, lambda x, a: 0.0 * x),
         alpha=alpha,
         x0=0.0,
         bounds=(d,),
         actions=("reset",),
-        constant_rates=(0.0, None),
     )
 
 
@@ -847,71 +837,89 @@ def _require(cfg: dict, key: str, path: str):
     return cfg[key]
 
 
+def _is_number(v) -> bool:
+    """A JSON number: a real that is not a boolean.  ``float`` and ``int``
+    are tested before the slower ``numbers.Real`` check."""
+    return isinstance(v, (float, int, numbers.Real)) and not isinstance(v, bool)
+
+
+def _number(cfg: dict, key: str, path: str) -> float:
+    """Required number field ``key`` of ``cfg`` as a float; ``path`` as for
+    ``_require``.  A boolean, a string, ``null`` or a container is refused."""
+    raw = _require(cfg, key, path)
+    if not _is_number(raw):
+        raise ConfigError(
+            f"'{path}{key}' must be a number, got {reprlib.repr(raw)}")
+    return float(raw)
+
+
 def _number_list(spec: dict, key: str, path: str) -> np.ndarray:
     """Required list-of-numbers field ``key`` of ``spec`` as a float array.
 
     A scalar, ``null``, a string or a boolean entry is refused.
     """
-    raw = _require(spec, key, path + ".")
-    if not (isinstance(raw, (list, tuple)) and all(
-            isinstance(v, numbers.Real) and not isinstance(v, bool) for v in raw)):
+    raw = _require(spec, key, path)
+    if not (isinstance(raw, (list, tuple)) and all(map(_is_number, raw))):
         raise ConfigError(
-            f"'{path}.{key}' must be a list of numbers, got {reprlib.repr(raw)}")
+            f"'{path}{key}' must be a list of numbers, got {reprlib.repr(raw)}")
     return np.asarray(raw, dtype=float)
 
 
 def _rate_from_spec(spec, path: str):
-    """Build (rate map, constant value or None) from a cost-rate table."""
-    if isinstance(spec, (int, float)):
-        v = float(spec)
-        return (lambda x: v + 0.0 * x), v
+    """A cost-rate table as a float (a constant rate) or a map x -> rate."""
+    if _is_number(spec):
+        return float(spec)
     if not isinstance(spec, dict) or "type" not in spec:
         raise ConfigError(f"'{path}' must be a number or an object with a 'type'")
     kind = spec["type"]
     if kind == "constant":
-        v = float(_require(spec, "value", path + "."))
-        return (lambda x: v + 0.0 * x), v
+        return _number(spec, "value", path + ".")
     if kind == "polynomial":
-        coeffs = _number_list(spec, "coeffs", path)
+        coeffs = _number_list(spec, "coeffs", path + ".")
         if coeffs.size == 0:
             raise ConfigError(f"'{path}.coeffs' must be nonempty")
-        const = float(coeffs[0]) if coeffs.size == 1 else None
+        if coeffs.size == 1:
+            return float(coeffs[0])
         rev = coeffs[::-1].copy()
-        return (lambda x: np.polyval(rev, x)), const
+        return lambda x: np.polyval(rev, x)
     if kind == "piecewise_constant":
-        brk = _number_list(spec, "breakpoints", path)
-        vals = _number_list(spec, "values", path)
+        brk = _number_list(spec, "breakpoints", path + ".")
+        vals = _number_list(spec, "values", path + ".")
         if vals.size != brk.size + 1:
             raise ConfigError(
                 f"'{path}.values' must have one more entry than breakpoints")
         if brk.size and np.any(np.diff(brk) <= 0.0):
             raise ConfigError(f"'{path}.breakpoints' must be strictly increasing")
-        return (lambda x: vals[np.searchsorted(brk, x, side="right")]), None
+        return lambda x: vals[np.searchsorted(brk, x, side="right")]
     raise ConfigError(f"unknown cost-rate type '{kind}' at '{path}'")
 
 
 def _impulse_from_spec(spec, actions, path: str):
-    base, _ = _rate_from_spec(spec, path)
-    factors = {}
-    if isinstance(spec, dict):
-        factors = spec.get("action_factors", {})
-        for label in factors:
-            if label not in actions:
-                raise ConfigError(
-                    f"'{path}.action_factors' names unknown action '{label}'")
+    rate = _rate_from_spec(spec, path)
+    base = rate if callable(rate) else (lambda x: rate + 0.0 * x)
+    factors = spec.get("action_factors", {}) if isinstance(spec, dict) else {}
+    if not isinstance(factors, dict):
+        raise ConfigError(
+            f"'{path}.action_factors' must be an object mapping action labels "
+            f"to numbers, got {reprlib.repr(factors)}")
+    for label in factors:
+        if label not in actions:
+            raise ConfigError(
+                f"'{path}.action_factors' names unknown action '{label}'")
     if not factors:
         return lambda x, a: base(x)
-    fmap = {label: float(factors.get(label, 1.0)) for label in actions}
+    fmap = {label: _number(factors, label, f"{path}.action_factors.")
+            if label in factors else 1.0 for label in actions}
     return lambda x, a: fmap[a] * base(x)
 
 
 def _flow_from_spec(spec, path: str):
     kind = _require(spec, "type", path + ".")
     if kind == "drift":
-        c = float(_require(spec, "rate", path + "."))
+        c = _number(spec, "rate", path + ".")
         return lambda x, t: x + c * t
     if kind == "exponential_decay":
-        r = float(_require(spec, "rate", path + "."))
+        r = _number(spec, "rate", path + ".")
         if r < 0.0:
             raise ConfigError(f"'{path}.rate' must be >= 0 for exponential_decay")
         return lambda x, t: x * np.exp(-r * t)
@@ -921,32 +929,32 @@ def _flow_from_spec(spec, path: str):
 def _reset_from_spec(spec, path: str):
     kind = _require(spec, "type", path + ".")
     if kind == "constant":
-        v = float(_require(spec, "value", path + "."))
+        v = _number(spec, "value", path + ".")
         return lambda x, a: v + 0.0 * x
     if kind == "scale":
-        s = float(_require(spec, "factor", path + "."))
+        s = _number(spec, "factor", path + ".")
         return lambda x, a: s * x
     raise ConfigError(f"unknown reset type '{kind}' at '{path}'")
 
 
 def _count(g: dict, key: str) -> int:
     """An integral grid count; 400 and 400.0 pass, 400.9 and NaN do not."""
-    raw = _require(g, key, "grid.")
-    if not float(raw).is_integer():
+    raw = _number(g, key, "grid.")
+    if not raw.is_integer():
         raise ValueError(f"{key} must be an integer, got {raw!r}")
-    return int(float(raw))
+    return int(raw)
 
 
 def grid_from_config(cfg: dict) -> GridSpec:
     g = _require(cfg, "grid", "")
     try:
         return GridSpec.uniform(
-            state_min=float(_require(g, "state_min", "grid.")),
-            state_max=float(_require(g, "state_max", "grid.")),
+            state_min=_number(g, "state_min", "grid."),
+            state_max=_number(g, "state_max", "grid."),
             state_n=_count(g, "state_n"),
-            theta_max=float(_require(g, "theta_max", "grid.")),
+            theta_max=_number(g, "theta_max", "grid."),
             theta_n=_count(g, "theta_n"),
-            quadrature_step=float(_require(g, "quadrature_step", "grid.")),
+            quadrature_step=_number(g, "quadrature_step", "grid."),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"grid: {exc}") from exc
@@ -958,51 +966,43 @@ def problem_from_config(cfg: dict) -> tuple[ImpulseProblem, GridSpec]:
     The document has ``model`` ("fluid" or "custom"), ``alpha``, ``x0``,
     ``grid`` and, for the fluid model, ``h``, ``K``, ``d``.  Custom models
     supply ``flow``, ``reset``, ``actions``, ``bounds`` and per-cost
-    ``gradual_costs`` / ``impulse_costs`` tables (constant, polynomial or
-    piecewise_constant).
+    ``gradual_costs`` / ``impulse_costs`` tables (a number, or a constant,
+    polynomial or piecewise_constant table).  A boolean or a string is
+    never read as a number.
     """
     model = _require(cfg, "model", "")
     grid = grid_from_config(cfg)
     try:
-        alpha = float(_require(cfg, "alpha", ""))
+        alpha = _number(cfg, "alpha", "")
+        x0 = _number(cfg, "x0", "") if "x0" in cfg else 0.0
         if model == "fluid":
-            prob = fluid_problem(
-                alpha=alpha,
-                h=float(_require(cfg, "h", "")),
-                K=float(_require(cfg, "K", "")),
-                d=float(_require(cfg, "d", "")),
-            )
-            if "x0" in cfg and float(cfg["x0"]) != 0.0:
-                prob = replace(prob, x0=float(cfg["x0"]))
-            return prob, grid
+            prob = fluid_problem(alpha, *(_number(cfg, key, "")
+                                          for key in ("h", "K", "d")))
+            return replace(prob, x0=x0), grid
         if model == "custom":
             actions = tuple(_require(cfg, "actions", ""))
             if not actions:
                 raise ConfigError("'actions' must be nonempty")
-            bounds = tuple(float(d) for d in _require(cfg, "bounds", ""))
+            bounds = tuple(_number_list(cfg, "bounds", "").tolist())
             g_specs = _require(cfg, "gradual_costs", "")
             i_specs = _require(cfg, "impulse_costs", "")
             if len(g_specs) != len(bounds) + 1 or len(i_specs) != len(bounds) + 1:
                 raise ConfigError(
                     "gradual_costs and impulse_costs must each have "
                     f"{len(bounds) + 1} entries for {len(bounds)} bounds")
-            rates, consts = [], []
-            for j, spec in enumerate(g_specs):
-                r, c = _rate_from_spec(spec, f"gradual_costs[{j}]")
-                rates.append(r)
-                consts.append(c)
-            lumps = [_impulse_from_spec(spec, actions, f"impulse_costs[{j}]")
-                     for j, spec in enumerate(i_specs)]
+            rates = tuple(_rate_from_spec(spec, f"gradual_costs[{j}]")
+                          for j, spec in enumerate(g_specs))
+            lumps = tuple(_impulse_from_spec(spec, actions, f"impulse_costs[{j}]")
+                          for j, spec in enumerate(i_specs))
             prob = ImpulseProblem(
                 flow=_flow_from_spec(_require(cfg, "flow", ""), "flow"),
                 reset=_reset_from_spec(_require(cfg, "reset", ""), "reset"),
-                gradual_costs=tuple(rates),
-                impulse_costs=tuple(lumps),
+                gradual_costs=rates,
+                impulse_costs=lumps,
                 alpha=alpha,
-                x0=float(cfg.get("x0", 0.0)),
+                x0=x0,
                 bounds=bounds,
                 actions=actions,
-                constant_rates=tuple(consts),
             )
             return prob, grid
     except ConfigError:

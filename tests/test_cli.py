@@ -217,6 +217,41 @@ def test_fractional_grid_count_exits_2(config_file, field, value, needle,
     assert needle in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, edit, field", [
+    ("solve", "alpha=true", "'alpha'"),
+    ("solve", "h=true", "'h'"),
+    ("solve", 'd="0.4"', "'d'"),
+    ("solve", 'K="1e0"', "'K'"),
+    ("solve", 'grid.quadrature_step="0.02"', "'grid.quadrature_step'"),
+    ("solve", 'grid.state_n="40"', "'grid.state_n'"),
+    ("analytic", "h=true", "'h'"),
+    # edits of the README two-constraint config
+    ("solve", (("gradual_costs", 0, "value"), "1"), "'gradual_costs[0].value'"),
+    ("solve", (("gradual_costs", 0), True), "'gradual_costs[0]'"),
+    ("solve", (("impulse_costs", 0, "action_factors"), {"flush": True}),
+     "'impulse_costs[0].action_factors.flush'"),
+    ("solve", (("flow", "rate"), "1"), "'flow.rate'"),
+    ("solve", (("impulse_costs", 0, "action_factors"), ["flush"]),
+     "'impulse_costs[0].action_factors' must be an object")],
+    ids=["alpha-true", "h-true", "d-string", "K-string", "step-string",
+         "state_n-string", "analytic-h-true", "constant-value-string",
+         "rate-true", "action-factor-true", "flow-rate-string",
+         "action-factors-list"])
+def test_malformed_number_field_exits_2_naming_it(tmp_path, command, edit,
+                                                   field, capsys):
+    if isinstance(edit, str):
+        shipped = os.path.join(os.path.dirname(__file__), os.pardir,
+                               "configs", "fluid_benchmark.json")
+        argv = ["--config", shipped, "--set", edit]
+    else:
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(_mutated("j2", [edit])))
+        argv = ["--config", str(path)]
+    assert cli.main([command] + argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and field in err
+
+
 # a lump cost of -x: negative at every state but 0
 NEGATIVE_COST_DOC = {
     "model": "custom", "alpha": 1.0, "x0": 0.0,
@@ -668,7 +703,8 @@ def _doc_paths(node, prefix=()):
 
 
 FUZZ_BASES = _fuzz_bases()
-FUZZ_VALUES = (0, -1, 1e-300, 1e300, math.nan, "x", None, [], {}, "<delete>")
+FUZZ_VALUES = (0, -1, 1e-300, 1e300, math.nan, "x", None, [], {}, "<delete>",
+               True, "1")
 
 
 def _fuzz_case(name):
@@ -708,6 +744,11 @@ def _mutated(name, edits):
          command="verify")
 @example(case=("j2", [(("reset", "value"), math.nan)]), command="verify")
 @example(case=("j2", [(("reset", "value"), -1)]), command="verify")
+# alpha * quadrature_step underflows to 0 in the memory estimate
+@example(case=("fluid", [(("alpha",), 1e-300), (("grid", "quadrature_step"), 1e-300)]),
+         command="solve")
+@example(case=("j2", [(("impulse_costs", 0, "action_factors"), ["flush"])]),
+         command="solve")
 def test_fuzzed_config_exits_with_a_documented_code(tmp_path_factory, case,
                                                     command):
     path = tmp_path_factory.mktemp("fuzz") / "doc.json"

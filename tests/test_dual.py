@@ -697,8 +697,7 @@ def test_unconstrained_problem_runs_through_pipeline():
         reset=lambda x, a: 0.0 * x,
         gradual_costs=(lambda x: 1.0 * x,),
         impulse_costs=(lambda x, a: 1.0 + 0.0 * x,),
-        alpha=1.0, x0=0.0, bounds=(), actions=("a",),
-        constant_rates=(None,))
+        alpha=1.0, x0=0.0, bounds=(), actions=("a",))
     grid = ic.GridSpec.uniform(0.0, 4.0, 60, theta_max=4.0, theta_n=60,
                                quadrature_step=0.01)
     mdp = ic.discretize(prob, grid)

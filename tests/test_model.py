@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 import impulsecontrol as ic
 from impulsecontrol.model import CEMETERY, INFINITY, ConfigError
 
-from conftest import (CUSTOM_TWO_ACTION_DOC, accept_fluid_problem, fluid_mdp,
-                      traced_peak)
+from conftest import (CUSTOM_TWO_ACTION_DOC, J2_DOC, accept_fluid_problem,
+                      fluid_mdp, traced_peak)
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +57,25 @@ def test_stage_cost_simpson_agrees_with_undeclared_constant_rate():
         closed = 2.0 * (-math.expm1(-0.7 * theta)) / 0.7 + math.exp(-0.7 * theta) * 1.0
         got = ic.stage_cost(prob, 0.2, theta, "a", 0)
         assert abs(got - closed) <= 1e-8 * (1.0 + closed)
+
+
+@pytest.mark.parametrize("spec", [
+    2.5, {"type": "constant", "value": 2.5}, {"type": "polynomial", "coeffs": [2.5]}],
+    ids=["number", "constant", "one-coefficient"])
+def test_numeric_rate_column_is_the_closed_form(spec):
+    # cost 1's lump cost is 0, so its table is the running integral alone
+    doc = json.loads(json.dumps(J2_DOC))
+    doc["gradual_costs"][1] = spec
+    doc["alpha"] = 0.7
+    doc["grid"].update(state_n=20, theta_n=20)
+    prob, grid = ic.problem_from_config(doc)
+    assert prob.gradual_costs[1] == 2.5 and prob.constant_rate(1) == 2.5
+    assert prob.constant_rate(2) is None
+    table = ic.discretize(prob, grid).costs[1]  # one label: columns are thetas
+    theta = grid.theta_points[:-1]
+    closed = 2.5 * (-np.expm1(-0.7 * theta)) / 0.7
+    assert np.array_equal(table[:, :-1], np.broadcast_to(closed, table[:, :-1].shape))
+    assert np.all(table[:, -1] == 2.5 / 0.7)
 
 
 def test_stage_cost_rejects_non_finite(fluid_problem):
@@ -215,10 +235,9 @@ def test_discretize_clamps_out_of_range_landings():
     prob = ic.ImpulseProblem(
         flow=lambda x, t: x + t,
         reset=lambda x, a: 10.0 + 0.0 * x,
-        gradual_costs=(lambda x: 0.0 * x, lambda x: 1.0 * x),
+        gradual_costs=(0.0, lambda x: 1.0 * x),
         impulse_costs=(lambda x, a: 1.0 + 0.0 * x, lambda x, a: 0.0 * x),
-        alpha=1.0, x0=0.0, bounds=(0.5,), actions=("a",),
-        constant_rates=(0.0, None))
+        alpha=1.0, x0=0.0, bounds=(0.5,), actions=("a",))
     grid = ic.GridSpec.uniform(0.0, 4.0, 9, theta_max=1.0, theta_n=5,
                                quadrature_step=0.01)
     with pytest.warns(RuntimeWarning, match="clamped"):
@@ -548,7 +567,7 @@ def test_problem_from_config_custom_cost_tables():
     prob, grid = ic.problem_from_config(CUSTOM_TWO_ACTION_DOC)
     assert prob.flow(1.0, 0.5) == 2.0
     assert prob.reset(2.0, "a") == 1.0
-    assert prob.constant_rates == (0.5, None)
+    assert prob.gradual_costs[0] == 0.5
     assert prob.gradual_costs[1](0.5) == 2.0 and prob.gradual_costs[1](1.5) == 3.0
     assert prob.impulse_costs[0](2.0, "a") == 2.0
     assert prob.impulse_costs[0](2.0, "b") == 4.0

@@ -60,10 +60,9 @@ def test_eval_falls_back_to_linear_solve_on_split_landings():
     prob = ic.ImpulseProblem(
         flow=lambda x, t: x + t,
         reset=lambda x, a: 0.3 + 0.0 * x,
-        gradual_costs=(lambda x: 0.0 * x, lambda x: 1.0 * x),
+        gradual_costs=(0.0, lambda x: 1.0 * x),
         impulse_costs=(lambda x, a: 1.0 + 0.0 * x, lambda x, a: 0.0 * x),
-        alpha=1.0, x0=0.0, bounds=(0.5,), actions=("a",),
-        constant_rates=(0.0, None))
+        alpha=1.0, x0=0.0, bounds=(0.5,), actions=("a",))
     grid = ic.GridSpec.uniform(0.0, 4.0, 9, theta_max=2.0, theta_n=9,
                                quadrature_step=0.01)
     mdp = ic.discretize(prob, grid)
@@ -125,9 +124,9 @@ def test_zero_wait_cycle_after_a_huge_prefix_cost_is_still_infinite():
     prob = ic.ImpulseProblem(
         flow=lambda x, t: x + t,
         reset=lambda x, a: 0.0 * x,
-        gradual_costs=(lambda x: 0.0 * x,),
+        gradual_costs=(0.0,),
         impulse_costs=(lambda x, a: 1.0 + 1e17 * x,),
-        alpha=1.0, x0=2.0, bounds=(), actions=("a",), constant_rates=(0.0,))
+        alpha=1.0, x0=2.0, bounds=(), actions=("a",))
     grid = ic.GridSpec.uniform(0.0, 4.0, 5, theta_max=1.0, theta_n=2,
                                quadrature_step=0.01)
     mdp = ic.discretize(prob, grid)
@@ -142,10 +141,9 @@ def test_eval_cycle_entered_after_the_discount_underflows():
     prob = ic.ImpulseProblem(
         flow=lambda x, t: x + t,
         reset=lambda x, a: np.minimum(x, 8.0),
-        gradual_costs=(lambda x: 1.0 + 0.0 * x,),
+        gradual_costs=(1.0,),
         impulse_costs=(lambda x, a: 1.0 + 0.0 * x,),
-        alpha=100.0, x0=0.0, bounds=(), actions=("a",),
-        constant_rates=(1.0,))
+        alpha=100.0, x0=0.0, bounds=(), actions=("a",))
     grid = ic.GridSpec.uniform(0.0, 8.0, 9, theta_max=2.0, theta_n=3,
                                quadrature_step=0.01)
     mdp = ic.discretize(prob, grid)
