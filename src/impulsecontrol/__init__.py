@@ -8,10 +8,10 @@ slackness.  The fluid-buffer benchmark in :mod:`impulsecontrol.fluidq` has a
 closed-form optimum used as the end-to-end oracle.
 """
 
-from .model import (CEMETERY, INFINITY, ConfigError, DiscreteMDP, GridSpec,
-                    ImpulseProblem, ValidationReport, discretize,
-                    fluid_problem, problem_from_config, stage_cost,
-                    transition, validate)
+from .model import (CEMETERY, INFINITY, ConfigError, DecayFlow, DiscreteMDP,
+                    DriftFlow, GridSpec, ImpulseProblem, PolynomialRate,
+                    ValidationReport, discretize, fluid_problem,
+                    problem_from_config, stage_cost, transition, validate)
 from .bellman import (BellmanConfig, BellmanSolution, StationaryPolicy,
                       argmin_set, bellman_backup, policy_iteration, residual,
                       solve_W)
@@ -27,8 +27,9 @@ from .dual import (BellmanNotConvergedError, CertificateReport,
 from . import fluidq
 
 __all__ = [
-    "CEMETERY", "INFINITY", "ConfigError", "DiscreteMDP", "GridSpec",
-    "ImpulseProblem", "ValidationReport", "discretize", "fluid_problem",
+    "CEMETERY", "INFINITY", "ConfigError", "DecayFlow", "DiscreteMDP",
+    "DriftFlow", "GridSpec", "ImpulseProblem", "PolynomialRate",
+    "ValidationReport", "discretize", "fluid_problem",
     "problem_from_config", "stage_cost", "transition", "validate",
     "BellmanConfig", "BellmanSolution", "StationaryPolicy", "argmin_set",
     "bellman_backup", "policy_iteration", "residual", "solve_W",

@@ -17,6 +17,7 @@ import argparse
 import functools
 import json
 import math
+import reprlib
 import sys
 import time
 
@@ -144,7 +145,7 @@ def load_config(args: argparse.Namespace) -> dict:
             doc = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {args.config}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer of too many digits
         raise ConfigError(f"config file is not valid JSON: {exc}")
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
@@ -277,14 +278,18 @@ def _dual_grid(doc: dict, args: argparse.Namespace, J: int) -> list:
     """Multipliers for ``dual-curve``, each J nonnegative numbers.
 
     The config's ``dual_grid`` when present, else the ``--g-min``/``--g-max``/
-    ``--g-steps`` line (single-constraint problems only).
+    ``--g-steps`` line (single-constraint problems only).  Each ``dual_grid``
+    entry is a number or a list of numbers, read as config numbers are: a
+    boolean or a numeric string is refused.
     """
     if "dual_grid" in doc:
-        try:
-            grid_pts = [np.atleast_1d(np.asarray(g, dtype=float))
-                        for g in doc["dual_grid"]]
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"dual_grid: {exc}") from exc
+        raw = doc["dual_grid"]
+        if not isinstance(raw, list):
+            raise ConfigError(
+                f"'dual_grid' must be a list of multipliers, got {reprlib.repr(raw)}")
+        grid_pts = [model._numbers([g] if model._is_number(g) else g,
+                                   f"dual_grid[{k}]")
+                    for k, g in enumerate(raw)]
     elif J != 1:
         raise ConfigError(
             "dual-curve needs an explicit dual_grid for multi-constraint "

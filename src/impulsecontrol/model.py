@@ -9,11 +9,25 @@ killing with survival probability exp(-alpha*theta), and the killed mass goes
 to an absorbing costless cemetery state.
 
 This module owns discretization onto a finite state/waiting-time grid:
-running-cost integrals are computed by composite Simpson quadrature, landing
-states are represented by linear interpolation weights between bracketing grid
-points, and the infinite waiting time is kept as an exact sentinel (never a
-large float) so that killing is exact.  The landing map is stored once, as
-the sparse matrix ``DiscreteMDP.kernel`` that every solver reads.
+landing states are represented by linear interpolation weights between
+bracketing grid points, and the infinite waiting time is kept as an exact
+sentinel (never a large float) so that killing is exact.  The landing map is
+stored once, as the sparse matrix ``DiscreteMDP.kernel`` that every solver
+reads.
+
+Running-cost integrals are exact wherever the problem's types allow it.
+Every rate and flow a configuration document can declare has a closed form:
+a rate is a number or a :class:`PolynomialRate` (constant, polynomial and
+piecewise-constant tables), and the flow is a :class:`DriftFlow`
+x + c t or a :class:`DecayFlow` x e^{-r t}.  Along such a flow, the
+discounted integral of a polynomial is a short sum of per-state factors
+times incomplete-gamma or exponential factors in the wait, split where the
+trajectory crosses a breakpoint.  Only a rate or flow given as a Python map
+is integrated by composite Simpson quadrature, with step at most
+``quadrature_step``.  :func:`stage_cost` integrates every rate that is not
+a number by Simpson, with its span split where the flow crosses a
+breakpoint: the independent reference that ``verify`` holds the tables
+against.
 
 User maps (flow, reset, cost rates, lump costs) are called on numpy arrays,
 once per block of grid states, never on the whole grid at once: the flow,
@@ -127,8 +141,10 @@ class ImpulseProblem:
         Jump map l(x, a) applied at impulse times.
     gradual_costs:
         J+1 running cost rates >= 0, each a real number or a map x -> rate.
-        A number is a constant rate and integrates in closed form; a map is
-        integrated by composite Simpson quadrature.
+        A number integrates in closed form, and so does a
+        :class:`PolynomialRate` along a :class:`DriftFlow` or a
+        :class:`DecayFlow`; any other map is integrated by composite
+        Simpson quadrature.
     impulse_costs:
         J+1 lump-cost maps (x, a) -> cost >= 0.
     alpha:
@@ -189,7 +205,7 @@ class GridSpec:
     the truncated state interval; ``theta_points`` is a sorted array of
     finite waiting times that starts at 0.0 and ends with the INFINITY
     sentinel; ``quadrature_step`` bounds the Simpson step for running-cost
-    integrals.
+    integrals that have no closed form.
     """
 
     state_points: np.ndarray
@@ -441,6 +457,243 @@ def _eval(f, *args) -> np.ndarray:
     return out if out.shape == shape else np.broadcast_to(out, shape)
 
 
+# ---------------------------------------------------------------------------
+# rates and flows with closed-form running integrals
+
+
+def _polyval(coeffs: np.ndarray, y) -> np.ndarray:
+    """sum_k coeffs[..., k] y^k by Horner's rule, highest power first.
+
+    The leading axes of ``coeffs`` broadcast against ``y``, so each element
+    may take its own polynomial.  Returns a fresh array.
+    """
+    shape = np.broadcast_shapes(coeffs.shape[:-1], np.shape(y))
+    out = np.array(np.broadcast_to(coeffs[..., -1], shape), dtype=float)
+    for k in range(coeffs.shape[-1] - 2, -1, -1):
+        out = out * y + coeffs[..., k]
+    return out
+
+
+def _gamma_p(n: int, z: np.ndarray) -> np.ndarray:
+    """Regularized lower incomplete gamma P(n, z) for an integer n >= 1.
+
+    ``z`` holds values >= 0, inf included (P(n, inf) = 1).  P(1, z) is
+    -expm1(-z).  For n > 1, below z = n the series
+    e^{-z} z^n / n! * sum_k z^k / ((n+1)...(n+k)) avoids the cancellation
+    of 1 - e^{-z} sum_{k<n} z^k / k!, which serves from z = n on, where
+    P(n, z) > 1/2.  The series takes a number of terms set by n alone, so
+    each element goes through the same operations whatever the array.
+    """
+    z = np.asarray(z, dtype=float)
+    if n == 1:
+        return -np.expm1(-z)
+    out = np.empty(z.shape)
+    small = z < n
+    zs = z[small]
+    term, total = np.ones(zs.shape), np.ones(zs.shape)
+    k, bound = 0, 1.0  # bound on the k-th term, z^k / ((n+1)...(n+k)) at z = n
+    while bound >= 2.0 ** -60:
+        k += 1
+        bound *= n / (n + k)
+        term *= zs / (n + k)
+        total += term
+    lead = np.exp(-zs)
+    for i in range(1, n + 1):
+        lead *= zs / i
+    out[small] = lead * total
+    zl = z[~small]
+    term = np.exp(-zl)
+    total = term.copy()
+    zl = np.where(np.isinf(zl), 0.0, zl)  # e^{-inf} z^k: every term is 0
+    for i in range(1, n):
+        term *= zl / i
+        total += term
+    out[~small] = 1.0 - total
+    return out
+
+
+class PolynomialRate:
+    """Piecewise-polynomial running-cost rate.
+
+    ``coeffs[m]`` holds piece m's coefficients, constant term first, and
+    piece m applies on [breakpoints[m-1], breakpoints[m]) (the first piece
+    from -inf, the last up to +inf), so a state on a breakpoint takes the
+    piece above it.  A 1-D ``coeffs`` is a single polynomial.  The rate is
+    a map y -> rate like any other; along a :class:`DriftFlow` or a
+    :class:`DecayFlow` its running integrals have closed forms, which
+    :func:`discretize` uses.  (Plain classes, not dataclasses: a dataclass
+    costs about a millisecond of import time to define.)
+    """
+
+    __slots__ = ("coeffs", "breakpoints")
+
+    def __init__(self, coeffs, breakpoints=()):
+        c = np.atleast_2d(np.asarray(coeffs, dtype=float))
+        b = np.asarray(breakpoints, dtype=float).reshape(-1)
+        if c.shape[0] != b.size + 1 or c.shape[1] == 0:
+            raise ValueError(
+                f"{b.size} breakpoints need {b.size + 1} nonempty pieces, got "
+                f"coefficients of shape {c.shape}")
+        if not (np.all(np.isfinite(b)) and np.all(np.diff(b) > 0.0)):
+            raise ValueError("breakpoints must be finite and strictly increasing")
+        self.coeffs = c            # (n_pieces, degree + 1)
+        self.breakpoints = b       # (n_pieces - 1,)
+
+    def __call__(self, y):
+        if not self.breakpoints.size:
+            return _polyval(self.coeffs[0], y)
+        return self.piece(np.searchsorted(self.breakpoints, y, side="right"), y)
+
+    def piece(self, m, y) -> np.ndarray:
+        """Piece ``m``'s polynomial at ``y``; ``m`` broadcasts against ``y``."""
+        return _polyval(self.coeffs[m], y)
+
+
+def _reach_constant(x: np.ndarray, b: float) -> np.ndarray:
+    """Crossing times of b along a stationary trajectory (see ``reach``)."""
+    return np.where(x >= b, 0.0, INFINITY)
+
+
+class DriftFlow:
+    """Flow x + rate * t.
+
+    ``reach(x, b)`` is the first time t >= 0 at which the trajectory from
+    each state x is at b or beyond it in its direction of motion: 0 when it
+    starts there, inf when it never gets there (a stationary trajectory
+    counts as rising).  ``rising(x)`` says which trajectories rise.
+    ``terms(coeffs, x, alpha)`` expresses the discounted integral of a
+    polynomial p along the flow over [0, T] as sum_i A_i(x) K_i(T):
+    sum_i c^i p^(i)(x) / alpha^(i+1) * P(i+1, alpha T), with P the
+    regularized lower incomplete gamma (``kernel``).
+    """
+
+    __slots__ = ("rate",)
+
+    def __init__(self, rate: float):
+        self.rate = rate
+
+    def __call__(self, x, t):
+        return x + self.rate * t
+
+    def rising(self, x: np.ndarray) -> np.ndarray:
+        return np.full(x.shape, self.rate >= 0.0)
+
+    def reach(self, x: np.ndarray, b: float) -> np.ndarray:
+        if self.rate == 0.0:
+            return _reach_constant(x, b)
+        return np.maximum((b - x) / self.rate, 0.0)
+
+    def terms(self, coeffs: np.ndarray, x: np.ndarray, alpha: float) -> list:
+        """(A_i(x), kernel key i + 1) pairs; at rate 0 only i = 0 remains."""
+        out = []
+        for i in range(coeffs.size if self.rate != 0.0 else 1):
+            scale = self.rate ** i / alpha ** (i + 1)
+            out.append((scale * _polyval(coeffs, x), i + 1))
+            coeffs = coeffs[1:] * np.arange(1, coeffs.size)  # p' from p
+        return out
+
+    def kernel(self, key: int, T: np.ndarray, alpha: float) -> np.ndarray:
+        return _gamma_p(key, alpha * T)
+
+
+class DecayFlow:
+    """Flow x * exp(-rate * t), rate >= 0: every state decays toward 0.
+
+    ``reach``, ``rising`` and ``terms`` as for :class:`DriftFlow`.  Here
+    p(x e^{-rt}) = sum_k a_k x^k e^{-krt}, so the integral over [0, T] is
+    sum_k a_k x^k (1 - e^{-(alpha + k r) T}) / (alpha + k r), and a
+    breakpoint b between 0 and x is reached at ln(x / b) / r.
+    """
+
+    __slots__ = ("rate",)
+
+    def __init__(self, rate: float):
+        self.rate = rate
+
+    def __call__(self, x, t):
+        return x * np.exp(-self.rate * t)
+
+    def rising(self, x: np.ndarray) -> np.ndarray:
+        return (x <= 0.0) | (self.rate == 0.0)
+
+    def reach(self, x: np.ndarray, b: float) -> np.ndarray:
+        if self.rate == 0.0:
+            return _reach_constant(x, b)
+        if b == 0.0:  # a trajectory that moves never reaches 0
+            return np.where(x == 0.0, 0.0, INFINITY)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # log(0) = -inf makes tau 0 at x = 0, which lies beyond b < 0
+            tau = np.maximum(np.log(x / b) / self.rate, 0.0)
+        # a positive b is reached from above only, a negative one from below
+        if b > 0.0:
+            return np.where(x > 0.0, tau, INFINITY)
+        return np.where(x > 0.0, INFINITY, tau)
+
+    def terms(self, coeffs: np.ndarray, x: np.ndarray, alpha: float) -> list:
+        """(a_k x^k, kernel key k) pairs, zero coefficients left out."""
+        return [(a * x ** k, k) for k, a in enumerate(coeffs) if a != 0.0]
+
+    def kernel(self, key: int, T: np.ndarray, alpha: float) -> np.ndarray:
+        rate = alpha + key * self.rate
+        return -np.expm1(-rate * T) / rate
+
+
+_CLOSED_FORM_FLOWS = (DriftFlow, DecayFlow)
+
+
+def _has_closed_form(problem: ImpulseProblem, j: int) -> bool:
+    """Whether rate j integrates along the problem's flow in closed form."""
+    return (isinstance(problem.gradual_costs[j], PolynomialRate)
+            and isinstance(problem.flow, _CLOSED_FORM_FLOWS))
+
+
+def _closed_form_integrals(rate: PolynomialRate, flow, alpha: float,
+                           x: np.ndarray, thetas: np.ndarray, out: np.ndarray):
+    """out[r, k] = integral of e^{-alpha s} rate(flow(x[r], s)) over [0, thetas[k]].
+
+    A trajectory is monotone, so it passes the pieces in order: a rising one
+    is in piece m over [tau_{m-1}, tau_m) and a falling one over
+    [tau_m, tau_{m-1}), with tau_k the time it reaches breakpoint k.  Each
+    piece's polynomial is integrated over its own interval only, as
+    sum_i A_i(x) (K_i(min(theta, hi)) - K_i(min(theta, lo))), and A_i is
+    0 for the states that never visit the piece.  An end that is 0 for
+    every state drops out and one that is inf for every state makes its
+    term an outer product of a per-state and a per-theta factor; only a
+    finite crossing time needs a (states x thetas) pass, made once per
+    breakpoint and kernel.  Every element goes through the same operations
+    whatever the block of states, so the tables do not depend on the
+    block shape.
+    """
+    reach = [flow.reach(x, b) for b in rate.breakpoints]
+    rising = flow.rising(x)
+    up, down = [0.0, *reach, INFINITY], [INFINITY, *reach, 0.0]
+    cache = {}
+
+    def kernel(key, t):
+        """K_key(min(theta, t)) per state, or None when t is 0 for all."""
+        if not t.any():
+            return None
+        if np.isinf(t).all():
+            t = None
+        slot = (key, None if t is None else t.tobytes())
+        if slot not in cache:
+            T = thetas if t is None else np.minimum(thetas, t[:, np.newaxis])
+            cache[slot] = flow.kernel(key, T, alpha)
+        return cache[slot]
+
+    out[...] = 0.0
+    for m, coeffs in enumerate(rate.coeffs):
+        lo = np.where(rising, up[m], down[m + 1])
+        hi = np.where(rising, up[m + 1], down[m])
+        visited = hi > lo
+        if not visited.any():
+            continue
+        for A, key in flow.terms(coeffs, x, alpha):
+            K_lo, K_hi = kernel(key, lo), kernel(key, hi)
+            K = K_hi if K_lo is None else K_hi - K_lo
+            out += np.where(visited, A, 0.0)[:, np.newaxis] * K
+
+
 def _simpson_lattice(a, b, step: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Composite Simpson nodes and weights on every span [a[k], b[k]] at once.
 
@@ -469,7 +722,15 @@ def _simpson_lattice(a, b, step: float) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 def _running_integral_scalar(problem: ImpulseProblem, x: float, theta: float,
                              j: int, step: float) -> float:
-    """Discounted running-cost integral for one cost index at one state."""
+    """Discounted running-cost integral for one cost index at one state.
+
+    A numeric rate takes the closed form; any other is integrated by
+    composite Simpson, an independent reference for the tables.  When the
+    rate is a :class:`PolynomialRate` with breakpoints and the flow says
+    when it reaches them (``reach``), the span is split at those times and
+    each part evaluates the one piece its midpoint lies in, so no Simpson
+    panel straddles a jump of the rate.
+    """
     alpha = problem.alpha
     const = problem.constant_rate(j)
     if const is not None:
@@ -479,13 +740,21 @@ def _running_integral_scalar(problem: ImpulseProblem, x: float, theta: float,
     if theta == 0.0:
         return 0.0
     rate = problem.gradual_costs[j]
-    if math.isinf(theta):
-        a, b = 0.0, _INF_HORIZON / alpha
-    else:
-        a, b = 0.0, theta
-    tt, w, _ = _simpson_lattice(a, b, step)
-    vals = _eval(rate, _eval(problem.flow, x, tt)) * np.exp(-alpha * tt)
-    return float(np.dot(w, vals))
+    end = _INF_HORIZON / alpha if math.isinf(theta) else theta
+    if not (_has_closed_form(problem, j) and rate.breakpoints.size):
+        tt, w, _ = _simpson_lattice(0.0, end, step)
+        vals = _eval(rate, _eval(problem.flow, x, tt)) * np.exp(-alpha * tt)
+        return float(np.dot(w, vals))
+    at = np.array([float(x)])
+    cuts = np.unique([t for b in rate.breakpoints
+                      for t in problem.flow.reach(at, b) if 0.0 < t < end])
+    edges = np.concatenate(([0.0], cuts, [end]))
+    tt, w, starts = _simpson_lattice(edges[:-1], edges[1:], step)
+    mids = _eval(problem.flow, float(x), 0.5 * (edges[:-1] + edges[1:]))
+    piece = np.searchsorted(rate.breakpoints, mids, side="right")
+    sizes = np.diff(np.append(starts, tt.size))
+    vals = rate.piece(np.repeat(piece, sizes), _eval(problem.flow, float(x), tt))
+    return float(np.dot(w, vals * np.exp(-alpha * tt)))
 
 
 # ---------------------------------------------------------------------------
@@ -500,8 +769,10 @@ def stage_cost(problem: ImpulseProblem, x, theta: float, a, j: int,
     [0, theta] plus exp(-alpha*theta) times the impulse cost at the landing
     point.  The cemetery state costs 0, and the infinite waiting time drops
     the impulse term (the running integral is then taken over [0, inf)).
-    ``step`` bounds the Simpson quadrature step; a numeric (constant) rate
-    uses the exact closed form instead.
+    ``step`` bounds the Simpson quadrature step, even for a rate that
+    :func:`discretize` integrates in closed form (see
+    :func:`_running_integral_scalar`); a numeric (constant) rate uses the
+    exact closed form instead.
     """
     if x is CEMETERY:
         return 0.0
@@ -545,19 +816,25 @@ def _running_integral_blocks(problem: ImpulseProblem, grid: GridSpec, R: np.ndar
     state i; R may be a strided view, such as one label's columns of the cost
     table.  Yields the slice of grid states of each block of about
     ``_BLOCK_CELLS`` (state, action) cells once its rows of R are written.
-    Finite theta columns accumulate segment-wise composite Simpson between
-    consecutive theta grid points (step bounded by quadrature_step); the last
-    column is the infinite-wait integral over [0, 60/alpha].  Both lattices
-    come from :func:`_simpson_lattice`, the rule :func:`stage_cost` uses on
-    its single span, so values agree with it to quadrature accuracy, not
-    bitwise.  Numeric (constant) rates take the closed form.
 
-    The flow and the cost rates are called once per inner block of
-    ``_BLOCK_ELEMENTS // nodes`` grid states, where ``nodes`` is the larger
-    lattice, so the (states x nodes) workspaces stay cache-sized whatever the
-    grid and the discount rate.  A block is a whole number of inner blocks,
-    so each inner block, and the rounding of its infinite-wait product, is
-    the same whatever ``_BLOCK_CELLS`` is.
+    Numeric (constant) rates take the closed form, and so does a
+    :class:`PolynomialRate` along a :class:`DriftFlow` or a
+    :class:`DecayFlow` (:func:`_closed_form_integrals`): every column
+    straight from 0, exact up to rounding and independent of the block
+    shape.  Only a rate or flow given as a Python map is integrated
+    numerically: finite theta columns accumulate segment-wise composite
+    Simpson between consecutive theta grid points (step bounded by
+    quadrature_step), and the last column is the infinite-wait integral over
+    [0, 60/alpha].  Both lattices come from :func:`_simpson_lattice`, the
+    rule :func:`stage_cost` uses on its single span, so values agree with it
+    to quadrature accuracy, not bitwise.
+
+    For those maps, the flow and the cost rates are called once per inner
+    block of ``_BLOCK_ELEMENTS // nodes`` grid states, where ``nodes`` is
+    the larger lattice, so the (states x nodes) workspaces stay cache-sized
+    whatever the grid and the discount rate.  A block is a whole number of
+    inner blocks, so each inner block, and the rounding of its infinite-wait
+    product, is the same whatever ``_BLOCK_CELLS`` is.
     """
     xs = grid.state_points
     th_fin = grid.theta_points[:-1]
@@ -565,7 +842,9 @@ def _running_integral_blocks(problem: ImpulseProblem, grid: GridSpec, R: np.ndar
     step = grid.quadrature_step
     n, m_fin, jn = xs.size, th_fin.size, problem.n_costs
 
-    quad_js = [j for j in range(jn) if problem.constant_rate(j) is None]
+    closed_js = [j for j in range(jn) if _has_closed_form(problem, j)]
+    quad_js = [j for j in range(jn) if problem.constant_rate(j) is None
+               and j not in closed_js]
     inner = 1
     if quad_js:
         # discount times weight on the finite segments' lattice (empty when
@@ -583,7 +862,11 @@ def _running_integral_blocks(problem: ImpulseProblem, grid: GridSpec, R: np.ndar
         rows = slice(lo, min(lo + block, n))
         for j in range(jn):
             c = problem.constant_rate(j)
-            if c is None:
+            if j in closed_js:
+                _closed_form_integrals(problem.gradual_costs[j], problem.flow,
+                                       alpha, xs[rows], grid.theta_points,
+                                       R[j, rows])
+            elif c is None:
                 R[j, rows, 0] = 0.0  # nothing accrues over theta = 0
             else:
                 R[j, rows, :m_fin] = c * (-np.expm1(-alpha * th_fin)) / alpha
@@ -729,13 +1012,14 @@ def check_footprint(problem: ImpulseProblem, grid: GridSpec) -> None:
     The estimate uses the grid sizes alone, before any table exists: the
     cost tables (8 bytes per cost per (state, action) cell), the kernel (two
     int32 columns and two float64 weights per cell, plus its int32 row
-    pointer), and, when a running-cost rate is a map, the Simpson
-    lattices of :func:`_running_integral_blocks` (at most
-    span / quadrature_step + 3 nodes per finite theta span, and
-    60 / (alpha * quadrature_step) + 3 on the infinite wait), at
-    ``_LATTICE_NODE_BYTES`` per node.  Raises ValueError naming the grid
-    field behind the larger part, with the byte count, when the estimate
-    exceeds :func:`physical_memory`.
+    pointer), and, when a running-cost rate is not a number, the Simpson
+    lattices (at most span / quadrature_step + 3 nodes per finite theta
+    span, and 60 / (alpha * quadrature_step) + 3 on the infinite wait), at
+    ``_LATTICE_NODE_BYTES`` per node.  :func:`_running_integral_blocks`
+    builds them only for a Python map, but :func:`stage_cost`, and so
+    ``verify``'s references, build them for every such rate.  Raises
+    ValueError naming the grid field behind the larger part, with the byte
+    count, when the estimate exceeds :func:`physical_memory`.
     """
     limit = physical_memory()
     if limit is None:
@@ -820,9 +1104,9 @@ def fluid_problem(alpha: float, h: float, K: float, d: float) -> ImpulseProblem:
         raise ConfigError(
             f"fluid model requires h > 0, K > 0, d > 0, got h={h}, K={K}, d={d}")
     return ImpulseProblem(
-        flow=lambda x, t: x + t,
+        flow=DriftFlow(1.0),
         reset=lambda x, a: 0.0 * x,
-        gradual_costs=(0.0, lambda x: h * x),
+        gradual_costs=(0.0, PolynomialRate([0.0, h])),
         impulse_costs=(lambda x, a: K + 0.0 * x, lambda x, a: 0.0 * x),
         alpha=alpha,
         x0=0.0,
@@ -850,25 +1134,46 @@ def _number(cfg: dict, key: str, path: str) -> float:
     if not _is_number(raw):
         raise ConfigError(
             f"'{path}{key}' must be a number, got {reprlib.repr(raw)}")
-    return float(raw)
+    return _float(raw, path + key)
+
+
+def _float(raw, name: str) -> float:
+    """The number ``raw`` of field ``name`` as a float.  An integer beyond
+    the float range (JSON keeps every digit of one) is refused."""
+    try:
+        return float(raw)
+    except OverflowError:
+        raise ConfigError(
+            f"'{name}' is beyond the float range, got {reprlib.repr(raw)}") from None
+
+
+def _numbers(raw, name: str) -> np.ndarray:
+    """``raw``, a list of numbers, as a float array; ``name`` names the field.
+
+    A scalar, ``null``, a string or a boolean entry is refused, and so is
+    an integer beyond the float range.
+    """
+    if not (isinstance(raw, (list, tuple)) and all(map(_is_number, raw))):
+        raise ConfigError(
+            f"'{name}' must be a list of numbers, got {reprlib.repr(raw)}")
+    try:
+        return np.asarray(raw, dtype=float)
+    except OverflowError:
+        raise ConfigError(
+            f"'{name}' holds a number beyond the float range, got "
+            f"{reprlib.repr(raw)}") from None
 
 
 def _number_list(spec: dict, key: str, path: str) -> np.ndarray:
-    """Required list-of-numbers field ``key`` of ``spec`` as a float array.
-
-    A scalar, ``null``, a string or a boolean entry is refused.
-    """
-    raw = _require(spec, key, path)
-    if not (isinstance(raw, (list, tuple)) and all(map(_is_number, raw))):
-        raise ConfigError(
-            f"'{path}{key}' must be a list of numbers, got {reprlib.repr(raw)}")
-    return np.asarray(raw, dtype=float)
+    """Required list-of-numbers field ``key`` of ``spec`` as a float array
+    (see ``_numbers``)."""
+    return _numbers(_require(spec, key, path), path + key)
 
 
 def _rate_from_spec(spec, path: str):
-    """A cost-rate table as a float (a constant rate) or a map x -> rate."""
+    """A cost-rate table as a float (a constant rate) or a PolynomialRate."""
     if _is_number(spec):
-        return float(spec)
+        return _float(spec, path)
     if not isinstance(spec, dict) or "type" not in spec:
         raise ConfigError(f"'{path}' must be a number or an object with a 'type'")
     kind = spec["type"]
@@ -880,17 +1185,19 @@ def _rate_from_spec(spec, path: str):
             raise ConfigError(f"'{path}.coeffs' must be nonempty")
         if coeffs.size == 1:
             return float(coeffs[0])
-        rev = coeffs[::-1].copy()
-        return lambda x: np.polyval(rev, x)
+        return PolynomialRate(coeffs)
     if kind == "piecewise_constant":
         brk = _number_list(spec, "breakpoints", path + ".")
         vals = _number_list(spec, "values", path + ".")
         if vals.size != brk.size + 1:
             raise ConfigError(
                 f"'{path}.values' must have one more entry than breakpoints")
-        if brk.size and np.any(np.diff(brk) <= 0.0):
-            raise ConfigError(f"'{path}.breakpoints' must be strictly increasing")
-        return lambda x: vals[np.searchsorted(brk, x, side="right")]
+        if not (np.all(np.isfinite(brk)) and np.all(np.diff(brk) > 0.0)):
+            raise ConfigError(
+                f"'{path}.breakpoints' must be strictly increasing finite numbers")
+        if not brk.size:
+            return float(vals[0])
+        return PolynomialRate(vals[:, np.newaxis], brk)
     raise ConfigError(f"unknown cost-rate type '{kind}' at '{path}'")
 
 
@@ -916,13 +1223,12 @@ def _impulse_from_spec(spec, actions, path: str):
 def _flow_from_spec(spec, path: str):
     kind = _require(spec, "type", path + ".")
     if kind == "drift":
-        c = _number(spec, "rate", path + ".")
-        return lambda x, t: x + c * t
+        return DriftFlow(_number(spec, "rate", path + "."))
     if kind == "exponential_decay":
         r = _number(spec, "rate", path + ".")
-        if r < 0.0:
+        if not r >= 0.0:
             raise ConfigError(f"'{path}.rate' must be >= 0 for exponential_decay")
-        return lambda x, t: x * np.exp(-r * t)
+        return DecayFlow(r)
     raise ConfigError(f"unknown flow type '{kind}' at '{path}'")
 
 

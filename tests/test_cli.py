@@ -182,6 +182,21 @@ def test_verify_passes_on_shipped_benchmark_config(capsys):
     assert "FAIL" not in capsys.readouterr().out
 
 
+def test_verify_passes_on_piecewise_rates(tmp_path, capsys):
+    # the shipped two-constraint config is the custom-j2 band centre; the
+    # tables integrate its jump rate in closed form and the references split
+    # their spans at the jump, so both quadrature gates hold
+    from pathlib import Path
+    shipped = Path(__file__).resolve().parent.parent / "configs" / "custom_j2.json"
+    assert json.loads(shipped.read_text()) == band_centre_doc("custom-j2")
+    path = tmp_path / "j2.json"
+    path.write_text(json.dumps(J2_DOC))
+    for config in (shipped, path):
+        assert cli.main(["verify", "--config", str(config)]) == 0
+        out = capsys.readouterr().out
+        assert "FAIL" not in out and "PASS oracle-agreement" in out
+
+
 def test_missing_config_exits_2(capsys):
     assert cli.main(["solve", "--config", "/nonexistent.json"]) == 2
 
@@ -317,6 +332,59 @@ def test_dual_curve_bad_multiplier_grid_exits_2(config_file, tmp_path, capsys):
     assert cli.main(["dual-curve", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert "[-0.25]" in err and "nonnegative" in err
+
+
+@pytest.mark.parametrize("dual_grid", [
+    [True], ["1"], [[0.5, True]], True, [10 ** 400]],
+    ids=["bool", "string", "bool-component", "not-a-list", "huge-integer"])
+def test_dual_grid_entries_are_read_as_config_numbers(config_file, dual_grid,
+                                                       capsys):
+    assert cli.main(["dual-curve", "--config", config_file,
+                     "--set", f"dual_grid={json.dumps(dual_grid)}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "'dual_grid" in err
+
+
+HUGE = 10 ** 400  # JSON keeps every digit of an integer; no float holds it
+
+
+@pytest.mark.parametrize("edit, needle", [
+    (lambda d: d.update(alpha=HUGE), "'alpha' is beyond the float range"),
+    (lambda d: d["grid"].update(state_n=HUGE),
+     "'grid.state_n' is beyond the float range"),
+    (lambda d: d["gradual_costs"].__setitem__(0, HUGE),
+     "'gradual_costs[0]' is beyond the float range"),
+    (lambda d: d["gradual_costs"][2].update(breakpoints=[HUGE]),
+     "'gradual_costs[2].breakpoints' holds a number beyond the float range"),
+    (lambda d: d.update(bounds=[0.5, HUGE]),
+     "'bounds' holds a number beyond the float range")],
+    ids=["alpha", "grid-count", "bare-rate", "breakpoints", "bounds"])
+def test_integer_beyond_float_range_exits_2(tmp_path, edit, needle, capsys):
+    doc = json.loads(json.dumps(J2_DOC))
+    edit(doc)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["solve", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and needle in err
+
+
+def test_integer_beyond_float_range_on_the_command_line_exits_2(config_file,
+                                                                 capsys):
+    assert cli.main(["solve", "--config", config_file,
+                     "--set", f"alpha={HUGE}"]) == 2
+    assert "'alpha' is beyond the float range" in capsys.readouterr().err
+
+
+def test_integer_of_too_many_digits_for_the_json_reader_exits_2(tmp_path,
+                                                                capsys):
+    # Python's int conversion refuses more than 4300 digits with ValueError
+    path = tmp_path / "digits.json"
+    path.write_text(json.dumps(BASE_DOC).replace('"alpha": 1.0',
+                                                 '"alpha": 1' + "0" * 5000))
+    assert cli.main(["solve", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config file is not valid JSON: ")
 
 
 def test_eval_duplicate_row_exits_2(config_file, tmp_path, capsys):
@@ -603,10 +671,12 @@ def _j2_30(tmp_path, rate=None):
     ({"type": "polynomial", "coeffs": None},
      "'gradual_costs[2].coeffs' must be a list of numbers, got None"),
     ({"type": "polynomial", "coeffs": [0.2, True]},
-     "'gradual_costs[2].coeffs' must be a list of numbers")],
+     "'gradual_costs[2].coeffs' must be a list of numbers"),
+    ({"breakpoints": [math.nan], "values": [2.0, 0.2]},
+     "'gradual_costs[2].breakpoints' must be strictly increasing finite numbers")],
     ids=["scalar-values", "null-values", "scalar-breakpoints", "string-value",
          "short-values", "long-values", "scalar-coeffs", "null-coeffs",
-         "bool-coeff"])
+         "bool-coeff", "nan-breakpoint"])
 def test_bad_piecewise_constant_table_exits_2(tmp_path, rate, needle, capsys):
     config = _j2_30(tmp_path, {"type": "piecewise_constant", **rate})
     for command in ("solve", "verify"):

@@ -1,11 +1,17 @@
+import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import impulsecontrol as ic
+from impulsecontrol import model
 from impulsecontrol.model import CEMETERY, INFINITY, ConfigError
 
 from conftest import (CUSTOM_TWO_ACTION_DOC, J2_DOC, accept_fluid_problem,
@@ -176,13 +182,11 @@ def test_kernel_is_stored_once(small_mdp, table):
             assert nxt == (mdp.next_lo if lo_wins else mdp.next_hi)[i, q]
 
 
-def _check_cells_against_references(prob, grid, mdp, cells, jumps):
+def _check_cells_against_references(prob, grid, mdp, cells):
     """Each (i, k, label index) cell against stage_cost and transition.
 
-    ``jumps`` maps a cost index to the jump of its piecewise-constant rate:
-    Simpson's error at a jump is of order quadrature_step * jump, and the
-    table's segment-wise rule and stage_cost's single span put their nodes in
-    different places, so those costs get that tolerance instead of 1e-8.
+    stage_cost splits its Simpson span where the flow crosses a breakpoint
+    of a piecewise rate, so a jump costs no accuracy there.
     """
     L = mdp.n_labels
     for i, k, a in cells:
@@ -192,8 +196,7 @@ def _check_cells_against_references(prob, grid, mdp, cells, jumps):
         for j in range(mdp.n_costs):
             ref = ic.stage_cost(prob, x, theta, label, j,
                                 step=grid.quadrature_step)
-            tol = (grid.quadrature_step * jumps[j] if j in jumps
-                   else 1e-8 * (1.0 + ref))
+            tol = 1e-8 * (1.0 + ref)
             assert abs(float(mdp.costs[j, i, q]) - ref) <= tol, (i, k, a, j)
         nxt, s = ic.transition(prob, x, theta, label)
         assert mdp.survival[q] == pytest.approx(s, rel=1e-15, abs=0.0)
@@ -214,13 +217,13 @@ def test_discretize_table_matches_stage_cost():
     cells = [(int(rng.integers(0, mdp.n_states)),
               int(rng.integers(0, mdp.theta_points.size)), 0)
              for _ in range(25)]
-    _check_cells_against_references(prob, grid, mdp, cells, jumps={})
+    _check_cells_against_references(prob, grid, mdp, cells)
 
     # every cell of the two-action config: checks the q = k*L + a layout
     prob, grid = ic.problem_from_config(CUSTOM_TWO_ACTION_DOC)
     mdp = ic.discretize(prob, grid)
     cells = np.ndindex(mdp.n_states, mdp.theta_points.size, mdp.n_labels)
-    _check_cells_against_references(prob, grid, mdp, cells, jumps={1: 1.0})
+    _check_cells_against_references(prob, grid, mdp, cells)
 
 
 def test_discretize_rejects_x0_off_grid(fluid_problem):
@@ -323,22 +326,163 @@ def test_user_map_error_on_arrays_propagates():
 
 
 def test_discretize_infinite_wait_integrals_at_small_discount():
-    # ~600k infinite-wait nodes per state, above _BLOCK_ELEMENTS: one state
-    # per block
-    prob = ic.fluid_problem(alpha=0.01, h=1.0, K=1.0, d=100.0)
+    # the closed form, then the same problem as Python maps: ~600k
+    # infinite-wait nodes per state, above _BLOCK_ELEMENTS, so the Simpson
+    # path takes one state per block
+    closed = ic.fluid_problem(alpha=0.01, h=1.0, K=1.0, d=100.0)
+    maps = dataclasses.replace(closed, flow=lambda x, t: x + t,
+                               gradual_costs=(0.0, lambda x: 1.0 * x))
     grid = ic.GridSpec.uniform(0.0, 50.0, 40, theta_max=50.0, theta_n=10,
                                quadrature_step=0.01)
-    mdp = ic.discretize(prob, grid)
-    inf_q = (mdp.theta_points.size - 1) * mdp.n_labels
-    for i in (0, 20, 39):
-        x = float(mdp.states[i])
-        want = x / 0.01 + 1.0 / 0.01 ** 2  # h x / alpha + h / alpha^2
-        got = float(mdp.costs[1, i, inf_q])
-        assert abs(got - want) <= 1e-7 * (1.0 + want)
+    for prob in (closed, maps):
+        mdp = ic.discretize(prob, grid)
+        inf_q = (mdp.theta_points.size - 1) * mdp.n_labels
+        for i in (0, 20, 39):
+            x = float(mdp.states[i])
+            want = x / 0.01 + 1.0 / 0.01 ** 2  # h x / alpha + h / alpha^2
+            got = float(mdp.costs[1, i, inf_q])
+            assert abs(got - want) <= 1e-7 * (1.0 + want)
+
+
+# ---------------------------------------------------------------------------
+# closed-form running integrals
+
+
+PIECEWISE = {"type": "piecewise_constant", "breakpoints": [-0.5, 0.6, 1.3],
+             "values": [0.3, 1.5, 0.4, 2.0]}
+QUADRATIC = {"type": "polynomial", "coeffs": [0.5, -0.3, 0.4]}  # > 0 on R
+CLOSED_FORM_CASES = {
+    "decay-polynomial": ({"type": "exponential_decay", "rate": 0.7}, QUADRATIC),
+    "decay-piecewise": ({"type": "exponential_decay", "rate": 0.7}, PIECEWISE),
+    "drift-falling-polynomial": ({"type": "drift", "rate": -0.5}, QUADRATIC),
+    "drift-falling-piecewise": ({"type": "drift", "rate": -1.5}, PIECEWISE),
+    "drift-rising-piecewise": ({"type": "drift", "rate": 1.2}, PIECEWISE),
+    "drift-zero-polynomial": ({"type": "drift", "rate": 0.0}, QUADRATIC),
+    "drift-zero-piecewise": ({"type": "drift", "rate": 0.0}, PIECEWISE),
+}
+# negative states (which rise under decay), each breakpoint exactly, and
+# waits down to 1e-9, where P(n, alpha * theta) takes its series
+CLOSED_FORM_STATES = np.array([-2.0, -1.1, -0.5, 0.0, 0.3, 0.6, 1.0, 1.3, 2.0])
+CLOSED_FORM_THETAS = np.array([0.0, 1e-9, 1e-4, 0.05, 0.3, 1.0, 2.5, INFINITY])
+
+
+def _closed_form_problem(flow, rate):
+    """Cost 1 is the running integral of ``rate`` alone (no lump cost)."""
+    doc = {"model": "custom", "alpha": 0.8, "x0": 0.0, "flow": flow,
+           "reset": {"type": "constant", "value": 0.0}, "actions": ["a"],
+           "bounds": [10.0], "gradual_costs": [0.0, rate],
+           "impulse_costs": [1.0, 0.0],
+           "grid": {"state_min": -2.0, "state_max": 2.0, "state_n": 5,
+                    "theta_max": 1.0, "theta_n": 3, "quadrature_step": 0.02}}
+    prob, grid = ic.problem_from_config(doc)
+    return prob, ic.GridSpec(CLOSED_FORM_STATES, CLOSED_FORM_THETAS,
+                             grid.quadrature_step)
+
+
+def _scalar_twin(prob, flow, rate):
+    """``prob`` with its flow and rate as scalar-only Python maps."""
+    c = flow["rate"]
+    if flow["type"] == "drift":
+        twin_flow = lambda x, t: float(x) + c * float(t)
+    else:
+        twin_flow = lambda x, t: float(x) * math.exp(-c * float(t))
+    if rate["type"] == "polynomial":
+        a0, a1, a2 = rate["coeffs"]
+        twin_rate = lambda y: a0 + float(y) * (a1 + float(y) * a2)
+    else:
+        brk, vals = rate["breakpoints"], rate["values"]
+        twin_rate = lambda y: vals[sum(b <= float(y) for b in brk)]
+    return dataclasses.replace(prob, flow=twin_flow,
+                               gradual_costs=(0.0, twin_rate))
+
+
+def test_config_rates_and_flows_choose_the_closed_form(monkeypatch):
+    fluid = ic.fluid_problem(alpha=1.0, h=2.0, K=1.0, d=0.5)
+    j2, _ = ic.problem_from_config(J2_DOC)
+    decay, _ = _closed_form_problem(*CLOSED_FORM_CASES["decay-piecewise"])
+    for prob in (fluid, j2, decay):
+        assert isinstance(prob.flow, (model.DriftFlow, model.DecayFlow))
+        assert all(isinstance(r, model.PolynomialRate)
+                   for r in prob.gradual_costs if callable(r))
+    # they still act as maps
+    assert fluid.flow(1.5, 2.0) == 3.5 and fluid.gradual_costs[1](3.0) == 6.0
+    assert j2.gradual_costs[2](np.array([0.5, 0.8, 1.6, 2.0])).tolist() == [
+        2.0, 1.0, 0.2, 0.2]
+    assert decay.flow(2.0, 1.0) == 2.0 * math.exp(-0.7)
+
+    def no_lattice(*args):
+        raise AssertionError("a Simpson lattice was built")
+
+    monkeypatch.setattr(model, "_simpson_lattice", no_lattice)
+    grid = ic.GridSpec.uniform(0.0, 4.0, 20, 4.0, 20, 0.01)
+    for prob in (fluid, j2):
+        ic.discretize(prob, grid)
+
+
+@pytest.mark.parametrize("case", CLOSED_FORM_CASES)
+def test_closed_form_tables_match_the_split_simpson_references(case):
+    flow, rate = CLOSED_FORM_CASES[case]
+    prob, grid = _closed_form_problem(flow, rate)
+    table = ic.discretize(prob, grid).costs[1]  # one label: columns are thetas
+    for i, x in enumerate(grid.state_points):
+        for k, theta in enumerate(grid.theta_points):
+            ref = ic.stage_cost(prob, float(x), float(theta), "a", 1, step=1e-3)
+            assert abs(table[i, k] - ref) <= 1e-10 * (1.0 + ref), (x, theta)
+
+    # the scalar-only twin takes the Simpson path in discretize, blind to
+    # the breakpoints: at step 0.02 its error is ~2e-8 on a smooth rate
+    # (step^4 / 180 times the fourth derivative, e^{-2.2 s} under decay),
+    # and about step * jump across a jump
+    twin = ic.discretize(_scalar_twin(prob, flow, rate), grid).costs[1]
+    if rate["type"] == "polynomial":
+        np.testing.assert_allclose(twin, table, rtol=1e-7, atol=0.0)
+    else:
+        jump = np.max(np.abs(np.diff(rate["values"])))
+        assert np.max(np.abs(twin - table)) <= grid.quadrature_step * jump
+
+    # a flow reaches each breakpoint where it says it does
+    if rate["type"] == "piecewise_constant":
+        for b in rate["breakpoints"]:
+            t = prob.flow.reach(grid.state_points, b)
+            hit = (t > 0.0) & np.isfinite(t)
+            assert np.allclose(prob.flow(grid.state_points[hit], t[hit]), b,
+                               rtol=0.0, atol=1e-12)
+
+
+def test_a_state_on_a_breakpoint_takes_the_piece_above():
+    # stationary flow: the rate is constant along each trajectory
+    prob, grid = _closed_form_problem(*CLOSED_FORM_CASES["drift-zero-piecewise"])
+    table = ic.discretize(prob, grid).costs[1]
+    alpha = prob.alpha
+    for b, above in ((-0.5, 1.5), (0.6, 0.4), (1.3, 2.0)):
+        i = int(np.flatnonzero(grid.state_points == b)[0])
+        assert table[i, -1] == pytest.approx(above / alpha, rel=1e-15)
+
+
+def test_incomplete_gamma_matches_scipy():
+    from scipy.special import gammainc
+
+    z = np.concatenate([[0.0], np.logspace(-12, 3, 300), [np.inf]])
+    for n in range(1, 7):
+        got, want = model._gamma_p(n, z), gammainc(n, z)
+        assert got[0] == 0.0 and got[-1] == 1.0
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+def test_discretize_does_not_load_scipy_special():
+    # P(n, z) is numpy only: scipy.special costs tens of ms to import
+    root = Path(ic.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root), os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, json, impulsecontrol as ic; "
+            f"doc = json.loads({json.dumps(json.dumps(J2_DOC))}); "
+            "ic.discretize(*ic.problem_from_config(doc)); "
+            "assert 'scipy.special' not in sys.modules")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 BLOCK_CASES = {
-    # 6001 infinite-wait nodes: 10 states per block, the last block ragged
+    # closed forms: a drift and a linear rate, then a piecewise-constant one
     "fluid": lambda: (ic.fluid_problem(alpha=1.0, h=1.0, K=1.0, d=0.5),
                       ic.GridSpec.uniform(0.0, 2.0, 43, 2.0, 30, 0.01)),
     "custom-two-action": lambda: ic.problem_from_config(CUSTOM_TWO_ACTION_DOC),
@@ -361,13 +505,17 @@ def test_block_size_does_not_change_the_tables(monkeypatch, case):
         assert mdp.clamped_cells == want.clamped_cells
 
     # the quadrature's inner blocks: one state per block, then the whole grid
-    # as one block; the infinite-wait matrix-vector product rounds by block
-    # shape, so those costs agree to round-off only
+    # as one block.  The closed forms of the config rates do not depend on
+    # the block shape; the Python maps' infinite-wait matrix-vector product
+    # rounds by block shape, so those costs agree to round-off only
     for elements in (1, None, 2 ** 40):
         if elements is not None:
             monkeypatch.setattr(ic.model, "_BLOCK_ELEMENTS", elements)
         inner = ic.discretize(prob, grid)
-        np.testing.assert_allclose(inner.costs, ref.costs, rtol=1e-13, atol=0.0)
+        if case == "scalar-twin":
+            np.testing.assert_allclose(inner.costs, ref.costs, rtol=1e-13, atol=0.0)
+        else:
+            assert np.array_equal(inner.costs, ref.costs)
         same_tables(inner, ref)
         # the outer blocks are whole multiples of the inner ones, so their
         # size changes nothing: one inner block per outer block, 7 cells
