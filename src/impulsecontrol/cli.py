@@ -179,9 +179,12 @@ def _grid_metadata(doc: dict, mdp) -> dict:
 # commands
 
 
-def _prepare(args: argparse.Namespace, need_delta: bool = True):
+def _prepare(args: argparse.Namespace, need_delta: bool = True,
+             references: bool = False):
     """(doc, problem, grid, mdp, validation report) for a command; the last
-    four are None when ``need_delta`` and the impulse costs fail it."""
+    four are None when ``need_delta`` and the impulse costs fail it.
+    ``references`` sizes ``verify``'s quadrature references with the tables,
+    before either is built."""
     doc = load_config(args)
     problem, grid = problem_from_config(doc)
     report = validate(problem, grid)
@@ -194,6 +197,8 @@ def _prepare(args: argparse.Namespace, need_delta: bool = True):
             "infinitely costly\n")
         return doc, None, None, None, None
     try:
+        if references:
+            model.check_footprint(problem, grid, references=True)
         mdp = discretize(problem, grid)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -257,7 +262,13 @@ def _fluid_params(doc: dict) -> fluidq.FluidParams:
 def cmd_analytic(args: argparse.Namespace) -> int:
     doc = load_config(args)
     params = _fluid_params(doc)
-    sol = fluidq.solve_analytic(params)
+    try:
+        sol = fluidq.solve_analytic(params)
+    except (ArithmeticError, ValueError) as exc:
+        # parameters so extreme that the closed form leaves float range
+        raise ConfigError(
+            f"the closed form cannot be evaluated for alpha={params.alpha!r}, "
+            f"h={params.h!r}, K={params.K!r}, d={params.d!r}: {exc}") from exc
     report = {
         "schema": "analytic_report.schema.json",
         "command": "analytic",
@@ -440,8 +451,7 @@ def _verify_checks(problem, grid, mdp, tol_scale: float, rep):
         mu = occupation_measure(mdp, pol)
         resid = check_characteristic(mdp, mu)
         occ_ok &= resid <= 1e-9
-        dual_costs = np.tensordot(mu.mass, mdp.costs, axes=([0, 1], [1, 2]))
-        del mu  # a full table; the weak-duality solves below need two
+        dual_costs = mdp.costs.reshape(mdp.n_costs, -1)[:, mu.cells] @ mu.values
         rel = float(np.max(np.abs(dual_costs - costs.v) / (1.0 + np.abs(costs.v))))
         occ_ok &= rel <= 1e-8
         occ_detail.append(f"theta={th[k]:.4g}: char={resid:.2e} dual={rel:.2e}")
@@ -481,7 +491,8 @@ def _verify_checks(problem, grid, mdp, tol_scale: float, rep):
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    doc, problem, grid, mdp, rep = _prepare(args, need_delta=False)
+    doc, problem, grid, mdp, rep = _prepare(args, need_delta=False,
+                                            references=True)
     failures = 0
     for name, passed, detail in _verify_checks(problem, grid, mdp, args.tol, rep):
         status = "PASS" if passed else "FAIL"

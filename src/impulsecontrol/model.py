@@ -587,7 +587,10 @@ class DriftFlow:
         """(A_i(x), kernel key i + 1) pairs; at rate 0 only i = 0 remains."""
         out = []
         for i in range(coeffs.size if self.rate != 0.0 else 1):
-            scale = self.rate ** i / alpha ** (i + 1)
+            # in float64 scalars, a scale beyond range is inf, and discretize
+            # refuses the cost it makes, where Python floats would raise
+            with np.errstate(over="ignore", divide="ignore"):
+                scale = np.float64(self.rate) ** i / np.float64(alpha) ** (i + 1)
             out.append((scale * _polyval(coeffs, x), i + 1))
             coeffs = coeffs[1:] * np.arange(1, coeffs.size)  # p' from p
         return out
@@ -1006,20 +1009,24 @@ def physical_memory() -> int | None:
         return None
 
 
-def check_footprint(problem: ImpulseProblem, grid: GridSpec) -> None:
+def check_footprint(problem: ImpulseProblem, grid: GridSpec,
+                    references: bool = False) -> None:
     """Refuse a grid whose tables and quadrature lattice exceed physical memory.
 
     The estimate uses the grid sizes alone, before any table exists: the
     cost tables (8 bytes per cost per (state, action) cell), the kernel (two
     int32 columns and two float64 weights per cell, plus its int32 row
-    pointer), and, when a running-cost rate is not a number, the Simpson
+    pointer), and, when some running-cost rate is integrated by Simpson, the
     lattices (at most span / quadrature_step + 3 nodes per finite theta
     span, and 60 / (alpha * quadrature_step) + 3 on the infinite wait), at
     ``_LATTICE_NODE_BYTES`` per node.  :func:`_running_integral_blocks`
-    builds them only for a Python map, but :func:`stage_cost`, and so
-    ``verify``'s references, build them for every such rate.  Raises
-    ValueError naming the grid field behind the larger part, with the byte
-    count, when the estimate exceeds :func:`physical_memory`.
+    integrates by Simpson only a rate that is not a number and has no closed
+    form (a Python map).  With ``references``, every rate that is not a
+    number counts, since :func:`stage_cost`, and so ``verify``'s references,
+    integrate all of them by Simpson; the largest span they take is within
+    the same bound.  Raises ValueError naming the grid field behind the
+    larger part, with the byte count, when the estimate exceeds
+    :func:`physical_memory`.
     """
     limit = physical_memory()
     if limit is None:
@@ -1028,7 +1035,9 @@ def check_footprint(problem: ImpulseProblem, grid: GridSpec) -> None:
     cells = n * m * len(problem.actions)
     tables = cells * (8 * problem.n_costs + 2 * (4 + 8) + 4)
     lattice = 0
-    if any(problem.constant_rate(j) is None for j in range(problem.n_costs)):
+    if any(problem.constant_rate(j) is None
+           and (references or not _has_closed_form(problem, j))
+           for j in range(problem.n_costs)):
         step = grid.quadrature_step
         # divided in turn: a tiny alpha * step would underflow to 0, where
         # this overflows to inf and meets the cap that keeps it an int

@@ -6,8 +6,11 @@ cycle it ends in (exact when landings hit grid points), and a sparse linear
 solve of the interpolated fixed-point system (used when a landing splits
 between grid points, and for occupation measures).  A third, grid-free
 oracle integrates the continuous-time cost sum of a decision rule directly
-along the true flow.  All operations are pure functions of immutable inputs
-and safe for concurrent use.
+along the true flow.  An occupation measure holds only the (state, action)
+cells it charges, n of them for a deterministic policy, and its balance
+check reads the kernel rows of those cells alone, so neither allocates a
+(states x actions) table.  All operations are pure functions of immutable
+inputs and safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -43,14 +46,44 @@ class CostVector:
 
 @dataclass(frozen=True, eq=False)
 class OccupationMeasure:
-    """Expected discounted visit counts per (grid state, action) cell."""
+    """Expected discounted visit counts on the (grid state, action) cells charged.
 
-    mass: np.ndarray  # (n_states, n_actions)
+    ``cells`` are strictly increasing flat indices ``i * n_actions + q`` into
+    a (n_states, n_actions) table of the given ``shape``, and ``values`` their
+    masses; every other cell has mass 0.  ``mass`` builds that dense table on
+    demand.
+    """
+
+    cells: np.ndarray  # (n_charged,) flat cell indices, increasing
+    values: np.ndarray  # (n_charged,)
+    shape: tuple  # (n_states, n_actions)
     total: float
+
+    def __post_init__(self):
+        cells = np.asarray(self.cells, dtype=np.intp)
+        values = np.asarray(self.values, dtype=float)
+        shape = tuple(int(s) for s in self.shape)
+        if (cells.ndim != 1 or values.shape != cells.shape or len(shape) != 2
+                or np.any(np.diff(cells) <= 0) or np.any(cells[:1] < 0)
+                or np.any(cells[-1:] >= shape[0] * shape[1])):
+            raise ValueError(
+                "occupation measure cells must be increasing flat indices into "
+                f"a {shape} table, one value each")
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "shape", shape)
+
+    @property
+    def mass(self) -> np.ndarray:
+        """The dense (n_states, n_actions) table, built on each call."""
+        out = np.zeros(self.shape)
+        out.reshape(-1)[self.cells] = self.values
+        return out
 
     @property
     def state_marginal(self) -> np.ndarray:
-        return self.mass.sum(axis=1)
+        return np.bincount(self.cells // self.shape[1], weights=self.values,
+                           minlength=self.shape[0])
 
 
 @dataclass(frozen=True)
@@ -133,9 +166,10 @@ def eval_policy(mdp: DiscreteMDP, f: StationaryPolicy) -> CostVector:
 def occupation_measure(mdp: DiscreteMDP, f: StationaryPolicy) -> OccupationMeasure:
     """Occupation measure of a stationary policy by direct sparse linear solve.
 
-    Solves mu = delta_x0 + Q_f^T mu on the grid.  Raises ValueError naming the
-    cycle states if the system is singular (a survival-1 cycle, whose
-    occupation measure is not finite).
+    Solves mu = delta_x0 + Q_f^T mu on the grid.  The measure charges the
+    policy's cell (i, f(i)) of every grid state i and nothing else, so it
+    holds n cells.  Raises ValueError naming the cycle states if the system
+    is singular (a survival-1 cycle, whose occupation measure is not finite).
     """
     n = mdp.n_states
     e0 = np.zeros(n)
@@ -147,22 +181,31 @@ def occupation_measure(mdp: DiscreteMDP, f: StationaryPolicy) -> OccupationMeasu
             "occupation measure is not finite: the policy induces a "
             f"survival-1 cycle through grid state indices {cyc or list(entries)}")
     m = np.maximum(m, 0.0)
-    mass = np.zeros((n, mdp.n_actions))
-    mass[np.arange(n), f.flat] = m
-    return OccupationMeasure(mass=mass, total=float(m.sum()))
+    return OccupationMeasure(cells=np.arange(n) * mdp.n_actions + f.flat,
+                             values=m, shape=(n, mdp.n_actions),
+                             total=float(m.sum()))
 
 
 def check_characteristic(mdp: DiscreteMDP, mu: OccupationMeasure) -> float:
     """Sup-norm residual of the occupation-measure balance equation.
 
-    Evaluates |mu(x, all actions) - delta_x0(x) - inflow(x)| cellwise over
-    grid states, where inflow aggregates survival-weighted interpolation mass
-    from every (state, action) cell: the transposed kernel applied to the
-    surviving mass.  The balance equation does not depend on the policy.
+    Evaluates |mu(x, all actions) - delta_x0(x) - inflow(x)| over grid
+    states, where inflow aggregates survival-weighted interpolation mass from
+    the cells the measure charges: the two kernel entries of each such cell,
+    accumulated in cell order, lower landing first.  These are the products
+    the transposed kernel applied to the dense surviving mass adds, in the
+    same order, without the zero ones, so the inflow is bitwise that
+    product.  So is the residual when no state has more than two charged
+    cells; a dense row sum may group three or more differently.  The
+    balance equation does not depend on the policy.
     """
-    out = mu.mass.sum(axis=1).astype(float)
+    out = mu.state_marginal
     out[mdp.x0_index] -= 1.0
-    inflow = mdp.kernel.T @ (mdp.survival * mu.mass).ravel()
+    surviving = mdp.survival[mu.cells % mdp.n_actions] * mu.values
+    cols = mdp.kernel.indices.reshape(-1, 2)[mu.cells]
+    terms = mdp.kernel.data.reshape(-1, 2)[mu.cells] * surviving[:, np.newaxis]
+    inflow = np.bincount(cols.ravel(), weights=terms.ravel(),
+                         minlength=mdp.n_states)
     return float(np.max(np.abs(out - inflow)))
 
 

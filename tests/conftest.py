@@ -51,6 +51,18 @@ CUSTOM_TWO_ACTION_DOC = {
 }
 
 
+def custom_two_action_off_grid_doc():
+    """CUSTOM_TWO_ACTION_DOC with bound 2.5 on 29 states, landings off the grid."""
+    doc = json.loads(json.dumps(CUSTOM_TWO_ACTION_DOC))
+    doc["bounds"] = [2.5]  # the shipped 1.0 is below every policy's cost
+    # waiting theta at 0 lands at theta: the theta grid k/29 meets the state
+    # grid j/14 only at 0 and 1, so landings are off the grid.  On 30 states
+    # every even k lands on a grid point, and the solve's policies land only
+    # there
+    doc["grid"].update(state_n=29, theta_n=30)
+    return doc
+
+
 def fluid_doc(d, n, theta_max=None):
     """Fluid benchmark with bound d on an n x n grid over [0, 4x*].
 

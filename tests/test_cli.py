@@ -376,6 +376,27 @@ def test_integer_beyond_float_range_on_the_command_line_exits_2(config_file,
     assert "'alpha' is beyond the float range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field", ["alpha=1e-300", "d=1e-300", "alpha=1e300",
+                                   "h=1e300"])
+def test_analytic_beyond_float_range_exits_2(config_file, capsys, field):
+    # the closed form divides by alpha^2 and squares alpha on the way
+    assert cli.main(["analytic", "--config", config_file, "--set", field]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: the closed form cannot be evaluated "
+                          "for alpha=")
+
+
+def test_solve_with_a_vanishing_discount_refuses_its_costs(config_file, capsys):
+    # the holding cost's closed form scales by 1/alpha^2, beyond float range
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert cli.main(["solve", "--config", config_file,
+                         "--set", "alpha=1e-300"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: tabulated cost is non-finite or "
+                          "negative at state ")
+
+
 def test_integer_of_too_many_digits_for_the_json_reader_exits_2(tmp_path,
                                                                 capsys):
     # Python's int conversion refuses more than 4300 digits with ValueError
@@ -476,9 +497,9 @@ def test_verify_weak_duality_reuses_the_agreement_solve(config_file,
 
 
 def test_verify_checks_peak_memory(accept_fluid):
-    # the Bellman checks hold a cost and one Q table, the occupation checks
-    # a mass table and its product with survival, and no table outlives its
-    # check; kernel-mass sums rows without a dense copy.  One table is
+    # the Bellman checks hold a cost and one Q table, and no table outlives
+    # its check; the occupation checks hold one cell per state, and
+    # kernel-mass sums rows without a dense copy.  One table is
     # n_states * n_actions * 8 bytes.
     prob, grid, mdp = accept_fluid
     table = mdp.n_states * mdp.n_actions * 8
@@ -709,13 +730,17 @@ def test_piecewise_constant_without_breakpoints_is_a_constant(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("overrides, needle", [
-    (["grid.quadrature_step=1e-9"],
-     "grid.quadrature_step=1e-09 needs a running-cost quadrature lattice of "),
-    (["grid.state_n=200000", "grid.theta_n=200000"],
-     "grid.state_n x grid.theta_n = 200000 x 200000 needs ")],
-    ids=["quadrature-step", "grid-size"])
-@pytest.mark.parametrize("command", ["solve", "verify"])
+_TINY_STEP = (["grid.quadrature_step=1e-9"],
+              "grid.quadrature_step=1e-09 needs a running-cost quadrature lattice of ")
+_HUGE_GRID = (["grid.state_n=200000", "grid.theta_n=200000"],
+              "grid.state_n x grid.theta_n = 200000 x 200000 needs ")
+
+
+@pytest.mark.parametrize("command, overrides, needle", [
+    ("solve", *_TINY_STEP), ("verify", *_TINY_STEP),
+    ("solve", *_HUGE_GRID), ("verify", *_HUGE_GRID)],
+    ids=["solve-quadrature-step", "verify-quadrature-step",
+         "solve-grid-size", "verify-grid-size"])
 def test_impossible_sizes_exit_2_before_allocating(config_file, monkeypatch,
                                                    capsys, command, overrides,
                                                    needle):
@@ -723,10 +748,17 @@ def test_impossible_sizes_exit_2_before_allocating(config_file, monkeypatch,
     # with more memory than that, where these inputs would really allocate
     limit = min(model.physical_memory(), 2 ** 36)
     monkeypatch.setattr(model, "physical_memory", lambda: limit)
-    argv = [command, "--config", config_file]
+    argv = [command, "--config", config_file, "--out", os.devnull]
     for item in overrides:
         argv += ["--set", item]
     peak, code = traced_peak(lambda: cli.main(argv))
+    if command == "solve" and overrides == _TINY_STEP[0]:
+        # the fluid holding rate integrates in closed form, so discretize
+        # builds no lattice and solve runs; verify's quadrature references
+        # would build one, so verify is still refused
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        return
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and needle in err
@@ -805,25 +837,33 @@ def _mutated(name, edits):
     return doc
 
 
+# deadline=None: value iteration still grinds through its sweep cap on
+# costs near 1e300 (seconds per example at 30x30), which verify's
+# bellman-converges lines run into; a wall bound waits on that fix
 @settings(max_examples=100, deadline=None)
 @given(case=st.sampled_from(sorted(FUZZ_BASES)).flatmap(_fuzz_case),
-       command=st.sampled_from(["solve", "verify"]))
+       command=st.sampled_from(["solve", "verify", "dual-curve", "analytic"]))
 @example(case=("j2", [(("gradual_costs", 1, "coeffs"), 2.0)]), command="solve")
 @example(case=("j2", [(("impulse_costs", 0), {"type": "polynomial",
                                                "coeffs": None})]),
          command="verify")
 @example(case=("j2", [(("reset", "value"), math.nan)]), command="verify")
 @example(case=("j2", [(("reset", "value"), -1)]), command="verify")
-# alpha * quadrature_step underflows to 0 in the memory estimate
+# a vanishing discount: the holding cost's closed form scales by 1/alpha^2,
+# beyond float range (and alpha * quadrature_step underflows to 0 in the
+# lattice estimate verify makes)
 @example(case=("fluid", [(("alpha",), 1e-300), (("grid", "quadrature_step"), 1e-300)]),
          command="solve")
 @example(case=("j2", [(("impulse_costs", 0, "action_factors"), ["flush"])]),
          command="solve")
+@example(case=("fluid", [(("d",), 1e-300)]), command="analytic")
+@example(case=("fluid", [(("alpha",), 1e-300)]), command="dual-curve")
 def test_fuzzed_config_exits_with_a_documented_code(tmp_path_factory, case,
                                                     command):
     path = tmp_path_factory.mktemp("fuzz") / "doc.json"
     path.write_text(json.dumps(_mutated(*case)))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        code = cli.main([command, "--config", str(path), "--out", os.devnull])
+        code = cli.main([command, "--config", str(path), "--out", os.devnull,
+                         *(["--g-steps", "3"] if command == "dual-curve" else [])])
     assert code in (0, 2, 3, 4, 5)

@@ -21,8 +21,9 @@ import impulsecontrol as ic
 from impulsecontrol import cli, dual, fluidq, model
 from impulsecontrol.dual import mix_weights
 
-from conftest import (BANDS, CUSTOM_TWO_ACTION_DOC, J2_DOC, band_centre_doc,
-                      constant_theta_policy, fluid_mdp, with_sweep_blocks)
+from conftest import (BANDS, J2_DOC, band_centre_doc, constant_theta_policy,
+                      custom_two_action_off_grid_doc, fluid_mdp,
+                      with_sweep_blocks)
 
 
 D_BENCH = 0.5
@@ -428,21 +429,10 @@ class _TrackedFactor:
         self.ledger.alive -= 1
 
 
-def _custom_two_action_doc():
-    doc = json.loads(json.dumps(CUSTOM_TWO_ACTION_DOC))
-    doc["bounds"] = [2.5]  # the shipped 1.0 is below every policy's cost
-    # waiting theta at 0 lands at theta: the theta grid k/29 meets the state
-    # grid j/14 only at 0 and 1, so landings are off the grid.  On 30 states
-    # every even k lands on a grid point, and the solve's policies land only
-    # there
-    doc["grid"].update(state_n=29, theta_n=30)
-    return doc
-
-
 @pytest.mark.parametrize("doc, expected", [
     *(pytest.param(band_centre_doc(name), n, id=f"{name}-{n}") for name, n in
       (("fluid-tight", 19), ("fluid-accept", 16), ("custom-j2", 10))),
-    pytest.param(_custom_two_action_doc(), 5,
+    pytest.param(custom_two_action_off_grid_doc(), 5,
                  id="custom-two-action-off-grid-5")])
 def test_band_centre_factorizations(monkeypatch, doc, expected):
     # every evaluation after the first takes its first step from the
@@ -486,7 +476,7 @@ def _solve_with_bare_starts(monkeypatch, mdp):
 @pytest.mark.parametrize("doc", [
     *(make(v) for make, band in (BANDS["fluid-accept"], BANDS["fluid-tight"])
       for v in band),
-    J2_DOC, _custom_two_action_doc()],
+    J2_DOC, custom_two_action_off_grid_doc()],
     ids=["accept-lo", "accept-centre", "accept-hi", "tight-lo", "tight-centre",
          "tight-hi", "j2", "custom-two-action-off-grid"])
 def test_factor_reuse_is_bitwise_equal_to_refactorizing(monkeypatch, doc):
@@ -772,7 +762,8 @@ def _two_records(name, mdp):
     if name == "CostVector":
         return [ic.CostVector(np.array([1.0, 2.0])) for _ in range(2)]
     if name == "OccupationMeasure":
-        return [ic.OccupationMeasure(np.ones((2, 3)), 6.0) for _ in range(2)]
+        return [ic.OccupationMeasure(np.arange(6), np.ones(6), (2, 3), 6.0)
+                for _ in range(2)]
     if name == "GridSpec":
         return [ic.GridSpec.uniform(0.0, 1.0, 5, 1.0, 5, 0.01) for _ in range(2)]
     return [dataclasses.replace(mdp) for _ in range(2)]

@@ -638,6 +638,27 @@ def test_discretize_peak_memory_is_a_small_multiple_of_its_output():
     assert peak <= 2 * output, peak / output
 
 
+def test_footprint_counts_a_lattice_only_where_simpson_runs(fluid_problem,
+                                                            monkeypatch):
+    # a 1e-9 step asks for a lattice of ~3e12 bytes, which only a Python-map
+    # rate makes discretize build; stage_cost builds one for any rate that
+    # is not a number, so the references are sized for the closed form too
+    monkeypatch.setattr(model, "physical_memory", lambda: 2 ** 36)
+    grid = ic.GridSpec.uniform(0.0, 4.0, 30, 4.0, 30, 1e-9)
+    mapped = dataclasses.replace(fluid_problem,
+                                 gradual_costs=(0.0, lambda x: 1.0 * x))
+    model.check_footprint(fluid_problem, grid)
+    needle = "grid.quadrature_step=1e-09 needs a running-cost quadrature lattice"
+    for problem, references in ((fluid_problem, True), (mapped, False),
+                                (mapped, True)):
+        with pytest.raises(ValueError, match=needle):
+            model.check_footprint(problem, grid, references=references)
+    peak, _ = traced_peak(lambda: pytest.raises(
+        ValueError, ic.discretize, mapped, grid).match(needle))
+    assert peak <= 2 ** 20, peak  # refused before any table or lattice
+    assert ic.discretize(fluid_problem, grid).n_states == 30
+
+
 # ---------------------------------------------------------------------------
 # validate
 

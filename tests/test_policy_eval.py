@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 import impulsecontrol as ic
 
-from conftest import constant_theta_policy, fluid_mdp, threshold_policy
+from conftest import (constant_theta_policy, custom_two_action_off_grid_doc,
+                      fluid_mdp, threshold_policy, traced_peak)
 
 
 @pytest.fixture(scope="module")
@@ -183,7 +184,8 @@ def test_characteristic_detects_scaled_measure(fluid):
     _, _, mdp = fluid
     pol = constant_theta_policy(mdp, 33)
     mu = ic.occupation_measure(mdp, pol)
-    scaled = ic.OccupationMeasure(mass=2.0 * mu.mass, total=2.0 * mu.total)
+    scaled = ic.OccupationMeasure(cells=mu.cells, values=2.0 * mu.values,
+                                  shape=mu.shape, total=2.0 * mu.total)
     assert ic.check_characteristic(mdp, scaled) >= 0.9
 
 
@@ -193,10 +195,108 @@ def test_characteristic_accepts_hand_built_measure(fluid):
     k = 47
     pol = constant_theta_policy(mdp, k)
     theta = float(mdp.theta_points[k])
-    mass = np.zeros((mdp.n_states, mdp.n_actions))
-    mass[mdp.x0_index, k * mdp.n_labels] = 1.0 / (1.0 - math.exp(-theta))
-    mu = ic.OccupationMeasure(mass=mass, total=float(mass.sum()))
+    value = 1.0 / (1.0 - math.exp(-theta))
+    mu = ic.OccupationMeasure(
+        cells=[mdp.x0_index * mdp.n_actions + k * mdp.n_labels], values=[value],
+        shape=(mdp.n_states, mdp.n_actions), total=value)
     assert ic.check_characteristic(mdp, mu) <= 1e-9
+
+
+def _dense_characteristic(mdp, mass):
+    """The balance residual over a dense (states x actions) mass table: the
+    transposed kernel applied to the surviving mass of every cell."""
+    out = mass.sum(axis=1).astype(float)
+    out[mdp.x0_index] -= 1.0
+    inflow = mdp.kernel.T @ (mdp.survival * mass).ravel()
+    return float(np.max(np.abs(out - inflow)))
+
+
+def _mixture_measure(mdp, weights, policies):
+    """The weighted sum of the policies' measures, on the union of their cells."""
+    mus = [ic.occupation_measure(mdp, f) for f in policies]
+    cells = np.unique(np.concatenate([mu.cells for mu in mus]))
+    values = np.zeros(cells.size)
+    for w, mu in zip(weights, mus):
+        values[np.searchsorted(cells, mu.cells)] += w * mu.values
+    return ic.OccupationMeasure(cells=cells, values=values, shape=mus[0].shape,
+                                total=sum(w * mu.total for w, mu in zip(weights, mus)))
+
+
+def _off_grid_mdp():
+    return ic.discretize(*ic.problem_from_config(custom_two_action_off_grid_doc()))
+
+
+def _on_grid_measures(mdp):
+    return [ic.occupation_measure(mdp, constant_theta_policy(mdp, k))
+            for k in (17, 33, 61, mdp.theta_points.size - 1)]
+
+
+def _split_measures(mdp):
+    return [ic.occupation_measure(mdp, constant_theta_policy(mdp, k, a))
+            for k in (1, 7, 12, 25) for a in (0, 1)]
+
+
+def _mixed_measures(mdp):
+    f, g = constant_theta_policy(mdp, 7, 1), constant_theta_policy(mdp, 12, 0)
+    return [_mixture_measure(mdp, (0.3, 0.7), (f, g))]
+
+
+@pytest.mark.parametrize("case", ["fluid-on-grid", "two-action-split-landings",
+                                  "two-policy-mixture"])
+def test_characteristic_is_bitwise_the_dense_inflow(fluid, case):
+    mdp = fluid[2] if case == "fluid-on-grid" else _off_grid_mdp()
+    mus = {"fluid-on-grid": _on_grid_measures,
+           "two-action-split-landings": _split_measures,
+           "two-policy-mixture": _mixed_measures}[case](mdp)
+    for mu in mus:
+        assert ic.check_characteristic(mdp, mu) == _dense_characteristic(mdp, mu.mass)
+        assert ic.check_characteristic(mdp, mu) <= 1e-9
+    w_lo = mdp.kernel.data[0::2][np.concatenate([mu.cells for mu in mus])]
+    split = np.any((w_lo > 0.0) & (w_lo < 1.0))
+    assert split == (case != "fluid-on-grid")
+    if case == "two-policy-mixture":
+        # two cells charged in some states
+        assert np.bincount(mus[0].cells // mdp.n_actions).max() == 2
+
+
+def test_occupation_measure_round_trips_through_its_cells(fluid):
+    _, _, mdp = fluid
+    for mu in _on_grid_measures(mdp) + _mixed_measures(_off_grid_mdp()):
+        mass = mu.mass
+        assert mass.shape == mu.shape
+        assert np.array_equal(mass.reshape(-1)[mu.cells], mu.values)
+        assert np.count_nonzero(mass) == np.count_nonzero(mu.values)
+        again = ic.OccupationMeasure(cells=np.flatnonzero(mass),
+                                     values=mass[mass != 0.0], shape=mu.shape,
+                                     total=mu.total)
+        assert np.array_equal(again.mass, mass)
+        assert np.array_equal(mu.state_marginal, mass.sum(axis=1))
+    # a deterministic policy's measure charges one cell per state
+    mu = _on_grid_measures(mdp)[0]
+    assert mu.cells.size == mdp.n_states
+    assert np.array_equal(mu.cells // mdp.n_actions, np.arange(mdp.n_states))
+
+
+@pytest.mark.parametrize("cells, values", [
+    ([3, 3], [1.0, 1.0]), ([4, 2], [1.0, 1.0]), ([-1], [1.0]), ([6], [1.0]),
+    ([0, 1], [1.0]), ([[0, 1]], [[1.0, 1.0]])],
+    ids=["repeated", "decreasing", "negative", "beyond-table", "one-value-short",
+         "not-flat"])
+def test_occupation_measure_refuses_cells_it_cannot_place(cells, values):
+    with pytest.raises(ValueError, match="increasing flat indices"):
+        ic.OccupationMeasure(cells=cells, values=values, shape=(2, 3), total=1.0)
+
+
+def test_occupation_and_characteristic_allocate_no_dense_table(accept_fluid):
+    # a deterministic policy's measure and its balance residual need O(n)
+    # memory, far below one (states x actions) float64 table
+    _, _, mdp = accept_fluid
+    pol = constant_theta_policy(mdp, 120)
+    table = mdp.n_states * mdp.n_actions * 8
+    peak, resid = traced_peak(
+        lambda: ic.check_characteristic(mdp, ic.occupation_measure(mdp, pol)))
+    assert resid <= 1e-9
+    assert peak < table, peak / table
 
 
 def test_occupation_raises_on_zero_wait_cycle(fluid):
