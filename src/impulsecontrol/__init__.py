@@ -13,8 +13,7 @@ from .model import (CEMETERY, INFINITY, ConfigError, DecayFlow, DiscreteMDP,
                     ValidationReport, discretize, fluid_problem,
                     problem_from_config, stage_cost, transition, validate)
 from .bellman import (BellmanConfig, BellmanSolution, StationaryPolicy,
-                      argmin_set, bellman_backup, policy_iteration, residual,
-                      solve_W)
+                      argmin_set, policy_iteration, solve_W)
 from .policy_eval import (CostVector, MixedPolicy, OccupationMeasure,
                           check_characteristic, eval_mixture, eval_policy,
                           occupation_measure, policy_from_table,
@@ -22,8 +21,7 @@ from .policy_eval import (CostVector, MixedPolicy, OccupationMeasure,
                           threshold_rule)
 from .dual import (BellmanNotConvergedError, CertificateReport,
                    DualBracketError, DualPoint, DualResult, dual_value,
-                   maximize_dual, mix_weights, solve_constrained,
-                   verify_optimality)
+                   maximize_dual, mix_weights, solve_constrained)
 from . import fluidq
 
 __all__ = [
@@ -32,13 +30,13 @@ __all__ = [
     "ValidationReport", "discretize", "fluid_problem",
     "problem_from_config", "stage_cost", "transition", "validate",
     "BellmanConfig", "BellmanSolution", "StationaryPolicy", "argmin_set",
-    "bellman_backup", "policy_iteration", "residual", "solve_W",
+    "policy_iteration", "solve_W",
     "CostVector", "MixedPolicy", "OccupationMeasure", "check_characteristic",
     "eval_mixture", "eval_policy", "occupation_measure", "policy_from_table",
     "policy_rule", "policy_to_table", "simulate_oracle", "threshold_rule",
     "BellmanNotConvergedError", "CertificateReport", "DualBracketError",
     "DualPoint", "DualResult", "dual_value", "maximize_dual", "mix_weights",
-    "solve_constrained", "verify_optimality",
+    "solve_constrained",
     "fluidq",
 ]
 

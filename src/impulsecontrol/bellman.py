@@ -20,18 +20,17 @@ reference.  It produces pointwise nondecreasing iterates (all quantities are
 nonnegative and the backup is monotone, exactly so in floating point), which
 doubles as a runtime sanity check.
 
-Both solvers, :func:`bellman_backup` and :func:`residual` go through one
-sweep, :func:`_sweep`: Q = survival * kernel @ W + cost, reduced per state
-to its smallest-index minimizer.  A sweep is a Jacobi update, every row
-reading only the previous iterate, so the rows split into independent
-blocks (Bertsekas & Tsitsiklis, *Parallel and Distributed Computation*,
-1989, section 1.2).  A large MDP carries one row block per usable core
-(``DiscreteMDP.sweep_blocks``): the calling thread sweeps the first, a
-shared thread pool the others, and the caller takes back any block the pool
-has not started by the time it is done.  Each block makes and reduces only
-its own rows of the Q table, and each cell is computed by the same
-operations whatever the blocks, so the results are bitwise independent of
-the core count.
+Both solvers go through one sweep, :func:`_sweep`: Q = survival * kernel @ W
++ cost, reduced per state to its smallest-index minimizer.  A sweep is a
+Jacobi update, every row reading only the previous iterate, so the rows
+split into independent blocks (Bertsekas & Tsitsiklis, *Parallel and
+Distributed Computation*, 1989, section 1.2).  A large MDP carries one row
+block per usable core (``DiscreteMDP.sweep_blocks``): the calling thread
+sweeps the first, a shared thread pool the others, and the caller takes
+back any block the pool has not started by the time it is done.  Each
+block makes and reduces only its own rows of the Q table, and each cell is
+computed by the same operations whatever the blocks, so the results are
+bitwise independent of the core count.
 """
 
 from __future__ import annotations
@@ -213,24 +212,6 @@ def _sweep(mdp: DiscreteMDP, W: np.ndarray, cost: np.ndarray,
             None if flat is None else np.concatenate(q_at_flat))
 
 
-def bellman_backup(mdp: DiscreteMDP, W: np.ndarray,
-                   g) -> tuple[np.ndarray, StationaryPolicy]:
-    """One Bellman backup of the grid values W, with its greedy policy.
-
-    Ties break toward the smallest action index: the action order is theta
-    ascending then label order, so ties prefer the shortest waiting time
-    (argmin picks the first minimizer).
-    """
-    best, q_best, _ = _sweep(mdp, W, combined_cost(mdp, g))
-    return q_best, StationaryPolicy(best, mdp.n_labels)
-
-
-def residual(mdp: DiscreteMDP, W: np.ndarray, g) -> float:
-    """Sup-norm of backup(W) - W."""
-    _, q_best, _ = _sweep(mdp, W, combined_cost(mdp, g))
-    return float(np.max(np.abs(q_best - W)))
-
-
 def solve_W(mdp: DiscreteMDP, g, cfg: BellmanConfig = BellmanConfig(),
             on_iterate=None) -> BellmanSolution:
     """Successive approximation from W = 0 until the sup-norm change is small.
@@ -344,7 +325,8 @@ def argmin_set(mdp: DiscreteMDP, W: np.ndarray, g, slack) -> tuple:
     ``slack`` may be a scalar or a per-state array of absolute slacks; the
     strict argmin is always included.  Returns one index array per state.
     """
-    q = mdp.expected_next_value(W)
+    q = (mdp.kernel @ W).reshape(mdp.n_states, -1)
+    q *= mdp.survival
     q += combined_cost(mdp, g)
     thr = q.min(axis=1) + np.asarray(slack, dtype=float)
     return tuple(np.nonzero(q[i] <= thr[i])[0] for i in range(mdp.n_states))

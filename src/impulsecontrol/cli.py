@@ -8,7 +8,8 @@ every JSON report names the schema file it validates against (shipped under
 ``impulsecontrol/schemas``).
 
 Exit codes: 0 success, 2 malformed configuration, 3 solvability validation
-failure, 4 non-converged solve, 5 verification failure.
+failure, 4 non-converged solve (or, after its report, a solve whose
+certificates fail), 5 verification failure.
 """
 
 from __future__ import annotations
@@ -246,6 +247,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "wall_time_seconds": float(wall),
     }
     _emit(render_json(report), args.out)
+    failed = [k[:-3] for k, ok in report["certificates"].items()
+              if k.endswith("_ok") and not ok]
+    if failed:
+        sys.stderr.write(f"solve failed: certificates not met: "
+                         f"{', '.join(failed)}\n")
+        return EXIT_NOT_CONVERGED
     return EXIT_OK
 
 
@@ -357,9 +364,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise ConfigError(f"policy file not found: {args.policy}")
     try:
         pol = policy_from_table(mdp, text)
+        costs = eval_policy(mdp, pol)
     except ValueError as exc:
         raise ConfigError(str(exc))
-    costs = eval_policy(mdp, pol)
     report = {
         "schema": "eval_report.schema.json",
         "command": "eval",

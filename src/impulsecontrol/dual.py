@@ -367,23 +367,13 @@ def maximize_dual(mdp: DiscreteMDP, cfg: BellmanConfig = BellmanConfig()):
             return g, trace, w
 
 
-def verify_optimality(mdp: DiscreteMDP, result: DualResult,
-                      cfg: BellmanConfig = BellmanConfig()) -> CertificateReport:
-    """Check the optimality certificates of a solved instance (report-only).
-
-    Feasibility of the mixture against the MDP's bounds, Lagrangian
-    minimality at g* (the mixture's Lagrangian value must match h(g*)),
-    complementary slackness, and weak duality of every dual trace point
-    against the mixture value.  The weak-duality tolerance grows with
-    ``cfg.tolerance``; the other tolerances are the module constants
-    ``FEASIBILITY_TOL``, ``CERTIFICATE_TOL`` and ``SLACKNESS_TOL``.
-    """
-    return _certify(result.g_star, result.h_star, result.costs, result.trace,
-                    _bounds_vector(mdp), cfg)
-
-
 def _certify(g: np.ndarray, h_star: float, costs: CostVector, trace,
              d: np.ndarray, cfg: BellmanConfig) -> CertificateReport:
+    """The certificates of mixture costs ``costs`` against bounds ``d``.
+
+    The weak-duality tolerance grows with ``cfg.tolerance``; the others are
+    ``FEASIBILITY_TOL``, ``CERTIFICATE_TOL`` and ``SLACKNESS_TOL``.
+    """
     v = costs.v
     slack_terms = v[1:] - d
     scale = 1.0 + abs(h_star)

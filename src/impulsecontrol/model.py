@@ -321,26 +321,11 @@ class DiscreteMDP:
     def n_constraints(self) -> int:
         return self.n_costs - 1
 
-    def theta_of_action(self, q) -> np.ndarray | float:
-        return self.theta_points[np.asarray(q) // self.n_labels]
-
     def landing(self, i: int, q: int) -> tuple[float, float, int]:
         """Survival, weight and grid state of cell (i, q)'s heavier landing."""
         k = 2 * (i * self.n_actions + q)
         k += int(self.kernel.data[k + 1] > self.kernel.data[k])  # ties go low
         return self.survival[q], self.kernel.data[k], int(self.kernel.indices[k])
-
-    def expected_next_value(self, values: np.ndarray) -> np.ndarray:
-        """survival * interpolated next-state value, per (state, action).
-
-        ``values`` is a (n_states,) array over grid states; the cemetery value
-        is identically 0 so the killed mass drops out.  The kernel product is
-        bitwise ``w_lo * values[next_lo] + w_hi * values[next_hi]``.  Returns
-        a fresh (n_states, n_actions) array that callers may update in place.
-        """
-        q = (self.kernel @ values).reshape(self.n_states, -1)
-        q *= self.survival
-        return q
 
     def solve_policy(self, flat: np.ndarray, rhs: np.ndarray,
                      transpose: bool = False) -> np.ndarray | None:
@@ -694,7 +679,10 @@ def _closed_form_integrals(rate: PolynomialRate, flow, alpha: float,
         for A, key in flow.terms(coeffs, x, alpha):
             K_lo, K_hi = kernel(key, lo), kernel(key, hi)
             K = K_hi if K_lo is None else K_hi - K_lo
-            out += np.where(visited, A, 0.0)[:, np.newaxis] * K
+            # a vanishing alpha makes A inf where K is 0; discretize refuses
+            # the nan with the other non-finite costs
+            with np.errstate(invalid="ignore"):
+                out += np.where(visited, A, 0.0)[:, np.newaxis] * K
 
 
 def _simpson_lattice(a, b, step: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -984,7 +972,7 @@ def discretize(problem: ImpulseProblem, grid: GridSpec) -> DiscreteMDP:
         raise ValueError(
             f"tabulated cost is non-finite or negative at state {xs[i]} "
             f"(index {i}), theta={thetas[q // L]}, action={labels[q % L]!r}, "
-            f"cost index {j}: {costs[j, i, q]!r}")
+            f"cost index {j}: {float(costs[j, i, q])!r}")
 
     if clamped:
         warnings.warn(

@@ -137,7 +137,8 @@ def eval_policy(mdp: DiscreteMDP, f: StationaryPolicy) -> CostVector:
     the geometric tail is added in closed form.  A cycle with rho = 1 (all
     zero waits) is +inf on every index it accrues.  If a visited landing
     splits between two grid points, the interpolated fixed-point system is
-    solved instead.
+    solved instead; when it is singular (a survival-1 cycle) ValueError
+    names the cycle's grid states.
     """
     if f.n_states != mdp.n_states:
         raise ValueError("policy does not match the MDP state grid")
@@ -147,8 +148,9 @@ def eval_policy(mdp: DiscreteMDP, f: StationaryPolicy) -> CostVector:
         V = mdp.solve_policy(f.flat, c.T)
         if V is None:
             raise ValueError(
-                "policy evaluation system is singular (a survival-1 cycle); "
-                "the policy has infinite cost")
+                "policy evaluation system is singular: the policy induces a "
+                "survival-1 cycle through grid state indices "
+                f"{cycle_states or list(entries)}")
         return CostVector(V[mdp.x0_index, :])
     if cycle_states:
         at_entry, disc_at_entry = entries[cycle_states[0]]

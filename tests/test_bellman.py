@@ -19,10 +19,22 @@ from conftest import fluid_mdp, traced_peak, with_sweep_blocks
 G_STAR = 1.8480894645490473  # analytic multiplier for the benchmark
 
 
+def _backup(mdp, W, g):
+    """One Bellman backup of W through the solvers' sweep, and its argmins."""
+    best, q_best, _ = bellman._sweep(mdp, W, combined_cost(mdp, g))
+    return q_best, best
+
+
+def _residual(mdp, W, g):
+    """Sup-norm of backup(W) - W."""
+    return float(np.max(np.abs(_backup(mdp, W, g)[0] - W)))
+
+
 def test_backup_from_zero_at_g0_prefers_never_impulse(small_mdp):
     W0 = np.zeros(small_mdp.n_states)
-    W1, pol = ic.bellman_backup(small_mdp, W0, [0.0])
+    W1, best = _backup(small_mdp, W0, [0.0])
     assert np.all(W1 == 0.0)
+    pol = ic.StationaryPolicy(best, small_mdp.n_labels)
     assert np.all(pol.choice[:, 0] == small_mdp.theta_points.size - 1)
 
 
@@ -30,8 +42,8 @@ def test_backup_monotone_in_value_argument(small_mdp):
     rng = np.random.default_rng(11)
     Wa = rng.uniform(0.0, 2.0, small_mdp.n_states)
     Wb = Wa + rng.uniform(0.0, 1.0, small_mdp.n_states)
-    Ba, _ = ic.bellman_backup(small_mdp, Wa, [0.7])
-    Bb, _ = ic.bellman_backup(small_mdp, Wb, [0.7])
+    Ba, _ = _backup(small_mdp, Wa, [0.7])
+    Bb, _ = _backup(small_mdp, Wb, [0.7])
     assert np.all(Ba <= Bb)
 
 
@@ -43,8 +55,8 @@ def test_backup_monotone_property(data):
                                 elements=st.floats(0.0, 5.0)))
     bump = data.draw(hnp.arrays(np.float64, mdp.n_states,
                                 elements=st.floats(0.0, 3.0)))
-    lo, _ = ic.bellman_backup(mdp, base, [1.0])
-    hi, _ = ic.bellman_backup(mdp, base + bump, [1.0])
+    lo, _ = _backup(mdp, base, [1.0])
+    hi, _ = _backup(mdp, base + bump, [1.0])
     assert np.all(lo <= hi)
 
 
@@ -95,8 +107,10 @@ def test_iterates_monotone_and_bounded(small_mdp):
 def test_converged_solution_satisfies_feasibility_inequality(small_mdp):
     g = [G_STAR]
     sol = ic.solve_W(small_mdp, g)
-    q = combined_cost(small_mdp, g) + small_mdp.expected_next_value(sol.W)
-    assert float(np.min(q - sol.W[:, np.newaxis])) >= -1e-9
+    W, mdp = sol.W, small_mdp
+    q = combined_cost(mdp, g) + mdp.survival * (mdp.w_lo * W[mdp.next_lo]
+                                                + mdp.w_hi * W[mdp.next_hi])
+    assert float(np.min(q - W[:, np.newaxis])) >= -1e-9
 
 
 def test_greedy_policy_reproduces_value(small_mdp):
@@ -116,13 +130,13 @@ def test_non_converged_flag(small_mdp):
 
 def test_residual_of_converged_solution_is_small(small_mdp):
     sol = ic.solve_W(small_mdp, [G_STAR])
-    assert ic.residual(small_mdp, sol.W, [G_STAR]) <= 1e-9
+    assert _residual(small_mdp, sol.W, [G_STAR]) <= 1e-9
 
 
 def test_residual_at_zero_equals_cheapest_stage_cost(small_mdp):
     g = [G_STAR]
     expected = float(np.max(combined_cost(small_mdp, g).min(axis=1)))
-    got = ic.residual(small_mdp, np.zeros(small_mdp.n_states), g)
+    got = _residual(small_mdp, np.zeros(small_mdp.n_states), g)
     assert got == pytest.approx(expected, rel=1e-12)
     assert got > 0.0
 
@@ -131,7 +145,7 @@ def test_residual_of_sampled_analytic_solution(small_mdp, bench_params):
     W = np.asarray(
         [fluidq.W_star(bench_params, G_STAR, float(x)) for x in small_mdp.states])
     # off only by the theta-grid quantization of the minimizer
-    assert ic.residual(small_mdp, W, [G_STAR]) <= 1e-3
+    assert _residual(small_mdp, W, [G_STAR]) <= 1e-3
 
 
 def test_argmin_set_slack_extremes(small_mdp):
@@ -157,7 +171,7 @@ def test_argmin_set_matches_analytic_threshold_rule(small_mdp, bench_analytic):
     for i, x in enumerate(small_mdp.states):
         want = max(x_star - float(x), 0.0)
         for q in sets[i]:
-            got = float(small_mdp.theta_of_action(int(q)))
+            got = float(small_mdp.theta_points[q // small_mdp.n_labels])
             assert abs(got - want) <= 2.5 * dtheta
 
 
@@ -263,15 +277,6 @@ def test_combined_cost_is_the_left_to_right_sum(j2_mdp, g):
     assert got.flags.writeable and not np.shares_memory(got, j2_mdp.costs)
 
 
-def test_expected_next_value_is_a_fresh_writable_table(small_mdp):
-    W = np.linspace(0.0, 1.0, small_mdp.n_states)
-    q = small_mdp.expected_next_value(W)
-    assert q.shape == (small_mdp.n_states, small_mdp.n_actions)
-    assert q.flags.writeable
-    assert not any(np.shares_memory(q, a) for a in (
-        small_mdp.kernel.data, small_mdp.survival, small_mdp.costs))
-
-
 @pytest.mark.parametrize("solver", [ic.policy_iteration, ic.solve_W])
 def test_bellman_solve_keeps_one_q_table(accept_fluid, solver):
     # the combined cost and one Q table, plus per-state vectors and the
@@ -308,7 +313,7 @@ def test_sweep_blocks_are_bitwise_the_full_table(small_mdp, n_blocks):
     assert np.any((tied == tied.min(axis=1, keepdims=True)).sum(axis=1) > 1)
     rows = np.arange(mdp.n_states)
     for W, c in ((sol.W, cost), (np.zeros(mdp.n_states), tied)):
-        q = mdp.expected_next_value(W)
+        q = mdp.survival * (mdp.w_lo * W[mdp.next_lo] + mdp.w_hi * W[mdp.next_hi])
         q += c
         best, q_best, q_flat = bellman._sweep(mdp, W, c, flat)
         assert np.array_equal(best, q.argmin(axis=1))

@@ -15,7 +15,9 @@ import impulsecontrol as ic
 import impulsecontrol.cli as cli
 from impulsecontrol import model
 
-from conftest import BANDS, J2_DOC, band_centre_doc, threshold_policy, traced_peak
+from conftest import (BANDS, J2_DOC, band_centre_doc, constant_theta_policy,
+                      custom_two_action_off_grid_doc, threshold_policy,
+                      traced_peak)
 
 
 BASE_DOC = {
@@ -157,6 +159,26 @@ def test_eval_reports_infinite_cost_as_inf_string(config_file, tmp_path, capsys)
     jsonschema.validate(report, _schema("eval_report.schema.json"))
     assert report["costs"][0] == "INF"
     assert report["finite"] is False
+
+
+def test_eval_of_a_split_zero_wait_cycle_exits_2(tmp_path, capsys):
+    # from x0 = 1 the scale reset lands off the grid, so the landings split
+    # and take the linear solve, and waiting zero everywhere ends in the
+    # survival-1 loop at the origin, which makes that system singular
+    doc = custom_two_action_off_grid_doc()
+    doc["x0"] = 1.0
+    config = tmp_path / "offgrid.json"
+    config.write_text(json.dumps(doc))
+    mdp = ic.discretize(*ic.problem_from_config(doc))
+    table = tmp_path / "zero_wait.txt"
+    table.write_text(ic.policy_to_table(mdp, constant_theta_policy(mdp, 0)))
+    assert cli.main(["eval", "--config", str(config),
+                     "--policy", str(table)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "config error: policy evaluation system is singular: the policy "
+        "induces a survival-1 cycle through grid state indices [0]\n")
 
 
 def test_verify_passes_on_default_config(config_file, capsys):
@@ -387,14 +409,30 @@ def test_analytic_beyond_float_range_exits_2(config_file, capsys, field):
 
 
 def test_solve_with_a_vanishing_discount_refuses_its_costs(config_file, capsys):
-    # the holding cost's closed form scales by 1/alpha^2, beyond float range
+    # the holding cost's closed form scales by 1/alpha^2, beyond float range;
+    # the refusal is the only message, with the bad cost as a plain number
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("error")
         assert cli.main(["solve", "--config", config_file,
                          "--set", "alpha=1e-300"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: tabulated cost is non-finite or "
                           "negative at state ")
+    assert err.endswith(": nan\n") and err.count("\n") == 1
+
+
+def test_solve_whose_certificates_fail_writes_its_report_and_exits_4(
+        config_file, capsys):
+    # at alpha = 1e-10 the holding cost is ~1e20 and the search stops at
+    # g* = 0 with a mixture far above the bound
+    assert cli.main(["solve", "--config", config_file,
+                     "--set", "alpha=1e-10"]) == 4
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    jsonschema.validate(report, _schema("solve_report.schema.json"))
+    assert report["certificates"]["ok"] is False
+    assert report["certificates"]["feasibility_ok"] is False
+    assert captured.err == "solve failed: certificates not met: feasibility\n"
 
 
 def test_integer_of_too_many_digits_for_the_json_reader_exits_2(tmp_path,

@@ -531,7 +531,7 @@ def test_solved_mixture_hits_bound_exactly(solved, small_mdp, bench_analytic):
     dtheta = float(small_mdp.theta_points[1] - small_mdp.theta_points[0])
     for pol in solved.mixture.policies:
         for i, x in enumerate(small_mdp.states):
-            theta = float(small_mdp.theta_of_action(int(pol.flat[i])))
+            theta = float(small_mdp.theta_points[pol.flat[i] // small_mdp.n_labels])
             want = max(bench_analytic.x_star - float(x), 0.0)
             assert abs(theta - want) <= 3.0 * dtheta
 
@@ -547,6 +547,13 @@ def test_unconstrained_mixture_is_single_policy():
 
 # ---------------------------------------------------------------------------
 # certificates
+
+
+def _certify(mdp, result):
+    """The certificates of ``result`` at the default Bellman tolerance."""
+    return dual._certify(result.g_star, result.h_star, result.costs,
+                         result.trace, np.asarray(mdp.bounds, dtype=float),
+                         ic.BellmanConfig())
 
 
 def test_certificates_pass_on_benchmark(solved):
@@ -566,7 +573,7 @@ def test_perturbed_mixture_fails_slackness(solved, small_mdp):
     costs = ic.eval_policy(small_mdp, off)
     broken = dataclasses.replace(
         solved, mixture=ic.MixedPolicy((1.0,), (off,)), costs=costs)
-    report = ic.verify_optimality(small_mdp, broken)
+    report = _certify(small_mdp, broken)
     assert not report.slackness_ok
     assert not report.ok
 
@@ -591,7 +598,7 @@ def test_positive_weak_duality_round_off_renders(solved, small_mdp):
     # report must still hold plain floats and bools
     bumped = dataclasses.replace(solved.trace[-1],
                                  h=float(solved.costs.v[0]) + 1e-12)
-    report = ic.verify_optimality(
+    report = _certify(
         small_mdp, dataclasses.replace(solved, trace=solved.trace + (bumped,)))
     assert report.weak_duality_violation > 0.0
     assert report.weak_duality_ok is True and report.ok is True

@@ -171,7 +171,7 @@ def test_kernel_is_stored_once(small_mdp, table):
     # the sparse product is bitwise the two-point interpolation
     W = np.random.default_rng(7).uniform(0.0, 10.0, n)
     ref = mdp.survival * (mdp.w_lo * W[mdp.next_lo] + mdp.w_hi * W[mdp.next_hi])
-    assert np.array_equal(mdp.expected_next_value(W), ref)
+    assert np.array_equal((k @ W).reshape(n, n_actions) * mdp.survival, ref)
     # both trajectory walks follow the heavier landing point, the lower on ties
     for i in range(n):
         for q in range(n_actions):
