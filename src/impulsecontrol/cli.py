@@ -29,8 +29,8 @@ from .model import ConfigError, discretize, problem_from_config, validate
 from .bellman import BellmanConfig, StationaryPolicy, policy_iteration, solve_W
 from .policy_eval import (check_characteristic, eval_policy, occupation_measure,
                           policy_from_table, policy_rule, simulate_oracle)
-from .dual import (MULTIPLIER_TOL, BellmanNotConvergedError, DualBracketError,
-                   dual_value, solve_constrained)
+from .dual import (MULTIPLIER_TOL, BellmanNotConvergedError, dual_value,
+                   solve_constrained)
 from . import fluidq
 
 EXIT_OK = 0
@@ -213,7 +213,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     try:
         result = solve_constrained(mdp, _bellman_config(args.tol))
-    except (BellmanNotConvergedError, DualBracketError) as exc:
+    except RuntimeError as exc:
+        # a Bellman solve at its cap, an unbounded dual or a failed master LP
         sys.stderr.write(f"solve failed: {exc}\n")
         return EXIT_NOT_CONVERGED
     wall = time.perf_counter() - t0

@@ -242,7 +242,8 @@ def mix_weights(V: np.ndarray, d: np.ndarray, box: np.ndarray):
     s_j, starting from the cut of least elastic cost, which is a feasible
     basis.  It ends on a basis of J+1 columns, so at most J+1 cuts carry
     weight.  Returns (w, g, UB); raises RuntimeError when the simplex hits
-    its pivot cap, meets a singular basis or ends on a non-finite solution.
+    its pivot cap, meets a singular basis or a column tolerance that
+    overflows, or ends on a non-finite solution.
     """
     n_cuts, J = V.shape[0], d.size
     if not np.isfinite(V).all():
@@ -281,8 +282,12 @@ def mix_weights(V: np.ndarray, d: np.ndarray, box: np.ndarray):
         # tolerance is per column: round-off on the terms of r_e (box
         # enters c), plus what the drop moved y by, which also covers a
         # y that cancels to round-off, plus a floor for subnormal r_e.
-        tol = (1e-12 * (np.abs(c) + np.abs(y) @ absA)
-               + drop * absA.sum(axis=0) + _TINY)
+        with np.errstate(over="ignore"):
+            tol = (1e-12 * (np.abs(c) + np.abs(y) @ absA)
+                   + drop * absA.sum(axis=0) + _TINY)
+        if not np.isfinite(tol).all():
+            raise RuntimeError(
+                "cutting-plane master LP failed: non-finite column tolerance")
         improving = np.flatnonzero(r < -tol)
         if improving.size == 0:
             break

@@ -30,11 +30,14 @@ breakpoint: the independent reference that ``verify`` holds the tables
 against.
 
 User maps (flow, reset, cost rates, lump costs) are called on numpy arrays,
-once per block of grid states, never on the whole grid at once: the flow,
-reset and lump maps once per block of about ``_BLOCK_CELLS`` (state, action)
-cells, and the flow and cost rates of the running-cost quadrature once per
-smaller inner block sized to stay in cache.  So they should be written with
-numpy operations.  A map that only accepts scalars
+once per block of grid states, never on the whole grid at once.  One budget,
+``_BLOCK_ELEMENTS`` float64 values of workspace, sizes every block: the
+flow, reset and lump maps are called once per block of about that many
+(state, action) cells, and the flow and cost rates of the running-cost
+quadrature once per block of about that many (state, quadrature node)
+pairs.  So the maps should be written with numpy operations.  Every table
+entry rounds the same whatever the blocks, so the tables are bitwise
+independent of the blocking.  A map that only accepts scalars
 still works: when a call on a block's arrays raises TypeError or ValueError
 (what numpy raises when ``math.exp`` or an ``if`` meets an array) the map is
 evaluated point by point within that block, which is much slower.  Any other
@@ -72,11 +75,9 @@ CEMETERY = Cemetery()
 # Horizon (in units of 1/alpha) for quadrature of infinite-wait running costs.
 # exp(-60) ~ 9e-27, negligible for any subexponential cost rate.
 _INF_HORIZON = 60.0
-# float64 elements of one (states x quadrature nodes) workspace of the
-# running-cost tabulation: 512 KiB, so a block's workspaces stay in L2 cache
+# float64 elements of one block's workspace in discretize, (states x
+# actions) or (states x quadrature nodes): 512 KiB, so it stays in L2 cache
 _BLOCK_ELEMENTS = 2 ** 16
-# (state, action) cells per block of discretize's one pass over its tables
-_BLOCK_CELLS = 2 ** 16
 # validate's flow identities: grid states sampled and the residual they allow
 FLOW_SAMPLES = 12
 FLOW_TOLERANCE = 1e-9
@@ -182,10 +183,6 @@ class ImpulseProblem:
             raise ValueError(f"all constraint bounds must be > 0, got {self.bounds}")
         if not self.actions:
             raise ValueError("at least one impulse action is required")
-
-    @property
-    def n_constraints(self) -> int:
-        return len(self.bounds)
 
     @property
     def n_costs(self) -> int:
@@ -320,12 +317,6 @@ class DiscreteMDP:
     @property
     def n_constraints(self) -> int:
         return self.n_costs - 1
-
-    def landing(self, i: int, q: int) -> tuple[float, float, int]:
-        """Survival, weight and grid state of cell (i, q)'s heavier landing."""
-        k = 2 * (i * self.n_actions + q)
-        k += int(self.kernel.data[k + 1] > self.kernel.data[k])  # ties go low
-        return self.survival[q], self.kernel.data[k], int(self.kernel.indices[k])
 
     def solve_policy(self, flat: np.ndarray, rhs: np.ndarray,
                      transpose: bool = False) -> np.ndarray | None:
@@ -806,26 +797,25 @@ def _running_integral_blocks(problem: ImpulseProblem, grid: GridSpec, R: np.ndar
     ``R[j, i, k]`` becomes the integral of rate j over [0, theta_k] from grid
     state i; R may be a strided view, such as one label's columns of the cost
     table.  Yields the slice of grid states of each block of about
-    ``_BLOCK_CELLS`` (state, action) cells once its rows of R are written.
+    ``_BLOCK_ELEMENTS`` (state, action) cells once its rows of R are written.
 
     Numeric (constant) rates take the closed form, and so does a
     :class:`PolynomialRate` along a :class:`DriftFlow` or a
     :class:`DecayFlow` (:func:`_closed_form_integrals`): every column
-    straight from 0, exact up to rounding and independent of the block
-    shape.  Only a rate or flow given as a Python map is integrated
-    numerically: finite theta columns accumulate segment-wise composite
-    Simpson between consecutive theta grid points (step bounded by
-    quadrature_step), and the last column is the infinite-wait integral over
-    [0, 60/alpha].  Both lattices come from :func:`_simpson_lattice`, the
-    rule :func:`stage_cost` uses on its single span, so values agree with it
-    to quadrature accuracy, not bitwise.
+    straight from 0, exact up to rounding.  Only a rate or flow given as a
+    Python map is integrated numerically: finite theta columns accumulate
+    segment-wise composite Simpson between consecutive theta grid points
+    (step bounded by quadrature_step), and the last column is the
+    infinite-wait integral over [0, 60/alpha].  Both lattices come from
+    :func:`_simpson_lattice`, the rule :func:`stage_cost` uses on its single
+    span, so values agree with it to quadrature accuracy, not bitwise.
 
-    For those maps, the flow and the cost rates are called once per inner
-    block of ``_BLOCK_ELEMENTS // nodes`` grid states, where ``nodes`` is
-    the larger lattice, so the (states x nodes) workspaces stay cache-sized
-    whatever the grid and the discount rate.  A block is a whole number of
-    inner blocks, so each inner block, and the rounding of its infinite-wait
-    product, is the same whatever ``_BLOCK_CELLS`` is.
+    Those maps are integrated first, in their own pass: the flow and the
+    cost rates are called once per block of ``_BLOCK_ELEMENTS // nodes``
+    grid states, where ``nodes`` is the larger lattice, so the (states x
+    nodes) workspaces stay cache-sized whatever the grid and the discount
+    rate.  Each row's sums and its infinite-wait dot product round the same
+    in any block, so every table is bitwise independent of the blocking.
     """
     xs = grid.state_points
     th_fin = grid.theta_points[:-1]
@@ -836,7 +826,6 @@ def _running_integral_blocks(problem: ImpulseProblem, grid: GridSpec, R: np.ndar
     closed_js = [j for j in range(jn) if _has_closed_form(problem, j)]
     quad_js = [j for j in range(jn) if problem.constant_rate(j) is None
                and j not in closed_js]
-    inner = 1
     if quad_js:
         # discount times weight on the finite segments' lattice (empty when
         # the only finite theta is 0) and on the infinite wait's
@@ -845,26 +834,11 @@ def _running_integral_blocks(problem: ImpulseProblem, grid: GridSpec, R: np.ndar
         disc_w = np.exp(-alpha * tt) * w
         tt_inf, w_inf, _ = _simpson_lattice(0.0, _INF_HORIZON / alpha, step)
         disc_w_inf = np.exp(-alpha * tt_inf) * w_inf
-        inner = max(1, _BLOCK_ELEMENTS // max(tt.size, tt_inf.size))
-    cells = (m_fin + 1) * len(problem.actions)
-    block = min(n, inner * max(1, _BLOCK_CELLS // (cells * inner)))
-
-    for lo in range(0, n, block):
-        rows = slice(lo, min(lo + block, n))
-        for j in range(jn):
-            c = problem.constant_rate(j)
-            if j in closed_js:
-                _closed_form_integrals(problem.gradual_costs[j], problem.flow,
-                                       alpha, xs[rows], grid.theta_points,
-                                       R[j, rows])
-            elif c is None:
-                R[j, rows, 0] = 0.0  # nothing accrues over theta = 0
-            else:
-                R[j, rows, :m_fin] = c * (-np.expm1(-alpha * th_fin)) / alpha
-                R[j, rows, m_fin] = c / alpha
-        for sub in range(lo, rows.stop, inner) if quad_js else ():
-            x = xs[sub:min(sub + inner, rows.stop), np.newaxis]
-            part = slice(sub, sub + x.shape[0])
+        quad_block = max(1, _BLOCK_ELEMENTS // max(tt.size, tt_inf.size))
+        R[quad_js, :, 0] = 0.0  # nothing accrues over theta = 0
+        for lo in range(0, n, quad_block):
+            part = slice(lo, min(lo + quad_block, n))
+            x = xs[part, np.newaxis]
             if m_fin > 1:
                 flow = _eval(problem.flow, x, tt)
                 for j in quad_js:
@@ -876,8 +850,26 @@ def _running_integral_blocks(problem: ImpulseProblem, grid: GridSpec, R: np.ndar
                     np.cumsum(seg, axis=1, out=R[j, part, 1:m_fin])
             flow = _eval(problem.flow, x, tt_inf)
             for j in quad_js:
-                R[j, part, m_fin] = _eval(problem.gradual_costs[j], flow) @ disc_w_inf
-        flow = seg = None  # no workspace outlives its block
+                # one dot product per row: a matrix-vector product would
+                # round by the row count
+                R[j, part, m_fin] = (
+                    _eval(problem.gradual_costs[j], flow)[:, np.newaxis]
+                    @ disc_w_inf)[:, 0]
+        flow = seg = None  # no workspace outlives the pass
+
+    block = max(1, _BLOCK_ELEMENTS // ((m_fin + 1) * len(problem.actions)))
+
+    for lo in range(0, n, block):
+        rows = slice(lo, min(lo + block, n))
+        for j in range(jn):
+            c = problem.constant_rate(j)
+            if j in closed_js:
+                _closed_form_integrals(problem.gradual_costs[j], problem.flow,
+                                       alpha, xs[rows], grid.theta_points,
+                                       R[j, rows])
+            elif c is not None:
+                R[j, rows, :m_fin] = c * (-np.expm1(-alpha * th_fin)) / alpha
+                R[j, rows, m_fin] = c / alpha
         yield rows
 
 
@@ -887,13 +879,13 @@ def discretize(problem: ImpulseProblem, grid: GridSpec) -> DiscreteMDP:
     Landing states get linear interpolation weights between the bracketing
     grid points, the rows of ``DiscreteMDP.kernel``; landings beyond the
     truncation clamp to the boundary with a warning.  User maps are called
-    here, never during iteration, and the tables are built in one pass over
-    blocks of about ``_BLOCK_CELLS`` (state, action) cells, written straight
-    into the output: per block, the flow and the running-cost rates once per
-    cache-sized inner block of grid states (see
-    :func:`_running_integral_blocks`), then the flow, reset and lump costs
-    for the landings once on the block, not once on the whole grid (a
-    scalar-only map falls back to point by point within each call).  Raises
+    here, never during iteration: the running-cost maps first, in their
+    own cache-sized blocks (see :func:`_running_integral_blocks`), then one
+    pass over blocks of about ``_BLOCK_ELEMENTS`` (state, action) cells,
+    written straight into the output, that calls the flow, reset and lump
+    costs for the landings once per block, not once on the whole grid (a
+    scalar-only map falls back to point by point within each call).  The
+    tables are bitwise the same whatever the blocks.  Raises
     ValueError naming the offending cell if a landing is non-finite (checked
     per block) or a tabulated cost is non-finite or negative, and, before
     any table exists, for an off-grid x0, a survival that underflows or a

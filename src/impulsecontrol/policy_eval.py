@@ -40,9 +40,6 @@ class CostVector:
     def finite(self) -> bool:
         return bool(np.all(np.isfinite(self.v)))
 
-    def __len__(self) -> int:
-        return self.v.size
-
 
 @dataclass(frozen=True, eq=False)
 class OccupationMeasure:
@@ -118,7 +115,10 @@ def _walk(mdp: DiscreteMDP, f: StationaryPolicy):
     while idx not in entries:
         entries[idx] = (totals.copy(), disc)
         q = int(f.flat[idx])
-        s, w, nxt = mdp.landing(idx, q)
+        s = mdp.survival[q]
+        hi = mdp.w_hi[idx, q] > mdp.w_lo[idx, q]  # ties go low
+        w = (mdp.w_hi if hi else mdp.w_lo)[idx, q]
+        nxt = int((mdp.next_hi if hi else mdp.next_lo)[idx, q])
         totals += disc * mdp.costs[:, idx, q]
         disc *= s
         if s == 0.0:
@@ -321,18 +321,15 @@ def policy_from_table(mdp: DiscreteMDP, text: str) -> StationaryPolicy:
         if flat[i] >= 0:
             raise ValueError(
                 f"policy table line {ln}: second row for grid state {mdp.states[i]}")
-        if parts[1].upper() in ("INF", "INFINITY"):
+        theta = float(parts[1])  # reads INF, inf, Infinity and +inf alike
+        if theta == math.inf:
             t_idx = mdp.theta_points.size - 1
         else:
-            theta = float(parts[1])
-            if theta == math.inf:
-                t_idx = mdp.theta_points.size - 1
-            else:
-                t_idx = int(np.argmin(np.abs(finite_thetas - theta)))
-                if not (math.isfinite(theta) and abs(finite_thetas[t_idx] - theta)
-                        <= 1e-6 * (1.0 + abs(theta))):
-                    raise ValueError(
-                        f"policy table line {ln}: theta {theta} is not on the grid")
+            t_idx = int(np.argmin(np.abs(finite_thetas - theta)))
+            if not (math.isfinite(theta) and abs(finite_thetas[t_idx] - theta)
+                    <= 1e-6 * (1.0 + abs(theta))):
+                raise ValueError(
+                    f"policy table line {ln}: theta {theta} is not on the grid")
         label = parts[2] if len(parts) == 3 else mdp.action_labels[0]
         if label not in mdp.action_labels:
             raise ValueError(f"policy table line {ln}: unknown action '{label}'")

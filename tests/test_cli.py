@@ -219,6 +219,22 @@ def test_verify_passes_on_piecewise_rates(tmp_path, capsys):
         assert "FAIL" not in out and "PASS oracle-agreement" in out
 
 
+def test_verify_passes_on_the_decay_flow(tmp_path, capsys):
+    # the shipped two-constraint config along x e^{-t/2}, reset to the top
+    # of the grid: every rate, the piecewise one included, has a closed form
+    from pathlib import Path
+    shipped = Path(__file__).resolve().parent.parent / "configs" / "custom_j2.json"
+    doc = json.loads(shipped.read_text())
+    doc["flow"] = {"type": "exponential_decay", "rate": 0.5}
+    doc["reset"]["value"] = 4.0
+    doc["grid"].update(state_n=60, theta_n=60)
+    path = tmp_path / "decay.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["verify", "--config", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "FAIL" not in out and out.count("PASS ") == 12
+
+
 def test_missing_config_exits_2(capsys):
     assert cli.main(["solve", "--config", "/nonexistent.json"]) == 2
 
@@ -433,6 +449,20 @@ def test_solve_whose_certificates_fail_writes_its_report_and_exits_4(
     assert report["certificates"]["ok"] is False
     assert report["certificates"]["feasibility_ok"] is False
     assert captured.err == "solve failed: certificates not met: feasibility\n"
+
+
+def test_master_lp_overflow_on_the_first_box_exits_4(config_file, capsys):
+    # at alpha = 1e-100 the cut costs are ~1e200 and the master's column
+    # tolerance overflows: one message, no warning, no report
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["solve", "--config", config_file,
+                         "--set", "alpha=1e-100", "--set", "grid.state_n=30",
+                         "--set", "grid.theta_n=30"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("solve failed: cutting-plane master LP failed: "
+                            "non-finite column tolerance\n")
 
 
 def test_integer_of_too_many_digits_for_the_json_reader_exits_2(tmp_path,

@@ -172,14 +172,6 @@ def test_kernel_is_stored_once(small_mdp, table):
     W = np.random.default_rng(7).uniform(0.0, 10.0, n)
     ref = mdp.survival * (mdp.w_lo * W[mdp.next_lo] + mdp.w_hi * W[mdp.next_hi])
     assert np.array_equal((k @ W).reshape(n, n_actions) * mdp.survival, ref)
-    # both trajectory walks follow the heavier landing point, the lower on ties
-    for i in range(n):
-        for q in range(n_actions):
-            lo_wins = mdp.w_lo[i, q] >= mdp.w_hi[i, q]
-            s, w, nxt = mdp.landing(i, q)
-            assert s == mdp.survival[q]
-            assert w == (mdp.w_lo if lo_wins else mdp.w_hi)[i, q]
-            assert nxt == (mdp.next_lo if lo_wins else mdp.next_hi)[i, q]
 
 
 def _check_cells_against_references(prob, grid, mdp, cells):
@@ -504,28 +496,15 @@ def test_block_size_does_not_change_the_tables(monkeypatch, case):
             assert got.dtype == exp.dtype and np.array_equal(got, exp), attr
         assert mdp.clamped_cells == want.clamped_cells
 
-    # the quadrature's inner blocks: one state per block, then the whole grid
-    # as one block.  The closed forms of the config rates do not depend on
-    # the block shape; the Python maps' infinite-wait matrix-vector product
-    # rounds by block shape, so those costs agree to round-off only
-    for elements in (1, None, 2 ** 40):
-        if elements is not None:
-            monkeypatch.setattr(ic.model, "_BLOCK_ELEMENTS", elements)
-        inner = ic.discretize(prob, grid)
-        if case == "scalar-twin":
-            np.testing.assert_allclose(inner.costs, ref.costs, rtol=1e-13, atol=0.0)
-        else:
-            assert np.array_equal(inner.costs, ref.costs)
-        same_tables(inner, ref)
-        # the outer blocks are whole multiples of the inner ones, so their
-        # size changes nothing: one inner block per outer block, 7 cells
-        # (ragged against most inner blocks), and the whole grid
-        for cells in (1, 7, 2 ** 40):
-            monkeypatch.setattr(ic.model, "_BLOCK_CELLS", cells)
-            mdp = ic.discretize(prob, grid)
-            assert np.array_equal(mdp.costs, inner.costs), cells
-            same_tables(mdp, inner)
-        monkeypatch.undo()
+    # one state per block (sub-blocks too), 7 elements (one state per
+    # quadrature sub-block, one per landing block), and the whole grid as
+    # one block: every entry rounds the same in any block, Python maps'
+    # Simpson sums and infinite-wait products included
+    for elements in (1, 7, 2 ** 40):
+        monkeypatch.setattr(ic.model, "_BLOCK_ELEMENTS", elements)
+        mdp = ic.discretize(prob, grid)
+        assert np.array_equal(mdp.costs, ref.costs), elements
+        same_tables(mdp, ref)
 
 
 def test_bad_cell_is_named_in_table_order_across_blocks(monkeypatch):
@@ -540,7 +519,6 @@ def test_bad_cell_is_named_in_table_order_across_blocks(monkeypatch):
         alpha=1.0, x0=0.0, bounds=(1.0,), actions=("a",))
     grid = ic.GridSpec.uniform(0.0, 3.0, 7, 1.0, 3, 0.05)
     monkeypatch.setattr(ic.model, "_BLOCK_ELEMENTS", 1)
-    monkeypatch.setattr(ic.model, "_BLOCK_CELLS", 1)
     with pytest.raises(ValueError, match=r"state 3\.0 \(index 6\), theta=0\.0, "
                        r"action='a', cost index 0: .*-1\.0"):
         ic.discretize(prob, grid)

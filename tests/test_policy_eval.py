@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import impulsecontrol as ic
+from impulsecontrol.policy_eval import _walk
 
 from conftest import (constant_theta_policy, custom_two_action_off_grid_doc,
                       fluid_mdp, threshold_policy, traced_peak)
@@ -54,6 +55,22 @@ def test_eval_zero_wait_cycle_is_flagged_infinite(fluid):
     got = ic.eval_policy(mdp, pol)
     assert math.isinf(got.v[0]) and not got.finite
     assert got.v[1] == 0.0  # the loop accrues no holding cost
+
+
+@pytest.mark.parametrize("reset, visits", [(0.3, [0, 1]), (0.25, [0])])
+def test_walk_follows_the_heavier_landing_lower_on_ties(reset, visits):
+    # from x0 = 0, wait 1.0 and reset to 0.3 (weight 0.6 on grid state 0.5)
+    # or to 0.25 (0.5 on both 0.0 and 0.5, a tie, so the walk goes low)
+    prob = ic.ImpulseProblem(
+        flow=lambda x, t: x + t, reset=lambda x, a: reset + 0.0 * x,
+        gradual_costs=(0.0, lambda x: 1.0 * x),
+        impulse_costs=(lambda x, a: 1.0 + 0.0 * x, lambda x, a: 0.0 * x),
+        alpha=1.0, x0=0.0, bounds=(0.5,), actions=("a",))
+    grid = ic.GridSpec.uniform(0.0, 4.0, 9, theta_max=2.0, theta_n=9,
+                               quadrature_step=0.01)
+    mdp = ic.discretize(prob, grid)
+    _, _, entries, cycle, split = _walk(mdp, constant_theta_policy(mdp, 4))
+    assert split and list(entries) == visits and cycle == visits[-1:]
 
 
 def test_eval_falls_back_to_linear_solve_on_split_landings():
@@ -422,6 +439,10 @@ def test_policy_table_roundtrip_with_inf_rows(fluid):
     text = ic.policy_to_table(mdp, pol)
     assert " INF " in text
     assert ic.policy_from_table(mdp, text) == pol
+    # float() reads every spelling of infinity
+    for spelling in ("inf", "Infinity", "+inf", "INFINITY", "+Inf"):
+        assert ic.policy_from_table(
+            mdp, text.replace(" INF ", f" {spelling} ")) == pol
 
 
 def test_policy_table_parse_errors(fluid):
