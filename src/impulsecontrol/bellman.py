@@ -6,7 +6,7 @@ cost_0 + sum_j g_j cost_j, and the value function solves
     W(x) = min over actions (theta, a) of
            combined_cost(x, (theta, a)) + survival * W(next state),
 
-with W = 0 at the cemetery.  Two solvers are kept.
+the killed mass 1 - survival carrying no further cost.  Two solvers are kept.
 
 Howard's policy iteration (:func:`policy_iteration`, Howard 1960; Puterman
 1994, section 6.4) is the kernel of every dual evaluation: each step

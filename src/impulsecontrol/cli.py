@@ -425,16 +425,17 @@ def _verify_checks(problem, grid, mdp, tol_scale: float, rep):
 
     bcfg = _bellman_config(tol_scale)
     ones = np.ones(mdp.n_constraints)
+    vi = {}
     for tag, g in (("zero", np.zeros(mdp.n_constraints)), ("ones", ones)):
-        sol = solve_W(mdp, g, bcfg)
+        sol = vi[tag] = solve_W(mdp, g, bcfg)
         ok = sol.converged and sol.residual <= bcfg.tolerance
         yield (f"bellman-converges-g-{tag}", ok,
                f"iterations={sol.iterations} residual={sol.residual:.3e}")
 
-    # the dual search's policy iteration against the value-iteration
-    # reference, which the loop above left at g = ones
+    # the dual search's policy iteration against value iteration at g = ones
     pi = policy_iteration(mdp, ones, bcfg)
-    rel = float(np.max(np.abs(pi.W - sol.W) / (1.0 + np.abs(sol.W))))
+    ref = vi["ones"].W
+    rel = float(np.max(np.abs(pi.W - ref) / (1.0 + np.abs(ref))))
     ok = pi.converged and rel <= 1e3 * bcfg.tolerance
     yield ("policy-iteration-agreement", ok,
            f"steps={pi.iterations} max rel diff {rel:.3e}")
@@ -477,13 +478,15 @@ def _verify_checks(problem, grid, mdp, tol_scale: float, rep):
     yield "occupation-identities", occ_ok, "; ".join(occ_detail)
     yield "oracle-agreement", tri_ok, "; ".join(tri_detail)
 
-    # weak duality: dual values never exceed feasible policy values
+    # weak duality: dual values never exceed feasible policy values.  With
+    # no constraints every multiplier is the empty one, and h = W*(x0)
     wd_ok = True
     worst_gap = -math.inf
     detail = "no feasible probe policy"
-    if feas_values and mdp.n_constraints >= 1:
+    scales = (0.0, 0.5, 1.0, 2.0, 4.0) if mdp.n_constraints else (1.0,)
+    if feas_values:
         try:
-            for scale in (0.0, 0.5, 1.0, 2.0, 4.0):
+            for scale in scales:
                 if scale == 1.0 and pi.converged:
                     # the cold policy iteration above is h's solve at g = ones
                     h = float(pi.W[mdp.x0_index]) - float(ones @ d)

@@ -322,16 +322,16 @@ def maximize_dual(mdp: DiscreteMDP, cfg: BellmanConfig = BellmanConfig()):
     Otherwise each round solves the master program :func:`mix_weights` on
     all cuts so far over the box [0, G] (G starts at ``G_INIT`` = 1) and
     evaluates h at its multiplier g_m.  Coordinates of G whose bound binds
-    double (``DualBracketError`` past ``BRACKET_CAP``, or when the master LP
-    fails after a doubling).  Otherwise the search stops once
-    h(g_m) >= UB - eps (1 + |UB|), UB being the model's maximum and eps
-    1000 times ``cfg.tolerance``, or once the greedy policy at g_m is
-    already a cut, so the model cannot move.  A round that neither doubles
-    the box nor stops adds a new deterministic policy, of which there are
-    finitely many, so the search ends.  A non-converged evaluation raises
-    ``BellmanNotConvergedError``.  Each evaluation's policy iteration starts
-    from the previous cut's solution and takes its first step from that
-    solution's per-cost values.
+    double (``DualBracketError``, naming the bounds that grew, past
+    ``BRACKET_CAP`` or when the master LP fails after a doubling).
+    Otherwise the search stops once h(g_m) >= UB - eps (1 + |UB|), UB being
+    the model's maximum and eps 1000 times ``cfg.tolerance``, or once the
+    greedy policy at g_m is already a cut, so the model cannot move.  A
+    round that neither doubles the box nor stops adds a new deterministic
+    policy, of which there are finitely many, so the search ends.  A
+    non-converged evaluation raises ``BellmanNotConvergedError``.  Each
+    evaluation's policy iteration starts from the previous cut's solution
+    and takes its first step from that solution's per-cost values.
 
     Returns (g*, trace, weights): g* = g_m, the trace of every evaluation
     (the last one is at g*), and the mixture weights over the trace's
@@ -353,10 +353,9 @@ def maximize_dual(mdp: DiscreteMDP, cfg: BellmanConfig = BellmanConfig()):
                 raise
             # the box only grows while h keeps increasing, so a master
             # that fails on a grown box counts as an unbounded dual
-            raise DualBracketError(
-                f"{exc} at multiplier box {box.tolist()}; the dual "
-                "functional kept increasing, so the constraints appear to "
-                "admit no strictly feasible point") from exc
+            raise _unbounded(f"{exc} at multiplier box {box.tolist()}; the "
+                             "dual functional kept increasing", trace, d,
+                             box > G_INIT) from exc
         pt = dual_value(mdp, g, cfg, start=pt.solution)
         known = any(pt.policy == cut.policy for cut in trace)
         trace.append(pt)
@@ -364,12 +363,21 @@ def maximize_dual(mdp: DiscreteMDP, cfg: BellmanConfig = BellmanConfig()):
         if binds.any():
             box = np.where(binds, 2.0 * box, box)
             if np.any(box > BRACKET_CAP):
-                raise DualBracketError(
+                raise _unbounded(
                     f"dual functional still increasing at multiplier "
-                    f"{g.tolist()} (doubling cap {BRACKET_CAP:.3g}); the "
-                    "constraints appear to admit no strictly feasible point")
+                    f"{g.tolist()} (doubling cap {BRACKET_CAP:.3g})", trace,
+                    d, box > BRACKET_CAP)
         elif known or pt.h >= ub - eps * (1.0 + abs(ub)):
             return g, trace, w
+
+
+def _unbounded(why: str, trace, d: np.ndarray, grown) -> DualBracketError:
+    """The unbounded-dual error for ``why``, naming the bounds ``grown`` flags."""
+    least = np.min([pt.costs.v[1:] for pt in trace], axis=0)
+    return DualBracketError(
+        f"{why}; the constraints appear to admit no strictly feasible point: "
+        + "; ".join(f"bound {j + 1} (d_{j + 1} = {d[j]:.6g}, least V_{j + 1} "
+                    f"of any cut {least[j]:.6g})" for j in np.flatnonzero(grown)))
 
 
 def _certify(g: np.ndarray, h_star: float, costs: CostVector, trace,

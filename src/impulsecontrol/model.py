@@ -4,9 +4,9 @@ A problem is given by a semiflow phi(x, t), a jump map l(x, a), J+1 pairs of
 cost functions (running rate, lump impulse cost), a discount factor alpha and
 constraint bounds d_1..d_J.  Solvers in this package operate on the induced
 discrete-time MDP in which one step corresponds to one impulse: the action is
-a pair (theta, a) of waiting time and impulse, discounting is encoded as
-killing with survival probability exp(-alpha*theta), and the killed mass goes
-to an absorbing costless cemetery state.
+a pair (theta, a) of waiting time and impulse, and discounting is encoded as
+killing with survival probability exp(-alpha*theta).  The killed mass simply
+leaves: no state holds it, so each step's kernel is sub-stochastic.
 
 This module owns discretization onto a finite state/waiting-time grid:
 landing states are represented by linear interpolation weights between
@@ -60,17 +60,6 @@ from scipy.sparse.linalg import splu
 
 INFINITY = math.inf
 
-
-class Cemetery:
-    """Absorbing, costless terminal state (unique instance ``CEMETERY``)."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "CEMETERY"
-
-
-CEMETERY = Cemetery()
 
 # Horizon (in units of 1/alpha) for quadrature of infinite-wait running costs.
 # exp(-60) ~ 9e-27, negligible for any subexponential cost rate.
@@ -247,23 +236,23 @@ class GridSpec:
 class DiscreteMDP:
     """Tabulated induced MDP on a finite grid.
 
-    States are the grid points plus an implicit absorbing cemetery (index
-    ``n_states``).  Actions are pairs (theta index, label index) flattened as
-    ``q = theta_index * n_labels + label_index``, so the action order is theta
-    ascending (INFINITY last) with label order breaking ties.  ``survival[q]``
-    is exp(-alpha*theta), exactly 0 for the INFINITY column and exactly 1 for
-    theta = 0.  Row ``i * n_actions + q`` of ``kernel`` holds the two grid
-    states bracketing the landing from cell (i, q), lower first, with their
-    convex interpolation weights (``next_lo``, ``next_hi``, ``w_lo``, ``w_hi``
-    view them); the killed mass 1 - survival[q] goes to the cemetery.
+    States are the grid points.  Actions are pairs (theta index, label
+    index) flattened as ``q = theta_index * n_labels + label_index``, so the
+    action order is theta ascending (INFINITY last) with label order
+    breaking ties.  ``survival[q]`` is exp(-alpha*theta), exactly 0 for the
+    INFINITY column and exactly 1 for theta = 0.  Row ``i * n_actions + q``
+    of ``kernel`` holds the two grid states bracketing the landing from cell
+    (i, q), lower first, with their convex interpolation weights
+    (``next_lo``, ``next_hi``, ``w_lo``, ``w_hi`` view them); the killed mass
+    1 - survival[q] leaves, as no state or kernel column holds it.
 
     ``sweep_blocks`` cuts the kernel into (first state, end state, CSR) row
     blocks for the Bellman sweep, made once here.  A Q table of at least
     2^18 cells (2 MiB) gets one block per usable core; a smaller table, or a
     process with one usable core, gets the single block ``kernel``.  The
-    blocks view the kernel's arrays and copy nothing.  All arrays are written once at construction and are
-    read-only afterwards, so instances are safe to share across threads,
-    sweeps included.
+    blocks view the kernel's arrays and copy nothing.  All arrays are
+    written once at construction and are read-only afterwards, so instances
+    are safe to share across threads, sweeps included.
     """
 
     states: np.ndarray            # (n_states,) grid points
@@ -749,15 +738,12 @@ def stage_cost(problem: ImpulseProblem, x, theta: float, a, j: int,
 
     Returns the discounted running cost accumulated along the flow over
     [0, theta] plus exp(-alpha*theta) times the impulse cost at the landing
-    point.  The cemetery state costs 0, and the infinite waiting time drops
-    the impulse term (the running integral is then taken over [0, inf)).
-    ``step`` bounds the Simpson quadrature step, even for a rate that
-    :func:`discretize` integrates in closed form (see
-    :func:`_running_integral_scalar`); a numeric (constant) rate uses the
-    exact closed form instead.
+    point.  The infinite waiting time drops the impulse term (the running
+    integral is then taken over [0, inf)).  ``step`` bounds the Simpson
+    quadrature step, even for a rate that :func:`discretize` integrates in
+    closed form (see :func:`_running_integral_scalar`); a numeric (constant)
+    rate uses the exact closed form instead.
     """
-    if x is CEMETERY:
-        return 0.0
     if not 0 <= j < problem.n_costs:
         raise ValueError(f"cost index {j} out of range")
     if theta < 0.0:
@@ -772,23 +758,6 @@ def stage_cost(problem: ImpulseProblem, x, theta: float, a, j: int,
             f"non-finite or negative stage cost {total!r} at "
             f"(x={x!r}, theta={theta!r}, a={a!r}, j={j})")
     return total
-
-
-def transition(problem: ImpulseProblem, x, theta: float, a):
-    """Next state and survival weight of one MDP step.
-
-    Returns ``(CEMETERY, 0.0)`` when starting at the cemetery or waiting
-    forever (all mass is killed); otherwise ``(l(phi(x, theta), a),
-    exp(-alpha*theta))``, the killed mass 1 - survival going to the cemetery
-    implicitly.
-    """
-    if x is CEMETERY or math.isinf(theta):
-        return CEMETERY, 0.0
-    if theta < 0.0:
-        raise ValueError(f"theta must be >= 0, got {theta}")
-    y = float(problem.flow(x, theta))
-    nxt = float(problem.reset(y, a))
-    return nxt, math.exp(-problem.alpha * theta)
 
 
 def _running_integral_blocks(problem: ImpulseProblem, grid: GridSpec, R: np.ndarray):
@@ -907,11 +876,8 @@ def discretize(problem: ImpulseProblem, grid: GridSpec) -> DiscreteMDP:
             f"x0={problem.x0} is not within half a cell of the state grid "
             f"(nearest point {xs[i0]})")
 
-    theta_of_q = np.repeat(thetas, L)
-    survival = np.exp(-alpha * theta_of_q)
-    survival[np.isinf(theta_of_q)] = 0.0
-    finite_q = ~np.isinf(theta_of_q)
-    if np.any(survival[finite_q] == 0.0):
+    survival = np.exp(-alpha * np.repeat(thetas, L))  # exactly 0 at INFINITY
+    if np.any(survival[:-L] == 0.0):
         raise ValueError(
             "exp(-alpha*theta) underflows to 0 for a finite theta point; "
             "reduce theta_max or alpha")

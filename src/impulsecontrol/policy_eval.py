@@ -231,8 +231,6 @@ def threshold_rule(problem: ImpulseProblem, xbar: float):
     label = problem.actions[0]
 
     def rule(x: float):
-        if math.isinf(xbar):
-            return math.inf, label
         return max(xbar - x, 0.0), label
 
     return rule

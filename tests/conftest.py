@@ -115,6 +115,16 @@ def fluid_mdp(d=0.5, state_n=120, theta_n=120, state_max=5.0, theta_max=5.0,
     return prob, grid, ic.discretize(prob, grid)
 
 
+def transition(problem, x, theta, a):
+    """Landing state and survival weight of one step that waits a finite theta.
+
+    The reference for ``discretize``'s landings and survival factors:
+    ``(l(phi(x, theta), a), exp(-alpha*theta))``.
+    """
+    y = float(problem.flow(x, theta))
+    return float(problem.reset(y, a)), math.exp(-problem.alpha * theta)
+
+
 def with_sweep_blocks(mdp, n_blocks):
     """A copy of ``mdp`` (sharing its arrays) swept in ``n_blocks`` row blocks.
 

@@ -1,9 +1,11 @@
 import argparse
+import dataclasses
 import json
 import math
 import os
 import re
 import warnings
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -198,7 +200,6 @@ def test_verify_validates_once(config_file, monkeypatch, capsys):
 
 
 def test_verify_passes_on_shipped_benchmark_config(capsys):
-    from pathlib import Path
     shipped = Path(__file__).resolve().parent.parent / "configs" / "fluid_benchmark.json"
     assert cli.main(["verify", "--config", str(shipped)]) == 0
     assert "FAIL" not in capsys.readouterr().out
@@ -208,7 +209,6 @@ def test_verify_passes_on_piecewise_rates(tmp_path, capsys):
     # the shipped two-constraint config is the custom-j2 band centre; the
     # tables integrate its jump rate in closed form and the references split
     # their spans at the jump, so both quadrature gates hold
-    from pathlib import Path
     shipped = Path(__file__).resolve().parent.parent / "configs" / "custom_j2.json"
     assert json.loads(shipped.read_text()) == band_centre_doc("custom-j2")
     path = tmp_path / "j2.json"
@@ -222,7 +222,6 @@ def test_verify_passes_on_piecewise_rates(tmp_path, capsys):
 def test_verify_passes_on_the_decay_flow(tmp_path, capsys):
     # the shipped two-constraint config along x e^{-t/2}, reset to the top
     # of the grid: every rate, the piecewise one included, has a closed form
-    from pathlib import Path
     shipped = Path(__file__).resolve().parent.parent / "configs" / "custom_j2.json"
     doc = json.loads(shipped.read_text())
     doc["flow"] = {"type": "exponential_decay", "rate": 0.5}
@@ -513,6 +512,24 @@ def test_bracket_failure_exits_4(config_file, monkeypatch):
     assert cli.main(["solve", "--config", config_file]) == 4
 
 
+@pytest.mark.parametrize("config, bounds, named", [
+    ("fluid_benchmark.json", "d=0.001",
+     r"bound 1 \(d_1 = 0\.001, least V_1 of any cut 0\.0062\d*\)"),
+    ("custom_j2.json", "bounds=[1.0,1.0]",
+     r"bound 2 \(d_2 = 1, least V_2 of any cut 1\.19\d*\)")],
+    ids=["fluid-d-0.001", "custom-j2-1-1"])
+def test_infeasible_bound_is_named_on_exit_4(config, bounds, named, capsys):
+    # only the named bound's multiplier reaches the doubling cap
+    shipped = Path(__file__).resolve().parent.parent / "configs" / config
+    assert cli.main(["solve", "--config", str(shipped), "--set", bounds]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("solve failed: dual functional "
+                                               "still increasing")
+    assert re.search(named, err[0]) and err[0].count("bound ") == 1
+
+
 def test_nonconverged_evaluation_exits_4(config_file, monkeypatch):
     def boom(mdp, cfg):
         raise ic.BellmanNotConvergedError("did not converge")
@@ -564,6 +581,45 @@ def test_verify_weak_duality_reuses_the_agreement_solve(config_file,
     assert pi.W[mdp.x0_index] - mdp.bounds[0] == real(mdp, [1.0]).h
 
 
+def test_verify_weak_duality_without_constraints(tmp_path, monkeypatch,
+                                                capsys):
+    # J = 0: every probe is feasible and h = W*(x0), read from the
+    # policy-iteration-agreement solve; no further solve runs
+    doc = json.loads(json.dumps(J2_DOC))
+    doc.update(bounds=[], gradual_costs=[{"type": "polynomial",
+                                          "coeffs": [0.0, 1.0]}],
+               impulse_costs=doc["impulse_costs"][:1])
+    doc["grid"].update(state_n=40, theta_n=40)
+    path = tmp_path / "j0.json"
+    path.write_text(json.dumps(doc))
+
+    def no_solve(*args):
+        raise AssertionError("verify solved again for weak-duality")
+
+    monkeypatch.setattr(cli, "dual_value", no_solve)
+    assert cli.main(["verify", "--config", str(path)]) == 0
+    line = [ln for ln in capsys.readouterr().out.splitlines()
+            if "weak-duality" in ln][0]
+    assert line.startswith("PASS weak-duality: max h(g) - V0(feasible) = ")
+    gap = float(line.rpartition("= ")[2])
+    mdp = ic.discretize(*ic.problem_from_config(doc))
+    W0 = ic.policy_iteration(mdp, []).W[mdp.x0_index]
+    m = mdp.theta_points.size - 1  # verify's probes wait m/8, m/4, m/2, m-1
+    probes = [ic.eval_policy(mdp, constant_theta_policy(mdp, k)).v[0]
+              for k in (m // 8, m // 4, m // 2, m - 1)]
+    assert gap == pytest.approx(W0 - min(probes), rel=1e-3) and gap < 0.0
+    # an h above a probe's value fails the line
+    real = cli.policy_iteration
+
+    def inflated(*args):
+        sol = real(*args)
+        return dataclasses.replace(sol, W=sol.W + 1.0)
+
+    monkeypatch.setattr(cli, "policy_iteration", inflated)
+    assert cli.main(["verify", "--config", str(path)]) == 5
+    assert "FAIL weak-duality: " in capsys.readouterr().out
+
+
 def test_verify_checks_peak_memory(accept_fluid):
     # the Bellman checks hold a cost and one Q table, and no table outlives
     # its check; the occupation checks hold one cell per state, and
@@ -580,7 +636,6 @@ def test_verify_checks_peak_memory(accept_fluid):
 def test_dual_curve_warm_start_matches_cold_start(capsys):
     # each grid point's policy iteration starts from the previous point's
     # policy; the values must agree with cold starts to the search's gap
-    from pathlib import Path
     shipped = Path(__file__).resolve().parent.parent / "configs" / "fluid_benchmark.json"
     assert cli.main(["dual-curve", "--config", str(shipped)]) == 0
     rows = [list(map(float, ln.split(",")))
@@ -850,7 +905,6 @@ def test_physical_memory_is_read(config_file, capsys):
 
 
 def _fuzz_bases():
-    from pathlib import Path
     root = Path(__file__).resolve().parent.parent
     fluid = json.loads((root / "configs" / "fluid_benchmark.json").read_text())
     bases = {"fluid": fluid, "j2": json.loads(json.dumps(J2_DOC))}

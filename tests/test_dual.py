@@ -367,9 +367,14 @@ def test_master_lp_failure_after_doubling_is_a_bracket_error(monkeypatch):
     # after the box has doubled it means the dual kept increasing
     calls.clear()
     monkeypatch.setattr(dual, "mix_weights", failing_from(3))
-    with pytest.raises(ic.DualBracketError, match="forced failure.*increasing"):
+    with pytest.raises(ic.DualBracketError,
+                       match="forced failure.*increasing") as info:
         ic.maximize_dual(mdp)
     assert len(calls) == 3
+    # the message names the bound whose box coordinate doubled; every
+    # policy pays 1/alpha = 1 on it
+    assert str(info.value).endswith(
+        "point: bound 1 (d_1 = 0.5, least V_1 of any cut 1)")
 
 
 def test_import_does_not_load_the_lp_solver():

@@ -12,10 +12,10 @@ from hypothesis import given, settings, strategies as st
 
 import impulsecontrol as ic
 from impulsecontrol import model
-from impulsecontrol.model import CEMETERY, INFINITY, ConfigError
+from impulsecontrol.model import INFINITY, ConfigError
 
 from conftest import (CUSTOM_TWO_ACTION_DOC, J2_DOC, accept_fluid_problem,
-                      fluid_mdp, traced_peak)
+                      fluid_mdp, traced_peak, transition)
 
 
 @pytest.fixture(scope="module")
@@ -25,12 +25,6 @@ def fluid_problem():
 
 # ---------------------------------------------------------------------------
 # stage_cost
-
-
-def test_stage_cost_cemetery_is_free(fluid_problem):
-    for j in (0, 1):
-        assert ic.stage_cost(fluid_problem, CEMETERY, 0.7, "reset", j) == 0.0
-        assert ic.stage_cost(fluid_problem, CEMETERY, INFINITY, "reset", j) == 0.0
 
 
 def test_stage_cost_immediate_impulse_pays_full_price(fluid_problem):
@@ -92,26 +86,6 @@ def test_stage_cost_rejects_non_finite(fluid_problem):
         alpha=1.0, x0=0.0, bounds=(0.5,), actions=("reset",))
     with pytest.raises(ValueError, match="theta"):
         ic.stage_cost(bad, 0.5, 1.0, "reset", 0)
-
-
-# ---------------------------------------------------------------------------
-# transition
-
-
-def test_transition_zero_wait_keeps_full_mass(fluid_problem):
-    nxt, s = ic.transition(fluid_problem, 0.8, 0.0, "reset")
-    assert nxt == 0.0 and s == 1.0
-
-
-def test_transition_infinite_wait_kills(fluid_problem):
-    assert ic.transition(fluid_problem, 0.8, INFINITY, "reset") == (CEMETERY, 0.0)
-    assert ic.transition(fluid_problem, CEMETERY, 0.3, "reset") == (CEMETERY, 0.0)
-
-
-def test_transition_fluid_reset_and_weight(fluid_problem):
-    nxt, s = ic.transition(fluid_problem, 0.3, 0.7, "reset")
-    assert nxt == 0.0
-    assert s == pytest.approx(math.exp(-0.7), abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +151,8 @@ def test_kernel_is_stored_once(small_mdp, table):
 def _check_cells_against_references(prob, grid, mdp, cells):
     """Each (i, k, label index) cell against stage_cost and transition.
 
+    An infinite wait must kill exactly: survival 0, whatever the landing.
+
     stage_cost splits its Simpson span where the flow crosses a breakpoint
     of a piecewise rate, so a jump costs no accuracy there.
     """
@@ -190,10 +166,11 @@ def _check_cells_against_references(prob, grid, mdp, cells):
                                 step=grid.quadrature_step)
             tol = 1e-8 * (1.0 + ref)
             assert abs(float(mdp.costs[j, i, q]) - ref) <= tol, (i, k, a, j)
-        nxt, s = ic.transition(prob, x, theta, label)
-        assert mdp.survival[q] == pytest.approx(s, rel=1e-15, abs=0.0)
-        if nxt is CEMETERY:
+        if math.isinf(theta):
+            assert mdp.survival[q] == 0.0, (i, k, a)
             continue
+        nxt, s = transition(prob, x, theta, label)
+        assert mdp.survival[q] == pytest.approx(s, rel=1e-15, abs=0.0)
         assert mdp.w_lo[i, q] + mdp.w_hi[i, q] == pytest.approx(1.0, abs=1e-15)
         assert mdp.next_hi[i, q] == mdp.next_lo[i, q] + 1
         landed = (mdp.w_lo[i, q] * mdp.states[mdp.next_lo[i, q]]
