@@ -21,16 +21,20 @@ nonnegative and the backup is monotone, exactly so in floating point), which
 doubles as a runtime sanity check.
 
 Both solvers go through one sweep, :func:`_sweep`: Q = survival * kernel @ W
-+ cost, reduced per state to its smallest-index minimizer.  A sweep is a
-Jacobi update, every row reading only the previous iterate, so the rows
-split into independent blocks (Bertsekas & Tsitsiklis, *Parallel and
-Distributed Computation*, 1989, section 1.2).  A large MDP carries one row
-block per usable core (``DiscreteMDP.sweep_blocks``): the calling thread
-sweeps the first, a shared thread pool the others, and the caller takes
-back any block the pool has not started by the time it is done.  Each
-block makes and reduces only its own rows of the Q table, and each cell is
-computed by the same operations whatever the blocks, so the results are
-bitwise independent of the core count.
++ cost, reduced per state to its smallest-index minimizer.  When every
+state lands where state 0 does (``DiscreteMDP.state_free_rows``, as under
+a constant reset), the product is taken once, over state 0's rows, and its
+one row of Q is broadcast over the states.  Otherwise the sweep goes by
+row blocks: a sweep is a Jacobi update, every row reading only the
+previous iterate, so the rows split into independent blocks (Bertsekas &
+Tsitsiklis, *Parallel and Distributed Computation*, 1989, section 1.2).  A
+large MDP carries one row block per usable core
+(``DiscreteMDP.sweep_blocks``): the calling thread sweeps the first, a
+shared thread pool the others, and the caller takes back any block the
+pool has not started by the time it is done.  Each block makes and reduces
+only its own rows of the Q table.  Each cell is computed by the same
+operations in the same order on every path, so the results are bitwise
+independent of the path and of the core count.
 """
 
 from __future__ import annotations
@@ -172,9 +176,12 @@ if hasattr(os, "register_at_fork"):
 
 
 def _sweep_rows(kernel, survival, W, cost, flat):
-    q = (kernel @ W).reshape(cost.shape)
+    q = (kernel @ W).reshape(-1, cost.shape[1])
     q *= survival
-    q += cost
+    if q.shape == cost.shape:
+        q += cost
+    else:  # a state-free kernel's one row of Q, broadcast over the states
+        q = q + cost
     best = q.argmin(axis=1)
     rows = np.arange(best.size)
     return best, q[rows, best], None if flat is None else q[rows, flat]
@@ -186,13 +193,18 @@ def _sweep(mdp: DiscreteMDP, W: np.ndarray, cost: np.ndarray,
 
     Returns per state the smallest-index minimizer of
     Q = survival * kernel @ W + cost, its Q value, and the Q value of action
-    ``flat`` (None when ``flat`` is None).  Each row block of
-    ``mdp.sweep_blocks`` makes and reduces its own part of Q.  The calling
-    thread sweeps the first block while the pool takes the others, then
-    takes back and sweeps itself every block no worker has started, so a
-    worker that is slow to wake costs at most the serial sweep.  No pool
-    task waits on another, so concurrent callers cannot deadlock.
+    ``flat`` (None when ``flat`` is None).  A state-free kernel's product
+    is taken once per action and broadcast, on the calling thread.
+    Otherwise each row block of ``mdp.sweep_blocks`` makes and reduces its
+    own part of Q.  The calling thread sweeps the first block while the
+    pool takes the others, then takes back and sweeps itself every block no
+    worker has started, so a worker that is slow to wake costs at most the
+    serial sweep.  No pool task waits on another, so concurrent callers
+    cannot deadlock.
     """
+    rows = mdp.state_free_rows
+    if rows is not None:
+        return _sweep_rows(rows, mdp.survival, W, cost, flat)
     first, *rest = mdp.sweep_blocks
     if not rest:
         return _sweep_rows(first[2], mdp.survival, W, cost, flat)

@@ -145,15 +145,6 @@ def x_g(p: FluidParams, g: float) -> float:
     return _bisect(resid, 0.0, hi)
 
 
-def x_g_or_inf(p: FluidParams, g: float) -> float:
-    """Total version of :func:`x_g`: INFINITY at g = 0 (never impulse)."""
-    if g < 0.0:
-        raise ValueError(f"multiplier must be >= 0, got {g}")
-    if g == 0.0:
-        return INFINITY
-    return x_g(p, g)
-
-
 def g_of_x(p: FluidParams, x: float) -> float:
     """Multiplier whose threshold is x: K alpha^2 / (h (alpha x - 1 + e^-alpha x)).
 

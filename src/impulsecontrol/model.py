@@ -52,6 +52,7 @@ import os
 import reprlib
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -92,30 +93,39 @@ def _sweep_block_count(cells: int) -> int:
     return _usable_cores() if cells >= _SWEEP_SPLIT_CELLS else 1
 
 
+def _kernel_rows(kernel: sparse.csr_matrix, lo: int, hi: int,
+                 n_actions: int) -> sparse.csr_matrix:
+    """The kernel rows of grid states lo..hi-1 as a CSR view, copying nothing.
+
+    Every kernel row holds exactly two entries, so the rows view a slice of
+    ``kernel.data`` and ``kernel.indices`` and a prefix of the shared
+    ``kernel.indptr``.
+    """
+    n_rows = (hi - lo) * n_actions
+    entries = slice(2 * lo * n_actions, 2 * hi * n_actions)
+    # the views are set after construction: the (data, indices, indptr)
+    # constructor copies a view that is under half of its base array
+    rows = sparse.csr_matrix((n_rows, kernel.shape[1]), dtype=kernel.dtype)
+    rows.data, rows.indices, rows.indptr = (
+        kernel.data[entries], kernel.indices[entries], kernel.indptr[:n_rows + 1])
+    return rows
+
+
 def _row_blocks(kernel: sparse.csr_matrix, n_states: int,
                 n_blocks: int) -> tuple:
     """``kernel`` split into ``n_blocks`` contiguous runs of grid states.
 
-    Returns (first state, end state, CSR) triples.  Every kernel row holds
-    exactly two entries, so a block's CSR views a slice of ``kernel.data``
-    and ``kernel.indices`` and a prefix of the shared ``kernel.indptr``; the
-    kernel is never copied.  A single block is ``kernel`` itself.
+    Returns (first state, end state, CSR) triples, each CSR a view of the
+    kernel's rows (:func:`_kernel_rows`).  A single block is ``kernel``
+    itself.  The sweep reads them only when the kernel depends on the
+    state (``DiscreteMDP.state_free_rows`` is None).
     """
     if n_blocks <= 1:
         return ((0, n_states, kernel),)
     n_actions = kernel.shape[0] // n_states
     edges = [n_states * b // n_blocks for b in range(n_blocks + 1)]
-    blocks = []
-    for lo, hi in zip(edges, edges[1:]):
-        n_rows = (hi - lo) * n_actions
-        rows = slice(2 * lo * n_actions, 2 * hi * n_actions)
-        # the views are set after construction: the (data, indices, indptr)
-        # constructor copies a view that is under half of its base array
-        block = sparse.csr_matrix((n_rows, kernel.shape[1]), dtype=kernel.dtype)
-        block.data, block.indices, block.indptr = (
-            kernel.data[rows], kernel.indices[rows], kernel.indptr[:n_rows + 1])
-        blocks.append((lo, hi, block))
-    return tuple(blocks)
+    return tuple((lo, hi, _kernel_rows(kernel, lo, hi, n_actions))
+                 for lo, hi in zip(edges, edges[1:]))
 
 
 @dataclass(frozen=True)
@@ -249,10 +259,18 @@ class DiscreteMDP:
     ``sweep_blocks`` cuts the kernel into (first state, end state, CSR) row
     blocks for the Bellman sweep, made once here.  A Q table of at least
     2^18 cells (2 MiB) gets one block per usable core; a smaller table, or a
-    process with one usable core, gets the single block ``kernel``.  The
-    blocks view the kernel's arrays and copy nothing.  All arrays are
-    written once at construction and are read-only afterwards, so instances
-    are safe to share across threads, sweeps included.
+    process with one usable core, gets the single block ``kernel``.
+    ``state_free_rows`` is state 0's ``n_actions`` kernel rows when every
+    grid state's rows are bitwise those (the landing depends on the action
+    alone, as a constant reset makes it), and None otherwise; the sweep
+    then takes one product over them and broadcasts it over the states, in
+    place of the blocks.  It is checked on first use and cached, so a
+    command that never sweeps does not pay for the check.  Both views copy
+    none of the kernel's arrays.  All arrays are written once at
+    construction and are read-only afterwards, so instances are safe to
+    share across threads, sweeps included; threads that first sweep an
+    instance at the same time may each make ``state_free_rows``, and they
+    make the same.
     """
 
     states: np.ndarray            # (n_states,) grid points
@@ -286,6 +304,15 @@ class DiscreteMDP:
         if len(self.bounds) != self.costs.shape[0] - 1:
             raise ValueError(
                 f"expected {self.costs.shape[0] - 1} bounds, got {len(self.bounds)}")
+
+    @cached_property
+    def state_free_rows(self) -> sparse.csr_matrix | None:
+        # compared as integers, so that the check is bitwise
+        cols, weights = (a.reshape(self.n_states, -1) for a in (
+            self.kernel.indices, self.kernel.data.view(np.int64)))
+        if (cols == cols[0]).all() and (weights == weights[0]).all():
+            return _kernel_rows(self.kernel, 0, 1, self.n_actions)
+        return None
 
     @property
     def n_states(self) -> int:

@@ -129,11 +129,15 @@ def with_sweep_blocks(mdp, n_blocks):
     """A copy of ``mdp`` (sharing its arrays) swept in ``n_blocks`` row blocks.
 
     The copy is built by ``DiscreteMDP.__post_init__`` with the block count
-    forced, whatever the table size and the number of usable cores.
+    forced, whatever the table size and the number of usable cores.  Its
+    lazy ``state_free_rows`` is forced to None before its first sweep, so a
+    state-free kernel is swept in the row blocks too.
     """
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(model, "_sweep_block_count", lambda cells: n_blocks)
-        return dataclasses.replace(mdp)
+        copy = dataclasses.replace(mdp)
+    copy.__dict__["state_free_rows"] = None
+    return copy
 
 
 def accept_fluid_problem():
@@ -190,6 +194,14 @@ def small_fluid(bench_analytic):
 @pytest.fixture(scope="session")
 def small_mdp(small_fluid):
     return small_fluid[2]
+
+
+@pytest.fixture(scope="session")
+def scale_mdp():
+    """CUSTOM_TWO_ACTION_DOC (a scale reset) on 120 states and 121 waits."""
+    doc = json.loads(json.dumps(CUSTOM_TWO_ACTION_DOC))
+    doc["grid"].update(state_n=120, theta_n=120)
+    return ic.discretize(*ic.problem_from_config(doc))
 
 
 @pytest.fixture(scope="session")

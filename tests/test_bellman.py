@@ -288,26 +288,18 @@ def test_bellman_solve_keeps_one_q_table(accept_fluid, solver):
     assert peak <= 2.2 * table, peak / table
 
 
-def test_sweep_splits_from_two_to_the_eighteen_cells(small_mdp):
+def test_sweep_splits_from_two_to_the_eighteen_cells(scale_mdp):
     assert model._sweep_block_count(2 ** 18 - 1) == 1
     assert model._sweep_block_count(2 ** 18) == model._usable_cores()
-    (lo, hi, kernel), = small_mdp.sweep_blocks  # 120 x 121 cells: one block
-    assert (lo, hi) == (0, small_mdp.n_states) and kernel is small_mdp.kernel
+    (lo, hi, kernel), = scale_mdp.sweep_blocks  # 120 x 242 cells: one block
+    assert (lo, hi) == (0, scale_mdp.n_states) and kernel is scale_mdp.kernel
+    assert scale_mdp.state_free_rows is None
 
 
-@pytest.mark.parametrize("n_blocks", [1, 2, 3, "n_states"])
-def test_sweep_blocks_are_bitwise_the_full_table(small_mdp, n_blocks):
-    k = small_mdp.n_states if n_blocks == "n_states" else n_blocks
-    mdp = with_sweep_blocks(small_mdp, k)
-    edges = [b[:2] for b in mdp.sweep_blocks]
-    assert len(edges) == k and edges[0][0] == 0 and edges[-1][1] == mdp.n_states
-    assert all(a[1] == b[0] for a, b in zip(edges, edges[1:]))
-    kernel = small_mdp.kernel
-    for _, _, block in mdp.sweep_blocks:
-        assert all(np.shares_memory(getattr(block, name), getattr(kernel, name))
-                   for name in ("data", "indices", "indptr"))
-    cost = combined_cost(mdp, [G_STAR])
-    sol = ic.policy_iteration(small_mdp, [G_STAR])
+def _assert_sweep_is_the_reference(mdp, g, sol):
+    """``_sweep`` is bitwise survival * (w_lo W[lo] + w_hi W[hi]) + cost, at
+    the value and policy of ``sol`` and on a tie-heavy table at W = 0."""
+    cost = combined_cost(mdp, g)
     flat = sol.policy.flat
     tied = np.floor(2.0 * cost) / 2.0  # W = 0 makes Q this table
     assert np.any((tied == tied.min(axis=1, keepdims=True)).sum(axis=1) > 1)
@@ -320,17 +312,77 @@ def test_sweep_blocks_are_bitwise_the_full_table(small_mdp, n_blocks):
         assert np.array_equal(q_best, q.min(axis=1))
         assert np.array_equal(q_flat, q[rows, flat])
         assert bellman._sweep(mdp, W, c)[2] is None
+
+
+def _assert_solvers_agree(want_mdp, got_mdp, g):
     for solver in (ic.policy_iteration, ic.solve_W):
-        want, got = solver(small_mdp, [G_STAR]), solver(mdp, [G_STAR])
+        want, got = solver(want_mdp, g), solver(got_mdp, g)
         assert np.array_equal(got.W, want.W) and got.policy == want.policy
         assert got.trace == want.trace
 
 
-def test_sweep_takes_back_blocks_a_busy_pool_has_not_started(small_mdp):
-    mdp = with_sweep_blocks(small_mdp, 3)
+@pytest.mark.parametrize("n_blocks", [1, 2, 3, "n_states"])
+def test_sweep_blocks_are_bitwise_the_full_table(scale_mdp, n_blocks):
+    k = scale_mdp.n_states if n_blocks == "n_states" else n_blocks
+    mdp = with_sweep_blocks(scale_mdp, k)
+    assert mdp.state_free_rows is None
+    edges = [b[:2] for b in mdp.sweep_blocks]
+    assert len(edges) == k and edges[0][0] == 0 and edges[-1][1] == mdp.n_states
+    assert all(a[1] == b[0] for a, b in zip(edges, edges[1:]))
+    kernel = scale_mdp.kernel
+    for _, _, block in mdp.sweep_blocks:
+        assert all(np.shares_memory(getattr(block, name), getattr(kernel, name))
+                   for name in ("data", "indices", "indptr"))
+    sol = ic.policy_iteration(scale_mdp, [G_STAR])
+    _assert_sweep_is_the_reference(mdp, [G_STAR], sol)
+    _assert_solvers_agree(scale_mdp, mdp, [G_STAR])
+
+
+@pytest.mark.parametrize("mdp_name", ["small_mdp", "j2_mdp"])
+def test_state_free_kernel_is_swept_once_per_action(request, mdp_name):
+    # every state lands where state 0 does: the sweep takes state 0's
+    # n_actions rows and broadcasts their product over the states
+    mdp = request.getfixturevalue(mdp_name)
+    g = np.full(mdp.n_constraints, G_STAR)
+    rows = mdp.state_free_rows
+    assert rows.shape == (mdp.n_actions, mdp.n_states)
+    assert all(np.shares_memory(getattr(rows, name), getattr(mdp.kernel, name))
+               for name in ("data", "indices", "indptr"))
+    assert (rows != mdp.kernel[:mdp.n_actions]).nnz == 0
+    _assert_sweep_is_the_reference(mdp, g, ic.policy_iteration(mdp, g))
+    blocks = with_sweep_blocks(mdp, 1)
+    assert blocks.state_free_rows is None
+    assert blocks.sweep_blocks[0][2] is mdp.kernel
+    _assert_solvers_agree(blocks, mdp, g)
+
+
+@pytest.mark.parametrize("landing", ["constant", "last bit", "next interval"])
+def test_one_state_off_the_shared_landing_is_not_state_free(landing):
+    # the identity flow lands state i's impulses at reset(x_i); the reset is
+    # 0.5 everywhere but at state 7, where it moves one weight by its last
+    # bit, or the landing's interval with the same weights (1/2, 1/2)
+    odd = {"constant": 0.5, "last bit": np.nextafter(0.5, 1.0),
+           "next interval": 1.5}[landing]
+    prob = ic.ImpulseProblem(
+        flow=lambda x, t: x + 0.0 * t,
+        reset=lambda y, a: np.where(y == 7.0, odd, 0.5),
+        gradual_costs=(lambda x: 1.0 + x, 0.5),
+        impulse_costs=(lambda y, a: 1.0 + 0.0 * y, lambda y, a: 0.0 * y),
+        alpha=1.0, x0=0.0, bounds=(1.0,), actions=("a",))
+    mdp = ic.discretize(prob, ic.GridSpec.uniform(0.0, 29.0, 30, 2.0, 20, 0.01))
+    if landing == "constant":
+        assert mdp.state_free_rows.shape == (mdp.n_actions, mdp.n_states)
+    else:
+        assert mdp.state_free_rows is None
+    _assert_sweep_is_the_reference(mdp, [1.0], ic.policy_iteration(mdp, [1.0]))
+
+
+def test_sweep_takes_back_blocks_a_busy_pool_has_not_started(scale_mdp):
+    mdp = with_sweep_blocks(scale_mdp, 3)
+    assert len(mdp.sweep_blocks) == 3 and mdp.state_free_rows is None
     W = np.linspace(0.0, 1.0, mdp.n_states)
     cost = combined_cost(mdp, [1.0])
-    want = bellman._sweep(small_mdp, W, cost)
+    want = bellman._sweep(scale_mdp, W, cost)
     release = threading.Event()
     pool = bellman._executor()
     busy = [pool.submit(release.wait, 30.0)
@@ -344,10 +396,11 @@ def test_sweep_takes_back_blocks_a_busy_pool_has_not_started(small_mdp):
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_forked_child_sweeps_with_its_own_pool(small_mdp):
+def test_forked_child_sweeps_with_its_own_pool(scale_mdp):
     # the child inherits the pool object but not its worker threads: a task
     # submitted to that pool would never run, so the child waits with a cap
-    mdp = with_sweep_blocks(small_mdp, 3)
+    mdp = with_sweep_blocks(scale_mdp, 3)
+    assert len(mdp.sweep_blocks) == 3 and mdp.state_free_rows is None
     W = np.linspace(0.0, 1.0, mdp.n_states)
     cost = combined_cost(mdp, [1.0])
     want = bellman._sweep(mdp, W, cost)  # the pool and its worker exist now

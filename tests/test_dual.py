@@ -22,7 +22,7 @@ from impulsecontrol import cli, dual, fluidq, model
 from impulsecontrol.dual import mix_weights
 
 from conftest import (BANDS, J2_DOC, band_centre_doc, constant_theta_policy,
-                      custom_two_action_off_grid_doc, fluid_mdp,
+                      custom_j2_doc, custom_two_action_off_grid_doc, fluid_mdp,
                       with_sweep_blocks)
 
 
@@ -717,8 +717,21 @@ def test_unconstrained_problem_runs_through_pipeline():
 
 @pytest.fixture(scope="module")
 def split_fluid():
-    """A fluid MDP of exactly 2^18 cells, as built (one block per core)."""
+    """A fluid MDP of exactly 2^18 cells (one block per core); its kernel is
+    state-free."""
     mdp = fluid_mdp(state_n=512, theta_n=511)[2]
+    assert mdp.costs[0].size == model._SWEEP_SPLIT_CELLS
+    return mdp
+
+
+@pytest.fixture(scope="module")
+def split_scale():
+    """custom-j2 with a scale reset on exactly 2^18 cells, as built (one
+    block per core): its landings depend on the state."""
+    doc = custom_j2_doc(0.5, 512)
+    doc["reset"] = {"type": "scale", "factor": 0.5}
+    doc["grid"]["theta_n"] = 511
+    mdp = ic.discretize(*ic.problem_from_config(doc))
     assert mdp.costs[0].size == model._SWEEP_SPLIT_CELLS
     return mdp
 
@@ -732,14 +745,9 @@ def _same_result(a, b) -> bool:
             and [p.h for p in a.trace] == [p.h for p in b.trace])
 
 
-@pytest.mark.parametrize("n_blocks", [None, 3])
-def test_threads_sharing_an_mdp_get_the_single_block_answer(split_fluid,
-                                                            n_blocks):
-    # None: the blocks the MDP was built with (one per usable core).  More
-    # callers than cores, with frequent thread switches, each join bounded
-    ref = ic.solve_constrained(with_sweep_blocks(split_fluid, 1))
-    shared = split_fluid if n_blocks is None else with_sweep_blocks(
-        split_fluid, n_blocks)
+def _assert_threads_get(shared, ref):
+    """More callers than cores solve ``shared`` at once, with frequent
+    thread switches, each join bounded; each gets ``ref``."""
     n_callers = model._usable_cores() + 1
     results = [None] * n_callers
     barrier = threading.Barrier(n_callers)
@@ -760,6 +768,29 @@ def test_threads_sharing_an_mdp_get_the_single_block_answer(split_fluid,
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in callers)
     assert all(r is not None and _same_result(r, ref) for r in results)
+
+
+@pytest.mark.parametrize("n_blocks", [None, 3])
+def test_threads_sharing_an_mdp_get_the_single_block_answer(split_scale,
+                                                            n_blocks):
+    # None: a fresh copy with the blocks it was built with (one per usable
+    # core), whose state-free check the callers' first sweeps make
+    ref = ic.solve_constrained(with_sweep_blocks(split_scale, 1))
+    if n_blocks is None:
+        shared = dataclasses.replace(split_scale)
+    else:
+        shared = with_sweep_blocks(split_scale, n_blocks)
+    assert len(shared.sweep_blocks) == (n_blocks or model._usable_cores())
+    _assert_threads_get(shared, ref)
+    assert shared.state_free_rows is None
+
+
+def test_threads_sharing_a_state_free_mdp_get_the_row_block_answer(split_fluid):
+    # a fresh copy: the callers' first sweeps make its state-free rows
+    ref = ic.solve_constrained(with_sweep_blocks(split_fluid, 1))
+    shared = dataclasses.replace(split_fluid)
+    _assert_threads_get(shared, ref)
+    assert shared.state_free_rows.shape == (shared.n_actions, shared.n_states)
 
 
 def _two_records(name, mdp):

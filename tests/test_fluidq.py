@@ -31,6 +31,8 @@ def test_x_g_residual_is_tiny():
         x = fluidq.x_g(P, g)
         resid = g * x - 1.0 - g * (1.0 - math.exp(-x))
         assert abs(resid) <= 1e-12
+    with pytest.raises(ValueError):
+        fluidq.x_g(P, 0.0)
 
 
 def test_x_g_matches_independent_bisection():
@@ -44,13 +46,6 @@ def test_x_g_decreases_in_g():
     gs = [0.05, 0.2, 0.7, 1.5, 4.0, 12.0]
     xs = [fluidq.x_g(P, g) for g in gs]
     assert all(a > b for a, b in zip(xs, xs[1:]))
-
-
-def test_x_g_total_version_handles_zero():
-    assert math.isinf(fluidq.x_g_or_inf(P, 0.0))
-    assert fluidq.x_g_or_inf(P, 1.0) == fluidq.x_g(P, 1.0)
-    with pytest.raises(ValueError):
-        fluidq.x_g(P, 0.0)
 
 
 def test_g_of_x_direct_value():
