@@ -10,8 +10,10 @@ the killed mass 1 - survival carrying no further cost.  Two solvers are kept.
 
 Howard's policy iteration (:func:`policy_iteration`, Howard 1960; Puterman
 1994, section 6.4) is the kernel of every dual evaluation: each step
-evaluates a policy exactly by one sparse linear solve and improves it
-greedily, so it needs a handful of steps where value iteration needs about
+evaluates a policy exactly by one linear solve
+(``DiscreteMDP.solve_policy``: a small dense one on the landing states
+when every state lands where state 0 does, a sparse LU otherwise) and
+improves it greedily, so it needs a handful of steps where value iteration needs about
 1/(alpha * mean wait) sweeps, and it can start from the policy of a nearby
 multiplier.
 
@@ -273,7 +275,8 @@ def policy_iteration(mdp: DiscreteMDP, g, cfg: BellmanConfig = BellmanConfig(),
     """Howard's policy iteration from ``start`` (default: never impulse).
 
     Each step solves V_j = c_j,f + P_f V_j for the current policy f and
-    every cost j in one sparse LU solve, sets W = V @ (1, g), then switches
+    every cost j in one linear solve (``DiscreteMDP.solve_policy``), sets
+    W = V @ (1, g), then switches
     a state to its smallest-index Q minimizer only where that beats the
     current action by more than ``tolerance * (1 + |W|)``, so round-off
     cannot cycle between tied actions.  It stops when no state

@@ -78,6 +78,9 @@ _LATTICE_NODE_BYTES = 48
 # (state, action) cells from which a Bellman sweep is split into one row
 # block per usable core: a 2 MiB float64 Q table, one core's L2 cache
 _SWEEP_SPLIT_CELLS = 2 ** 18
+# most grid states a state-free kernel may land on for a policy to be
+# evaluated by a dense solve on them rather than a sparse LU of the grid
+_DENSE_LANDINGS = 64
 
 
 def _usable_cores() -> int:
@@ -260,17 +263,20 @@ class DiscreteMDP:
     blocks for the Bellman sweep, made once here.  A Q table of at least
     2^18 cells (2 MiB) gets one block per usable core; a smaller table, or a
     process with one usable core, gets the single block ``kernel``.
-    ``state_free_rows`` is state 0's ``n_actions`` kernel rows when every
-    grid state's rows are bitwise those (the landing depends on the action
-    alone, as a constant reset makes it), and None otherwise; the sweep
-    then takes one product over them and broadcasts it over the states, in
-    place of the blocks.  It is checked on first use and cached, so a
-    command that never sweeps does not pay for the check.  Both views copy
-    none of the kernel's arrays.  All arrays are written once at
+    ``landing_states`` holds the sorted grid states that state 0's kernel
+    rows name when every grid state's rows are bitwise those (the landing
+    depends on the action alone, as a constant reset makes it), and None
+    otherwise.  ``state_free_rows`` is then state 0's ``n_actions`` kernel
+    rows, and None otherwise; the sweep takes one product over them and
+    broadcasts it over the states, in place of the blocks, and
+    :meth:`solve_policy` solves on the landing states.  The check is made
+    on first use and cached, so a command that neither sweeps nor solves
+    does not pay for it, and the sweep and the solve share it.  Both views
+    copy none of the kernel's arrays.  All arrays are written once at
     construction and are read-only afterwards, so instances are safe to
-    share across threads, sweeps included; threads that first sweep an
-    instance at the same time may each make ``state_free_rows``, and they
-    make the same.
+    share across threads, sweeps and solves included; threads that first
+    use an instance at the same time may each make these cached views, and
+    they make the same.
     """
 
     states: np.ndarray            # (n_states,) grid points
@@ -306,13 +312,20 @@ class DiscreteMDP:
                 f"expected {self.costs.shape[0] - 1} bounds, got {len(self.bounds)}")
 
     @cached_property
-    def state_free_rows(self) -> sparse.csr_matrix | None:
-        # compared as integers, so that the check is bitwise
+    def landing_states(self) -> np.ndarray | None:
+        # compared as integers, so that the check is bitwise; the never
+        # impulse actions name states 0 and 1 with survival 0
         cols, weights = (a.reshape(self.n_states, -1) for a in (
             self.kernel.indices, self.kernel.data.view(np.int64)))
         if (cols == cols[0]).all() and (weights == weights[0]).all():
-            return _kernel_rows(self.kernel, 0, 1, self.n_actions)
+            return np.unique(cols[0])
         return None
+
+    @cached_property
+    def state_free_rows(self) -> sparse.csr_matrix | None:
+        if self.landing_states is None:
+            return None
+        return _kernel_rows(self.kernel, 0, 1, self.n_actions)
 
     @property
     def n_states(self) -> int:
@@ -336,19 +349,41 @@ class DiscreteMDP:
 
     def solve_policy(self, flat: np.ndarray, rhs: np.ndarray,
                      transpose: bool = False) -> np.ndarray | None:
-        """Solve (I - P) x = rhs, or (I - P^T) x = rhs, by sparse LU.
+        """Solve (I - P) x = rhs, or (I - P^T) x = rhs.
 
         P is the sub-stochastic state-to-state matrix of the chain that takes
         action ``flat[i]`` at grid state i (the killed mass leaves it): the
         kernel rows of the cells (i, flat[i]), each scaled by its survival.
-        I - P is assembled directly, three entries per row (the diagonal 1,
-        then -survival * weight at the two landings), with duplicates summed
-        and zeros dropped.  ``rhs`` may have one column per right-hand side,
-        so one factorization serves every cost the policy is evaluated
-        under; the factor is dropped on return.  Returns None when the
+        ``rhs`` may have one column per right-hand side, so one solve serves
+        every cost the policy is evaluated under.  Returns None when the
         system is singular (a survival-1 cycle) or the solution is not
         finite.
+
+        When every state lands where state 0 does, on at most
+        ``_DENSE_LANDINGS`` grid states S (``landing_states``), P has
+        nonzero columns on S only, so I - P is block triangular and only
+        its S x S block M = I - P[S, S] needs a solve, a small dense one
+        (block elimination; Golub & Van Loan, *Matrix Computations*,
+        section 3.2): x[S] solves M x[S] = rhs[S] and every other x is
+        rhs + P[:, S] x[S]; transposed, x is rhs off S and x[S] solves
+        M^T x[S] = rhs[S] + P[S^c, S]^T rhs[S^c].  I - P is singular
+        exactly when M is.  Otherwise I - P is assembled directly, three
+        entries per row (the diagonal 1, then -survival * weight at the two
+        landings), with duplicates summed and zeros dropped, and factored
+        by sparse LU; the factor is dropped on return.
         """
+        landings = self.landing_states
+        with np.errstate(all="ignore"):
+            if landings is not None and landings.size <= _DENSE_LANDINGS:
+                x = self._solve_on_landings(flat, rhs, transpose)
+            else:
+                x = self._solve_by_lu(flat, rhs, transpose)
+        if x is None or not np.all(np.isfinite(x)):
+            return None
+        return x
+
+    def _solve_by_lu(self, flat: np.ndarray, rhs: np.ndarray,
+                     transpose: bool) -> np.ndarray | None:
         n = self.n_states
         k = 2 * (np.arange(n) * self.n_actions + flat)  # first kernel entry
         s = self.survival[flat]
@@ -367,9 +402,35 @@ class DiscreteMDP:
             lu = splu((A.T if transpose else A).tocsc())
         except RuntimeError:
             return None
-        with np.errstate(all="ignore"):
-            x = lu.solve(rhs)
-        if not np.all(np.isfinite(x)):
+        return lu.solve(rhs)
+
+    @cached_property
+    def _landing_kernel(self) -> np.ndarray:
+        # (n_actions, |S|): row q is survival[q] * state 0's kernel row of
+        # action q on the landing states, the row P[i, S] of any i taking q
+        S = self.landing_states
+        out = np.zeros((self.n_actions, S.size))
+        actions = np.arange(self.n_actions)
+        for cols, weights in ((self.next_lo[0], self.w_lo[0]),
+                              (self.next_hi[0], self.w_hi[0])):
+            out[actions, np.searchsorted(S, cols)] = self.survival * weights
+        return out
+
+    def _solve_on_landings(self, flat: np.ndarray, rhs: np.ndarray,
+                           transpose: bool) -> np.ndarray | None:
+        S = self.landing_states
+        B = self._landing_kernel[flat]  # P[:, S]
+        M = np.eye(S.size) - B[S]
+        try:
+            if transpose:
+                B[S] = 0.0  # P[S^c, S]
+                x = rhs.copy()
+                x[S] = np.linalg.solve(M.T, rhs[S] + B.T @ rhs)
+            else:
+                x_s = np.linalg.solve(M, rhs[S])
+                x = rhs + B @ x_s
+                x[S] = x_s
+        except np.linalg.LinAlgError:
             return None
         return x
 

@@ -2,9 +2,9 @@
 
 Two deliberately independent evaluation paths are kept for cross-validation:
 one walk of the grid trajectory, which sums the geometric series of the
-cycle it ends in (exact when landings hit grid points), and a sparse linear
-solve of the interpolated fixed-point system (used when a landing splits
-between grid points, and for occupation measures).  A third, grid-free
+cycle it ends in (exact when landings hit grid points), and a linear solve
+of the interpolated fixed-point system (``DiscreteMDP.solve_policy``; used
+when a landing splits between grid points, and for occupation measures).  A third, grid-free
 oracle integrates the continuous-time cost sum of a decision rule directly
 along the true flow.  An occupation measure holds only the (state, action)
 cells it charges, n of them for a deterministic policy, and its balance
@@ -166,7 +166,7 @@ def eval_policy(mdp: DiscreteMDP, f: StationaryPolicy) -> CostVector:
 
 
 def occupation_measure(mdp: DiscreteMDP, f: StationaryPolicy) -> OccupationMeasure:
-    """Occupation measure of a stationary policy by direct sparse linear solve.
+    """Occupation measure of a stationary policy by one direct linear solve.
 
     Solves mu = delta_x0 + Q_f^T mu on the grid.  The measure charges the
     policy's cell (i, f(i)) of every grid state i and nothing else, so it

@@ -131,7 +131,8 @@ def with_sweep_blocks(mdp, n_blocks):
     The copy is built by ``DiscreteMDP.__post_init__`` with the block count
     forced, whatever the table size and the number of usable cores.  Its
     lazy ``state_free_rows`` is forced to None before its first sweep, so a
-    state-free kernel is swept in the row blocks too.
+    state-free kernel is swept in the row blocks too; ``solve_policy``
+    reads ``landing_states``, so the copy still solves on those.
     """
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(model, "_sweep_block_count", lambda cells: n_blocks)

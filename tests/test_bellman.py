@@ -215,10 +215,12 @@ def test_warm_start_from_a_solution_reuses_its_factor(monkeypatch, small_mdp,
     # the per-cost values V are the policy's alone: a start given as the
     # previous solution takes its first step from that solution's V, as
     # often as it is reused, and the answer is bitwise that of a start from
-    # the bare policy, which factorizes again
+    # the bare policy, which solves again.  Linear solves are counted, on
+    # the landing states or by sparse LU alike
     made = []
-    real = model.splu
-    monkeypatch.setattr(model, "splu", lambda A: made.append(1) or real(A))
+    real = ic.DiscreteMDP.solve_policy
+    monkeypatch.setattr(ic.DiscreteMDP, "solve_policy",
+                        lambda *args: made.append(1) or real(*args))
     for mdp, g_prev, g in ((small_mdp, [1.0], [G_STAR]),
                            (j2_mdp, [1.0, 0.0], [3.0, 0.5])):
         prev = ic.policy_iteration(mdp, g_prev)
@@ -234,7 +236,7 @@ def test_warm_start_from_a_solution_reuses_its_factor(monkeypatch, small_mdp,
         again = ic.policy_iteration(mdp, g, start=prev)
         assert len(made) == again.iterations - 1
         assert np.array_equal(again.W, bare.W)
-        # a converged solve at g is its own fixed point: one step, no factor
+        # a converged solve at g is its own fixed point: one step, no solve
         made.clear()
         fixed = ic.policy_iteration(mdp, g, start=warm)
         assert (len(made), fixed.iterations) == (0, 1)

@@ -399,7 +399,7 @@ def test_solve_does_not_load_the_lp_solver(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# one SuperLU factorization per policy across the dual search
+# one linear solve per policy across the dual search
 
 
 def _band_mdp(doc):
@@ -434,30 +434,37 @@ class _TrackedFactor:
         self.ledger.alive -= 1
 
 
-@pytest.mark.parametrize("doc, expected", [
-    *(pytest.param(band_centre_doc(name), n, id=f"{name}-{n}") for name, n in
-      (("fluid-tight", 19), ("fluid-accept", 16), ("custom-j2", 10))),
-    pytest.param(custom_two_action_off_grid_doc(), 5,
+@pytest.mark.parametrize("doc, expected, factored", [
+    *(pytest.param(band_centre_doc(name), n, False, id=f"{name}-{n}")
+      for name, n in (("fluid-tight", 19), ("fluid-accept", 16), ("custom-j2", 10))),
+    pytest.param(custom_two_action_off_grid_doc(), 5, True,
                  id="custom-two-action-off-grid-5")])
-def test_band_centre_factorizations(monkeypatch, doc, expected):
+def test_band_centre_factorizations(monkeypatch, doc, expected, factored):
     # every evaluation after the first takes its first step from the
     # previous cut's per-cost values, so the search makes sum of steps -
-    # (evaluations - 1) factorizations (32, 25 and 18 when each step
-    # factorizes).  The cuts read those values too, so off-grid landings
-    # add none there; only the certificates' own evaluation of the mixture
+    # (evaluations - 1) linear solves (32, 25 and 18 when each step
+    # solves).  The cuts read those values too, so off-grid landings add
+    # none there; only the certificates' own evaluation of the mixture
     # solves, once on the off-grid doc (7 when each cut evaluated its
-    # policy again)
+    # policy again).  The band centres reset to a constant, so they solve
+    # on their landing states and never factor the grid; the off-grid
+    # doc's scale reset factors once per solve
     mdp = _band_mdp(doc)
     ledger = _FactorLedger(model.splu)
     monkeypatch.setattr(model, "splu", ledger)
+    solves = []
+    real_solve = ic.DiscreteMDP.solve_policy
+    monkeypatch.setattr(ic.DiscreteMDP, "solve_policy",
+                        lambda *args: solves.append(1) or real_solve(*args))
     made_by_search = []
     real_mixture = dual.eval_mixture
     monkeypatch.setattr(dual, "eval_mixture", lambda mdp, m: (
-        made_by_search.append(ledger.made) or real_mixture(mdp, m)))
+        made_by_search.append(len(solves)) or real_mixture(mdp, m)))
     result = ic.solve_constrained(mdp)
     steps = sum(pt.solution.iterations for pt in result.trace)
     assert made_by_search == [steps - (len(result.trace) - 1)]
-    assert ledger.made == expected
+    assert len(solves) == expected
+    assert ledger.made == (expected if factored else 0)
     # no factor outlives its use: none alive when another is made, and none
     # once the solve has returned
     assert ledger.alive_at_new == [0] * ledger.made

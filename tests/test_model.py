@@ -15,7 +15,7 @@ from impulsecontrol import model
 from impulsecontrol.model import INFINITY, ConfigError
 
 from conftest import (CUSTOM_TWO_ACTION_DOC, J2_DOC, accept_fluid_problem,
-                      fluid_mdp, traced_peak, transition)
+                      fluid_mdp, traced_peak, transition, with_sweep_blocks)
 
 
 @pytest.fixture(scope="module")
@@ -519,12 +519,24 @@ def _solve_policy_reference(mdp, flat, rhs, transpose):
     return x if np.all(np.isfinite(x)) else None
 
 
+def _assert_solves_match(got, want, bitwise):
+    if bitwise:
+        assert np.array_equal(got, want)
+    else:
+        assert np.all(np.abs(got - want) <= 1e-14 * (1.0 + np.abs(want)))
+
+
 @pytest.mark.parametrize("table", ["fluid", "custom-two-action"])
 def test_solve_policy_matches_the_row_slice_assembly(small_mdp, table):
+    # the scale reset's kernel depends on the state, so it is factored and
+    # matches the reference bitwise; the fluid's constant reset is solved
+    # on its landing states instead, equal up to round-off
     if table == "fluid":
         mdp = small_mdp
     else:
         mdp = ic.discretize(*ic.problem_from_config(CUSTOM_TWO_ACTION_DOC))
+    bitwise = table != "fluid"
+    assert (mdp.landing_states is None) == bitwise
     n = mdp.n_states
     rng = np.random.default_rng(5)
     # random positive waits, every label and never impulse; the fluid's
@@ -536,14 +548,84 @@ def test_solve_policy_matches_the_row_slice_assembly(small_mdp, table):
         for transpose in (False, True):
             got = mdp.solve_policy(flat, rhs, transpose=transpose)
             want = _solve_policy_reference(mdp, flat, rhs, transpose)
-            assert got.shape == (n, 2) and np.array_equal(got, want)
-            assert np.array_equal(mdp.solve_policy(flat, rhs[:, 0], transpose),
-                                  want[:, 0])
+            assert got.shape == (n, 2)
+            _assert_solves_match(got, want, bitwise)
+            _assert_solves_match(mdp.solve_policy(flat, rhs[:, 0], transpose),
+                                 want[:, 0], bitwise)
     # zero wait everywhere: survival 1 around a cycle, singular
     zero_wait = np.zeros(n, dtype=np.intp)
     for transpose in (False, True):
         assert _solve_policy_reference(mdp, zero_wait, rhs, transpose) is None
         assert mdp.solve_policy(zero_wait, rhs, transpose) is None
+
+
+def _split_landing_mdp(landing_a):
+    """Label "a" resets to ``landing_a``, label "b" to 2.05, on states
+    0, 0.1, ..., 3: a state-free kernel whose landings split between grid
+    states 0 and 1 and between 20 and 21."""
+    landing = {"a": landing_a, "b": 2.05}
+    prob = ic.ImpulseProblem(
+        flow=lambda x, t: x + t, reset=lambda y, a: np.full_like(y, landing[a]),
+        gradual_costs=(lambda x: 0.5 + 0.0 * x, lambda x: x),
+        impulse_costs=(lambda x, a: 1.0 + 0.5 * x, lambda x, a: 0.0 * x),
+        alpha=1.0, x0=0.0, bounds=(1.0,), actions=("a", "b"))
+    return ic.discretize(prob, ic.GridSpec.uniform(0.0, 3.0, 31, 1.0, 10, 0.01))
+
+
+def test_split_landings_are_solved_on_four_states(monkeypatch):
+    mdp = _split_landing_mdp(0.07)
+    assert mdp.landing_states.tolist() == [0, 1, 20, 21]
+    assert mdp.w_lo[0, :2] == pytest.approx([0.3, 0.5], abs=1e-12)
+    n = mdp.n_states
+    rng = np.random.default_rng(11)
+    policies = [rng.integers(mdp.n_labels, mdp.n_actions, n) for _ in range(4)]
+    rhs = rng.uniform(0.0, 1.0, (n, 2))
+    for flat in policies:
+        for transpose in (False, True):
+            got = mdp.solve_policy(flat, rhs, transpose=transpose)
+            want = _solve_policy_reference(mdp, flat, rhs, transpose)
+            _assert_solves_match(got, want, bitwise=False)
+    # the landing solve never factors the grid, row-block copies included
+    monkeypatch.setattr(model, "splu", None)
+    copy = with_sweep_blocks(mdp, 2)
+    assert copy.state_free_rows is None
+    assert np.array_equal(copy.solve_policy(policies[0], rhs),
+                          mdp.solve_policy(policies[0], rhs))
+    monkeypatch.undo()
+    # zero wait everywhere, under either label: a survival-1 cycle through
+    # a split landing, singular on both paths.  Here its pivots round to
+    # zero; a rounded nonzero pivot hides such a cycle from both paths alike
+    # (label "a" landing anywhere in 0.01-0.04 does)
+    for label in (0, 1):
+        zero_wait = np.full(n, label, dtype=np.intp)
+        for transpose in (False, True):
+            assert _solve_policy_reference(mdp, zero_wait, rhs, transpose) is None
+            assert mdp.solve_policy(zero_wait, rhs, transpose) is None
+    # the balance of the transposed solve's occupation measure holds
+    for flat in policies:
+        mu = ic.occupation_measure(mdp, ic.StationaryPolicy(flat, mdp.n_labels))
+        assert ic.check_characteristic(mdp, mu) <= 1e-14 * (1.0 + mu.total)
+
+
+def test_a_state_free_kernel_with_many_landings_is_factored(monkeypatch):
+    # the flow forgets the state, so every state lands where state 0 does,
+    # but on one grid state per wait: too many for a dense solve on them
+    prob = ic.ImpulseProblem(
+        flow=lambda x, t: t + 0.0 * x, reset=lambda y, a: y,
+        gradual_costs=(lambda x: 0.5 + 0.0 * x, lambda x: x),
+        impulse_costs=(lambda x, a: 1.0 + 0.0 * x, lambda x, a: 0.0 * x),
+        alpha=1.0, x0=0.0, bounds=(1.0,), actions=("a",))
+    mdp = ic.discretize(prob, ic.GridSpec.uniform(0.0, 3.0, 100, 3.0, 100, 0.01))
+    assert mdp.landing_states.size > model._DENSE_LANDINGS
+    factored = []
+    real = model.splu
+    monkeypatch.setattr(model, "splu", lambda A: factored.append(1) or real(A))
+    flat = np.random.default_rng(3).integers(1, mdp.n_actions, mdp.n_states)
+    rhs = np.ones(mdp.n_states)
+    for transpose in (False, True):
+        assert np.array_equal(mdp.solve_policy(flat, rhs, transpose),
+                              _solve_policy_reference(mdp, flat, rhs, transpose))
+    assert len(factored) == 2
 
 
 def test_simpson_lattice_is_linspace_per_span():
