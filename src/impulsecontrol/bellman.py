@@ -24,13 +24,14 @@ doubles as a runtime sanity check.
 
 Both solvers go through one sweep, :func:`_sweep`: Q = survival * kernel @ W
 + cost, reduced per state to its smallest-index minimizer.  When every
-state lands where state 0 does (``DiscreteMDP.state_free_rows``, as under
-a constant reset), the product is taken once, over state 0's rows, and its
-one row of Q is broadcast over the states.  Otherwise the sweep goes by
-row blocks: a sweep is a Jacobi update, every row reading only the
-previous iterate, so the rows split into independent blocks (Bertsekas &
-Tsitsiklis, *Parallel and Distributed Computation*, 1989, section 1.2).  A
-large MDP carries one row block per usable core
+state lands where state 0 does, on at most 64 grid states S
+(``DiscreteMDP.landing_states``, as under a constant reset), state 0's row
+of Q is formed once from the table ``DiscreteMDP.landing_weights`` and
+broadcast over the states; the policy solve reads the same table.
+Otherwise the sweep goes by row blocks: a sweep is a Jacobi update, every
+row reading only the previous iterate, so the rows split into independent
+blocks (Bertsekas & Tsitsiklis, *Parallel and Distributed Computation*,
+1989, section 1.2).  A large MDP carries one row block per usable core
 (``DiscreteMDP.sweep_blocks``): the calling thread sweeps the first, a
 shared thread pool the others, and the caller takes back any block the
 pool has not started by the time it is done.  Each block makes and reduces
@@ -177,13 +178,7 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _sweep_rows(kernel, survival, W, cost, flat):
-    q = (kernel @ W).reshape(-1, cost.shape[1])
-    q *= survival
-    if q.shape == cost.shape:
-        q += cost
-    else:  # a state-free kernel's one row of Q, broadcast over the states
-        q = q + cost
+def _sweep_rows(q, flat):
     best = q.argmin(axis=1)
     rows = np.arange(best.size)
     return best, q[rows, best], None if flat is None else q[rows, flat]
@@ -195,27 +190,37 @@ def _sweep(mdp: DiscreteMDP, W: np.ndarray, cost: np.ndarray,
 
     Returns per state the smallest-index minimizer of
     Q = survival * kernel @ W + cost, its Q value, and the Q value of action
-    ``flat`` (None when ``flat`` is None).  A state-free kernel's product
-    is taken once per action and broadcast, on the calling thread.
-    Otherwise each row block of ``mdp.sweep_blocks`` makes and reduces its
-    own part of Q.  The calling thread sweeps the first block while the
-    pool takes the others, then takes back and sweeps itself every block no
-    worker has started, so a worker that is slow to wake costs at most the
-    serial sweep.  No pool task waits on another, so concurrent callers
-    cannot deadlock.
+    ``flat`` (None when ``flat`` is None).  On a state-free kernel
+    (``mdp.landing_states``, S) every state's row of Q is state 0's, formed
+    on the calling thread as sum_k ``landing_weights[k]`` * W[S[k]] times
+    survival and broadcast onto ``cost``.  Each action has exactly two
+    nonzero weights, lower landing first, so the sum rounds as the CSR
+    product does.  Otherwise each row block of ``mdp.sweep_blocks`` makes
+    and reduces its own part of Q.  The calling thread sweeps the first
+    block while the pool takes the others, then takes back and sweeps
+    itself every block no worker has started, so a worker that is slow to
+    wake costs at most the serial sweep.  No pool task waits on another, so
+    concurrent callers cannot deadlock.
     """
-    rows = mdp.state_free_rows
-    if rows is not None:
-        return _sweep_rows(rows, mdp.survival, W, cost, flat)
-    first, *rest = mdp.sweep_blocks
-    if not rest:
-        return _sweep_rows(first[2], mdp.survival, W, cost, flat)
+    S = mdp.landing_states
+    if S is not None:
+        weights = mdp.landing_weights
+        q = weights[0] * W[S[0]]
+        for k in range(1, S.size):
+            q += weights[k] * W[S[k]]
+        q *= mdp.survival
+        return _sweep_rows(q + cost, flat)
 
     def rows(block):
         lo, hi, kernel = block
-        return _sweep_rows(kernel, mdp.survival, W, cost[lo:hi],
-                           None if flat is None else flat[lo:hi])
+        q = (kernel @ W).reshape(hi - lo, -1)
+        q *= mdp.survival
+        q += cost[lo:hi]
+        return _sweep_rows(q, None if flat is None else flat[lo:hi])
 
+    first, *rest = mdp.sweep_blocks
+    if not rest:
+        return rows(first)
     pool = _executor()
     futures = [pool.submit(rows, block) for block in rest]
     parts = [rows(first)]

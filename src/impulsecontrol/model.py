@@ -57,7 +57,6 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sparse
-from scipy.sparse.linalg import splu
 
 INFINITY = math.inf
 
@@ -78,8 +77,8 @@ _LATTICE_NODE_BYTES = 48
 # (state, action) cells from which a Bellman sweep is split into one row
 # block per usable core: a 2 MiB float64 Q table, one core's L2 cache
 _SWEEP_SPLIT_CELLS = 2 ** 18
-# most grid states a state-free kernel may land on for a policy to be
-# evaluated by a dense solve on them rather than a sparse LU of the grid
+# most grid states a state-free kernel may land on for the sweep to broadcast
+# one row of Q and a policy to be evaluated by a dense solve on them
 _DENSE_LANDINGS = 64
 
 
@@ -96,39 +95,32 @@ def _sweep_block_count(cells: int) -> int:
     return _usable_cores() if cells >= _SWEEP_SPLIT_CELLS else 1
 
 
-def _kernel_rows(kernel: sparse.csr_matrix, lo: int, hi: int,
-                 n_actions: int) -> sparse.csr_matrix:
-    """The kernel rows of grid states lo..hi-1 as a CSR view, copying nothing.
-
-    Every kernel row holds exactly two entries, so the rows view a slice of
-    ``kernel.data`` and ``kernel.indices`` and a prefix of the shared
-    ``kernel.indptr``.
-    """
-    n_rows = (hi - lo) * n_actions
-    entries = slice(2 * lo * n_actions, 2 * hi * n_actions)
-    # the views are set after construction: the (data, indices, indptr)
-    # constructor copies a view that is under half of its base array
-    rows = sparse.csr_matrix((n_rows, kernel.shape[1]), dtype=kernel.dtype)
-    rows.data, rows.indices, rows.indptr = (
-        kernel.data[entries], kernel.indices[entries], kernel.indptr[:n_rows + 1])
-    return rows
-
-
 def _row_blocks(kernel: sparse.csr_matrix, n_states: int,
                 n_blocks: int) -> tuple:
     """``kernel`` split into ``n_blocks`` contiguous runs of grid states.
 
-    Returns (first state, end state, CSR) triples, each CSR a view of the
-    kernel's rows (:func:`_kernel_rows`).  A single block is ``kernel``
-    itself.  The sweep reads them only when the kernel depends on the
-    state (``DiscreteMDP.state_free_rows`` is None).
+    Returns (first state, end state, CSR) triples.  A single block is
+    ``kernel`` itself.  Otherwise every kernel row holds two entries, so a
+    block's CSR views a slice of ``kernel.data`` and ``kernel.indices`` and
+    a prefix of ``kernel.indptr``, copying nothing.  The sweep reads the
+    blocks only when ``DiscreteMDP.landing_states`` is None.
     """
     if n_blocks <= 1:
         return ((0, n_states, kernel),)
     n_actions = kernel.shape[0] // n_states
     edges = [n_states * b // n_blocks for b in range(n_blocks + 1)]
-    return tuple((lo, hi, _kernel_rows(kernel, lo, hi, n_actions))
-                 for lo, hi in zip(edges, edges[1:]))
+    blocks = []
+    for lo, hi in zip(edges, edges[1:]):
+        n_rows = (hi - lo) * n_actions
+        entries = slice(2 * lo * n_actions, 2 * hi * n_actions)
+        # the views are set after construction: the (data, indices, indptr)
+        # constructor copies a view that is under half of its base array
+        rows = sparse.csr_matrix((n_rows, kernel.shape[1]), dtype=kernel.dtype)
+        rows.data, rows.indices, rows.indptr = (
+            kernel.data[entries], kernel.indices[entries],
+            kernel.indptr[:n_rows + 1])
+        blocks.append((lo, hi, rows))
+    return tuple(blocks)
 
 
 @dataclass(frozen=True)
@@ -263,20 +255,19 @@ class DiscreteMDP:
     blocks for the Bellman sweep, made once here.  A Q table of at least
     2^18 cells (2 MiB) gets one block per usable core; a smaller table, or a
     process with one usable core, gets the single block ``kernel``.
-    ``landing_states`` holds the sorted grid states that state 0's kernel
-    rows name when every grid state's rows are bitwise those (the landing
-    depends on the action alone, as a constant reset makes it), and None
-    otherwise.  ``state_free_rows`` is then state 0's ``n_actions`` kernel
-    rows, and None otherwise; the sweep takes one product over them and
-    broadcasts it over the states, in place of the blocks, and
-    :meth:`solve_policy` solves on the landing states.  The check is made
-    on first use and cached, so a command that neither sweeps nor solves
-    does not pay for it, and the sweep and the solve share it.  Both views
-    copy none of the kernel's arrays.  All arrays are written once at
-    construction and are read-only afterwards, so instances are safe to
-    share across threads, sweeps and solves included; threads that first
-    use an instance at the same time may each make these cached views, and
-    they make the same.
+
+    When every grid state's kernel rows are bitwise state 0's (the landing
+    depends on the action alone, as a constant reset makes it) and name at
+    most ``_DENSE_LANDINGS`` grid states, ``landing_states`` holds those
+    states S, sorted; otherwise it is None.  ``landing_weights`` is then
+    the |S| x n_actions table of state 0's interpolation weights on S,
+    survival not folded in.  The sweep forms one row of Q from it and
+    broadcasts that row over the states, and :meth:`solve_policy` solves
+    on S.  Both are made on first use and cached.  All arrays are written
+    once at construction and are read-only afterwards, so instances are
+    safe to share across threads, sweeps and solves included; threads that
+    first use an instance at the same time may each make these cached
+    values, and they make the same.
     """
 
     states: np.ndarray            # (n_states,) grid points
@@ -318,14 +309,20 @@ class DiscreteMDP:
         cols, weights = (a.reshape(self.n_states, -1) for a in (
             self.kernel.indices, self.kernel.data.view(np.int64)))
         if (cols == cols[0]).all() and (weights == weights[0]).all():
-            return np.unique(cols[0])
+            S = np.unique(cols[0])
+            if S.size <= _DENSE_LANDINGS:
+                return S
         return None
 
     @cached_property
-    def state_free_rows(self) -> sparse.csr_matrix | None:
-        if self.landing_states is None:
-            return None
-        return _kernel_rows(self.kernel, 0, 1, self.n_actions)
+    def landing_weights(self) -> np.ndarray:
+        S = self.landing_states
+        out = np.zeros((S.size, self.n_actions))
+        actions = np.arange(self.n_actions)
+        for cols, weights in ((self.next_lo[0], self.w_lo[0]),
+                              (self.next_hi[0], self.w_hi[0])):
+            out[np.searchsorted(S, cols), actions] = weights
+        return out
 
     @property
     def n_states(self) -> int:
@@ -359,22 +356,22 @@ class DiscreteMDP:
         system is singular (a survival-1 cycle) or the solution is not
         finite.
 
-        When every state lands where state 0 does, on at most
-        ``_DENSE_LANDINGS`` grid states S (``landing_states``), P has
-        nonzero columns on S only, so I - P is block triangular and only
-        its S x S block M = I - P[S, S] needs a solve, a small dense one
-        (block elimination; Golub & Van Loan, *Matrix Computations*,
-        section 3.2): x[S] solves M x[S] = rhs[S] and every other x is
-        rhs + P[:, S] x[S]; transposed, x is rhs off S and x[S] solves
-        M^T x[S] = rhs[S] + P[S^c, S]^T rhs[S^c].  I - P is singular
+        On a state-free kernel (``landing_states`` is not None), P has
+        nonzero columns on the landing states S only, so I - P is block
+        triangular and only its S x S block M = I - P[S, S] needs a solve,
+        a small dense one (block elimination; Golub & Van Loan, *Matrix
+        Computations*, section 3.2).  B = P[:, S] is read from
+        ``landing_weights`` times survival: x[S] solves M x[S] = rhs[S] and
+        every other x is rhs + B x[S]; transposed, x is rhs off S and x[S]
+        solves M^T x[S] = rhs[S] + P[S^c, S]^T rhs[S^c].  I - P is singular
         exactly when M is.  Otherwise I - P is assembled directly, three
         entries per row (the diagonal 1, then -survival * weight at the two
         landings), with duplicates summed and zeros dropped, and factored
-        by sparse LU; the factor is dropped on return.
+        by sparse LU; the factor is dropped on return.  scipy's sparse LU
+        is imported on that path only.
         """
-        landings = self.landing_states
         with np.errstate(all="ignore"):
-            if landings is not None and landings.size <= _DENSE_LANDINGS:
+            if self.landing_states is not None:
                 x = self._solve_on_landings(flat, rhs, transpose)
             else:
                 x = self._solve_by_lu(flat, rhs, transpose)
@@ -398,28 +395,18 @@ class DiscreteMDP:
                               shape=(n, n))
         A.sum_duplicates()
         A.eliminate_zeros()
+        from scipy.sparse.linalg import splu
         try:
             lu = splu((A.T if transpose else A).tocsc())
         except RuntimeError:
             return None
         return lu.solve(rhs)
 
-    @cached_property
-    def _landing_kernel(self) -> np.ndarray:
-        # (n_actions, |S|): row q is survival[q] * state 0's kernel row of
-        # action q on the landing states, the row P[i, S] of any i taking q
-        S = self.landing_states
-        out = np.zeros((self.n_actions, S.size))
-        actions = np.arange(self.n_actions)
-        for cols, weights in ((self.next_lo[0], self.w_lo[0]),
-                              (self.next_hi[0], self.w_hi[0])):
-            out[actions, np.searchsorted(S, cols)] = self.survival * weights
-        return out
-
     def _solve_on_landings(self, flat: np.ndarray, rhs: np.ndarray,
                            transpose: bool) -> np.ndarray | None:
         S = self.landing_states
-        B = self._landing_kernel[flat]  # P[:, S]
+        # P[:, S], C-contiguous as BLAS reads it below
+        B = self.landing_weights.T[flat] * self.survival[flat, np.newaxis]
         M = np.eye(S.size) - B[S]
         try:
             if transpose:

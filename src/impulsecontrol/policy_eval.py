@@ -16,6 +16,7 @@ inputs and safe for concurrent use.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,6 +130,41 @@ def _walk(mdp: DiscreteMDP, f: StationaryPolicy):
     return totals, disc, entries, path[path.index(idx):], split
 
 
+def _trapped_cycles(mdp: DiscreteMDP, f: StationaryPolicy) -> np.ndarray:
+    """Grid states on the survival-1 cycles of the chain of ``f``.
+
+    A state is trapped when its action survives with weight exactly 1 and
+    no chain of positive-weight landings from it reaches a state whose step
+    kills mass.  I - P_f is singular exactly when some state is, so this
+    reads the policy itself, not the pivots of a solve.  Of the trapped
+    states, those that trapped states keep landing on form the cycles;
+    the states that only feed them are left out.
+    """
+    rows = np.arange(mdp.n_states)
+    lo, hi = mdp.next_lo[rows, f.flat], mdp.next_hi[rows, f.flat]
+    to_lo, to_hi = mdp.w_lo[rows, f.flat] > 0.0, mdp.w_hi[rows, f.flat] > 0.0
+    trapped = mdp.survival[f.flat] == 1.0
+    while True:  # drop the states with a landing outside the set
+        escapes = trapped & ((to_lo & ~trapped[lo]) | (to_hi & ~trapped[hi]))
+        if not escapes.any():
+            break
+        trapped &= ~escapes
+    while True:  # then the states no state of the set lands on
+        landed = np.zeros_like(trapped)
+        landed[lo[trapped & to_lo]] = landed[hi[trapped & to_hi]] = True
+        if not (trapped & ~landed).any():
+            return rows[trapped]
+        trapped &= landed
+
+
+def _cycle_error(what: str, states) -> ValueError:
+    states = [int(i) for i in states]
+    more = f" ({len(states)} states)" if len(states) > 6 else ""
+    return ValueError(
+        f"{what}: the policy induces a survival-1 cycle through grid state "
+        f"indices {reprlib.repr(states)}{more}")
+
+
 def eval_policy(mdp: DiscreteMDP, f: StationaryPolicy) -> CostVector:
     """Cost vector of a deterministic stationary policy from the initial state.
 
@@ -137,20 +173,21 @@ def eval_policy(mdp: DiscreteMDP, f: StationaryPolicy) -> CostVector:
     the geometric tail is added in closed form.  A cycle with rho = 1 (all
     zero waits) is +inf on every index it accrues.  If a visited landing
     splits between two grid points, the interpolated fixed-point system is
-    solved instead; when it is singular (a survival-1 cycle) ValueError
-    names the cycle's grid states.
+    solved instead; when the policy keeps mass in a survival-1 cycle
+    (:func:`_trapped_cycles`), which makes that system singular,
+    ValueError names the cycle's grid states before any solve.
     """
     if f.n_states != mdp.n_states:
         raise ValueError("policy does not match the MDP state grid")
     totals, disc, entries, cycle_states, split = _walk(mdp, f)
     if split:
+        cycles = _trapped_cycles(mdp, f)
         c = mdp.costs[:, np.arange(mdp.n_states), f.flat]  # (n_costs, n)
-        V = mdp.solve_policy(f.flat, c.T)
+        V = None if cycles.size else mdp.solve_policy(f.flat, c.T)
         if V is None:
-            raise ValueError(
-                "policy evaluation system is singular: the policy induces a "
-                "survival-1 cycle through grid state indices "
-                f"{cycle_states or list(entries)}")
+            raise _cycle_error("policy evaluation system is singular",
+                               cycles if cycles.size
+                               else cycle_states or list(entries))
         return CostVector(V[mdp.x0_index, :])
     if cycle_states:
         at_entry, disc_at_entry = entries[cycle_states[0]]
@@ -170,18 +207,21 @@ def occupation_measure(mdp: DiscreteMDP, f: StationaryPolicy) -> OccupationMeasu
 
     Solves mu = delta_x0 + Q_f^T mu on the grid.  The measure charges the
     policy's cell (i, f(i)) of every grid state i and nothing else, so it
-    holds n cells.  Raises ValueError naming the cycle states if the system
-    is singular (a survival-1 cycle, whose occupation measure is not finite).
+    holds n cells.  Raises ValueError naming the cycle's states, before any
+    solve, if the policy keeps mass in a survival-1 cycle (the system is
+    singular and the measure not finite), and naming the walk's states if
+    the solve fails otherwise.
     """
     n = mdp.n_states
+    cycles = _trapped_cycles(mdp, f)
     e0 = np.zeros(n)
     e0[mdp.x0_index] = 1.0
-    m = mdp.solve_policy(f.flat, e0, transpose=True)
+    m = None if cycles.size else mdp.solve_policy(f.flat, e0, transpose=True)
     if m is None or np.any(m < -1e-9):
-        _, _, entries, cyc, _ = _walk(mdp, f)
-        raise ValueError(
-            "occupation measure is not finite: the policy induces a "
-            f"survival-1 cycle through grid state indices {cyc or list(entries)}")
+        if not cycles.size:
+            _, _, entries, cyc, _ = _walk(mdp, f)
+            cycles = cyc or list(entries)
+        raise _cycle_error("occupation measure is not finite", cycles)
     m = np.maximum(m, 0.0)
     return OccupationMeasure(cells=np.arange(n) * mdp.n_actions + f.flat,
                              values=m, shape=(n, mdp.n_actions),

@@ -130,15 +130,43 @@ def with_sweep_blocks(mdp, n_blocks):
 
     The copy is built by ``DiscreteMDP.__post_init__`` with the block count
     forced, whatever the table size and the number of usable cores.  Its
-    lazy ``state_free_rows`` is forced to None before its first sweep, so a
-    state-free kernel is swept in the row blocks too; ``solve_policy``
-    reads ``landing_states``, so the copy still solves on those.
+    lazy ``landing_states`` is forced to None before its first use, so a
+    state-free kernel takes the row blocks in the sweep and the sparse LU
+    in ``solve_policy``, together.
     """
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(model, "_sweep_block_count", lambda cells: n_blocks)
         copy = dataclasses.replace(mdp)
-    copy.__dict__["state_free_rows"] = None
+    copy.__dict__["landing_states"] = None
     return copy
+
+
+def shared_landings(mdp):
+    """The sorted kernel columns of state 0's rows when every grid state's
+    rows are bitwise state 0's, else None; no bound on their number.
+
+    The reference for ``DiscreteMDP.landing_states``, which is this scan
+    when it holds at most ``model._DENSE_LANDINGS`` states, and None
+    otherwise.  The weights are compared as their bit patterns.
+    """
+    n_actions = mdp.n_actions
+    cols = np.asarray(mdp.kernel.indices).reshape(mdp.n_states, 2 * n_actions)
+    bits = np.asarray(mdp.kernel.data).view(np.uint64).reshape(cols.shape)
+    for i in range(mdp.n_states):
+        if not (np.array_equal(cols[i], cols[0])
+                and np.array_equal(bits[i], bits[0])):
+            return None
+    return np.unique(cols[0])
+
+
+def assert_landing_states(mdp):
+    """``mdp.landing_states`` is :func:`shared_landings` within its bound."""
+    want = shared_landings(mdp)
+    if want is None or want.size > model._DENSE_LANDINGS:
+        assert mdp.landing_states is None
+    else:
+        assert np.array_equal(mdp.landing_states, want)
+    return want
 
 
 def accept_fluid_problem():

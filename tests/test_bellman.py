@@ -13,7 +13,8 @@ import impulsecontrol as ic
 from impulsecontrol import bellman, fluidq, model
 from impulsecontrol.bellman import combined_cost
 
-from conftest import fluid_mdp, traced_peak, with_sweep_blocks
+from conftest import (assert_landing_states, fluid_mdp, traced_peak,
+                      with_sweep_blocks)
 
 
 G_STAR = 1.8480894645490473  # analytic multiplier for the benchmark
@@ -295,7 +296,7 @@ def test_sweep_splits_from_two_to_the_eighteen_cells(scale_mdp):
     assert model._sweep_block_count(2 ** 18) == model._usable_cores()
     (lo, hi, kernel), = scale_mdp.sweep_blocks  # 120 x 242 cells: one block
     assert (lo, hi) == (0, scale_mdp.n_states) and kernel is scale_mdp.kernel
-    assert scale_mdp.state_free_rows is None
+    assert scale_mdp.landing_states is None
 
 
 def _assert_sweep_is_the_reference(mdp, g, sol):
@@ -316,18 +317,27 @@ def _assert_sweep_is_the_reference(mdp, g, sol):
         assert bellman._sweep(mdp, W, c)[2] is None
 
 
-def _assert_solvers_agree(want_mdp, got_mdp, g):
-    for solver in (ic.policy_iteration, ic.solve_W):
-        want, got = solver(want_mdp, g), solver(got_mdp, g)
-        assert np.array_equal(got.W, want.W) and got.policy == want.policy
-        assert got.trace == want.trace
+def _assert_solvers_agree(want_mdp, got_mdp, g, bitwise=True):
+    """Value iteration bitwise; policy iteration bitwise too, or, where one
+    MDP solves on its landing states and the other by LU (``bitwise``
+    False), with the same policies and W within 1e-14 (1 + |W|)."""
+    want, got = ic.solve_W(want_mdp, g), ic.solve_W(got_mdp, g)
+    assert np.array_equal(got.W, want.W) and got.policy == want.policy
+    assert got.trace == want.trace
+    want, got = ic.policy_iteration(want_mdp, g), ic.policy_iteration(got_mdp, g)
+    assert got.policy == want.policy
+    assert [k for k, _ in got.trace] == [k for k, _ in want.trace]
+    if bitwise:
+        assert np.array_equal(got.W, want.W) and got.trace == want.trace
+    else:
+        assert np.all(np.abs(got.W - want.W) <= 1e-14 * (1.0 + np.abs(want.W)))
 
 
 @pytest.mark.parametrize("n_blocks", [1, 2, 3, "n_states"])
 def test_sweep_blocks_are_bitwise_the_full_table(scale_mdp, n_blocks):
     k = scale_mdp.n_states if n_blocks == "n_states" else n_blocks
     mdp = with_sweep_blocks(scale_mdp, k)
-    assert mdp.state_free_rows is None
+    assert mdp.landing_states is None
     edges = [b[:2] for b in mdp.sweep_blocks]
     assert len(edges) == k and edges[0][0] == 0 and edges[-1][1] == mdp.n_states
     assert all(a[1] == b[0] for a, b in zip(edges, edges[1:]))
@@ -342,20 +352,20 @@ def test_sweep_blocks_are_bitwise_the_full_table(scale_mdp, n_blocks):
 
 @pytest.mark.parametrize("mdp_name", ["small_mdp", "j2_mdp"])
 def test_state_free_kernel_is_swept_once_per_action(request, mdp_name):
-    # every state lands where state 0 does: the sweep takes state 0's
-    # n_actions rows and broadcasts their product over the states
+    # every state lands where state 0 does: the sweep forms state 0's row
+    # of Q from the landing weights and broadcasts it over the states
     mdp = request.getfixturevalue(mdp_name)
     g = np.full(mdp.n_constraints, G_STAR)
-    rows = mdp.state_free_rows
-    assert rows.shape == (mdp.n_actions, mdp.n_states)
-    assert all(np.shares_memory(getattr(rows, name), getattr(mdp.kernel, name))
-               for name in ("data", "indices", "indptr"))
-    assert (rows != mdp.kernel[:mdp.n_actions]).nnz == 0
+    S = assert_landing_states(mdp)
+    assert S.tolist() == [0, 1]  # the reset to 0 and never impulse
+    weights = mdp.landing_weights
+    assert weights.shape == (S.size, mdp.n_actions)
+    assert np.array_equal(weights.T, mdp.kernel[:mdp.n_actions].toarray()[:, S])
     _assert_sweep_is_the_reference(mdp, g, ic.policy_iteration(mdp, g))
     blocks = with_sweep_blocks(mdp, 1)
-    assert blocks.state_free_rows is None
+    assert blocks.landing_states is None
     assert blocks.sweep_blocks[0][2] is mdp.kernel
-    _assert_solvers_agree(blocks, mdp, g)
+    _assert_solvers_agree(blocks, mdp, g, bitwise=False)
 
 
 @pytest.mark.parametrize("landing", ["constant", "last bit", "next interval"])
@@ -372,16 +382,14 @@ def test_one_state_off_the_shared_landing_is_not_state_free(landing):
         impulse_costs=(lambda y, a: 1.0 + 0.0 * y, lambda y, a: 0.0 * y),
         alpha=1.0, x0=0.0, bounds=(1.0,), actions=("a",))
     mdp = ic.discretize(prob, ic.GridSpec.uniform(0.0, 29.0, 30, 2.0, 20, 0.01))
-    if landing == "constant":
-        assert mdp.state_free_rows.shape == (mdp.n_actions, mdp.n_states)
-    else:
-        assert mdp.state_free_rows is None
+    S = assert_landing_states(mdp)
+    assert (S is None) == (landing != "constant")
     _assert_sweep_is_the_reference(mdp, [1.0], ic.policy_iteration(mdp, [1.0]))
 
 
 def test_sweep_takes_back_blocks_a_busy_pool_has_not_started(scale_mdp):
     mdp = with_sweep_blocks(scale_mdp, 3)
-    assert len(mdp.sweep_blocks) == 3 and mdp.state_free_rows is None
+    assert len(mdp.sweep_blocks) == 3 and mdp.landing_states is None
     W = np.linspace(0.0, 1.0, mdp.n_states)
     cost = combined_cost(mdp, [1.0])
     want = bellman._sweep(scale_mdp, W, cost)
@@ -402,7 +410,7 @@ def test_forked_child_sweeps_with_its_own_pool(scale_mdp):
     # the child inherits the pool object but not its worker threads: a task
     # submitted to that pool would never run, so the child waits with a cap
     mdp = with_sweep_blocks(scale_mdp, 3)
-    assert len(mdp.sweep_blocks) == 3 and mdp.state_free_rows is None
+    assert len(mdp.sweep_blocks) == 3 and mdp.landing_states is None
     W = np.linspace(0.0, 1.0, mdp.n_states)
     cost = combined_cost(mdp, [1.0])
     want = bellman._sweep(mdp, W, cost)  # the pool and its worker exist now

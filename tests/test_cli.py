@@ -164,9 +164,10 @@ def test_eval_reports_infinite_cost_as_inf_string(config_file, tmp_path, capsys)
 
 
 def test_eval_of_a_split_zero_wait_cycle_exits_2(tmp_path, capsys):
-    # from x0 = 1 the scale reset lands off the grid, so the landings split
-    # and take the linear solve, and waiting zero everywhere ends in the
-    # survival-1 loop at the origin, which makes that system singular
+    # from x0 = 1 the scale reset lands off the grid, so the landings split,
+    # and waiting zero everywhere keeps all mass on states 0 and 1 (state 1
+    # lands half on itself, half on 0), which makes that system singular;
+    # the states are named before any solve
     doc = custom_two_action_off_grid_doc()
     doc["x0"] = 1.0
     config = tmp_path / "offgrid.json"
@@ -180,7 +181,7 @@ def test_eval_of_a_split_zero_wait_cycle_exits_2(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == (
         "config error: policy evaluation system is singular: the policy "
-        "induces a survival-1 cycle through grid state indices [0]\n")
+        "induces a survival-1 cycle through grid state indices [0, 1]\n")
 
 
 def test_verify_passes_on_default_config(config_file, capsys):

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.optimize
+import scipy.sparse.linalg
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.sparse.linalg import SuperLU
@@ -407,7 +408,7 @@ def _band_mdp(doc):
 
 
 class _FactorLedger:
-    """Stands in for ``model.splu``: counts the factorizations, and wraps
+    """Stands in for scipy's ``splu``: counts the factorizations, and wraps
     each factor so that the factors still alive can be counted."""
 
     def __init__(self, real):
@@ -450,8 +451,8 @@ def test_band_centre_factorizations(monkeypatch, doc, expected, factored):
     # on their landing states and never factor the grid; the off-grid
     # doc's scale reset factors once per solve
     mdp = _band_mdp(doc)
-    ledger = _FactorLedger(model.splu)
-    monkeypatch.setattr(model, "splu", ledger)
+    ledger = _FactorLedger(scipy.sparse.linalg.splu)
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", ledger)
     solves = []
     real_solve = ic.DiscreteMDP.solve_policy
     monkeypatch.setattr(ic.DiscreteMDP, "solve_policy",
@@ -789,15 +790,16 @@ def test_threads_sharing_an_mdp_get_the_single_block_answer(split_scale,
         shared = with_sweep_blocks(split_scale, n_blocks)
     assert len(shared.sweep_blocks) == (n_blocks or model._usable_cores())
     _assert_threads_get(shared, ref)
-    assert shared.state_free_rows is None
+    assert shared.landing_states is None
 
 
-def test_threads_sharing_a_state_free_mdp_get_the_row_block_answer(split_fluid):
-    # a fresh copy: the callers' first sweeps make its state-free rows
-    ref = ic.solve_constrained(with_sweep_blocks(split_fluid, 1))
+def test_threads_sharing_a_state_free_mdp_get_the_serial_answer(split_fluid):
+    # fresh copies: the callers' first sweeps and solves make the shared
+    # one's landing states and weights, a serial solve the reference's
+    ref = ic.solve_constrained(dataclasses.replace(split_fluid))
     shared = dataclasses.replace(split_fluid)
     _assert_threads_get(shared, ref)
-    assert shared.state_free_rows.shape == (shared.n_actions, shared.n_states)
+    assert shared.landing_states.tolist() == [0, 1]
 
 
 def _two_records(name, mdp):

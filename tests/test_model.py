@@ -8,14 +8,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
 import impulsecontrol as ic
-from impulsecontrol import model
+from impulsecontrol import bellman, model
 from impulsecontrol.model import INFINITY, ConfigError
 
-from conftest import (CUSTOM_TWO_ACTION_DOC, J2_DOC, accept_fluid_problem,
-                      fluid_mdp, traced_peak, transition, with_sweep_blocks)
+from conftest import (BANDS, CUSTOM_TWO_ACTION_DOC, J2_DOC, accept_fluid_problem,
+                      assert_landing_states, band_centre_doc, fluid_mdp,
+                      shared_landings, traced_peak, transition, with_sweep_blocks)
 
 
 @pytest.fixture(scope="module")
@@ -450,6 +452,30 @@ def test_discretize_does_not_load_scipy_special():
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
+def test_only_a_state_dependent_kernel_loads_the_sparse_lu(tmp_path):
+    # a constant reset solves on its landing states, so the import of
+    # scipy's sparse LU (about 0.1 s) waits for a kernel that needs it
+    root = Path(ic.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root), os.environ.get("PYTHONPATH", "")]))
+    configs = root.parent / "configs"
+    small = ["--set", "grid.state_n=40", "--set", "grid.theta_n=40"]
+
+    def solve(config, *sets):
+        argv = ["solve", "--config", str(configs / config), "--out",
+                str(tmp_path / "report.json"), *small, *sets]
+        return f"assert cli.main({argv!r}) == 0; "
+
+    code = ("import sys; from impulsecontrol import cli; "
+            "assert 'scipy.sparse.linalg' not in sys.modules; "
+            + solve("fluid_benchmark.json")
+            + "assert 'scipy.sparse.linalg' not in sys.modules; "
+            + solve("custom_j2.json", "--set", "reset.type=scale",
+                    "--set", "reset.factor=0.5")
+            + "assert 'scipy.sparse.linalg' in sys.modules")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
 BLOCK_CASES = {
     # closed forms: a drift and a linear rate, then a piecewise-constant one
     "fluid": lambda: (ic.fluid_problem(alpha=1.0, h=1.0, K=1.0, d=0.5),
@@ -585,17 +611,20 @@ def test_split_landings_are_solved_on_four_states(monkeypatch):
             got = mdp.solve_policy(flat, rhs, transpose=transpose)
             want = _solve_policy_reference(mdp, flat, rhs, transpose)
             _assert_solves_match(got, want, bitwise=False)
-    # the landing solve never factors the grid, row-block copies included
-    monkeypatch.setattr(model, "splu", None)
+    # the landing solve never factors the grid; a row-block copy takes the
+    # LU, bitwise the reference
+    want = _solve_policy_reference(mdp, policies[0], rhs, False)
     copy = with_sweep_blocks(mdp, 2)
-    assert copy.state_free_rows is None
-    assert np.array_equal(copy.solve_policy(policies[0], rhs),
-                          mdp.solve_policy(policies[0], rhs))
+    assert copy.landing_states is None
+    assert np.array_equal(copy.solve_policy(policies[0], rhs), want)
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", None)
+    _assert_solves_match(mdp.solve_policy(policies[0], rhs), want, bitwise=False)
     monkeypatch.undo()
     # zero wait everywhere, under either label: a survival-1 cycle through
     # a split landing, singular on both paths.  Here its pivots round to
     # zero; a rounded nonzero pivot hides such a cycle from both paths alike
-    # (label "a" landing anywhere in 0.01-0.04 does)
+    # (label "a" landing anywhere in 0.01-0.04 does), so policy evaluation
+    # looks for the cycle in the policy first (see below)
     for label in (0, 1):
         zero_wait = np.full(n, label, dtype=np.intp)
         for transpose in (False, True):
@@ -607,25 +636,105 @@ def test_split_landings_are_solved_on_four_states(monkeypatch):
         assert ic.check_characteristic(mdp, mu) <= 1e-14 * (1.0 + mu.total)
 
 
-def test_a_state_free_kernel_with_many_landings_is_factored(monkeypatch):
-    # the flow forgets the state, so every state lands where state 0 does,
-    # but on one grid state per wait: too many for a dense solve on them
+def _many_landings_mdp():
+    """The flow forgets the state, so every state lands where state 0 does,
+    but on one grid state per wait: 100 landing states."""
     prob = ic.ImpulseProblem(
         flow=lambda x, t: t + 0.0 * x, reset=lambda y, a: y,
         gradual_costs=(lambda x: 0.5 + 0.0 * x, lambda x: x),
         impulse_costs=(lambda x, a: 1.0 + 0.0 * x, lambda x, a: 0.0 * x),
         alpha=1.0, x0=0.0, bounds=(1.0,), actions=("a",))
-    mdp = ic.discretize(prob, ic.GridSpec.uniform(0.0, 3.0, 100, 3.0, 100, 0.01))
-    assert mdp.landing_states.size > model._DENSE_LANDINGS
-    factored = []
-    real = model.splu
-    monkeypatch.setattr(model, "splu", lambda A: factored.append(1) or real(A))
+    return ic.discretize(prob, ic.GridSpec.uniform(0.0, 3.0, 100, 3.0, 100, 0.01))
+
+
+def test_a_state_free_kernel_with_many_landings_is_factored(monkeypatch):
+    # too many landing states for the state-free layout: the kernel sweeps
+    # in row blocks and each policy solve factors the grid
+    mdp = _many_landings_mdp()
+    assert shared_landings(mdp).size == 100 > model._DENSE_LANDINGS
+    assert mdp.landing_states is None
+    W = np.linspace(0.0, 1.0, mdp.n_states)
+    cost = mdp.costs[0]
+    q = mdp.survival * (mdp.w_lo * W[mdp.next_lo] + mdp.w_hi * W[mdp.next_hi])
+    q += cost
+    best, q_best, _ = bellman._sweep(mdp, W, cost)
+    assert np.array_equal(best, q.argmin(axis=1))
+    assert np.array_equal(q_best, q.min(axis=1))
     flat = np.random.default_rng(3).integers(1, mdp.n_actions, mdp.n_states)
     rhs = np.ones(mdp.n_states)
+    want = [_solve_policy_reference(mdp, flat, rhs, t) for t in (False, True)]
+    factored = []
+    real = scipy.sparse.linalg.splu
+    monkeypatch.setattr(scipy.sparse.linalg, "splu",
+                        lambda A: factored.append(1) or real(A))
     for transpose in (False, True):
         assert np.array_equal(mdp.solve_policy(flat, rhs, transpose),
-                              _solve_policy_reference(mdp, flat, rhs, transpose))
+                              want[transpose])
     assert len(factored) == 2
+
+
+LANDING_CASES = {
+    **{f"{name}-centre": (lambda name=name: ic.discretize(
+        *ic.problem_from_config(band_centre_doc(name)))) for name in BANDS},
+    "j2": lambda: ic.discretize(*ic.problem_from_config(J2_DOC)),
+    "split-0.07": lambda: _split_landing_mdp(0.07),
+    "split-0.01": lambda: _split_landing_mdp(0.01),
+    "scale-reset": lambda: ic.discretize(
+        *ic.problem_from_config(CUSTOM_TWO_ACTION_DOC)),
+    "many-landings": _many_landings_mdp,
+}
+
+
+@pytest.mark.parametrize("case", LANDING_CASES)
+def test_landing_states_is_the_bounded_reference_scan(case):
+    # (the one-state-off maps are held in test_bellman)
+    mdp = LANDING_CASES[case]()
+    want = assert_landing_states(mdp)
+    assert (want is None) == (case == "scale-reset")
+    if mdp.landing_states is not None:
+        S = mdp.landing_states
+        weights = mdp.landing_weights
+        assert np.array_equal(weights.T, mdp.kernel[:mdp.n_actions].toarray()[:, S])
+        # two nonzero weights per action at most: the sweep's row sum is
+        # the CSR product's
+        assert np.all((weights != 0.0).sum(axis=0) <= 2)
+
+
+@pytest.mark.parametrize("landing_a", [0.01, 0.02, 0.03, 0.04, 0.05, 0.09])
+@pytest.mark.parametrize("label", [0, 1])
+def test_a_split_survival_one_cycle_is_refused_before_any_solve(landing_a, label):
+    # zero wait everywhere, so every state keeps its mass, on the cycle
+    # through the label's two landing states.  Before the check, label "a"
+    # landing at 0.01-0.04 left nonzero pivots and returned 3.6e16-1e31
+    mdp = _split_landing_mdp(landing_a)
+    zero_wait = ic.StationaryPolicy(np.full(mdp.n_states, label), mdp.n_labels)
+    named = r"grid state indices \[0, 1\]$" if label == 0 else r"\[20, 21\]$"
+    with pytest.raises(ValueError, match="system is singular: .*" + named):
+        ic.eval_policy(mdp, zero_wait)
+    with pytest.raises(ValueError, match="not finite: .*" + named):
+        ic.occupation_measure(mdp, zero_wait)
+
+
+def test_only_the_states_that_keep_their_mass_are_trapped():
+    mdp = _split_landing_mdp(0.07)
+    wait = mdp.n_labels  # the least positive wait, label "a"
+    # zero wait at states 0 and 1 only: they land on each other and keep
+    # their mass; every other state waits, so loses mass
+    flat = np.full(mdp.n_states, wait)
+    flat[:2] = 0
+    f = ic.StationaryPolicy(flat, mdp.n_labels)
+    assert ic.policy_eval._trapped_cycles(mdp, f).tolist() == [0, 1]
+    with pytest.raises(ValueError, match=r"indices \[0, 1\]$"):
+        ic.occupation_measure(mdp, f)
+    # zero wait everywhere but at states 0 and 1: all mass reaches them
+    flat = np.zeros(mdp.n_states, dtype=np.intp)
+    flat[:2] = wait
+    f = ic.StationaryPolicy(flat, mdp.n_labels)
+    assert ic.policy_eval._trapped_cycles(mdp, f).size == 0
+    V = ic.eval_policy(mdp, f).v
+    assert np.all(np.isfinite(V)) and V[0] > 0.0
+    mu = ic.occupation_measure(mdp, f)
+    assert ic.check_characteristic(mdp, mu) <= 1e-14 * (1.0 + mu.total)
 
 
 def test_simpson_lattice_is_linspace_per_span():
