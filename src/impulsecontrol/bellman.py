@@ -22,22 +22,23 @@ reference.  It produces pointwise nondecreasing iterates (all quantities are
 nonnegative and the backup is monotone, exactly so in floating point), which
 doubles as a runtime sanity check.
 
-Both solvers go through one sweep, :func:`_sweep`: Q = survival * kernel @ W
-+ cost, reduced per state to its smallest-index minimizer.  When every
-state lands where state 0 does, on at most 64 grid states S
-(``DiscreteMDP.landing_states``, as under a constant reset), state 0's row
-of Q is formed once from the table ``DiscreteMDP.landing_weights`` and
-broadcast over the states; the policy solve reads the same table.
-Otherwise the sweep goes by row blocks: a sweep is a Jacobi update, every
-row reading only the previous iterate, so the rows split into independent
-blocks (Bertsekas & Tsitsiklis, *Parallel and Distributed Computation*,
-1989, section 1.2).  A large MDP carries one row block per usable core
-(``DiscreteMDP.sweep_blocks``): the calling thread sweeps the first, a
-shared thread pool the others, and the caller takes back any block the
-pool has not started by the time it is done.  Each block makes and reduces
-only its own rows of the Q table.  Each cell is computed by the same
-operations in the same order on every path, so the results are bitwise
-independent of the path and of the core count.
+Both solvers go through one sweep, :func:`_sweep`: Q = survival *
+(w_lo W[next_lo] + w_hi W[next_hi]) + cost, reduced per state to its
+smallest-index minimizer.  When every state lands where state 0 does, on
+at most 64 grid states S (``DiscreteMDP.landing_states``, as under a
+constant reset), state 0's row of Q is formed once from the table
+``DiscreteMDP.landing_weights`` and broadcast over the states; the policy
+solve reads the same table.  Otherwise the sweep goes by row blocks: a
+sweep is a Jacobi update, every row reading only the previous iterate, so
+the rows split into independent blocks (Bertsekas & Tsitsiklis, *Parallel
+and Distributed Computation*, 1989, section 1.2).  A large MDP carries one
+row block per usable core (``DiscreteMDP.sweep_blocks``, CSR views of the
+landing pairs made on the first row-block sweep): the calling thread
+sweeps the first, a shared thread pool the others, and the caller takes
+back any block the pool has not started by the time it is done.  Each
+block makes and reduces only its own rows of the Q table.  Each cell is
+computed by the same operations in the same order on every path, so the
+results are bitwise independent of the path and of the core count.
 """
 
 from __future__ import annotations
@@ -189,18 +190,19 @@ def _sweep(mdp: DiscreteMDP, W: np.ndarray, cost: np.ndarray,
     """One Bellman sweep of W under the (n_states, n_actions) table ``cost``.
 
     Returns per state the smallest-index minimizer of
-    Q = survival * kernel @ W + cost, its Q value, and the Q value of action
-    ``flat`` (None when ``flat`` is None).  On a state-free kernel
-    (``mdp.landing_states``, S) every state's row of Q is state 0's, formed
-    on the calling thread as sum_k ``landing_weights[k]`` * W[S[k]] times
-    survival and broadcast onto ``cost``.  Each action has exactly two
-    nonzero weights, lower landing first, so the sum rounds as the CSR
-    product does.  Otherwise each row block of ``mdp.sweep_blocks`` makes
-    and reduces its own part of Q.  The calling thread sweeps the first
-    block while the pool takes the others, then takes back and sweeps
-    itself every block no worker has started, so a worker that is slow to
-    wake costs at most the serial sweep.  No pool task waits on another, so
-    concurrent callers cannot deadlock.
+    Q = survival * (w_lo W[next_lo] + w_hi W[next_hi]) + cost, its Q value,
+    and the Q value of action ``flat`` (None when ``flat`` is None).  On a
+    state-free kernel (``mdp.landing_states``, S) every state's row of Q is
+    state 0's, formed on the calling thread as sum_k ``landing_weights[k]``
+    * W[S[k]] times survival and broadcast onto ``cost``.  Each action has
+    at most two nonzero weights, lower landing first, so the sum rounds as
+    the pair sum does.  Otherwise each row block of ``mdp.sweep_blocks``, a
+    CSR view of its states' landing pairs, makes and reduces its own part
+    of Q.  The calling thread sweeps the first block while the pool takes
+    the others, then takes back and sweeps itself every block no worker has
+    started, so a worker that is slow to wake costs at most the serial
+    sweep.  No pool task waits on another, so concurrent callers cannot
+    deadlock.
     """
     S = mdp.landing_states
     if S is not None:
@@ -345,7 +347,7 @@ def argmin_set(mdp: DiscreteMDP, W: np.ndarray, g, slack) -> tuple:
     ``slack`` may be a scalar or a per-state array of absolute slacks; the
     strict argmin is always included.  Returns one index array per state.
     """
-    q = (mdp.kernel @ W).reshape(mdp.n_states, -1)
+    q = mdp.w_lo * W[mdp.next_lo] + mdp.w_hi * W[mdp.next_hi]
     q *= mdp.survival
     q += combined_cost(mdp, g)
     thr = q.min(axis=1) + np.asarray(slack, dtype=float)

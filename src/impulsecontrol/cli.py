@@ -7,9 +7,10 @@ suite).  JSON reports and CSV curves are emitted with 17 significant digits;
 every JSON report names the schema file it validates against (shipped under
 ``impulsecontrol/schemas``).
 
-Exit codes: 0 success, 2 malformed configuration, 3 solvability validation
-failure, 4 non-converged solve (or, after its report, a solve whose
-certificates fail), 5 verification failure.
+Exit codes: 0 success, 2 malformed configuration (or an input file that
+cannot be read, or an output file that cannot be written), 3 solvability
+validation failure, 4 non-converged solve (or, after its report, a solve
+whose certificates fail), 5 verification failure.
 """
 
 from __future__ import annotations
@@ -107,11 +108,17 @@ def _render_list(obj, indent: int, strings: dict) -> str:
 
 
 def _emit(text: str, out: str | None) -> None:
+    """Write ``text`` to stdout, or to the file ``out``; a failed write of
+    the file is a ConfigError naming it."""
+    text = text if text.endswith("\n") else text + "\n"
     if out is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
-    else:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {out}: {exc.strerror}")
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +153,8 @@ def load_config(args: argparse.Namespace) -> dict:
             doc = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {args.config}")
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {args.config}: {exc.strerror}")
     except ValueError as exc:  # JSONDecodeError, or an integer of too many digits
         raise ConfigError(f"config file is not valid JSON: {exc}")
     if not isinstance(doc, dict):
@@ -363,6 +372,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
             text = fh.read()
     except FileNotFoundError:
         raise ConfigError(f"policy file not found: {args.policy}")
+    except OSError as exc:
+        raise ConfigError(f"cannot read policy file {args.policy}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot decode policy file {args.policy}: {exc}")
     try:
         pol = policy_from_table(mdp, text)
         costs = eval_policy(mdp, pol)
@@ -389,13 +402,11 @@ def _verify_checks(problem, grid, mdp, tol_scale: float, rep):
     yield ("flow-identities", rep.flow_ok,
            f"semigroup={rep.semigroup_residual:.3e} identity={rep.identity_residual:.3e}")
 
-    # every kernel row holds exactly two entries, so a row sum is a pair sum
-    data = mdp.kernel.data
-    mass = data[0::2] + data[1::2]
+    mass = mdp.w_lo + mdp.w_hi
     mass -= 1.0
     mass_err = float(np.max(np.abs(mass, out=mass)))
     del mass
-    nonneg = bool(np.all(data >= 0.0))
+    nonneg = bool(np.all(mdp.next_weights >= 0.0))
     yield "kernel-mass", mass_err <= 1e-12 and nonneg, f"max|w_lo+w_hi-1|={mass_err:.3e}"
 
     L = mdp.n_labels

@@ -12,8 +12,8 @@ This module owns discretization onto a finite state/waiting-time grid:
 landing states are represented by linear interpolation weights between
 bracketing grid points, and the infinite waiting time is kept as an exact
 sentinel (never a large float) so that killing is exact.  The landing map is
-stored once, as the sparse matrix ``DiscreteMDP.kernel`` that every solver
-reads.
+stored once, in ``DiscreteMDP.next_states`` and ``next_weights`` that every
+solver reads.
 
 Running-cost integrals are exact wherever the problem's types allow it.
 Every rate and flow a configuration document can declare has a closed form:
@@ -56,7 +56,6 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sparse
 
 INFINITY = math.inf
 
@@ -95,30 +94,31 @@ def _sweep_block_count(cells: int) -> int:
     return _usable_cores() if cells >= _SWEEP_SPLIT_CELLS else 1
 
 
-def _row_blocks(kernel: sparse.csr_matrix, n_states: int,
+def _row_blocks(next_states: np.ndarray, next_weights: np.ndarray,
                 n_blocks: int) -> tuple:
-    """``kernel`` split into ``n_blocks`` contiguous runs of grid states.
+    """The kernel as ``n_blocks`` CSR row blocks of contiguous grid states.
 
-    Returns (first state, end state, CSR) triples.  A single block is
-    ``kernel`` itself.  Otherwise every kernel row holds two entries, so a
-    block's CSR views a slice of ``kernel.data`` and ``kernel.indices`` and
-    a prefix of ``kernel.indptr``, copying nothing.  The sweep reads the
-    blocks only when ``DiscreteMDP.landing_states`` is None.
+    Returns (first state, end state, CSR) triples.  Row ``i * n_actions + q``
+    of a block holds cell (i, q)'s two entries, so a block's ``data`` and
+    ``indices`` view a slice of the pair arrays, and its ``indptr`` a prefix
+    of one row pointer that all blocks share.  The sweep reads the
+    blocks only when ``DiscreteMDP.landing_states`` is None; scipy.sparse
+    is imported here, on that path only.
     """
-    if n_blocks <= 1:
-        return ((0, n_states, kernel),)
-    n_actions = kernel.shape[0] // n_states
+    from scipy.sparse import csr_matrix
+    n_states, n_actions, _ = next_states.shape
     edges = [n_states * b // n_blocks for b in range(n_blocks + 1)]
+    indptr = np.arange(0, next_states.size + 1, 2, dtype=np.int32)  # two a row
+    indptr.setflags(write=False)
     blocks = []
     for lo, hi in zip(edges, edges[1:]):
         n_rows = (hi - lo) * n_actions
-        entries = slice(2 * lo * n_actions, 2 * hi * n_actions)
         # the views are set after construction: the (data, indices, indptr)
         # constructor copies a view that is under half of its base array
-        rows = sparse.csr_matrix((n_rows, kernel.shape[1]), dtype=kernel.dtype)
+        rows = csr_matrix((n_rows, n_states), dtype=next_weights.dtype)
         rows.data, rows.indices, rows.indptr = (
-            kernel.data[entries], kernel.indices[entries],
-            kernel.indptr[:n_rows + 1])
+            next_weights[lo:hi].reshape(-1), next_states[lo:hi].reshape(-1),
+            indptr[:n_rows + 1])
         blocks.append((lo, hi, rows))
     return tuple(blocks)
 
@@ -245,28 +245,28 @@ class DiscreteMDP:
     index) flattened as ``q = theta_index * n_labels + label_index``, so the
     action order is theta ascending (INFINITY last) with label order
     breaking ties.  ``survival[q]`` is exp(-alpha*theta), exactly 0 for the
-    INFINITY column and exactly 1 for theta = 0.  Row ``i * n_actions + q``
-    of ``kernel`` holds the two grid states bracketing the landing from cell
-    (i, q), lower first, with their convex interpolation weights
-    (``next_lo``, ``next_hi``, ``w_lo``, ``w_hi`` view them); the killed mass
-    1 - survival[q] leaves, as no state or kernel column holds it.
+    INFINITY column and exactly 1 for theta = 0.  ``next_states[i, q]``
+    holds the two grid states bracketing the landing from cell (i, q),
+    lower first, and ``next_weights[i, q]`` their convex interpolation
+    weights (``next_lo``, ``next_hi``, ``w_lo``, ``w_hi`` view them); the
+    killed mass 1 - survival[q] leaves, as no state holds it.
 
     ``sweep_blocks`` cuts the kernel into (first state, end state, CSR) row
-    blocks for the Bellman sweep, made once here.  A Q table of at least
-    2^18 cells (2 MiB) gets one block per usable core; a smaller table, or a
-    process with one usable core, gets the single block ``kernel``.
+    blocks for the Bellman sweep, made on the first row-block sweep.  A Q
+    table of at least 2^18 cells (2 MiB) gets one block per usable core; a
+    smaller table, or a process with one usable core, gets a single block.
 
-    When every grid state's kernel rows are bitwise state 0's (the landing
-    depends on the action alone, as a constant reset makes it) and name at
-    most ``_DENSE_LANDINGS`` grid states, ``landing_states`` holds those
-    states S, sorted; otherwise it is None.  ``landing_weights`` is then
-    the |S| x n_actions table of state 0's interpolation weights on S,
+    When every grid state's landing pairs are bitwise state 0's (the
+    landing depends on the action alone, as a constant reset makes it) and
+    name at most ``_DENSE_LANDINGS`` grid states, ``landing_states`` holds
+    those states S, sorted; otherwise it is None.  ``landing_weights`` is
+    then the |S| x n_actions table of state 0's interpolation weights on S,
     survival not folded in.  The sweep forms one row of Q from it and
     broadcasts that row over the states, and :meth:`solve_policy` solves
-    on S.  Both are made on first use and cached.  All arrays are written
-    once at construction and are read-only afterwards, so instances are
-    safe to share across threads, sweeps and solves included; threads that
-    first use an instance at the same time may each make these cached
+    on S.  All three are made on first use and cached.  All arrays are
+    written once at construction and are read-only afterwards, so instances
+    are safe to share across threads, sweeps and solves included; threads
+    that first use an instance at the same time may each make these cached
     values, and they make the same.
     """
 
@@ -276,7 +276,8 @@ class DiscreteMDP:
     alpha: float
     x0_index: int
     survival: np.ndarray          # (n_actions,)
-    kernel: sparse.csr_matrix     # (n_states * n_actions, n_states)
+    next_states: np.ndarray       # (n_states, n_actions, 2) int32, lower first
+    next_weights: np.ndarray      # (n_states, n_actions, 2) float64
     costs: np.ndarray             # (n_costs, n_states, n_actions)
     bounds: tuple = ()            # constraint bounds d_1..d_J
     clamped_cells: int = 0
@@ -284,30 +285,30 @@ class DiscreteMDP:
     next_hi: np.ndarray = field(init=False, repr=False)
     w_lo: np.ndarray = field(init=False, repr=False)
     w_hi: np.ndarray = field(init=False, repr=False)
-    sweep_blocks: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        for arr in (self.states, self.theta_points, self.survival, self.costs,
-                    self.kernel.data, self.kernel.indices, self.kernel.indptr):
+        for arr in (self.states, self.theta_points, self.survival,
+                    self.next_states, self.next_weights, self.costs):
             arr.setflags(write=False)
-        cols, weights = (a.reshape(self.states.size, -1, 2)
-                         for a in (self.kernel.indices, self.kernel.data))
-        for name, view in (("next_lo", cols[:, :, 0]), ("next_hi", cols[:, :, 1]),
-                           ("w_lo", weights[:, :, 0]), ("w_hi", weights[:, :, 1])):
+        cols, weights = self.next_states, self.next_weights
+        for name, view in (("next_lo", cols[..., 0]), ("next_hi", cols[..., 1]),
+                           ("w_lo", weights[..., 0]), ("w_hi", weights[..., 1])):
             object.__setattr__(self, name, view)
-        object.__setattr__(self, "sweep_blocks", _row_blocks(
-            self.kernel, self.states.size,
-            _sweep_block_count(self.kernel.shape[0])))
         if len(self.bounds) != self.costs.shape[0] - 1:
             raise ValueError(
                 f"expected {self.costs.shape[0] - 1} bounds, got {len(self.bounds)}")
+
+    @cached_property
+    def sweep_blocks(self) -> tuple:
+        return _row_blocks(self.next_states, self.next_weights,
+                           _sweep_block_count(self.next_lo.size))
 
     @cached_property
     def landing_states(self) -> np.ndarray | None:
         # compared as integers, so that the check is bitwise; the never
         # impulse actions name states 0 and 1 with survival 0
         cols, weights = (a.reshape(self.n_states, -1) for a in (
-            self.kernel.indices, self.kernel.data.view(np.int64)))
+            self.next_states, self.next_weights.view(np.int64)))
         if (cols == cols[0]).all() and (weights == weights[0]).all():
             S = np.unique(cols[0])
             if S.size <= _DENSE_LANDINGS:
@@ -349,8 +350,8 @@ class DiscreteMDP:
         """Solve (I - P) x = rhs, or (I - P^T) x = rhs.
 
         P is the sub-stochastic state-to-state matrix of the chain that takes
-        action ``flat[i]`` at grid state i (the killed mass leaves it): the
-        kernel rows of the cells (i, flat[i]), each scaled by its survival.
+        action ``flat[i]`` at grid state i (the killed mass leaves it): row i
+        holds the landing pair of cell (i, flat[i]), scaled by its survival.
         ``rhs`` may have one column per right-hand side, so one solve serves
         every cost the policy is evaluated under.  Returns None when the
         system is singular (a survival-1 cycle) or the solution is not
@@ -367,8 +368,8 @@ class DiscreteMDP:
         exactly when M is.  Otherwise I - P is assembled directly, three
         entries per row (the diagonal 1, then -survival * weight at the two
         landings), with duplicates summed and zeros dropped, and factored
-        by sparse LU; the factor is dropped on return.  scipy's sparse LU
-        is imported on that path only.
+        by sparse LU; the factor is dropped on return.  scipy.sparse and its
+        LU are imported on that path only.
         """
         with np.errstate(all="ignore"):
             if self.landing_states is not None:
@@ -381,21 +382,20 @@ class DiscreteMDP:
 
     def _solve_by_lu(self, flat: np.ndarray, rhs: np.ndarray,
                      transpose: bool) -> np.ndarray | None:
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.linalg import splu
         n = self.n_states
-        k = 2 * (np.arange(n) * self.n_actions + flat)  # first kernel entry
-        s = self.survival[flat]
+        rows = np.arange(n)
         cols = np.empty((n, 3), dtype=np.int32)
         vals = np.empty((n, 3))
-        cols[:, 0], vals[:, 0] = np.arange(n), 1.0
-        for e in (1, 2):
-            cols[:, e] = self.kernel.indices[k + e - 1]
-            vals[:, e] = -(s * self.kernel.data[k + e - 1])
-        A = sparse.csr_matrix((vals.ravel(), cols.ravel(),
-                               np.arange(0, 3 * n + 1, 3, dtype=np.int32)),
-                              shape=(n, n))
+        cols[:, 0], vals[:, 0] = rows, 1.0
+        cols[:, 1:] = self.next_states[rows, flat]
+        vals[:, 1:] = -(self.survival[flat, np.newaxis]
+                        * self.next_weights[rows, flat])
+        A = csr_matrix((vals.ravel(), cols.ravel(),
+                        np.arange(0, 3 * n + 1, 3, dtype=np.int32)), shape=(n, n))
         A.sum_duplicates()
         A.eliminate_zeros()
-        from scipy.sparse.linalg import splu
         try:
             lu = splu((A.T if transpose else A).tocsc())
         except RuntimeError:
@@ -921,14 +921,14 @@ def discretize(problem: ImpulseProblem, grid: GridSpec) -> DiscreteMDP:
     """Tabulate stage costs and the transition kernel on the grid.
 
     Landing states get linear interpolation weights between the bracketing
-    grid points, the rows of ``DiscreteMDP.kernel``; landings beyond the
-    truncation clamp to the boundary with a warning.  User maps are called
-    here, never during iteration: the running-cost maps first, in their
-    own cache-sized blocks (see :func:`_running_integral_blocks`), then one
-    pass over blocks of about ``_BLOCK_ELEMENTS`` (state, action) cells,
-    written straight into the output, that calls the flow, reset and lump
-    costs for the landings once per block, not once on the whole grid (a
-    scalar-only map falls back to point by point within each call).  The
+    grid points (``DiscreteMDP.next_states`` and ``next_weights``); landings
+    beyond the truncation clamp to the boundary with a warning.  User maps
+    are called here, never during iteration: the running-cost maps first,
+    in their own cache-sized blocks (see :func:`_running_integral_blocks`),
+    then one pass over blocks of about ``_BLOCK_ELEMENTS`` (state, action)
+    cells, written straight into the output, that calls the flow, reset and
+    lump costs for the landings once per block, not once on the whole grid
+    (a scalar-only map falls back to point by point within each call).  The
     tables are bitwise the same whatever the blocks.  Raises
     ValueError naming the offending cell if a landing is non-finite (checked
     per block) or a tabulated cost is non-finite or negative, and, before
@@ -958,10 +958,11 @@ def discretize(problem: ImpulseProblem, grid: GridSpec) -> DiscreteMDP:
             "reduce theta_max or alpha")
     check_footprint(problem, grid)
 
-    # kernel entries [i, k, a] = (lower, upper) of cell (i, k*L + a); INF cells
-    # are all killed, and a zero weight on state 1 keeps the CSR canonical
-    cols = np.empty((n, m, L, 2), dtype=np.int32)
+    # landing pairs [i, k, a] = (lower, upper) of cell (i, k*L + a); INF cells
+    # are all killed, and a zero weight on state 1 keeps the pair sorted.
+    # Weights first: the next build after a drop then page-faults less
     weights = np.empty((n, m, L, 2))
+    cols = np.empty((n, m, L, 2), dtype=np.int32)
     cols[:, -1], weights[:, -1] = (0, 1), (1.0, 0.0)
     costs = np.empty((jn, n, n_actions))
     costs_v = costs.reshape(jn, n, m, L)
@@ -1013,12 +1014,11 @@ def discretize(problem: ImpulseProblem, grid: GridSpec) -> DiscreteMDP:
             "were clamped to the boundary; enlarge the state grid if they are "
             "visited at optimum", RuntimeWarning, stacklevel=2)
 
-    indptr = np.arange(0, weights.size + 1, 2, dtype=np.int32)  # two per row
-    kernel = sparse.csr_matrix((weights.ravel(), cols.ravel(), indptr),
-                               shape=(n * n_actions, n))
     return DiscreteMDP(
         states=xs.copy(), theta_points=thetas.copy(), action_labels=tuple(labels),
-        alpha=alpha, x0_index=i0, survival=survival, kernel=kernel, costs=costs,
+        alpha=alpha, x0_index=i0, survival=survival,
+        next_states=cols.reshape(n, n_actions, 2),
+        next_weights=weights.reshape(n, n_actions, 2), costs=costs,
         bounds=tuple(problem.bounds), clamped_cells=clamped)
 
 
@@ -1036,16 +1036,16 @@ def check_footprint(problem: ImpulseProblem, grid: GridSpec,
 
     The estimate uses the grid sizes alone, before any table exists: the
     cost tables (8 bytes per cost per (state, action) cell), the kernel (two
-    int32 columns and two float64 weights per cell, plus its int32 row
-    pointer), and, when some running-cost rate is integrated by Simpson, the
-    lattices (at most span / quadrature_step + 3 nodes per finite theta
-    span, and 60 / (alpha * quadrature_step) + 3 on the infinite wait), at
-    ``_LATTICE_NODE_BYTES`` per node.  :func:`_running_integral_blocks`
-    integrates by Simpson only a rate that is not a number and has no closed
-    form (a Python map).  With ``references``, every rate that is not a
-    number counts, since :func:`stage_cost`, and so ``verify``'s references,
-    integrate all of them by Simpson; the largest span they take is within
-    the same bound.  Raises ValueError naming the grid field behind the
+    int32 states and two float64 weights per cell, plus the int32 row
+    pointer of a row-block sweep), and, when some running-cost rate is
+    integrated by Simpson, the lattices (at most span / quadrature_step + 3
+    nodes per finite theta span, and 60 / (alpha * quadrature_step) + 3 on
+    the infinite wait), at ``_LATTICE_NODE_BYTES`` per node.
+    :func:`_running_integral_blocks` integrates by Simpson only a rate that
+    is not a number and has no closed form (a Python map).  With
+    ``references``, every rate that is not a number counts, since
+    :func:`stage_cost`, and so ``verify``'s references, integrate all of
+    them by Simpson; the largest span they take is within the same bound.  Raises ValueError naming the grid field behind the
     larger part, with the byte count, when the estimate exceeds
     :func:`physical_memory`.
     """

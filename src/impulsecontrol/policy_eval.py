@@ -4,13 +4,13 @@ Two deliberately independent evaluation paths are kept for cross-validation:
 one walk of the grid trajectory, which sums the geometric series of the
 cycle it ends in (exact when landings hit grid points), and a linear solve
 of the interpolated fixed-point system (``DiscreteMDP.solve_policy``; used
-when a landing splits between grid points, and for occupation measures).  A third, grid-free
-oracle integrates the continuous-time cost sum of a decision rule directly
-along the true flow.  An occupation measure holds only the (state, action)
-cells it charges, n of them for a deterministic policy, and its balance
-check reads the kernel rows of those cells alone, so neither allocates a
-(states x actions) table.  All operations are pure functions of immutable
-inputs and safe for concurrent use.
+when a landing splits between grid points, and for occupation measures).
+A third, grid-free oracle integrates the continuous-time cost sum of a
+decision rule directly along the true flow.  An occupation measure holds
+only the (state, action) cells it charges, n of them for a deterministic
+policy, and its balance check reads the landing pairs of those cells
+alone, so neither allocates a (states x actions) table.  All operations
+are pure functions of immutable inputs and safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -233,7 +233,7 @@ def check_characteristic(mdp: DiscreteMDP, mu: OccupationMeasure) -> float:
 
     Evaluates |mu(x, all actions) - delta_x0(x) - inflow(x)| over grid
     states, where inflow aggregates survival-weighted interpolation mass from
-    the cells the measure charges: the two kernel entries of each such cell,
+    the cells the measure charges: the landing pair of each such cell,
     accumulated in cell order, lower landing first.  These are the products
     the transposed kernel applied to the dense surviving mass adds, in the
     same order, without the zero ones, so the inflow is bitwise that
@@ -244,8 +244,8 @@ def check_characteristic(mdp: DiscreteMDP, mu: OccupationMeasure) -> float:
     out = mu.state_marginal
     out[mdp.x0_index] -= 1.0
     surviving = mdp.survival[mu.cells % mdp.n_actions] * mu.values
-    cols = mdp.kernel.indices.reshape(-1, 2)[mu.cells]
-    terms = mdp.kernel.data.reshape(-1, 2)[mu.cells] * surviving[:, np.newaxis]
+    cols = mdp.next_states.reshape(-1, 2)[mu.cells]
+    terms = mdp.next_weights.reshape(-1, 2)[mu.cells] * surviving[:, np.newaxis]
     inflow = np.bincount(cols.ravel(), weights=terms.ravel(),
                          minlength=mdp.n_states)
     return float(np.max(np.abs(out - inflow)))

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 
 import impulsecontrol as ic
 from impulsecontrol import fluidq, model
@@ -125,18 +126,34 @@ def transition(problem, x, theta, a):
     return float(problem.reset(y, a)), math.exp(-problem.alpha * theta)
 
 
+def csr_kernel(mdp):
+    """The (n_states * n_actions) x n_states CSR of ``mdp``'s landing pairs.
+
+    Row ``i * n_actions + q`` holds cell (i, q)'s two grid states, lower
+    first, with their weights: the kernel as ``discretize`` once stored it,
+    and the reference for the row-block sweep's blocks.  It is built anew
+    on each call, sharing no memory with ``mdp``.
+    """
+    n, n_actions = mdp.n_states, mdp.n_actions
+    indptr = np.arange(0, 2 * n * n_actions + 1, 2, dtype=np.int32)
+    return sparse.csr_matrix((mdp.next_weights.ravel().copy(),
+                              mdp.next_states.ravel().copy(), indptr),
+                             shape=(n * n_actions, n))
+
+
 def with_sweep_blocks(mdp, n_blocks):
     """A copy of ``mdp`` (sharing its arrays) swept in ``n_blocks`` row blocks.
 
-    The copy is built by ``DiscreteMDP.__post_init__`` with the block count
+    The copy's lazy ``sweep_blocks`` is built at once with the block count
     forced, whatever the table size and the number of usable cores.  Its
     lazy ``landing_states`` is forced to None before its first use, so a
     state-free kernel takes the row blocks in the sweep and the sparse LU
     in ``solve_policy``, together.
     """
+    copy = dataclasses.replace(mdp)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(model, "_sweep_block_count", lambda cells: n_blocks)
-        copy = dataclasses.replace(mdp)
+        copy.sweep_blocks
     copy.__dict__["landing_states"] = None
     return copy
 
@@ -150,8 +167,9 @@ def shared_landings(mdp):
     otherwise.  The weights are compared as their bit patterns.
     """
     n_actions = mdp.n_actions
-    cols = np.asarray(mdp.kernel.indices).reshape(mdp.n_states, 2 * n_actions)
-    bits = np.asarray(mdp.kernel.data).view(np.uint64).reshape(cols.shape)
+    kernel = csr_kernel(mdp)
+    cols = kernel.indices.reshape(mdp.n_states, 2 * n_actions)
+    bits = kernel.data.view(np.uint64).reshape(cols.shape)
     for i in range(mdp.n_states):
         if not (np.array_equal(cols[i], cols[0])
                 and np.array_equal(bits[i], bits[0])):

@@ -6,6 +6,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -13,8 +14,8 @@ import impulsecontrol as ic
 from impulsecontrol import bellman, fluidq, model
 from impulsecontrol.bellman import combined_cost
 
-from conftest import (assert_landing_states, fluid_mdp, traced_peak,
-                      with_sweep_blocks)
+from conftest import (assert_landing_states, csr_kernel, fluid_mdp,
+                      traced_peak, with_sweep_blocks)
 
 
 G_STAR = 1.8480894645490473  # analytic multiplier for the benchmark
@@ -163,6 +164,23 @@ def test_argmin_set_slack_extremes(small_mdp):
         assert flat[i] in tight[i]
 
 
+def test_argmin_set_is_the_csr_product_reference(scale_mdp):
+    # the pair sum rounds as the CSR product does, so the sets are the
+    # product's, ties at zero slack included
+    n = scale_mdp.n_states
+    sol = ic.policy_iteration(scale_mdp, [1.0])
+    for W in (sol.W, np.zeros(n), np.linspace(0.0, 3.0, n)):
+        q = (csr_kernel(scale_mdp) @ W).reshape(n, -1)
+        q *= scale_mdp.survival
+        q += combined_cost(scale_mdp, [1.0])
+        for slack in (0.0, 1e-9 * (1.0 + np.abs(W)), 1e-2):
+            thr = q.min(axis=1) + slack
+            got = ic.argmin_set(scale_mdp, W, [1.0], slack)
+            assert len(got) == n
+            assert all(np.array_equal(got[i], np.nonzero(q[i] <= thr[i])[0])
+                       for i in range(n))
+
+
 def test_argmin_set_matches_analytic_threshold_rule(small_mdp, bench_analytic):
     g = bench_analytic.g_star
     sol = ic.solve_W(small_mdp, [g])
@@ -295,8 +313,20 @@ def test_sweep_splits_from_two_to_the_eighteen_cells(scale_mdp):
     assert model._sweep_block_count(2 ** 18 - 1) == 1
     assert model._sweep_block_count(2 ** 18) == model._usable_cores()
     (lo, hi, kernel), = scale_mdp.sweep_blocks  # 120 x 242 cells: one block
-    assert (lo, hi) == (0, scale_mdp.n_states) and kernel is scale_mdp.kernel
+    assert (lo, hi) == (0, scale_mdp.n_states)
+    assert np.shares_memory(kernel.data, scale_mdp.next_weights)
+    assert np.shares_memory(kernel.indices, scale_mdp.next_states)
+    _assert_csr_equal(kernel, csr_kernel(scale_mdp))
     assert scale_mdp.landing_states is None
+
+
+def _assert_csr_equal(got, want):
+    """Same shape, and bitwise the same data, indices and indptr."""
+    assert got.shape == want.shape
+    for attr in ("data", "indices", "indptr"):
+        a, b = getattr(got, attr), getattr(want, attr)
+        assert a.dtype == b.dtype and np.array_equal(a.view(np.uint8),
+                                                     b.view(np.uint8)), attr
 
 
 def _assert_sweep_is_the_reference(mdp, g, sol):
@@ -341,10 +371,13 @@ def test_sweep_blocks_are_bitwise_the_full_table(scale_mdp, n_blocks):
     edges = [b[:2] for b in mdp.sweep_blocks]
     assert len(edges) == k and edges[0][0] == 0 and edges[-1][1] == mdp.n_states
     assert all(a[1] == b[0] for a, b in zip(edges, edges[1:]))
-    kernel = scale_mdp.kernel
+    # each block views the pair arrays, and the blocks stack to the kernel
     for _, _, block in mdp.sweep_blocks:
-        assert all(np.shares_memory(getattr(block, name), getattr(kernel, name))
-                   for name in ("data", "indices", "indptr"))
+        assert np.shares_memory(block.data, scale_mdp.next_weights)
+        assert np.shares_memory(block.indices, scale_mdp.next_states)
+    stacked = sparse.vstack([block for _, _, block in mdp.sweep_blocks],
+                            format="csr")
+    _assert_csr_equal(stacked, csr_kernel(scale_mdp))
     sol = ic.policy_iteration(scale_mdp, [G_STAR])
     _assert_sweep_is_the_reference(mdp, [G_STAR], sol)
     _assert_solvers_agree(scale_mdp, mdp, [G_STAR])
@@ -360,11 +393,14 @@ def test_state_free_kernel_is_swept_once_per_action(request, mdp_name):
     assert S.tolist() == [0, 1]  # the reset to 0 and never impulse
     weights = mdp.landing_weights
     assert weights.shape == (S.size, mdp.n_actions)
-    assert np.array_equal(weights.T, mdp.kernel[:mdp.n_actions].toarray()[:, S])
+    assert np.array_equal(weights.T,
+                          csr_kernel(mdp)[:mdp.n_actions].toarray()[:, S])
     _assert_sweep_is_the_reference(mdp, g, ic.policy_iteration(mdp, g))
     blocks = with_sweep_blocks(mdp, 1)
     assert blocks.landing_states is None
-    assert blocks.sweep_blocks[0][2] is mdp.kernel
+    (_, _, kernel), = blocks.sweep_blocks
+    assert np.shares_memory(kernel.data, mdp.next_weights)
+    _assert_csr_equal(kernel, csr_kernel(mdp))
     _assert_solvers_agree(blocks, mdp, g, bitwise=False)
 
 

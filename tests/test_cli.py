@@ -239,6 +239,37 @@ def test_missing_config_exits_2(capsys):
     assert cli.main(["solve", "--config", "/nonexistent.json"]) == 2
 
 
+@pytest.mark.parametrize("case", [
+    "missing config", "config is a directory", "missing policy",
+    "policy is a directory", "binary policy", "out under a missing directory",
+    "bellman trace under a missing directory"])
+def test_a_file_that_cannot_be_read_or_written_exits_2_naming_it(
+        config_file, tmp_path, case, capsys):
+    missing = str(tmp_path / "missing" / "file")
+    binary = tmp_path / "policy.bin"
+    binary.write_bytes(bytes(range(128, 256)))
+    path, argv = {
+        "missing config": (missing, ["solve", "--config", missing]),
+        "config is a directory": (str(tmp_path),
+                                  ["solve", "--config", str(tmp_path)]),
+        "missing policy": (missing, ["eval", "--config", config_file,
+                                     "--policy", missing]),
+        "policy is a directory": (str(tmp_path), [
+            "eval", "--config", config_file, "--policy", str(tmp_path)]),
+        "binary policy": (str(binary), ["eval", "--config", config_file,
+                                        "--policy", str(binary)]),
+        "out under a missing directory": (missing, [
+            "solve", "--config", config_file, "--out", missing]),
+        "bellman trace under a missing directory": (missing, [
+            "solve", "--config", config_file, "--out", str(tmp_path / "r.json"),
+            "--bellman-trace", missing]),
+    }[case]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and path in err, err
+    assert ("not found" in err) == case.startswith("missing"), err
+
+
 def test_malformed_config_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -781,15 +781,16 @@ def _assert_threads_get(shared, ref):
 @pytest.mark.parametrize("n_blocks", [None, 3])
 def test_threads_sharing_an_mdp_get_the_single_block_answer(split_scale,
                                                             n_blocks):
-    # None: a fresh copy with the blocks it was built with (one per usable
-    # core), whose state-free check the callers' first sweeps make
+    # None: a fresh copy whose state-free check and row blocks (one per
+    # usable core) the callers' first sweeps make
     ref = ic.solve_constrained(with_sweep_blocks(split_scale, 1))
     if n_blocks is None:
         shared = dataclasses.replace(split_scale)
+        assert "sweep_blocks" not in shared.__dict__
     else:
         shared = with_sweep_blocks(split_scale, n_blocks)
-    assert len(shared.sweep_blocks) == (n_blocks or model._usable_cores())
     _assert_threads_get(shared, ref)
+    assert len(shared.sweep_blocks) == (n_blocks or model._usable_cores())
     assert shared.landing_states is None
 
 

@@ -12,12 +12,13 @@ import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
 import impulsecontrol as ic
-from impulsecontrol import bellman, model
+from impulsecontrol import bellman, cli, model
 from impulsecontrol.model import INFINITY, ConfigError
 
 from conftest import (BANDS, CUSTOM_TWO_ACTION_DOC, J2_DOC, accept_fluid_problem,
-                      assert_landing_states, band_centre_doc, fluid_mdp,
-                      shared_landings, traced_peak, transition, with_sweep_blocks)
+                      assert_landing_states, band_centre_doc, csr_kernel,
+                      fluid_mdp, shared_landings, traced_peak, transition,
+                      with_sweep_blocks)
 
 
 @pytest.fixture(scope="module")
@@ -129,21 +130,24 @@ def test_kernel_is_stored_once(small_mdp, table):
     else:
         mdp = ic.discretize(*ic.problem_from_config(CUSTOM_TWO_ACTION_DOC))
     n, n_actions = mdp.n_states, mdp.n_actions
-    k = mdp.kernel
-    assert k.shape == (n * n_actions, n)
-    assert np.all(np.diff(k.indptr) == 2) and k.indices.dtype == np.int32
-    # the four per-cell tables are views of the kernel, not copies
-    for view, store in ((mdp.next_lo, k.indices), (mdp.next_hi, k.indices),
-                        (mdp.w_lo, k.data), (mdp.w_hi, k.data)):
+    assert mdp.next_states.shape == mdp.next_weights.shape == (n, n_actions, 2)
+    assert mdp.next_states.dtype == np.int32
+    # the four per-cell tables are views of the pair arrays, not copies
+    for view, store in ((mdp.next_lo, mdp.next_states),
+                        (mdp.next_hi, mdp.next_states),
+                        (mdp.w_lo, mdp.next_weights), (mdp.w_hi, mdp.next_weights)):
         assert view.shape == (n, n_actions)
         assert np.shares_memory(view, store)
-    # sorted and duplicate-free, so no scipy call rewrites the arrays in place
-    assert k.has_canonical_format
+    # their CSR is sorted and duplicate-free, so no scipy call rewrites a
+    # row block's views in place
+    k = csr_kernel(mdp)
+    assert np.all(mdp.next_lo < mdp.next_hi) and k.has_canonical_format
     # two entries a row, so verify's kernel-mass pair sum is the row sum
-    assert np.array_equal(k.data[0::2] + k.data[1::2],
-                          np.add.reduceat(k.data, k.indptr[:-1]))
-    with pytest.raises(ValueError, match="read-only"):
-        k.data[0] = 0.5
+    assert np.array_equal(mdp.w_lo + mdp.w_hi,
+                          np.add.reduceat(k.data, k.indptr[:-1]).reshape(n, -1))
+    for table in (mdp.next_states, mdp.next_weights):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0, 0] = 1
     # the sparse product is bitwise the two-point interpolation
     W = np.random.default_rng(7).uniform(0.0, 10.0, n)
     ref = mdp.survival * (mdp.w_lo * W[mdp.next_lo] + mdp.w_hi * W[mdp.next_hi])
@@ -453,8 +457,9 @@ def test_discretize_does_not_load_scipy_special():
 
 
 def test_only_a_state_dependent_kernel_loads_the_sparse_lu(tmp_path):
-    # a constant reset solves on its landing states, so the import of
-    # scipy's sparse LU (about 0.1 s) waits for a kernel that needs it
+    # a constant reset sweeps and solves on its landing states, so the
+    # imports of scipy.sparse (about 0.12 s) and its LU (about 0.1 s) wait
+    # for a kernel that needs them
     root = Path(ic.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(root), os.environ.get("PYTHONPATH", "")]))
@@ -466,14 +471,31 @@ def test_only_a_state_dependent_kernel_loads_the_sparse_lu(tmp_path):
                 str(tmp_path / "report.json"), *small, *sets]
         return f"assert cli.main({argv!r}) == 0; "
 
-    code = ("import sys; from impulsecontrol import cli; "
-            "assert 'scipy.sparse.linalg' not in sys.modules; "
-            + solve("fluid_benchmark.json")
-            + "assert 'scipy.sparse.linalg' not in sys.modules; "
+    verify = ["verify", "--config", str(configs / "custom_j2.json")]
+    unloaded = ("assert not {'scipy.sparse', 'scipy.sparse.linalg'} "
+                "& set(sys.modules); ")
+    code = ("import sys; from impulsecontrol import cli; " + unloaded
+            + solve("fluid_benchmark.json") + unloaded
+            + f"assert cli.main({verify!r}) == 0; " + unloaded
             + solve("custom_j2.json", "--set", "reset.type=scale",
                     "--set", "reset.factor=0.5")
-            + "assert 'scipy.sparse.linalg' in sys.modules")
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+            + "assert {'scipy.sparse', 'scipy.sparse.linalg'} <= set(sys.modules)")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                   stdout=subprocess.DEVNULL)
+
+
+@pytest.mark.parametrize("case", ["fluid-accept-centre", "j2"])
+def test_a_state_free_run_builds_no_row_blocks(case):
+    # the solve and verify's checks sweep and solve on the landing states,
+    # so the CSR row blocks are never made
+    doc = band_centre_doc("fluid-accept") if case != "j2" else J2_DOC
+    prob, grid = ic.problem_from_config(doc)
+    mdp = ic.discretize(prob, grid)
+    assert ic.solve_constrained(mdp).certificates.ok
+    checks = list(cli._verify_checks(prob, grid, mdp, 1.0, ic.validate(prob, grid)))
+    assert all(passed for _, passed, _ in checks), checks
+    assert mdp.landing_states is not None
+    assert "sweep_blocks" not in mdp.__dict__
 
 
 BLOCK_CASES = {
@@ -494,9 +516,10 @@ def test_block_size_does_not_change_the_tables(monkeypatch, case):
     ref = ic.discretize(prob, grid)
 
     def same_tables(mdp, want):
-        for attr in ("data", "indices", "indptr"):
-            got, exp = getattr(mdp.kernel, attr), getattr(want.kernel, attr)
-            assert got.dtype == exp.dtype and np.array_equal(got, exp), attr
+        for attr in ("next_states", "next_weights"):
+            got, exp = getattr(mdp, attr), getattr(want, attr)
+            assert got.dtype == exp.dtype and got.shape == exp.shape, attr
+            assert np.array_equal(got.view(np.uint8), exp.view(np.uint8)), attr
         assert mdp.clamped_cells == want.clamped_cells
 
     # one state per block (sub-blocks too), 7 elements (one state per
@@ -533,7 +556,7 @@ def _solve_policy_reference(mdp, flat, rhs, transpose):
     from scipy.sparse.linalg import splu
 
     n = mdp.n_states
-    P = mdp.kernel[np.arange(n) * mdp.n_actions + flat]
+    P = csr_kernel(mdp)[np.arange(n) * mdp.n_actions + flat]
     P.data *= np.repeat(mdp.survival[flat], 2)
     A = (sparse.eye(n, format="csc") - (P.T if transpose else P).tocsc()).tocsc()
     try:
@@ -694,7 +717,8 @@ def test_landing_states_is_the_bounded_reference_scan(case):
     if mdp.landing_states is not None:
         S = mdp.landing_states
         weights = mdp.landing_weights
-        assert np.array_equal(weights.T, mdp.kernel[:mdp.n_actions].toarray()[:, S])
+        assert np.array_equal(weights.T,
+                              csr_kernel(mdp)[:mdp.n_actions].toarray()[:, S])
         # two nonzero weights per action at most: the sweep's row sum is
         # the CSR product's
         assert np.all((weights != 0.0).sum(axis=0) <= 2)
@@ -778,8 +802,7 @@ def test_discretize_peak_memory_is_a_small_multiple_of_its_output():
     prob, grid = accept_fluid_problem()
     ic.discretize(prob, ic.GridSpec.uniform(0.0, 1.0, 5, 1.0, 5, 0.01))  # warm
     peak, mdp = traced_peak(lambda: ic.discretize(prob, grid))
-    k = mdp.kernel
-    output = mdp.costs.nbytes + k.data.nbytes + k.indices.nbytes + k.indptr.nbytes
+    output = mdp.costs.nbytes + mdp.next_weights.nbytes + mdp.next_states.nbytes
     # the tables are written in place; only block-sized workspaces remain
     assert peak <= 2 * output, peak / output
 

@@ -31,9 +31,8 @@ def test_tracer_installs_and_restores_every_patch():
 
 def test_tracer_reads_the_kernel_tables(small_mdp):
     # ``_mdp_bytes`` reads next_lo, next_hi, w_lo and w_hi by name; they are
-    # views of the kernel, so their bytes are the kernel's indices and data
+    # views of the landing pairs, so their bytes are the pair arrays'
     tracing = _load_tracing()
-    k = small_mdp.kernel
-    expected = (k.indices.nbytes + k.data.nbytes
+    expected = (small_mdp.next_states.nbytes + small_mdp.next_weights.nbytes
                 + small_mdp.costs[0].nbytes + small_mdp.survival.nbytes)
     assert tracing._mdp_bytes(small_mdp) == {"sweep_bytes": expected}

@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 import impulsecontrol as ic
 from impulsecontrol.policy_eval import _walk
 
-from conftest import (constant_theta_policy, custom_two_action_off_grid_doc,
-                      fluid_mdp, threshold_policy, traced_peak)
+from conftest import (constant_theta_policy, csr_kernel,
+                      custom_two_action_off_grid_doc, fluid_mdp,
+                      threshold_policy, traced_peak)
 
 
 @pytest.fixture(scope="module")
@@ -224,7 +225,7 @@ def _dense_characteristic(mdp, mass):
     transposed kernel applied to the surviving mass of every cell."""
     out = mass.sum(axis=1).astype(float)
     out[mdp.x0_index] -= 1.0
-    inflow = mdp.kernel.T @ (mdp.survival * mass).ravel()
+    inflow = csr_kernel(mdp).T @ (mdp.survival * mass).ravel()
     return float(np.max(np.abs(out - inflow)))
 
 
@@ -268,7 +269,7 @@ def test_characteristic_is_bitwise_the_dense_inflow(fluid, case):
     for mu in mus:
         assert ic.check_characteristic(mdp, mu) == _dense_characteristic(mdp, mu.mass)
         assert ic.check_characteristic(mdp, mu) <= 1e-9
-    w_lo = mdp.kernel.data[0::2][np.concatenate([mu.cells for mu in mus])]
+    w_lo = csr_kernel(mdp).data[0::2][np.concatenate([mu.cells for mu in mus])]
     split = np.any((w_lo > 0.0) & (w_lo < 1.0))
     assert split == (case != "fluid-on-grid")
     if case == "two-policy-mixture":
