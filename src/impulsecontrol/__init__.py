@@ -8,10 +8,10 @@ slackness.  The fluid-buffer benchmark in :mod:`impulsecontrol.fluidq` has a
 closed-form optimum used as the end-to-end oracle.
 """
 
-from .model import (INFINITY, ConfigError, DecayFlow, DiscreteMDP, DriftFlow,
-                    GridSpec, ImpulseProblem, PolynomialRate,
-                    ValidationReport, discretize, fluid_problem,
-                    problem_from_config, stage_cost, validate)
+from .model import (INFINITY, ConfigError, ConstantReset, DecayFlow,
+                    DiscreteMDP, DriftFlow, GridSpec, ImpulseProblem,
+                    PolynomialRate, ValidationReport, discretize,
+                    fluid_problem, problem_from_config, stage_cost, validate)
 from .bellman import (BellmanConfig, BellmanSolution, StationaryPolicy,
                       argmin_set, policy_iteration, solve_W)
 from .policy_eval import (CostVector, MixedPolicy, OccupationMeasure,
@@ -25,8 +25,8 @@ from .dual import (BellmanNotConvergedError, CertificateReport,
 from . import fluidq
 
 __all__ = [
-    "INFINITY", "ConfigError", "DecayFlow", "DiscreteMDP", "DriftFlow",
-    "GridSpec", "ImpulseProblem", "PolynomialRate", "ValidationReport",
+    "INFINITY", "ConfigError", "ConstantReset", "DecayFlow", "DiscreteMDP",
+    "DriftFlow", "GridSpec", "ImpulseProblem", "PolynomialRate", "ValidationReport",
     "discretize", "fluid_problem", "problem_from_config", "stage_cost",
     "validate",
     "BellmanConfig", "BellmanSolution", "StationaryPolicy", "argmin_set",

@@ -24,21 +24,21 @@ doubles as a runtime sanity check.
 
 Both solvers go through one sweep, :func:`_sweep`: Q = survival *
 (w_lo W[next_lo] + w_hi W[next_hi]) + cost, reduced per state to its
-smallest-index minimizer.  When every state lands where state 0 does, on
-at most 64 grid states S (``DiscreteMDP.landing_states``, as under a
-constant reset), state 0's row of Q is formed once from the table
-``DiscreteMDP.landing_weights`` and broadcast over the states; the policy
-solve reads the same table.  Otherwise the sweep goes by row blocks: a
-sweep is a Jacobi update, every row reading only the previous iterate, so
-the rows split into independent blocks (Bertsekas & Tsitsiklis, *Parallel
-and Distributed Computation*, 1989, section 1.2).  A large MDP carries one
-row block per usable core (``DiscreteMDP.sweep_blocks``, CSR views of the
-landing pairs made on the first row-block sweep): the calling thread
-sweeps the first, a shared thread pool the others, and the caller takes
-back any block the pool has not started by the time it is done.  Each
-block makes and reduces only its own rows of the Q table.  Each cell is
-computed by the same operations in the same order on every path, so the
-results are bitwise independent of the path and of the core count.
+smallest-index minimizer.  Under a constant reset every state lands where
+state 0 does (``DiscreteMDP.landing_states`` is not None), so state 0's
+row of Q is formed once from its landing pairs and broadcast over the
+states; the policy solve reads the same pairs.  Otherwise the sweep goes
+by row blocks: a sweep is a Jacobi update, every row reading only the
+previous iterate, so the rows split into independent blocks (Bertsekas &
+Tsitsiklis, *Parallel and Distributed Computation*, 1989, section 1.2).  A
+large MDP carries one row block per usable core
+(``DiscreteMDP.sweep_blocks``, CSR views of the landing pairs made on the
+first row-block sweep): the calling thread sweeps the first, a shared
+thread pool the others, and the caller takes back any block the pool has
+not started by the time it is done.  Each block makes and reduces only its
+own rows of the Q table.  Each cell is computed by the same operations in
+the same order on every path, so the results are bitwise independent of
+the path and of the core count.
 """
 
 from __future__ import annotations
@@ -192,11 +192,10 @@ def _sweep(mdp: DiscreteMDP, W: np.ndarray, cost: np.ndarray,
     Returns per state the smallest-index minimizer of
     Q = survival * (w_lo W[next_lo] + w_hi W[next_hi]) + cost, its Q value,
     and the Q value of action ``flat`` (None when ``flat`` is None).  On a
-    state-free kernel (``mdp.landing_states``, S) every state's row of Q is
-    state 0's, formed on the calling thread as sum_k ``landing_weights[k]``
-    * W[S[k]] times survival and broadcast onto ``cost``.  Each action has
-    at most two nonzero weights, lower landing first, so the sum rounds as
-    the pair sum does.  Otherwise each row block of ``mdp.sweep_blocks``, a
+    state-free kernel (``mdp.landing_states`` is not None) every state's
+    row of Q is state 0's, formed on the calling thread from row 0's pairs
+    and broadcast onto ``cost``; it rounds as the CSR row, whose sum starts
+    at an exact 0.  Otherwise each row block of ``mdp.sweep_blocks``, a
     CSR view of its states' landing pairs, makes and reduces its own part
     of Q.  The calling thread sweeps the first block while the pool takes
     the others, then takes back and sweeps itself every block no worker has
@@ -204,12 +203,8 @@ def _sweep(mdp: DiscreteMDP, W: np.ndarray, cost: np.ndarray,
     sweep.  No pool task waits on another, so concurrent callers cannot
     deadlock.
     """
-    S = mdp.landing_states
-    if S is not None:
-        weights = mdp.landing_weights
-        q = weights[0] * W[S[0]]
-        for k in range(1, S.size):
-            q += weights[k] * W[S[k]]
+    if mdp.landing_states is not None:
+        q = mdp.w_lo[0] * W[mdp.next_lo[0]] + mdp.w_hi[0] * W[mdp.next_hi[0]]
         q *= mdp.survival
         return _sweep_rows(q + cost, flat)
 

@@ -355,7 +355,7 @@ def maximize_dual(mdp: DiscreteMDP, cfg: BellmanConfig = BellmanConfig()):
             # that fails on a grown box counts as an unbounded dual
             raise _unbounded(f"{exc} at multiplier box {box.tolist()}; the "
                              "dual functional kept increasing", trace, d,
-                             box > G_INIT) from exc
+                             box, G_INIT) from exc
         pt = dual_value(mdp, g, cfg, start=pt.solution)
         known = any(pt.policy == cut.policy for cut in trace)
         trace.append(pt)
@@ -366,14 +366,17 @@ def maximize_dual(mdp: DiscreteMDP, cfg: BellmanConfig = BellmanConfig()):
                 raise _unbounded(
                     f"dual functional still increasing at multiplier "
                     f"{g.tolist()} (doubling cap {BRACKET_CAP:.3g})", trace,
-                    d, box > BRACKET_CAP)
+                    d, box, BRACKET_CAP)
         elif known or pt.h >= ub - eps * (1.0 + abs(ub)):
             return g, trace, w
 
 
-def _unbounded(why: str, trace, d: np.ndarray, grown) -> DualBracketError:
-    """The unbounded-dual error for ``why``, naming the bounds ``grown`` flags."""
+def _unbounded(why: str, trace, d: np.ndarray, box, cap) -> DualBracketError:
+    """The unbounded-dual error for ``why``, naming the bounds whose box
+    passed ``cap`` if the cuts all miss one (least V_j > d_j), else every
+    bound whose box grew: one that is met alone may pass the cap first."""
     least = np.min([pt.costs.v[1:] for pt in trace], axis=0)
+    grown = box > (cap if ((box > cap) & (least > d)).any() else G_INIT)
     return DualBracketError(
         f"{why}; the constraints appear to admit no strictly feasible point: "
         + "; ".join(f"bound {j + 1} (d_{j + 1} = {d[j]:.6g}, least V_{j + 1} "

@@ -13,7 +13,7 @@ landing states are represented by linear interpolation weights between
 bracketing grid points, and the infinite waiting time is kept as an exact
 sentinel (never a large float) so that killing is exact.  The landing map is
 stored once, in ``DiscreteMDP.next_states`` and ``next_weights`` that every
-solver reads.
+solver reads (one broadcast row under a :class:`ConstantReset`).
 
 Running-cost integrals are exact wherever the problem's types allow it.
 Every rate and flow a configuration document can declare has a closed form:
@@ -76,9 +76,6 @@ _LATTICE_NODE_BYTES = 48
 # (state, action) cells from which a Bellman sweep is split into one row
 # block per usable core: a 2 MiB float64 Q table, one core's L2 cache
 _SWEEP_SPLIT_CELLS = 2 ** 18
-# most grid states a state-free kernel may land on for the sweep to broadcast
-# one row of Q and a policy to be evaluated by a dense solve on them
-_DENSE_LANDINGS = 64
 
 
 def _usable_cores() -> int:
@@ -133,7 +130,7 @@ class ImpulseProblem:
         Semiflow phi(x, t); must satisfy phi(x, 0) = x and
         phi(phi(x, s), t) = phi(x, s + t).
     reset:
-        Jump map l(x, a) applied at impulse times.
+        Jump map l(x, a) applied at impulse times (see :class:`ConstantReset`).
     gradual_costs:
         J+1 running cost rates >= 0, each a real number or a map x -> rate.
         A number integrates in closed form, and so does a
@@ -256,18 +253,15 @@ class DiscreteMDP:
     table of at least 2^18 cells (2 MiB) gets one block per usable core; a
     smaller table, or a process with one usable core, gets a single block.
 
-    When every grid state's landing pairs are bitwise state 0's (the
-    landing depends on the action alone, as a constant reset makes it) and
-    name at most ``_DENSE_LANDINGS`` grid states, ``landing_states`` holds
-    those states S, sorted; otherwise it is None.  ``landing_weights`` is
-    then the |S| x n_actions table of state 0's interpolation weights on S,
-    survival not folded in.  The sweep forms one row of Q from it and
-    broadcasts that row over the states, and :meth:`solve_policy` solves
-    on S.  All three are made on first use and cached.  All arrays are
-    written once at construction and are read-only afterwards, so instances
-    are safe to share across threads, sweeps and solves included; threads
-    that first use an instance at the same time may each make these cached
-    values, and they make the same.
+    Under a :class:`ConstantReset` the pairs are state 0's, broadcast over
+    the states (stride 0 on axis 0), and ``landing_states`` holds the at
+    most four grid states S they name, sorted; it is None for any other
+    layout.  The sweep then broadcasts one row of Q, and
+    :meth:`solve_policy` solves on S.  All arrays are written once at
+    construction and are read-only afterwards, so instances are safe to
+    share across threads, sweeps and solves included; threads that first
+    use an instance at the same time may each make its cached values, and
+    they make the same.
     """
 
     states: np.ndarray            # (n_states,) grid points
@@ -305,25 +299,9 @@ class DiscreteMDP:
 
     @cached_property
     def landing_states(self) -> np.ndarray | None:
-        # compared as integers, so that the check is bitwise; the never
-        # impulse actions name states 0 and 1 with survival 0
-        cols, weights = (a.reshape(self.n_states, -1) for a in (
-            self.next_states, self.next_weights.view(np.int64)))
-        if (cols == cols[0]).all() and (weights == weights[0]).all():
-            S = np.unique(cols[0])
-            if S.size <= _DENSE_LANDINGS:
-                return S
-        return None
-
-    @cached_property
-    def landing_weights(self) -> np.ndarray:
-        S = self.landing_states
-        out = np.zeros((S.size, self.n_actions))
-        actions = np.arange(self.n_actions)
-        for cols, weights in ((self.next_lo[0], self.w_lo[0]),
-                              (self.next_hi[0], self.w_hi[0])):
-            out[np.searchsorted(S, cols), actions] = weights
-        return out
+        if self.next_states.strides[0] or self.next_weights.strides[0]:
+            return None
+        return np.unique(self.next_states[0])
 
     @property
     def n_states(self) -> int:
@@ -361,8 +339,8 @@ class DiscreteMDP:
         nonzero columns on the landing states S only, so I - P is block
         triangular and only its S x S block M = I - P[S, S] needs a solve,
         a small dense one (block elimination; Golub & Van Loan, *Matrix
-        Computations*, section 3.2).  B = P[:, S] is read from
-        ``landing_weights`` times survival: x[S] solves M x[S] = rhs[S] and
+        Computations*, section 3.2).  B = P[:, S] holds row 0's pairs at
+        ``flat`` times survival: x[S] solves M x[S] = rhs[S] and
         every other x is rhs + B x[S]; transposed, x is rhs off S and x[S]
         solves M^T x[S] = rhs[S] + P[S^c, S]^T rhs[S^c].  I - P is singular
         exactly when M is.  Otherwise I - P is assembled directly, three
@@ -406,7 +384,9 @@ class DiscreteMDP:
                            transpose: bool) -> np.ndarray | None:
         S = self.landing_states
         # P[:, S], C-contiguous as BLAS reads it below
-        B = self.landing_weights.T[flat] * self.survival[flat, np.newaxis]
+        B = np.zeros((flat.size, S.size))
+        w = self.next_weights[0, flat] * self.survival[flat, np.newaxis]
+        np.put_along_axis(B, np.searchsorted(S, self.next_states[0, flat]), w, 1)
         M = np.eye(S.size) - B[S]
         try:
             if transpose:
@@ -681,6 +661,20 @@ class DecayFlow:
         return -np.expm1(-rate * T) / rate
 
 
+class ConstantReset:
+    """Jump map l(x, a) = value, called as ``value + 0.0 * x`` like the map
+    it declares.  Every state lands where state 0 does, so
+    :func:`discretize` works out state 0's landings only."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: float):
+        self.value = value
+
+    def __call__(self, x, a):
+        return self.value + 0.0 * x
+
+
 _CLOSED_FORM_FLOWS = (DriftFlow, DecayFlow)
 
 
@@ -922,18 +916,20 @@ def discretize(problem: ImpulseProblem, grid: GridSpec) -> DiscreteMDP:
 
     Landing states get linear interpolation weights between the bracketing
     grid points (``DiscreteMDP.next_states`` and ``next_weights``); landings
-    beyond the truncation clamp to the boundary with a warning.  User maps
-    are called here, never during iteration: the running-cost maps first,
-    in their own cache-sized blocks (see :func:`_running_integral_blocks`),
-    then one pass over blocks of about ``_BLOCK_ELEMENTS`` (state, action)
-    cells, written straight into the output, that calls the flow, reset and
-    lump costs for the landings once per block, not once on the whole grid
-    (a scalar-only map falls back to point by point within each call).  The
-    tables are bitwise the same whatever the blocks.  Raises
-    ValueError naming the offending cell if a landing is non-finite (checked
-    per block) or a tabulated cost is non-finite or negative, and, before
-    any table exists, for an off-grid x0, a survival that underflows or a
-    grid that :func:`check_footprint` refuses.
+    beyond the truncation clamp to the boundary with a warning.  Under a
+    :class:`ConstantReset` they are state 0's, broadcast over the states (a
+    clamp still counts once per state).  User maps are called here, never
+    during iteration: the running-cost maps first, in their own cache-sized
+    blocks (see :func:`_running_integral_blocks`), then one pass over blocks
+    of about ``_BLOCK_ELEMENTS`` (state, action) cells, written straight
+    into the output, that calls the flow, reset and lump costs for the
+    landings once per block, not once on the whole grid (a scalar-only map
+    falls back to point by point within each call).  The tables are bitwise
+    the same whatever the blocks.  Raises ValueError naming the offending
+    cell if a landing is non-finite (checked per block) or a tabulated cost
+    is non-finite or negative, and, before any table exists, for an off-grid
+    x0, a survival that underflows or a grid that :func:`check_footprint`
+    refuses.
     """
     xs = grid.state_points
     thetas = grid.theta_points
@@ -959,10 +955,12 @@ def discretize(problem: ImpulseProblem, grid: GridSpec) -> DiscreteMDP:
     check_footprint(problem, grid)
 
     # landing pairs [i, k, a] = (lower, upper) of cell (i, k*L + a); INF cells
-    # are all killed, and a zero weight on state 1 keeps the pair sorted.
-    # Weights first: the next build after a drop then page-faults less
-    weights = np.empty((n, m, L, 2))
-    cols = np.empty((n, m, L, 2), dtype=np.int32)
+    # are all killed, and a zero weight on state 1 keeps the pair sorted; a
+    # constant reset's one row is broadcast on return.  Weights first: the
+    # next build after a drop then page-faults less
+    constant = isinstance(problem.reset, ConstantReset)
+    weights = np.empty((1 if constant else n, m, L, 2))
+    cols = np.empty(weights.shape, dtype=np.int32)
     cols[:, -1], weights[:, -1] = (0, 1), (1.0, 0.0)
     costs = np.empty((jn, n, n_actions))
     costs_v = costs.reshape(jn, n, m, L)
@@ -978,8 +976,9 @@ def discretize(problem: ImpulseProblem, grid: GridSpec) -> DiscreteMDP:
         for a_idx in range(1, L):
             block[..., a_idx] = block[..., 0]
         y_flow = _eval(problem.flow, xs[rows, np.newaxis], thetas[np.newaxis, :-1])
-        for a_idx, label in enumerate(labels):
-            landing = _eval(problem.reset, y_flow, label)
+        # a constant reset lands its one row in the first block (rows slices it)
+        for a_idx, label in enumerate(() if constant and rows.start else labels):
+            landing = _eval(problem.reset, y_flow[:1] if constant else y_flow, label)
             if not np.isfinite(landing).all():
                 r, k = np.argwhere(~np.isfinite(landing))[0]
                 i = rows.start + int(r)
@@ -987,14 +986,15 @@ def discretize(problem: ImpulseProblem, grid: GridSpec) -> DiscreteMDP:
                     f"landing state is non-finite at state {float(xs[i])} "
                     f"(index {i}), theta={float(thetas[k])}, action={label!r}: "
                     f"{float(landing[r, k])!r}")
-            clamped += int(np.sum((landing < xs[0] - clamp_tol)
-                                  | (landing > xs[-1] + clamp_tol)))
+            clamped += (n if constant else 1) * int(np.sum(
+                (landing < xs[0] - clamp_tol) | (landing > xs[-1] + clamp_tol)))
             landing = np.clip(landing, xs[0], xs[-1])
             hi = np.clip(np.searchsorted(xs, landing), 1, n - 1)
             lo = hi - 1
             frac = np.clip((landing - xs[lo]) / (xs[hi] - xs[lo]), 0.0, 1.0)
             cols[rows, :-1, a_idx, 0], cols[rows, :-1, a_idx, 1] = lo, hi
             weights[rows, :-1, a_idx, 0], weights[rows, :-1, a_idx, 1] = 1.0 - frac, frac
+        for a_idx, label in enumerate(labels):
             for j in range(jn):
                 block[j, :, :-1, a_idx] += surv_fin * _eval(
                     problem.impulse_costs[j], y_flow, label)
@@ -1016,9 +1016,9 @@ def discretize(problem: ImpulseProblem, grid: GridSpec) -> DiscreteMDP:
 
     return DiscreteMDP(
         states=xs.copy(), theta_points=thetas.copy(), action_labels=tuple(labels),
-        alpha=alpha, x0_index=i0, survival=survival,
-        next_states=cols.reshape(n, n_actions, 2),
-        next_weights=weights.reshape(n, n_actions, 2), costs=costs,
+        alpha=alpha, x0_index=i0, survival=survival, costs=costs,
+        next_states=np.broadcast_to(cols, (n, m, L, 2)).reshape(n, n_actions, 2),
+        next_weights=np.broadcast_to(weights, (n, m, L, 2)).reshape(n, n_actions, 2),
         bounds=tuple(problem.bounds), clamped_cells=clamped)
 
 
@@ -1036,25 +1036,27 @@ def check_footprint(problem: ImpulseProblem, grid: GridSpec,
 
     The estimate uses the grid sizes alone, before any table exists: the
     cost tables (8 bytes per cost per (state, action) cell), the kernel (two
-    int32 states and two float64 weights per cell, plus the int32 row
-    pointer of a row-block sweep), and, when some running-cost rate is
-    integrated by Simpson, the lattices (at most span / quadrature_step + 3
+    int32 states and two float64 weights per cell and an int32 row pointer,
+    none for a :class:`ConstantReset`'s broadcast row), and, when some
+    running-cost rate is integrated by Simpson, the lattices (at most
+    span / quadrature_step + 3
     nodes per finite theta span, and 60 / (alpha * quadrature_step) + 3 on
     the infinite wait), at ``_LATTICE_NODE_BYTES`` per node.
     :func:`_running_integral_blocks` integrates by Simpson only a rate that
     is not a number and has no closed form (a Python map).  With
     ``references``, every rate that is not a number counts, since
     :func:`stage_cost`, and so ``verify``'s references, integrate all of
-    them by Simpson; the largest span they take is within the same bound.  Raises ValueError naming the grid field behind the
-    larger part, with the byte count, when the estimate exceeds
-    :func:`physical_memory`.
+    them by Simpson; the largest span they take is within the same bound.
+    Raises ValueError naming the grid field behind the larger part, with
+    the byte count, when the estimate exceeds :func:`physical_memory`.
     """
     limit = physical_memory()
     if limit is None:
         return
     n, m = grid.state_points.size, grid.theta_points.size
     cells = n * m * len(problem.actions)
-    tables = cells * (8 * problem.n_costs + 2 * (4 + 8) + 4)
+    pairs = 0 if isinstance(problem.reset, ConstantReset) else 2 * (4 + 8) + 4
+    tables = cells * (8 * problem.n_costs + pairs)
     lattice = 0
     if any(problem.constant_rate(j) is None
            and (references or not _has_closed_form(problem, j))
@@ -1135,7 +1137,7 @@ def fluid_problem(alpha: float, h: float, K: float, d: float) -> ImpulseProblem:
             f"fluid model requires h > 0, K > 0, d > 0, got h={h}, K={K}, d={d}")
     return ImpulseProblem(
         flow=DriftFlow(1.0),
-        reset=lambda x, a: 0.0 * x,
+        reset=ConstantReset(0.0),
         gradual_costs=(0.0, PolynomialRate([0.0, h])),
         impulse_costs=(lambda x, a: K + 0.0 * x, lambda x, a: 0.0 * x),
         alpha=alpha,
@@ -1265,8 +1267,7 @@ def _flow_from_spec(spec, path: str):
 def _reset_from_spec(spec, path: str):
     kind = _require(spec, "type", path + ".")
     if kind == "constant":
-        v = _number(spec, "value", path + ".")
-        return lambda x, a: v + 0.0 * x
+        return ConstantReset(_number(spec, "value", path + "."))
     if kind == "scale":
         s = _number(spec, "factor", path + ".")
         return lambda x, a: s * x

@@ -243,9 +243,10 @@ def check_characteristic(mdp: DiscreteMDP, mu: OccupationMeasure) -> float:
     """
     out = mu.state_marginal
     out[mdp.x0_index] -= 1.0
-    surviving = mdp.survival[mu.cells % mdp.n_actions] * mu.values
-    cols = mdp.next_states.reshape(-1, 2)[mu.cells]
-    terms = mdp.next_weights.reshape(-1, 2)[mu.cells] * surviving[:, np.newaxis]
+    states, actions = np.divmod(mu.cells, mdp.n_actions)
+    surviving = mdp.survival[actions] * mu.values
+    cols = mdp.next_states[states, actions]
+    terms = mdp.next_weights[states, actions] * surviving[:, np.newaxis]
     inflow = np.bincount(cols.ravel(), weights=terms.ravel(),
                          minlength=mdp.n_states)
     return float(np.max(np.abs(out - inflow)))

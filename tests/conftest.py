@@ -148,7 +148,8 @@ def with_sweep_blocks(mdp, n_blocks):
     forced, whatever the table size and the number of usable cores.  Its
     lazy ``landing_states`` is forced to None before its first use, so a
     state-free kernel takes the row blocks in the sweep and the sparse LU
-    in ``solve_policy``, together.
+    in ``solve_policy``, together.  The blocks of a constant reset's
+    broadcast pairs are contiguous copies, not views.
     """
     copy = dataclasses.replace(mdp)
     with pytest.MonkeyPatch.context() as mp:
@@ -160,11 +161,11 @@ def with_sweep_blocks(mdp, n_blocks):
 
 def shared_landings(mdp):
     """The sorted kernel columns of state 0's rows when every grid state's
-    rows are bitwise state 0's, else None; no bound on their number.
+    rows are bitwise state 0's, else None.
 
-    The reference for ``DiscreteMDP.landing_states``, which is this scan
-    when it holds at most ``model._DENSE_LANDINGS`` states, and None
-    otherwise.  The weights are compared as their bit patterns.
+    The reference scan for ``DiscreteMDP.landing_states``, which reads the
+    layout instead: a declared constant reset's pairs are one broadcast
+    row.  The weights are compared as their bit patterns.
     """
     n_actions = mdp.n_actions
     kernel = csr_kernel(mdp)
@@ -177,14 +178,23 @@ def shared_landings(mdp):
     return np.unique(cols[0])
 
 
-def assert_landing_states(mdp):
-    """``mdp.landing_states`` is :func:`shared_landings` within its bound."""
+def assert_landing_states(mdp, declared):
+    """``mdp.landing_states`` is :func:`shared_landings`, at most four
+    states, when the reset is a declared :class:`ic.ConstantReset`
+    (``declared``), and None otherwise, whatever the scan finds."""
     want = shared_landings(mdp)
-    if want is None or want.size > model._DENSE_LANDINGS:
-        assert mdp.landing_states is None
+    if declared:
+        assert want.size <= 4 and np.array_equal(mdp.landing_states, want)
     else:
-        assert np.array_equal(mdp.landing_states, want)
+        assert mdp.landing_states is None
     return want
+
+
+def python_map_twin(prob):
+    """``prob`` with its :class:`ic.ConstantReset` written as the Python map
+    it declares, which discretizes to the general layout."""
+    v = prob.reset.value
+    return dataclasses.replace(prob, reset=lambda x, a: v + 0.0 * x)
 
 
 def accept_fluid_problem():

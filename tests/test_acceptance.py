@@ -15,7 +15,7 @@ import pytest
 import impulsecontrol as ic
 from impulsecontrol import fluidq
 
-from conftest import constant_theta_policy, fluid_mdp
+from conftest import constant_theta_policy, fluid_doc, fluid_mdp
 
 PARAMS = fluidq.FluidParams(alpha=1.0, h=1.0, K=1.0, d=0.5)
 ANALYTIC = fluidq.solve_analytic(PARAMS)
@@ -57,6 +57,23 @@ def test_criterion_1_constrained_benchmark(bench):
     _report("criterion-1 constrained benchmark", ok,
             f"x* residual {resid:.2e}; rel errors g* {g_err:.2e}, "
             f"V0 {v0_err:.2e}, V1 {v1_err:.2e}; wall {wall:.2f}s")
+
+
+def test_grid_error_falls_with_the_grid_step():
+    # fluid-tight's centre (d = 0.1, states and waits on [0, 4x*]), n x n:
+    # g* converges at first order in the step and V0 at second, measured
+    # at about 2.0x and 4.0x per halving; a change that loses an order of
+    # either fails here
+    tight = fluidq.solve_analytic(fluidq.FluidParams(1.0, 1.0, 1.0, 0.1))
+    errors = []
+    for n in (100, 200, 400, 800):
+        res = ic.solve_constrained(ic.discretize(
+            *ic.problem_from_config(fluid_doc(0.1, n))))
+        errors.append((abs(res.g_star[0] - tight.g_star) / tight.g_star,
+                       abs(res.costs.v[0] - tight.V0) / tight.V0))
+    for (g_coarse, v_coarse), (g_fine, v_fine) in zip(errors, errors[1:]):
+        assert g_coarse >= 1.6 * g_fine, errors
+        assert v_coarse >= 3.0 * v_fine, errors
 
 
 def test_criterion_2_unconstrained_regimes():

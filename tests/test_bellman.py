@@ -386,20 +386,18 @@ def test_sweep_blocks_are_bitwise_the_full_table(scale_mdp, n_blocks):
 @pytest.mark.parametrize("mdp_name", ["small_mdp", "j2_mdp"])
 def test_state_free_kernel_is_swept_once_per_action(request, mdp_name):
     # every state lands where state 0 does: the sweep forms state 0's row
-    # of Q from the landing weights and broadcasts it over the states
+    # of Q from row 0's landing pairs and broadcasts it over the states
     mdp = request.getfixturevalue(mdp_name)
     g = np.full(mdp.n_constraints, G_STAR)
-    S = assert_landing_states(mdp)
+    S = assert_landing_states(mdp, declared=True)
     assert S.tolist() == [0, 1]  # the reset to 0 and never impulse
-    weights = mdp.landing_weights
-    assert weights.shape == (S.size, mdp.n_actions)
-    assert np.array_equal(weights.T,
-                          csr_kernel(mdp)[:mdp.n_actions].toarray()[:, S])
+    # the declared constant reset stores state 0's row, broadcast
+    assert mdp.next_states.strides[0] == mdp.next_weights.strides[0] == 0
     _assert_sweep_is_the_reference(mdp, g, ic.policy_iteration(mdp, g))
+    # a forced row block is a contiguous copy of the broadcast pairs
     blocks = with_sweep_blocks(mdp, 1)
     assert blocks.landing_states is None
     (_, _, kernel), = blocks.sweep_blocks
-    assert np.shares_memory(kernel.data, mdp.next_weights)
     _assert_csr_equal(kernel, csr_kernel(mdp))
     _assert_solvers_agree(blocks, mdp, g, bitwise=False)
 
@@ -408,7 +406,9 @@ def test_state_free_kernel_is_swept_once_per_action(request, mdp_name):
 def test_one_state_off_the_shared_landing_is_not_state_free(landing):
     # the identity flow lands state i's impulses at reset(x_i); the reset is
     # 0.5 everywhere but at state 7, where it moves one weight by its last
-    # bit, or the landing's interval with the same weights (1/2, 1/2)
+    # bit, or the landing's interval with the same weights (1/2, 1/2).  Only
+    # a declared ConstantReset is state-free: this Python map takes the
+    # general path even where it is constant
     odd = {"constant": 0.5, "last bit": np.nextafter(0.5, 1.0),
            "next interval": 1.5}[landing]
     prob = ic.ImpulseProblem(
@@ -418,7 +418,7 @@ def test_one_state_off_the_shared_landing_is_not_state_free(landing):
         impulse_costs=(lambda y, a: 1.0 + 0.0 * y, lambda y, a: 0.0 * y),
         alpha=1.0, x0=0.0, bounds=(1.0,), actions=("a",))
     mdp = ic.discretize(prob, ic.GridSpec.uniform(0.0, 29.0, 30, 2.0, 20, 0.01))
-    S = assert_landing_states(mdp)
+    S = assert_landing_states(mdp, declared=False)
     assert (S is None) == (landing != "constant")
     _assert_sweep_is_the_reference(mdp, [1.0], ic.policy_iteration(mdp, [1.0]))
 

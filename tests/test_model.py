@@ -17,8 +17,8 @@ from impulsecontrol.model import INFINITY, ConfigError
 
 from conftest import (BANDS, CUSTOM_TWO_ACTION_DOC, J2_DOC, accept_fluid_problem,
                       assert_landing_states, band_centre_doc, csr_kernel,
-                      fluid_mdp, shared_landings, traced_peak, transition,
-                      with_sweep_blocks)
+                      fluid_mdp, python_map_twin, shared_landings, traced_peak,
+                      transition, with_sweep_blocks)
 
 
 @pytest.fixture(scope="module")
@@ -152,6 +152,64 @@ def test_kernel_is_stored_once(small_mdp, table):
     W = np.random.default_rng(7).uniform(0.0, 10.0, n)
     ref = mdp.survival * (mdp.w_lo * W[mdp.next_lo] + mdp.w_hi * W[mdp.next_hi])
     assert np.array_equal((k @ W).reshape(n, n_actions) * mdp.survival, ref)
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _with_reset(doc, value):
+    doc = json.loads(json.dumps(doc))
+    doc["reset"] = {"type": "constant", "value": value}
+    return doc
+
+
+TWIN_CASES = {
+    "fluid_benchmark": lambda: json.loads(
+        (CONFIGS / "fluid_benchmark.json").read_text()),
+    "custom_j2": lambda: json.loads((CONFIGS / "custom_j2.json").read_text()),
+    # two labels with their own lump costs, landing between grid states
+    "two-label": lambda: _with_reset(CUSTOM_TWO_ACTION_DOC, 0.37),
+    # beyond the [0, 4] truncation: every finite-wait landing clamps
+    "clamped": lambda: _with_reset(J2_DOC, 10.0),
+}
+
+
+@pytest.mark.filterwarnings("ignore:.*clamped to the boundary:RuntimeWarning")
+@pytest.mark.parametrize("case", TWIN_CASES)
+def test_a_constant_reset_discretizes_as_its_python_map(case):
+    # the declared reset computes state 0's landings and broadcasts them;
+    # the map computes every state's, and they are the same
+    prob, grid = ic.problem_from_config(TWIN_CASES[case]())
+    assert isinstance(prob.reset, ic.ConstantReset)
+    declared, twin = (ic.discretize(p, grid) for p in (prob, python_map_twin(prob)))
+    for attr in ("next_states", "next_weights", "costs"):
+        assert np.array_equal(getattr(declared, attr), getattr(twin, attr)), attr
+    assert declared.clamped_cells == twin.clamped_cells
+    assert (declared.clamped_cells > 0) == (case == "clamped")
+    assert declared.landing_states is not None and twin.landing_states is None
+
+
+def test_a_non_finite_constant_reset_is_refused_as_its_python_map():
+    prob, grid = ic.problem_from_config(_with_reset(J2_DOC, math.nan))
+    messages = []
+    for p in (prob, python_map_twin(prob)):
+        with pytest.raises(ValueError, match=r"landing state is non-finite at "
+                           r"state 0\.0 \(index 0\), theta=0\.0, .*: nan") as info:
+            ic.discretize(p, grid)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+
+
+def test_a_constant_reset_solves_as_its_python_map():
+    # the landing solve and the LU sum in different orders, so g* and the
+    # costs agree to round-off, and the policies exactly
+    prob, grid = ic.problem_from_config(J2_DOC)
+    declared, twin = (ic.solve_constrained(ic.discretize(p, grid))
+                      for p in (prob, python_map_twin(prob)))
+    np.testing.assert_allclose(declared.g_star, twin.g_star, rtol=1e-12, atol=0.0)
+    assert declared.mixture.policies == twin.mixture.policies
+    np.testing.assert_allclose(declared.costs.v, twin.costs.v, rtol=1e-12, atol=0.0)
+    assert declared.certificates.ok and twin.certificates.ok
 
 
 def _check_cells_against_references(prob, grid, mdp, cells):
@@ -608,23 +666,25 @@ def test_solve_policy_matches_the_row_slice_assembly(small_mdp, table):
         assert mdp.solve_policy(zero_wait, rhs, transpose) is None
 
 
-def _split_landing_mdp(landing_a):
-    """Label "a" resets to ``landing_a``, label "b" to 2.05, on states
-    0, 0.1, ..., 3: a state-free kernel whose landings split between grid
-    states 0 and 1 and between 20 and 21."""
-    landing = {"a": landing_a, "b": 2.05}
+def _split_landing_mdp(value, declared=True):
+    """Both labels reset to ``value`` on states 0, 0.1, ..., 3: a state-free
+    kernel whose landings split between two grid states.  ``declared``
+    builds the reset as a ConstantReset; otherwise as the Python map it
+    declares, which takes the general path (row blocks and LU)."""
     prob = ic.ImpulseProblem(
-        flow=lambda x, t: x + t, reset=lambda y, a: np.full_like(y, landing[a]),
+        flow=lambda x, t: x + t, reset=ic.ConstantReset(value),
         gradual_costs=(lambda x: 0.5 + 0.0 * x, lambda x: x),
         impulse_costs=(lambda x, a: 1.0 + 0.5 * x, lambda x, a: 0.0 * x),
         alpha=1.0, x0=0.0, bounds=(1.0,), actions=("a", "b"))
+    if not declared:
+        prob = python_map_twin(prob)
     return ic.discretize(prob, ic.GridSpec.uniform(0.0, 3.0, 31, 1.0, 10, 0.01))
 
 
 def test_split_landings_are_solved_on_four_states(monkeypatch):
-    mdp = _split_landing_mdp(0.07)
+    mdp = _split_landing_mdp(2.05)
     assert mdp.landing_states.tolist() == [0, 1, 20, 21]
-    assert mdp.w_lo[0, :2] == pytest.approx([0.3, 0.5], abs=1e-12)
+    assert mdp.w_lo[0, :2] == pytest.approx([0.5, 0.5], abs=1e-12)
     n = mdp.n_states
     rng = np.random.default_rng(11)
     policies = [rng.integers(mdp.n_labels, mdp.n_actions, n) for _ in range(4)]
@@ -634,20 +694,21 @@ def test_split_landings_are_solved_on_four_states(monkeypatch):
             got = mdp.solve_policy(flat, rhs, transpose=transpose)
             want = _solve_policy_reference(mdp, flat, rhs, transpose)
             _assert_solves_match(got, want, bitwise=False)
-    # the landing solve never factors the grid; a row-block copy takes the
-    # LU, bitwise the reference
+    # the landing solve never factors the grid; the Python-map twin and a
+    # row-block copy take the LU, bitwise the reference
     want = _solve_policy_reference(mdp, policies[0], rhs, False)
-    copy = with_sweep_blocks(mdp, 2)
-    assert copy.landing_states is None
-    assert np.array_equal(copy.solve_policy(policies[0], rhs), want)
+    for copy in (_split_landing_mdp(2.05, declared=False),
+                 with_sweep_blocks(mdp, 2)):
+        assert copy.landing_states is None
+        assert np.array_equal(copy.solve_policy(policies[0], rhs), want)
     monkeypatch.setattr(scipy.sparse.linalg, "splu", None)
     _assert_solves_match(mdp.solve_policy(policies[0], rhs), want, bitwise=False)
     monkeypatch.undo()
     # zero wait everywhere, under either label: a survival-1 cycle through
     # a split landing, singular on both paths.  Here its pivots round to
     # zero; a rounded nonzero pivot hides such a cycle from both paths alike
-    # (label "a" landing anywhere in 0.01-0.04 does), so policy evaluation
-    # looks for the cycle in the policy first (see below)
+    # (a landing anywhere in 0.01-0.04 does), so policy evaluation looks
+    # for the cycle in the policy first (see below)
     for label in (0, 1):
         zero_wait = np.full(n, label, dtype=np.intp)
         for transpose in (False, True):
@@ -671,10 +732,10 @@ def _many_landings_mdp():
 
 
 def test_a_state_free_kernel_with_many_landings_is_factored(monkeypatch):
-    # too many landing states for the state-free layout: the kernel sweeps
-    # in row blocks and each policy solve factors the grid
+    # the reset is no ConstantReset, so the kernel sweeps in row blocks and
+    # each policy solve factors the grid, however the landings fall
     mdp = _many_landings_mdp()
-    assert shared_landings(mdp).size == 100 > model._DENSE_LANDINGS
+    assert shared_landings(mdp).size == 100
     assert mdp.landing_states is None
     W = np.linspace(0.0, 1.0, mdp.n_states)
     cost = mdp.costs[0]
@@ -702,6 +763,8 @@ LANDING_CASES = {
     "j2": lambda: ic.discretize(*ic.problem_from_config(J2_DOC)),
     "split-0.07": lambda: _split_landing_mdp(0.07),
     "split-0.01": lambda: _split_landing_mdp(0.01),
+    "split-2.05": lambda: _split_landing_mdp(2.05),
+    "split-2.05-map": lambda: _split_landing_mdp(2.05, declared=False),
     "scale-reset": lambda: ic.discretize(
         *ic.problem_from_config(CUSTOM_TWO_ACTION_DOC)),
     "many-landings": _many_landings_mdp,
@@ -712,31 +775,31 @@ LANDING_CASES = {
 def test_landing_states_is_the_bounded_reference_scan(case):
     # (the one-state-off maps are held in test_bellman)
     mdp = LANDING_CASES[case]()
-    want = assert_landing_states(mdp)
+    declared = case not in ("split-2.05-map", "scale-reset", "many-landings")
+    want = assert_landing_states(mdp, declared)
     assert (want is None) == (case == "scale-reset")
-    if mdp.landing_states is not None:
-        S = mdp.landing_states
-        weights = mdp.landing_weights
-        assert np.array_equal(weights.T,
-                              csr_kernel(mdp)[:mdp.n_actions].toarray()[:, S])
-        # two nonzero weights per action at most: the sweep's row sum is
-        # the CSR product's
-        assert np.all((weights != 0.0).sum(axis=0) <= 2)
+    # a declared reset's pairs are one row, broadcast over the states
+    for pairs in (mdp.next_states, mdp.next_weights):
+        assert (pairs.strides[0] == 0) == declared
+        assert np.array_equal(pairs, np.broadcast_to(pairs[0], pairs.shape)) \
+            == (want is not None)
 
 
-@pytest.mark.parametrize("landing_a", [0.01, 0.02, 0.03, 0.04, 0.05, 0.09])
+@pytest.mark.parametrize("value", [0.01, 0.02, 0.03, 0.04, 0.05, 0.09])
 @pytest.mark.parametrize("label", [0, 1])
-def test_a_split_survival_one_cycle_is_refused_before_any_solve(landing_a, label):
+def test_a_split_survival_one_cycle_is_refused_before_any_solve(value, label):
     # zero wait everywhere, so every state keeps its mass, on the cycle
-    # through the label's two landing states.  Before the check, label "a"
-    # landing at 0.01-0.04 left nonzero pivots and returned 3.6e16-1e31
-    mdp = _split_landing_mdp(landing_a)
-    zero_wait = ic.StationaryPolicy(np.full(mdp.n_states, label), mdp.n_labels)
-    named = r"grid state indices \[0, 1\]$" if label == 0 else r"\[20, 21\]$"
-    with pytest.raises(ValueError, match="system is singular: .*" + named):
-        ic.eval_policy(mdp, zero_wait)
-    with pytest.raises(ValueError, match="not finite: .*" + named):
-        ic.occupation_measure(mdp, zero_wait)
+    # through the landing's two grid states, on the landing path and the
+    # LU path alike.  Before the check, a landing at 0.01-0.04 left nonzero
+    # pivots and returned 3.6e16-1e31
+    for declared in (True, False):
+        mdp = _split_landing_mdp(value, declared)
+        zero_wait = ic.StationaryPolicy(np.full(mdp.n_states, label), mdp.n_labels)
+        named = r"grid state indices \[0, 1\]$"
+        with pytest.raises(ValueError, match="system is singular: .*" + named):
+            ic.eval_policy(mdp, zero_wait)
+        with pytest.raises(ValueError, match="not finite: .*" + named):
+            ic.occupation_measure(mdp, zero_wait)
 
 
 def test_only_the_states_that_keep_their_mass_are_trapped():
@@ -805,6 +868,26 @@ def test_discretize_peak_memory_is_a_small_multiple_of_its_output():
     output = mdp.costs.nbytes + mdp.next_weights.nbytes + mdp.next_states.nbytes
     # the tables are written in place; only block-sized workspaces remain
     assert peak <= 2 * output, peak / output
+
+
+@pytest.mark.parametrize("reset", [{"type": "constant", "value": 0.37},
+                                   {"type": "scale", "factor": 0.5}],
+                         ids=["constant", "scale"])
+def test_footprint_counts_the_pairs_only_where_they_are_stored(monkeypatch,
+                                                              reset):
+    # 8 B per cost per cell, plus 2 x (4 + 8) B of pairs and a 4 B row
+    # pointer per cell unless the pairs are one broadcast row
+    doc = json.loads(json.dumps(CUSTOM_TWO_ACTION_DOC))
+    doc["reset"] = reset
+    prob, grid = ic.problem_from_config(doc)
+    cells = grid.state_points.size * grid.theta_points.size * len(prob.actions)
+    tables = cells * (8 * prob.n_costs + (28 if reset["type"] == "scale" else 0))
+    monkeypatch.setattr(model, "physical_memory", lambda: tables)
+    model.check_footprint(prob, grid)
+    monkeypatch.setattr(model, "physical_memory", lambda: tables - 1)
+    with pytest.raises(ValueError, match=f"needs {tables} bytes of cost and "
+                       "kernel tables"):
+        model.check_footprint(prob, grid)
 
 
 def test_footprint_counts_a_lattice_only_where_simpson_runs(fluid_problem,

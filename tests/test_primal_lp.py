@@ -158,9 +158,9 @@ def _drawn_problems(draw):
 @pytest.mark.filterwarnings("ignore:.*clamped to the boundary:RuntimeWarning")
 @settings(max_examples=50, deadline=2000, derandomize=True)
 @given(drawn=_drawn_problems())
-# bound 2 is at its least V_2, and no policy meets both bounds, but the
-# error names bound 1 alone, which half its least V_1 would meet: the box
-# grows in both coordinates and bound 1's passes the cap first
+# bound 2 is at its least V_2, and no policy meets both bounds; the box
+# grows in both coordinates and bound 1's, which half its least V_1 would
+# meet, passes the cap first, so the error names both bounds
 @example(drawn=({
     "model": "custom", "alpha": 1.0, "x0": 1.5,
     "flow": {"type": "exponential_decay", "rate": 1.0},
@@ -174,8 +174,7 @@ def _drawn_problems(draw):
                       {"type": "constant", "value": 1.0}],
     "grid": {"state_min": 0.0, "state_max": 3.0, "state_n": 20,
              "theta_max": 3.0, "theta_n": 20, "quadrature_step": 0.01}},
-    [2.0, 1.0])).xfail(raises=AssertionError,
-                       reason="DualBracketError names a bound feasible alone")
+    [2.0, 1.0]))
 # V_1 is 0.8 for every policy, and HiGHS calls the LP kept to bound 2 (half
 # its least V_2) neither feasible nor infeasible (status 4)
 @example(drawn=({
