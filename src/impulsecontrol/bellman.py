@@ -27,7 +27,11 @@ Both solvers go through one sweep, :func:`_sweep`: Q = survival *
 smallest-index minimizer.  Under a constant reset every state lands where
 state 0 does (``DiscreteMDP.landing_states`` is not None), so state 0's
 row of Q is formed once from its landing pairs and broadcast over the
-states; the policy solve reads the same pairs.  Otherwise the sweep goes
+states; the policy solve reads the same pairs.  A cost table of at least
+2^18 cells is then reduced in chunks of ``_BLOCK_ELEMENTS // n_actions``
+rows (81 at 800 x 801), each added into one reused buffer that stays in
+cache, instead of writing a full Q table and reading it back for the
+argmin.  Otherwise the sweep goes
 by row blocks: a sweep is a Jacobi update, every row reading only the
 previous iterate, so the rows split into independent blocks (Bertsekas &
 Tsitsiklis, *Parallel and Distributed Computation*, 1989, section 1.2).  A
@@ -50,7 +54,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DiscreteMDP, _usable_cores
+from .model import (_BLOCK_ELEMENTS, _SWEEP_SPLIT_CELLS, DiscreteMDP,
+                    _usable_cores)
 
 
 @dataclass(frozen=True)
@@ -185,6 +190,30 @@ def _sweep_rows(q, flat):
     return best, q[rows, best], None if flat is None else q[rows, flat]
 
 
+def _sweep_chunks(q_row, cost, flat):
+    """``_sweep_rows(q_row + cost, flat)``, made and reduced in row chunks.
+
+    Each chunk of ``max(1, _BLOCK_ELEMENTS // n_actions)`` rows is added
+    into one reused buffer that stays in cache, and its argmin and gathers
+    go straight into the outputs, so no full Q table is written or read back.
+    """
+    n, n_actions = cost.shape
+    step = max(1, _BLOCK_ELEMENTS // n_actions)
+    buf = np.empty((min(step, n), n_actions))
+    starts = np.arange(buf.shape[0]) * n_actions  # flat index of each row
+    best = np.empty(n, dtype=np.intp)
+    q_best = np.empty(n)
+    q_flat = None if flat is None else np.empty(n)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        q = np.add(cost[lo:hi], q_row, out=buf[:hi - lo])
+        b = q.argmin(axis=1, out=best[lo:hi])
+        np.take(q, starts[:hi - lo] + b, out=q_best[lo:hi])
+        if flat is not None:
+            np.take(q, starts[:hi - lo] + flat[lo:hi], out=q_flat[lo:hi])
+    return best, q_best, q_flat
+
+
 def _sweep(mdp: DiscreteMDP, W: np.ndarray, cost: np.ndarray,
            flat: np.ndarray | None = None) -> tuple:
     """One Bellman sweep of W under the (n_states, n_actions) table ``cost``.
@@ -195,7 +224,11 @@ def _sweep(mdp: DiscreteMDP, W: np.ndarray, cost: np.ndarray,
     state-free kernel (``mdp.landing_states`` is not None) every state's
     row of Q is state 0's, formed on the calling thread from row 0's pairs
     and broadcast onto ``cost``; it rounds as the CSR row, whose sum starts
-    at an exact 0.  Otherwise each row block of ``mdp.sweep_blocks``, a
+    at an exact 0.  A ``cost`` of at least ``_SWEEP_SPLIT_CELLS`` cells is
+    reduced in chunks of ``max(1, _BLOCK_ELEMENTS // n_actions)`` rows
+    (:func:`_sweep_chunks`), a smaller one in one ``q + cost`` table; each
+    cell goes through the same operations, so the results are bitwise the
+    same either way.  Otherwise each row block of ``mdp.sweep_blocks``, a
     CSR view of its states' landing pairs, makes and reduces its own part
     of Q.  The calling thread sweeps the first block while the pool takes
     the others, then takes back and sweeps itself every block no worker has
@@ -206,6 +239,8 @@ def _sweep(mdp: DiscreteMDP, W: np.ndarray, cost: np.ndarray,
     if mdp.landing_states is not None:
         q = mdp.w_lo[0] * W[mdp.next_lo[0]] + mdp.w_hi[0] * W[mdp.next_hi[0]]
         q *= mdp.survival
+        if cost.size >= _SWEEP_SPLIT_CELLS:
+            return _sweep_chunks(q, cost, flat)
         return _sweep_rows(q + cost, flat)
 
     def rows(block):

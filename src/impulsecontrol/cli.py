@@ -402,11 +402,13 @@ def _verify_checks(problem, grid, mdp, tol_scale: float, rep):
     yield ("flow-identities", rep.flow_ok,
            f"semigroup={rep.semigroup_residual:.3e} identity={rep.identity_residual:.3e}")
 
-    mass = mdp.w_lo + mdp.w_hi
+    # a state-free kernel's row 0 is every row it stores
+    weights = mdp.next_weights if mdp.landing_states is None else mdp.next_weights[:1]
+    mass = weights[..., 0] + weights[..., 1]
     mass -= 1.0
     mass_err = float(np.max(np.abs(mass, out=mass)))
     del mass
-    nonneg = bool(np.all(mdp.next_weights >= 0.0))
+    nonneg = bool(np.all(weights >= 0.0))
     yield "kernel-mass", mass_err <= 1e-12 and nonneg, f"max|w_lo+w_hi-1|={mass_err:.3e}"
 
     L = mdp.n_labels

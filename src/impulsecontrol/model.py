@@ -51,7 +51,7 @@ import numbers
 import os
 import reprlib
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from typing import Callable
 
@@ -64,7 +64,8 @@ INFINITY = math.inf
 # exp(-60) ~ 9e-27, negligible for any subexponential cost rate.
 _INF_HORIZON = 60.0
 # float64 elements of one block's workspace in discretize, (states x
-# actions) or (states x quadrature nodes): 512 KiB, so it stays in L2 cache
+# actions) or (states x quadrature nodes), and of one row chunk of a large
+# state-free Bellman sweep: 512 KiB, so it stays in L2 cache
 _BLOCK_ELEMENTS = 2 ** 16
 # validate's flow identities: grid states sampled and the residual they allow
 FLOW_SAMPLES = 12
@@ -257,11 +258,12 @@ class DiscreteMDP:
     the states (stride 0 on axis 0), and ``landing_states`` holds the at
     most four grid states S they name, sorted; it is None for any other
     layout.  The sweep then broadcasts one row of Q, and
-    :meth:`solve_policy` solves on S.  All arrays are written once at
-    construction and are read-only afterwards, so instances are safe to
-    share across threads, sweeps and solves included; threads that first
-    use an instance at the same time may each make its cached values, and
-    they make the same.
+    :meth:`solve_policy` solves on S.  A pickle of such an instance holds
+    the one row and broadcasts it again on load.  All arrays are written
+    once at construction and are read-only afterwards, so instances are
+    safe to share across threads, sweeps and solves included; threads that
+    first use an instance at the same time may each make its cached
+    values, and they make the same.
     """
 
     states: np.ndarray            # (n_states,) grid points
@@ -291,6 +293,16 @@ class DiscreteMDP:
         if len(self.bounds) != self.costs.shape[0] - 1:
             raise ValueError(
                 f"expected {self.costs.shape[0] - 1} bounds, got {len(self.bounds)}")
+
+    def __reduce__(self):
+        # a state-free kernel pickles its one stored row, broadcast on load;
+        # the cached values are made again on first use
+        state = {f.name: getattr(self, f.name) for f in fields(self) if f.init}
+        state_free = self.landing_states is not None
+        if state_free:
+            state["next_states"] = self.next_states[:1]
+            state["next_weights"] = self.next_weights[:1]
+        return _unpickle_mdp, (state, state_free)
 
     @cached_property
     def sweep_blocks(self) -> tuple:
@@ -400,6 +412,15 @@ class DiscreteMDP:
         except np.linalg.LinAlgError:
             return None
         return x
+
+
+def _unpickle_mdp(state: dict, state_free: bool) -> DiscreteMDP:
+    if state_free:
+        n = state["states"].size
+        for name in ("next_states", "next_weights"):
+            row = state[name]
+            state[name] = np.broadcast_to(row, (n,) + row.shape[1:])
+    return DiscreteMDP(**state)
 
 
 @dataclass(frozen=True)

@@ -300,6 +300,11 @@ def simulate_oracle(problem: ImpulseProblem, rule, horizon: int,
     once the remaining discount factor cannot contribute above double
     precision; for agreement checks pick the horizon so that
     exp(-alpha*t_N) times the cost scale is below the target tolerance.
+
+    A step whose (x, theta, action) was already integrated reuses its stage
+    costs (so action labels must be hashable): a rule that returns to a
+    state, as a constant reset does every cycle, integrates each distinct
+    step once.  The totals are summed in the same order either way.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -307,13 +312,19 @@ def simulate_oracle(problem: ImpulseProblem, rule, horizon: int,
     x = problem.x0
     t = 0.0
     alpha = problem.alpha
+    integrated = {}
     for _ in range(horizon):
         disc = math.exp(-alpha * t)
         if disc < 1e-18:
             break
         theta, a = rule(x)
-        for j in range(problem.n_costs):
-            totals[j] += disc * stage_cost(problem, x, theta, a, j, step=step)
+        costs = integrated.get((x, theta, a))
+        if costs is None:
+            costs = integrated[x, theta, a] = [
+                stage_cost(problem, x, theta, a, j, step=step)
+                for j in range(problem.n_costs)]
+        for j, c in enumerate(costs):
+            totals[j] += disc * c
         if math.isinf(theta):
             break
         t += theta

@@ -14,8 +14,8 @@ import impulsecontrol as ic
 from impulsecontrol import bellman, fluidq, model
 from impulsecontrol.bellman import combined_cost
 
-from conftest import (assert_landing_states, csr_kernel, fluid_mdp,
-                      traced_peak, with_sweep_blocks)
+from conftest import (assert_landing_states, csr_kernel, fluid_doc,
+                      fluid_mdp, traced_peak, with_sweep_blocks)
 
 
 G_STAR = 1.8480894645490473  # analytic multiplier for the benchmark
@@ -400,6 +400,39 @@ def test_state_free_kernel_is_swept_once_per_action(request, mdp_name):
     (_, _, kernel), = blocks.sweep_blocks
     _assert_csr_equal(kernel, csr_kernel(mdp))
     _assert_solvers_agree(blocks, mdp, g, bitwise=False)
+
+
+@pytest.fixture(scope="module")
+def verify_800():
+    """The verify-800 centre: the fluid config with d = 0.5 at 800 x 800."""
+    return ic.discretize(*ic.problem_from_config(fluid_doc(0.5, 800, 5.0)))
+
+
+def test_large_state_free_table_is_swept_in_row_chunks(verify_800):
+    # 800 x 801 cells: chunks of 65536 // 801 = 81 rows, the last one 71
+    mdp = verify_800
+    assert mdp.landing_states is not None
+    assert mdp.costs[0].size >= model._SWEEP_SPLIT_CELLS
+    rows = model._BLOCK_ELEMENTS // mdp.n_actions
+    assert (rows, mdp.n_states % rows) == (81, 71)
+    cost = combined_cost(mdp, [G_STAR])
+    sol = ic.policy_iteration(mdp, [G_STAR])
+    tied = np.floor(2.0 * cost) / 2.0  # W = 0 makes Q this table
+    for W, c in ((sol.W, cost), (np.zeros(mdp.n_states), tied)):
+        q = mdp.w_lo[0] * W[mdp.next_lo[0]] + mdp.w_hi[0] * W[mdp.next_hi[0]]
+        q *= mdp.survival
+        for flat in (sol.policy.flat, None):
+            got = bellman._sweep(mdp, W, c, flat)
+            want = bellman._sweep_rows(q + c, flat)
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+            assert (got[2] is None if flat is None
+                    else np.array_equal(got[2], want[2]))
+    # the chunks reuse one small buffer: no second table is written
+    bellman._sweep(mdp, sol.W, cost, sol.policy.flat)  # warm
+    peak, _ = traced_peak(lambda: bellman._sweep(mdp, sol.W, cost,
+                                                 sol.policy.flat))
+    assert peak < 0.4 * cost.nbytes, peak / cost.nbytes
 
 
 @pytest.mark.parametrize("landing", ["constant", "last bit", "next interval"])

@@ -655,14 +655,49 @@ def test_verify_weak_duality_without_constraints(tmp_path, monkeypatch,
 def test_verify_checks_peak_memory(accept_fluid):
     # the Bellman checks hold a cost and one Q table, and no table outlives
     # its check; the occupation checks hold one cell per state, and
-    # kernel-mass sums rows without a dense copy.  One table is
-    # n_states * n_actions * 8 bytes.
+    # kernel-mass reads the one stored row of this state-free kernel.  One
+    # table is n_states * n_actions * 8 bytes; the peak read 2.11-2.13
+    # tables, set by the Bellman checks.
     prob, grid, mdp = accept_fluid
     table = mdp.n_states * mdp.n_actions * 8
     peak, checks = traced_peak(lambda: list(cli._verify_checks(
         prob, grid, mdp, 1.0, ic.validate(prob, grid))))
     assert all(passed for _, passed, _ in checks)
     assert peak <= 2.2 * table, peak / table
+
+
+def _kernel_mass_line(prob, grid, mdp):
+    checks = cli._verify_checks(prob, grid, mdp, 1.0, ic.validate(prob, grid))
+    line = next(c for c in checks if c[0] == "kernel-mass")
+    checks.close()
+    return line
+
+
+def test_kernel_mass_reads_the_stored_row(accept_fluid):
+    # a constant reset stores one row of pairs: the line reads it alone and
+    # says what the materialised pairs say
+    prob, grid, mdp = accept_fluid
+    assert mdp.landing_states is not None
+    dense = dataclasses.replace(mdp, next_states=np.array(mdp.next_states),
+                                next_weights=np.array(mdp.next_weights))
+    assert dense.landing_states is None
+    line = _kernel_mass_line(prob, grid, mdp)
+    assert line[1] and line == _kernel_mass_line(prob, grid, dense)
+
+
+@pytest.mark.parametrize("pair", [(1.0, 1e-9), (1.5, -0.5)])
+def test_kernel_mass_fails_a_bad_broadcast_row(accept_fluid, pair):
+    # one cell of the stored row sums to 1 + 1e-9, or holds a negative weight
+    prob, grid, mdp = accept_fluid
+    row = np.array(mdp.next_weights[:1])
+    row[0, 3] = pair
+    bad = dataclasses.replace(
+        mdp, next_weights=np.broadcast_to(row, mdp.next_weights.shape))
+    assert bad.landing_states is not None
+    _, passed, detail = _kernel_mass_line(prob, grid, bad)
+    assert not passed
+    assert detail == ("max|w_lo+w_hi-1|=1.000e-09" if pair[1] > 0
+                      else "max|w_lo+w_hi-1|=0.000e+00")
 
 
 def test_dual_curve_warm_start_matches_cold_start(capsys):

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -783,6 +784,36 @@ def test_landing_states_is_the_bounded_reference_scan(case):
         assert (pairs.strides[0] == 0) == declared
         assert np.array_equal(pairs, np.broadcast_to(pairs[0], pairs.shape)) \
             == (want is not None)
+
+
+def test_a_pickled_state_free_mdp_keeps_its_broadcast_row():
+    # the fluid-accept centre: the copy stores one row, shares the
+    # landing states and solves bitwise as the original
+    mdp = ic.discretize(*ic.problem_from_config(band_centre_doc("fluid-accept")))
+    mdp.sweep_blocks  # a cached value is not pickled
+    copy = pickle.loads(pickle.dumps(mdp))
+    assert "sweep_blocks" not in copy.__dict__
+    for name in ("next_states", "next_weights"):
+        got, want = getattr(copy, name), getattr(mdp, name)
+        assert got.strides[0] == 0 and not got.flags.writeable
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.array_equal(copy.landing_states, mdp.landing_states)
+    for name in ("states", "theta_points", "survival", "costs"):
+        assert np.array_equal(getattr(copy, name), getattr(mdp, name))
+    want, got = ic.solve_constrained(mdp), ic.solve_constrained(copy)
+    assert np.array_equal(got.g_star, want.g_star) and got.h_star == want.h_star
+    assert got.W0 == want.W0 and np.array_equal(got.solution.W, want.solution.W)
+    assert got.mixture == want.mixture
+    assert np.array_equal(got.costs.v, want.costs.v)
+    assert [p.h for p in got.trace] == [p.h for p in want.trace]
+
+
+def test_a_pickled_state_dependent_mdp_keeps_its_pairs(scale_mdp):
+    copy = pickle.loads(pickle.dumps(scale_mdp))
+    assert copy.landing_states is None
+    for name in ("next_states", "next_weights"):
+        got, want = getattr(copy, name), getattr(scale_mdp, name)
+        assert got.strides == want.strides and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("value", [0.01, 0.02, 0.03, 0.04, 0.05, 0.09])

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import impulsecontrol as ic
+from impulsecontrol import model, policy_eval
 from impulsecontrol.policy_eval import _walk
 
-from conftest import (constant_theta_policy, csr_kernel,
+from conftest import (CUSTOM_TWO_ACTION_DOC, constant_theta_policy, csr_kernel,
                       custom_two_action_off_grid_doc, fluid_mdp,
                       threshold_policy, traced_peak)
 
@@ -416,6 +417,61 @@ def test_oracle_accepts_threshold_and_callable(fluid):
     V0, V1 = _cycle_oracle(theta_hat)
     assert via_rule.v[0] == pytest.approx(V0, abs=1e-8)
     assert via_rule.v[1] == pytest.approx(V1, abs=1e-8)
+
+
+def _oracle_every_step(prob, rule, horizon, step):
+    """simulate_oracle's sum with every step integrated, and the steps."""
+    totals, steps = np.zeros(prob.n_costs), []
+    x, t = prob.x0, 0.0
+    for _ in range(horizon):
+        disc = math.exp(-prob.alpha * t)
+        if disc < 1e-18:
+            break
+        theta, a = rule(x)
+        steps.append((x, theta, a))
+        for j in range(prob.n_costs):
+            totals[j] += disc * model.stage_cost(prob, x, theta, a, j, step=step)
+        if math.isinf(theta):
+            break
+        t += theta
+        x = float(prob.reset(float(prob.flow(x, theta)), a))
+    return totals, steps
+
+
+def _counted_oracle(monkeypatch, prob, rule, horizon, step):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:4])
+        return model.stage_cost(*args, **kwargs)
+
+    monkeypatch.setattr(policy_eval, "stage_cost", counting)
+    return ic.simulate_oracle(prob, rule, horizon=horizon, step=step), calls
+
+
+@pytest.mark.parametrize("k", [17, 61])
+def test_oracle_integrates_each_distinct_step_once(monkeypatch, fluid, k):
+    # the constant reset returns to x0 every cycle: one distinct step
+    prob, grid, mdp = fluid
+    rule = ic.policy_rule(mdp, constant_theta_policy(mdp, k))
+    want, steps = _oracle_every_step(prob, rule, 4000, grid.quadrature_step)
+    got, calls = _counted_oracle(monkeypatch, prob, rule, 4000,
+                                 grid.quadrature_step)
+    assert len(steps) > 10 and len(set(steps)) == 1
+    assert sorted(calls) == sorted(set(steps)) * prob.n_costs
+    assert np.array_equal(got.v, want)
+
+
+def test_oracle_integrates_every_step_of_a_scale_reset(monkeypatch):
+    # x_{k+1} = 1.3 - x_k / 2 under the scale reset: no state repeats
+    prob, grid = ic.problem_from_config(CUSTOM_TWO_ACTION_DOC)
+    rule = ic.threshold_rule(prob, 1.3)
+    want, steps = _oracle_every_step(prob, rule, 30, grid.quadrature_step)
+    got, calls = _counted_oracle(monkeypatch, prob, rule, 30,
+                                 grid.quadrature_step)
+    assert len(steps) == len(set(steps)) == 30
+    assert len(calls) == 30 * prob.n_costs
+    assert np.array_equal(got.v, want)
 
 
 # ---------------------------------------------------------------------------
