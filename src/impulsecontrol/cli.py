@@ -31,7 +31,7 @@ from .bellman import BellmanConfig, StationaryPolicy, policy_iteration, solve_W
 from .policy_eval import (check_characteristic, eval_policy, occupation_measure,
                           policy_from_table, policy_rule, simulate_oracle)
 from .dual import (MULTIPLIER_TOL, BellmanNotConvergedError, dual_value,
-                   solve_constrained)
+                   search_mdp, solve_constrained)
 from . import fluidq
 
 EXIT_OK = 0
@@ -349,11 +349,13 @@ def cmd_dual_curve(args: argparse.Namespace) -> int:
     header = ([f"g_{j + 1}" for j in range(J)] + ["h", "W0"]
               + [f"slack_{j + 1}" for j in range(J)])
     lines = [",".join(header)]
+    # the CSV reads values at x0 only, so the solves run where the search does
+    search = search_mdp(mdp)
     pt = None
     for g in grid_pts:
         # policy iteration starts from the previous grid point's solution
         try:
-            pt = dual_value(mdp, g, bcfg, None if pt is None else pt.solution)
+            pt = dual_value(search, g, bcfg, None if pt is None else pt.solution)
         except BellmanNotConvergedError as exc:
             sys.stderr.write(f"dual-curve failed: {exc}\n")
             return EXIT_NOT_CONVERGED

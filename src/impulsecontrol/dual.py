@@ -18,17 +18,25 @@ anti-cycling rule (Bland 1977); its optimal basis mixes at most J+1 cut
 policies.  Optimality certificates (feasibility, Lagrangian value,
 slackness, weak duality) are checked last, on mixture costs evaluated
 independently of the search.
+
+h, its cuts and the mixture's costs are properties of the process started
+at x0.  Under a constant reset that process only visits x0 and the at most
+four landing states, a set R that every action maps into itself, so the
+search runs on the MDP restricted to R (:func:`search_mdp`) and reads the
+same rows as on the full grid: its multipliers, values, cuts and weights
+are bitwise those of a full-grid search.  Only the policies the result
+reports are made on the full grid (see :func:`solve_constrained`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .model import DiscreteMDP
 from .bellman import (BellmanConfig, BellmanSolution, StationaryPolicy,
-                      policy_iteration)
+                      _sweep, combined_cost, policy_iteration)
 # unused here; the benchmark tracer (perfbench/tracing.py) patches these names
 from .bellman import argmin_set, solve_W  # noqa: F401
 from .policy_eval import eval_policy  # noqa: F401
@@ -172,8 +180,10 @@ class DualResult:
     """Everything the constrained solve produced.
 
     ``slack_used`` is the relative gap of the search: at g* the mixture
-    minimizes the Lagrangian within it.  ``solution`` is the Bellman solve
-    at g*.
+    minimizes the Lagrangian within it.  ``trace`` and ``F`` come from the
+    search, so under a constant reset their solutions and policies are on
+    the search MDP's states (:func:`search_mdp`).  ``mixture`` and
+    ``solution``, the Bellman solve at g*, are on the full grid.
     """
 
     g_star: np.ndarray
@@ -190,6 +200,58 @@ class DualResult:
 
 def _bounds_vector(mdp: DiscreteMDP) -> np.ndarray:
     return np.asarray(mdp.bounds, dtype=float)
+
+
+def _converged_solve(mdp: DiscreteMDP, g: np.ndarray, cfg: BellmanConfig,
+                     start) -> BellmanSolution:
+    """Policy iteration at ``g``; ``BellmanNotConvergedError`` at its cap."""
+    sol = policy_iteration(mdp, g, cfg, start)
+    if not sol.converged:
+        raise BellmanNotConvergedError(
+            f"Bellman solve at multiplier {g.tolist()} did not converge "
+            f"within max_iterations={cfg.max_iterations} (last sup-norm "
+            f"change {sol.residual:.3g}, tolerance {cfg.tolerance:.3g})")
+    return sol
+
+
+def _search_states(mdp: DiscreteMDP) -> np.ndarray:
+    """R = landing states and x0, sorted: under a constant reset every
+    action from any state lands in R, so x0's process never leaves it."""
+    return np.union1d(mdp.landing_states, mdp.x0_index)
+
+
+def search_mdp(mdp: DiscreteMDP) -> DiscreteMDP:
+    """The MDP the dual search runs on.
+
+    Under a constant reset (``mdp.landing_states`` is not None) this is
+    ``mdp`` restricted to R = landing states and x0 (at most five states):
+    rows R of the costs, row 0's landing pairs renumbered into R and
+    broadcast again, and x0 at its place in R.  Its sweeps, policy solves
+    and values at x0 are bitwise those of ``mdp`` on R.  Any other kernel
+    gives ``mdp`` itself.
+    """
+    if mdp.landing_states is None:
+        return mdp
+    R = _search_states(mdp)
+    pairs = np.searchsorted(R, mdp.next_states[:1]).astype(mdp.next_states.dtype)
+    return replace(
+        mdp, states=mdp.states[R], x0_index=int(np.searchsorted(R, mdp.x0_index)),
+        next_states=np.broadcast_to(pairs, (R.size,) + pairs.shape[1:]),
+        next_weights=np.broadcast_to(mdp.next_weights[:1],
+                                     (R.size,) + pairs.shape[1:]),
+        costs=mdp.costs[:, R])
+
+
+def _lift(mdp: DiscreteMDP, pt: DualPoint) -> StationaryPolicy:
+    """``pt``'s search policy on the full grid of ``mdp``: its actions on R,
+    and off R the smallest-index minimizer at ``pt.g`` (one sweep, which
+    reads W only at the landing states, so W is filled on R alone)."""
+    R = _search_states(mdp)
+    W = np.zeros(mdp.n_states)
+    W[R] = pt.solution.W
+    flat, _, _ = _sweep(mdp, W, combined_cost(mdp, pt.g))
+    flat[R] = pt.policy.flat
+    return StationaryPolicy(flat, mdp.n_labels)
 
 
 def dual_value(mdp: DiscreteMDP, g, cfg: BellmanConfig = BellmanConfig(),
@@ -209,12 +271,7 @@ def dual_value(mdp: DiscreteMDP, g, cfg: BellmanConfig = BellmanConfig(),
     """
     g = np.atleast_1d(np.asarray(g, dtype=float))
     d = _bounds_vector(mdp)
-    sol = policy_iteration(mdp, g, cfg, start)
-    if not sol.converged:
-        raise BellmanNotConvergedError(
-            f"Bellman solve at multiplier {g.tolist()} did not converge "
-            f"within max_iterations={cfg.max_iterations} (last sup-norm "
-            f"change {sol.residual:.3g}, tolerance {cfg.tolerance:.3g})")
+    sol = _converged_solve(mdp, g, cfg, start)
     W0 = float(sol.W[mdp.x0_index])
     costs = CostVector(sol.V[mdp.x0_index])
     return DualPoint(
@@ -336,7 +393,9 @@ def maximize_dual(mdp: DiscreteMDP, cfg: BellmanConfig = BellmanConfig()):
     Returns (g*, trace, weights): g* = g_m, the trace of every evaluation
     (the last one is at g*), and the mixture weights over the trace's
     leading cuts from the master program that gave g*, or ``[1.0]`` when
-    g* = 0 at the first evaluation.
+    g* = 0 at the first evaluation.  The trace's solutions are on the
+    states of ``mdp``, which :func:`solve_constrained` gives as
+    :func:`search_mdp`'s restriction under a constant reset.
     """
     d = _bounds_vector(mdp)
     pt = dual_value(mdp, np.zeros(d.size), cfg)
@@ -417,13 +476,39 @@ def solve_constrained(mdp: DiscreteMDP,
     program that gave g*: bounds met, tight where g*_j > 0, V0 minimized
     over the cut policies.  Its costs are re-evaluated policy by policy for
     the certificates.
+
+    :func:`maximize_dual` runs on :func:`search_mdp`, so under a constant
+    reset ``trace`` and ``F`` hold solutions and policies on R = landing
+    states and x0.  The reported policies are then made on the full grid.
+    ``solution`` is a full policy iteration at g*, started as the search's
+    last evaluation was: from the previous cut's policy lifted to the grid
+    (its actions on R, the smallest-index minimizer at its multiplier
+    elsewhere), or cold after one evaluation; it raises
+    ``BellmanNotConvergedError`` at its step cap.  The mixture's policies
+    are the support cuts lifted the same way (that start among them), or
+    ``solution.policy`` after one evaluation.  Off R a lifted action can
+    differ from a full-grid search's only where two actions tie within the
+    switching threshold, at states x0 never reaches, so costs and
+    certificates do not move.
     """
-    g_star, trace, w = maximize_dual(mdp, cfg)
+    search = search_mdp(mdp)
+    g_star, trace, w = maximize_dual(search, cfg)
     star = trace[-1]
     support = np.nonzero(w)[0]
-    mixture = MixedPolicy(
-        weights=tuple(float(w[i]) for i in support),
-        policies=tuple(trace[i].policy for i in support))
+    if search is mdp:
+        solution = star.solution
+        policies = [trace[i].policy for i in support]
+    else:
+        start = _lift(mdp, trace[-2]) if len(trace) > 1 else None
+        solution = _converged_solve(mdp, g_star, cfg, start)
+        # the master that gave g* mixed only the cuts before the last, at
+        # every band point trace[-2] among them; after one evaluation the
+        # cut at g* is the whole mixture
+        policies = [solution.policy if i == len(trace) - 1
+                    else start if i == len(trace) - 2
+                    else _lift(mdp, trace[i]) for i in support]
+    mixture = MixedPolicy(weights=tuple(float(w[i]) for i in support),
+                          policies=tuple(policies))
     costs = eval_mixture(mdp, mixture)
     trace = tuple(trace)
     return DualResult(
@@ -431,4 +516,4 @@ def solve_constrained(mdp: DiscreteMDP,
         F=tuple(pt.policy for pt in trace), mixture=mixture, costs=costs,
         certificates=_certify(g_star, star.h, costs, trace,
                               _bounds_vector(mdp), cfg),
-        trace=trace, slack_used=_gap_tol(cfg), solution=star.solution)
+        trace=trace, slack_used=_gap_tol(cfg), solution=solution)

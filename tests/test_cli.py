@@ -717,6 +717,42 @@ def test_dual_curve_warm_start_matches_cold_start(capsys):
         assert abs(w0 - cold.W0) <= tol * abs(cold.W0)
 
 
+def _full_grid_curve(mdp, grid_pts) -> str:
+    """The dual-curve CSV body from warm-started evaluations on the full
+    grid, as ``dual-curve`` made it before it ran on x0's states."""
+    rows, pt = [], None
+    for g in grid_pts:
+        pt = ic.dual_value(mdp, g, start=None if pt is None else pt.solution)
+        rows.append(",".join(format(float(x), ".17g") for x in
+                             [*pt.g, pt.h, pt.W0, *pt.slacks]))
+    return "\n".join(rows)
+
+
+@pytest.mark.parametrize("name, dual_grid", [
+    ("fluid_benchmark", None),
+    ("custom_j2", [[a, b] for a in (0.0, 0.5, 1.3, 2.0) for b in (0.0, 0.7, 1.9)])])
+def test_dual_curve_matches_the_full_grid_values(tmp_path, capsys, name,
+                                                 dual_grid):
+    # under a constant reset the curve is evaluated on x0's states; every
+    # row must be bitwise the full grid's
+    doc = json.loads((Path(__file__).resolve().parent.parent / "configs"
+                      / f"{name}.json").read_text())
+    if dual_grid is not None:
+        doc["dual_grid"] = dual_grid
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    assert cli.main(["dual-curve", "--config", str(config)]) == 0
+    _, *body = capsys.readouterr().out.strip().splitlines()
+    mdp = ic.discretize(*ic.problem_from_config(doc))
+    assert mdp.landing_states is not None
+    # without a dual_grid, the default line 0, 0.1, ..., 2
+    grid_pts = ([np.asarray(g, dtype=float) for g in dual_grid]
+                if dual_grid is not None
+                else [np.asarray([g]) for g in np.linspace(0.0, 2.0, 21)])
+    assert len(body) == len(grid_pts)
+    assert "\n".join(body) == _full_grid_curve(mdp, grid_pts)
+
+
 def test_set_override_changes_nested_fields(config_file, capsys):
     assert cli.main(["dual-curve", "--config", config_file,
                      "--set", "grid.theta_n=40", "--g-steps", "3"]) == 0

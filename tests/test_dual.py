@@ -437,19 +437,22 @@ class _TrackedFactor:
 
 @pytest.mark.parametrize("doc, expected, factored", [
     *(pytest.param(band_centre_doc(name), n, False, id=f"{name}-{n}")
-      for name, n in (("fluid-tight", 19), ("fluid-accept", 16), ("custom-j2", 10))),
+      for name, n in (("fluid-tight", 18), ("fluid-accept", 14), ("custom-j2", 11))),
     pytest.param(custom_two_action_off_grid_doc(), 5, True,
                  id="custom-two-action-off-grid-5")])
 def test_band_centre_factorizations(monkeypatch, doc, expected, factored):
     # every evaluation after the first takes its first step from the
     # previous cut's per-cost values, so the search makes sum of steps -
-    # (evaluations - 1) linear solves (32, 25 and 18 when each step
-    # solves).  The cuts read those values too, so off-grid landings add
-    # none there; only the certificates' own evaluation of the mixture
-    # solves, once on the off-grid doc (7 when each cut evaluated its
-    # policy again).  The band centres reset to a constant, so they solve
-    # on their landing states and never factor the grid; the off-grid
-    # doc's scale reset factors once per solve
+    # (evaluations - 1) linear solves.  The band centres reset to a
+    # constant, so the search runs on x0's states and makes 17, 12 and 10
+    # (30, 21 and 18 when each step solves); the full-grid solve at g*
+    # then starts from a lifted bare policy and solves at each of its 1, 2
+    # and 1 steps, and the lifts solve nothing.  Those solves are on the
+    # landing states, so the grid is never factored.  The cuts read the
+    # search's values, so off-grid landings add no solve there; only the
+    # certificates' own evaluation of the mixture solves, once on the
+    # off-grid doc (7 when each cut evaluated its policy again), whose
+    # scale reset keeps the full search and factors once per solve
     mdp = _band_mdp(doc)
     ledger = _FactorLedger(scipy.sparse.linalg.splu)
     monkeypatch.setattr(scipy.sparse.linalg, "splu", ledger)
@@ -463,7 +466,8 @@ def test_band_centre_factorizations(monkeypatch, doc, expected, factored):
         made_by_search.append(len(solves)) or real_mixture(mdp, m)))
     result = ic.solve_constrained(mdp)
     steps = sum(pt.solution.iterations for pt in result.trace)
-    assert made_by_search == [steps - (len(result.trace) - 1)]
+    full = 0 if mdp.landing_states is None else result.solution.iterations
+    assert made_by_search == [steps - (len(result.trace) - 1) + full]
     assert len(solves) == expected
     assert ledger.made == (expected if factored else 0)
     # no factor outlives its use: none alive when another is made, and none
@@ -506,6 +510,93 @@ def test_factor_reuse_is_bitwise_equal_to_refactorizing(monkeypatch, doc):
     assert np.array_equal(reused.g_star, fresh.g_star)
     assert reused.mixture == fresh.mixture
     assert np.array_equal(reused.costs.v, fresh.costs.v)
+
+
+# ---------------------------------------------------------------------------
+# under a constant reset the search runs on x0's states
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+SHIPPED = {name: json.loads((CONFIG_DIR / f"{name}.json").read_text())
+           for name in ("fluid_benchmark", "custom_j2")}
+# every band point of the goldens, J2_DOC and the shipped configs
+CONSTANT_RESET_DOCS = {
+    **{f"{name}-{v}": make(v) for name, (make, band) in BANDS.items()
+       for v in band},
+    "fluid-accept-0.452": BANDS["fluid-accept"][0](0.452),
+    "j2": J2_DOC, **SHIPPED}
+
+
+def _full_grid_reference(mdp):
+    """(g*, trace, weights, mixture, solution) of the dual search on the
+    full grid, assembled as solve_constrained did before the search moved
+    onto x0's states: the mixture's policies and the solution are the
+    trace's own."""
+    g_star, trace, w = dual.maximize_dual(mdp)
+    support = np.nonzero(w)[0]
+    mixture = ic.MixedPolicy(
+        weights=tuple(float(w[i]) for i in support),
+        policies=tuple(trace[i].policy for i in support))
+    return g_star, trace, w, mixture, trace[-1].solution
+
+
+@pytest.mark.parametrize("name", list(CONSTANT_RESET_DOCS))
+def test_search_on_x0_states_matches_the_full_grid_search(name):
+    mdp = _band_mdp(CONSTANT_RESET_DOCS[name])
+    assert mdp.landing_states is not None
+    g_star, trace, w, mixture, solution = _full_grid_reference(mdp)
+    result = ic.solve_constrained(mdp)
+    assert len(result.trace) == len(trace)
+    for got, want in zip(result.trace, trace):
+        assert got.solution.W.size < mdp.n_states
+        assert np.array_equal(got.g, want.g)
+        assert got.h == want.h and got.W0 == want.W0
+        assert np.array_equal(got.slacks, want.slacks)
+        assert np.array_equal(got.costs.v, want.costs.v)
+    assert np.array_equal(result.g_star, g_star)
+    assert result.h_star == trace[-1].h and result.W0 == trace[-1].W0
+    assert result.mixture.weights == mixture.weights
+    assert result.mixture.weights == tuple(float(x) for x in w[w > 0.0])
+    assert result.mixture.policies == mixture.policies
+    assert np.array_equal(result.costs.v, ic.eval_mixture(mdp, mixture).v)
+    got = result.solution
+    assert np.array_equal(got.W, solution.W) and got.policy == solution.policy
+    assert got.iterations == solution.iterations
+    assert got.trace == solution.trace
+    assert np.array_equal(got.V, solution.V)
+
+
+def test_state_dependent_kernel_keeps_the_full_search():
+    mdp = _band_mdp(custom_two_action_off_grid_doc())
+    assert mdp.landing_states is None and dual.search_mdp(mdp) is mdp
+    result = ic.solve_constrained(mdp)
+    assert len(result.trace) >= 2
+    assert all(pt.policy.n_states == pt.solution.W.size == mdp.n_states
+               for pt in result.trace)
+    assert result.solution is result.trace[-1].solution
+
+
+@pytest.mark.parametrize("name, reset", [
+    ("fluid_benchmark", None), ("custom_j2", None), ("custom_j2", 0.37),
+    ("custom_j2", 4.0)])
+def test_search_mdp_holds_the_rows_x0_reaches(name, reset):
+    doc = json.loads(json.dumps(SHIPPED[name]))
+    if reset is not None:
+        doc["reset"]["value"] = reset  # 0.37 splits, 4.0 is the top state
+    mdp = _band_mdp(doc)
+    search = dual.search_mdp(mdp)
+    R = np.union1d(mdp.landing_states, mdp.x0_index)
+    assert R.size == search.n_states <= 5
+    assert np.array_equal(search.states, mdp.states[R])
+    assert R[search.x0_index] == mdp.x0_index
+    assert np.array_equal(search.costs, mdp.costs[:, R])
+    assert np.array_equal(R[search.landing_states], mdp.landing_states)
+    assert np.array_equal(R[search.next_states], mdp.next_states[:R.size])
+    assert np.array_equal(search.next_weights, mdp.next_weights[:R.size])
+    assert np.array_equal(search.survival, mdp.survival)
+    assert (search.theta_points is mdp.theta_points
+            and search.action_labels == mdp.action_labels
+            and search.bounds == mdp.bounds and search.alpha == mdp.alpha)
 
 
 def _reachable(root):
