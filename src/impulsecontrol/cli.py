@@ -493,8 +493,11 @@ def _verify_checks(problem, grid, mdp, tol_scale: float, rep):
     yield "occupation-identities", occ_ok, "; ".join(occ_detail)
     yield "oracle-agreement", tri_ok, "; ".join(tri_detail)
 
-    # weak duality: dual values never exceed feasible policy values.  With
-    # no constraints every multiplier is the empty one, and h = W*(x0)
+    # weak duality: dual values never exceed feasible policy values.  h is
+    # evaluated on R, the states x0 can reach (search_mdp), as in the dual
+    # search.  With no constraints every multiplier is the empty one, and
+    # h = W*(x0)
+    search = search_mdp(mdp)
     wd_ok = True
     worst_gap = -math.inf
     detail = "no feasible probe policy"
@@ -506,7 +509,7 @@ def _verify_checks(problem, grid, mdp, tol_scale: float, rep):
                     # the cold policy iteration above is h's solve at g = ones
                     h = float(pi.W[mdp.x0_index]) - float(ones @ d)
                 else:
-                    h = dual_value(mdp, scale * ones, bcfg).h
+                    h = dual_value(search, scale * ones, bcfg).h
                 gap = h - min(feas_values)
                 worst_gap = max(worst_gap, gap)
                 wd_ok &= gap <= 10.0 * bcfg.tolerance + 1e-9

@@ -22,9 +22,10 @@ independently of the search.
 h, its cuts and the mixture's costs are properties of the process started
 at x0.  Under a constant reset that process only visits x0 and the at most
 four landing states, a set R that every action maps into itself, so the
-search runs on the MDP restricted to R (:func:`search_mdp`) and reads the
-same rows as on the full grid: its multipliers, values, cuts and weights
-are bitwise those of a full-grid search.  Only the policies the result
+search runs on the MDP restricted to R (:func:`search_mdp`), as do
+``dual-curve`` and ``verify``'s weak-duality values, and reads the same
+rows as on the full grid: its multipliers, values, cuts and weights are
+bitwise those of a full-grid search.  Only the policies the result
 reports are made on the full grid (see :func:`solve_constrained`).
 """
 

@@ -15,11 +15,11 @@ from importlib import resources
 
 import impulsecontrol as ic
 import impulsecontrol.cli as cli
-from impulsecontrol import model
+from impulsecontrol import bellman, model
 
 from conftest import (BANDS, J2_DOC, band_centre_doc, constant_theta_policy,
-                      custom_two_action_off_grid_doc, threshold_policy,
-                      traced_peak)
+                      custom_two_action_off_grid_doc, fluid_doc,
+                      threshold_policy, traced_peak)
 
 
 BASE_DOC = {
@@ -591,26 +591,83 @@ def test_verify_weak_duality_fails_on_nonconverged_probe(config_file,
     assert "did not converge" in line[0]
 
 
-def test_verify_weak_duality_reuses_the_agreement_solve(config_file,
-                                                      monkeypatch, capsys):
-    # at g = ones the weak-duality probe is the policy-iteration-agreement
-    # check's cold solve, so only the other four scales call dual_value
+def _counted_dual_values(monkeypatch) -> list:
+    """Wrap ``cli.dual_value``; each call appends (g, mdp.n_states, cfg, h)."""
     calls = []
     real = cli.dual_value
 
     def counted(mdp, g, cfg):
-        calls.append(g.tolist())
-        return real(mdp, g, cfg)
+        pt = real(mdp, g, cfg)
+        calls.append((g.tolist(), mdp.n_states, cfg, pt.h))
+        return pt
 
     monkeypatch.setattr(cli, "dual_value", counted)
+    return calls
+
+
+def test_verify_weak_duality_reuses_the_agreement_solve(config_file,
+                                                      monkeypatch, capsys):
+    # at g = ones the weak-duality probe is the policy-iteration-agreement
+    # check's cold solve, so only the other four scales call dual_value,
+    # each on x0's two states
+    calls = _counted_dual_values(monkeypatch)
     assert cli.main(["verify", "--config", config_file]) == 0
-    assert calls == [[0.0], [0.5], [2.0], [4.0]]
+    assert [(g, n) for g, n, _, _ in calls] == [([0.0], 2), ([0.5], 2),
+                                                ([2.0], 2), ([4.0], 2)]
     assert "PASS weak-duality: max h(g) - V0(feasible) = " in capsys.readouterr().out
-    # the reused value is bitwise the one dual_value returns
+    # every h, the reused one too, is bitwise the full grid's dual value
     prob, grid = ic.problem_from_config(BASE_DOC)
     mdp = ic.discretize(prob, grid)
+    assert all(ic.dual_value(mdp, g, cfg).h == h for g, _, cfg, h in calls)
     pi = ic.policy_iteration(mdp, [1.0])
-    assert pi.W[mdp.x0_index] - mdp.bounds[0] == real(mdp, [1.0]).h
+    assert pi.W[mdp.x0_index] - mdp.bounds[0] == ic.dual_value(mdp, [1.0]).h
+
+
+@pytest.mark.parametrize("name, reset, n_search, code", [
+    ("fluid_benchmark", None, 2, 0),
+    ("custom_j2", None, 2, 0),
+    # split landings, R = {0, 1, 18, 19}; oracle-agreement fails at 200
+    # states (ROADMAP item 9b), weak duality passes
+    ("custom_j2", {"type": "constant", "value": 0.37}, 4, 5),
+    # a state-dependent kernel keeps the full grid
+    ("custom_j2", {"type": "scale", "factor": 0.5}, None, 5),
+], ids=["fluid_benchmark", "custom_j2", "custom_j2-split", "custom_j2-scale"])
+def test_verify_weak_duality_runs_on_x0_states(tmp_path, monkeypatch, capsys,
+                                               name, reset, n_search, code):
+    doc = json.loads((Path(__file__).resolve().parent.parent / "configs"
+                      / f"{name}.json").read_text())
+    if reset is not None:
+        doc["reset"] = reset
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    calls = _counted_dual_values(monkeypatch)
+    assert cli.main(["verify", "--config", str(config)]) == code
+    assert "PASS weak-duality: " in capsys.readouterr().out
+    mdp = ic.discretize(*ic.problem_from_config(doc))
+    ones = np.ones(mdp.n_constraints)
+    assert [g for g, _, _, _ in calls] == [(s * ones).tolist()
+                                           for s in (0.0, 0.5, 2.0, 4.0)]
+    assert {n for _, n, _, _ in calls} == {n_search or mdp.n_states}
+    assert all(ic.dual_value(mdp, g, cfg).h == h for g, _, cfg, h in calls)
+
+
+def test_verify_builds_three_full_cost_tables(monkeypatch):
+    # at the verify-800 centre only the Bellman checks build a combined cost
+    # over the grid: solve_W at g = 0 and at ones, and policy iteration at
+    # ones; the weak-duality values build theirs on x0's states
+    prob, grid = ic.problem_from_config(fluid_doc(0.5, 800, 5.0))
+    mdp = ic.discretize(prob, grid)
+    rows = []
+    real = bellman.combined_cost
+
+    def counted(m, g):
+        rows.append(m.n_states)
+        return real(m, g)
+
+    monkeypatch.setattr(bellman, "combined_cost", counted)
+    checks = list(cli._verify_checks(prob, grid, mdp, 1.0, ic.validate(prob, grid)))
+    assert all(passed for _, passed, _ in checks)
+    assert rows.count(mdp.n_states) == 3
 
 
 def test_verify_weak_duality_without_constraints(tmp_path, monkeypatch,

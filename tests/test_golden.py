@@ -7,8 +7,9 @@ policies must match exactly; every other float within 1e-12 relative,
 since another numpy or SuperLU build may round differently.  The
 ``*.trace.csv`` goldens are the ``--bellman-trace`` CSVs of the nine band
 points, and the ``verify-*.txt`` goldens the ``verify`` stdout of the
-shipped configs and the verify-800 centre; in both, the text between
-numbers must match exactly and each number within the same tolerance.
+shipped configs, the verify-800 centre and ``custom_j2`` with a scale
+reset; in both, the text between numbers must match exactly and each
+number within the same tolerance.
 ``tests/write_goldens.py`` rewrites them.
 """
 
@@ -41,6 +42,14 @@ def _golden_docs() -> dict:
     return docs
 
 
+def _scale_reset_doc() -> dict:
+    """``configs/custom_j2.json`` with a scale reset (factor 0.5), 800x800."""
+    doc = json.loads((CONFIG_DIR / "custom_j2.json").read_text())
+    doc["reset"] = {"type": "scale", "factor": 0.5}
+    doc["grid"].update(state_n=800, theta_n=800)
+    return doc
+
+
 GOLDEN_DOCS = _golden_docs()
 TRACE_DOCS = {f"{name}-{v}": make(v)
               for name, (make, band) in BANDS.items() for v in band}
@@ -50,6 +59,10 @@ VERIFY_DOCS = {
     "verify-custom_j2": json.loads((CONFIG_DIR / "custom_j2.json").read_text()),
     # the benchmark's verify-800 workload at its band centre
     "verify-800": fluid_doc(0.5, 800, 5.0),
+    # a state-dependent kernel: every check, weak duality included, runs on
+    # the full grid through the row-block sweep (oracle-agreement fails at
+    # 200 and 400 states, ROADMAP item 9b)
+    "verify-custom_j2-scale-800": _scale_reset_doc(),
 }
 
 
