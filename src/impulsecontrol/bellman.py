@@ -20,7 +20,16 @@ multiplier.
 Successive approximation from W = 0 (:func:`solve_W`) is the checked
 reference.  It produces pointwise nondecreasing iterates (all quantities are
 nonnegative and the backup is monotone, exactly so in floating point), which
-doubles as a runtime sanity check.
+doubles as a runtime sanity check: any decrease raises.  The same
+monotonicity makes its action elimination exact (MacQueen 1967; Puterman
+1994, section 6.7).  Once the sup change shrinks geometrically, each state x
+keeps only the cells whose Q is within the changes' geometric tail of its
+minimum, below a cut(x).  Every cell's Q is nondecreasing from sweep to
+sweep, so a dropped cell stays above cut(x), and while a state's kept
+minimum is at most cut(x) it is the minimum over all its cells, at the same
+smallest-index minimizer; a state whose kept minimum exceeds cut(x) is swept
+in full.  Every state's value is still computed on every sweep, and the
+iterates, trace and policy are bitwise those of full sweeps.
 
 Both solvers go through one sweep, :func:`_sweep`: Q = survival *
 (w_lo W[next_lo] + w_hi W[next_hi]) + cost, reduced per state to its
@@ -184,6 +193,14 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
+def _q_row(mdp: DiscreteMDP, W: np.ndarray) -> np.ndarray:
+    """State 0's survival * (w_lo W[lo] + w_hi W[hi]): every state's, if
+    the kernel is state-free."""
+    q = mdp.w_lo[0] * W[mdp.next_lo[0]] + mdp.w_hi[0] * W[mdp.next_hi[0]]
+    q *= mdp.survival
+    return q
+
+
 def _sweep_rows(q, flat):
     best = q.argmin(axis=1)
     rows = np.arange(best.size)
@@ -237,8 +254,7 @@ def _sweep(mdp: DiscreteMDP, W: np.ndarray, cost: np.ndarray,
     deadlock.
     """
     if mdp.landing_states is not None:
-        q = mdp.w_lo[0] * W[mdp.next_lo[0]] + mdp.w_hi[0] * W[mdp.next_hi[0]]
-        q *= mdp.survival
+        q = _q_row(mdp, W)
         if cost.size >= _SWEEP_SPLIT_CELLS:
             return _sweep_chunks(q, cost, flat)
         return _sweep_rows(q + cost, flat)
@@ -263,28 +279,138 @@ def _sweep(mdp: DiscreteMDP, W: np.ndarray, cost: np.ndarray,
             None if flat is None else np.concatenate(q_at_flat))
 
 
+# value iteration sweeps only the cells near their row minimum once the sup
+# change shrinks by _SHRINK a sweep, while they are at most 1/_KEPT_SHARE of
+# the table
+_SHRINK = 0.9
+_KEPT_SHARE = 32
+
+
+def _tail_margin(prev: float, last: float) -> float | None:
+    """last * r / (1 - r), r = last / prev: the rise still ahead were the sup
+    changes to shrink geometrically.  None when r exceeds ``_SHRINK``."""
+    r = last / prev
+    return last * r / (1.0 - r) if r <= _SHRINK else None
+
+
+def _q(mdp, W, q_row, cost, ij, out=None):
+    """Q at ``cost[ij]``: whole rows for ij = (states,), cells for ij =
+    (states, actions), each rounded as in :func:`_sweep`."""
+    act = ij[1:]
+    if q_row is not None:
+        return np.add(cost[ij], q_row[act], out=out)
+    q = np.take(W, mdp.next_lo[ij], out=out)  # as the CSR row, from an exact 0
+    q *= mdp.w_lo[ij]
+    hi = W.take(mdp.next_hi[ij])
+    hi *= mdp.w_hi[ij]
+    q += hi
+    q *= mdp.survival[act]
+    q += cost[ij]
+    return q
+
+
+def _full_rows(mdp, W, q_row, cost, rows, margin=None):
+    """Per state of the sorted ``rows``: Q's smallest-index minimizer and
+    minimum over every action, in row chunks, and given a ``margin`` the
+    (state, action) cells within it of the minimum, in flat order; None as
+    soon as those pass 1/_KEPT_SHARE of the table."""
+    n_actions = cost.shape[1]
+    step = max(1, _BLOCK_ELEMENTS // n_actions)
+    best, low = np.empty(rows.size, dtype=np.intp), np.empty(rows.size)
+    buf = np.empty((min(step, rows.size), n_actions))
+    # the kept cells fill these in place; pages never written are never paid
+    near, count = np.empty((2, cost.size // _KEPT_SHARE), dtype=np.intp), 0
+    for lo in range(0, rows.size, step):
+        r = rows[lo:lo + step]
+        if r[-1] - r[0] == r.size - 1:  # contiguous states: read views
+            r = slice(r[0], r[-1] + 1)
+        q = _q(mdp, W, q_row, cost, (r,), buf[:min(step, rows.size - lo)])
+        b = q.argmin(axis=1, out=best[lo:lo + step])
+        v = low[lo:lo + step] = q[np.arange(b.size), b]
+        if margin is not None:
+            mask = q <= (v + margin)[:, np.newaxis]
+            end = count + np.count_nonzero(mask)
+            if end > near.shape[1]:
+                return None
+            i, near[1, count:end] = np.divmod(np.flatnonzero(mask), n_actions)
+            near[0, count:end] = rows[lo + i]
+            count = end
+    return best, low, near[:, :count]
+
+
+def _kept_sweep(mdp, W, q_row, cost, kept, margin):
+    """(minimizers, minima, cells kept after) of a sweep over the cells
+    ``kept`` = (states, actions, cut per state) holds, in flat order.
+    States whose kept minimum exceeds their cut are swept in full and the
+    cells chosen afresh on the next sweep (None); otherwise each state
+    keeps its cells within min(cut, minimum + ``margin``)."""
+    row, act, cut = kept
+    starts = np.searchsorted(row, np.arange(cut.size))
+    q = _q(mdp, W, q_row, cost, (row, act))
+    low = np.minimum.reduceat(q, starts)
+    at = np.where(q == low[row], np.arange(q.size), q.size)
+    best = act[np.minimum.reduceat(at, starts)]
+    redo = np.flatnonzero(low > cut)
+    if redo.size:
+        best[redo], low[redo], _ = _full_rows(mdp, W, q_row, cost, redo)
+        return best, low, None
+    cut = np.minimum(cut, low + margin)
+    keep = q <= cut[row]
+    return best, low, (row[keep], act[keep], cut)
+
+
 def solve_W(mdp: DiscreteMDP, g, cfg: BellmanConfig = BellmanConfig(),
             on_iterate=None) -> BellmanSolution:
     """Successive approximation from W = 0 until the sup-norm change is small.
 
-    Returns the last iterate with its greedy policy.  Iterates are pointwise
-    nondecreasing; a decrease beyond floating round-off raises RuntimeError
-    since it indicates corrupted inputs.  When max_iterations is hit with the
-    change still above tolerance the solution is returned flagged
+    Returns the last iterate with its greedy policy: the last sweep's
+    minimizers when that sweep changed nothing, else one more sweep's.
+    Iterates are pointwise nondecreasing; any decrease raises RuntimeError
+    since it indicates corrupted inputs.  When max_iterations is hit with
+    the change still above tolerance the solution is returned flagged
     ``converged=False`` (the backup is not a uniform contraction when
-    zero-wait actions survive with weight 1; positive impulse costs make such
-    loops non-optimal, and this flag guards pathological inputs).
+    zero-wait actions survive with weight 1; positive impulse costs make
+    such loops non-optimal, and this flag guards pathological inputs).
     ``on_iterate(k, W_k)`` is called with each new iterate when given.
+
+    Once the sup change shrinks by r <= ``_SHRINK`` a sweep, each state x
+    keeps the cells with Q <= cut(x), its minimum plus the changes'
+    geometric tail (:func:`_tail_margin`), and later sweeps, the greedy one
+    too, make Q on those alone.  Each cell's Q is nondecreasing, so a
+    dropped cell stays above cut(x); a state whose kept minimum exceeds
+    cut(x) is swept in full.  Results are bitwise those of full sweeps.
     """
     cost = combined_cost(mdp, g)
     W = np.zeros(mdp.n_states)
     sup_change = math.inf
     trace = []
     iterations = 0
+    kept = None
+    # under one kept cell per state the elimination can never start
+    fits = cost.size // _KEPT_SHARE >= mdp.n_states
+
+    def sweep(W):  # -> (minimizers, minima); eliminates once changes shrink
+        nonlocal kept
+        margin = (_tail_margin(trace[-2][1], trace[-1][1])
+                  if fits and len(trace) > 1 else None)
+        if margin is None:
+            kept = None
+            return _sweep(mdp, W, cost)[:2]
+        q_row = None if mdp.landing_states is None else _q_row(mdp, W)
+        if kept is not None:
+            best, low, kept = _kept_sweep(mdp, W, q_row, cost, kept, margin)
+            return best, low
+        full = _full_rows(mdp, W, q_row, cost, np.arange(mdp.n_states), margin)
+        if full is None:  # too many cells near the minima: a full sweep
+            return _sweep(mdp, W, cost)[:2]
+        best, low, (row, act) = full
+        kept = (row, act, low + margin)
+        return best, low
+
     if on_iterate is not None:
         on_iterate(0, W.copy())
     for k in range(1, cfg.max_iterations + 1):
-        _, W_new, _ = _sweep(mdp, W, cost)
+        best, W_new = sweep(W)
         if np.any(W_new < W):
             i = int(np.argmax(W - W_new))
             raise RuntimeError(
@@ -299,9 +425,10 @@ def solve_W(mdp: DiscreteMDP, g, cfg: BellmanConfig = BellmanConfig(),
         if sup_change <= cfg.tolerance:
             break
     converged = sup_change <= cfg.tolerance
-    flat, _, _ = _sweep(mdp, W, cost)
+    if sup_change != 0.0:
+        best, _ = sweep(W)
     return BellmanSolution(
-        W=W, policy=StationaryPolicy(flat, mdp.n_labels),
+        W=W, policy=StationaryPolicy(best, mdp.n_labels),
         iterations=iterations, converged=converged, residual=sup_change,
         trace=tuple(trace))
 

@@ -394,7 +394,9 @@ def maximize_dual(mdp: DiscreteMDP, cfg: BellmanConfig = BellmanConfig()):
     Returns (g*, trace, weights): g* = g_m, the trace of every evaluation
     (the last one is at g*), and the mixture weights over the trace's
     leading cuts from the master program that gave g*, or ``[1.0]`` when
-    g* = 0 at the first evaluation.  The trace's solutions are on the
+    g* = 0 at the first evaluation.  A search that stops on the gap solves
+    the master once more, the cut at g* among its columns, and returns its
+    weights over every cut: they can only lower the mixture's cost.  The trace's solutions are on the
     states of ``mdp``, which :func:`solve_constrained` gives as
     :func:`search_mdp`'s restriction under a constant reset.
     """
@@ -427,8 +429,13 @@ def maximize_dual(mdp: DiscreteMDP, cfg: BellmanConfig = BellmanConfig()):
                     f"dual functional still increasing at multiplier "
                     f"{g.tolist()} (doubling cap {BRACKET_CAP:.3g})", trace,
                     d, box, BRACKET_CAP)
-        elif known or pt.h >= ub - eps * (1.0 + abs(ub)):
+        elif known:
             return g, trace, w
+        elif pt.h >= ub - eps * (1.0 + abs(ub)):
+            # stopped on the gap: the master over every cut, this one too,
+            # can only lower the mixture's cost
+            return g, trace, mix_weights(
+                np.asarray([p.costs.v for p in trace]), d, box)[0]
 
 
 def _unbounded(why: str, trace, d: np.ndarray, box, cap) -> DualBracketError:
@@ -474,7 +481,8 @@ def solve_constrained(mdp: DiscreteMDP,
 
     ``cfg`` is the Bellman stopping rule passed to :func:`maximize_dual` and
     the certificates.  The mixture is the primal solution of the master
-    program that gave g*: bounds met, tight where g*_j > 0, V0 minimized
+    program that gave g* (or of the one after it, see
+    :func:`maximize_dual`): bounds met, tight where g*_j > 0, V0 minimized
     over the cut policies.  Its costs are re-evaluated policy by policy for
     the certificates.
 
@@ -503,8 +511,8 @@ def solve_constrained(mdp: DiscreteMDP,
         start = _lift(mdp, trace[-2]) if len(trace) > 1 else None
         solution = _converged_solve(mdp, g_star, cfg, start)
         # the master that gave g* mixed only the cuts before the last, at
-        # every band point trace[-2] among them; after one evaluation the
-        # cut at g* is the whole mixture
+        # every band point trace[-2] among them; the cut at g* is the whole
+        # mixture after one evaluation, and may join it after a gap stop
         policies = [solution.policy if i == len(trace) - 1
                     else start if i == len(trace) - 2
                     else _lift(mdp, trace[i]) for i in support]

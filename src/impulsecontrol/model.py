@@ -1341,6 +1341,10 @@ def problem_from_config(cfg: dict) -> tuple[ImpulseProblem, GridSpec]:
             actions = tuple(_require(cfg, "actions", ""))
             if not actions:
                 raise ConfigError("'actions' must be nonempty")
+            for label in actions:
+                if isinstance(label, (list, dict)):  # unhashable: no label
+                    raise ConfigError("'actions' entries must be strings or "
+                                      f"numbers, got {reprlib.repr(label)}")
             bounds = tuple(_number_list(cfg, "bounds", "").tolist())
             g_specs = _require(cfg, "gradual_costs", "")
             i_specs = _require(cfg, "impulse_costs", "")

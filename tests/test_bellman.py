@@ -504,3 +504,154 @@ def test_forked_child_sweeps_with_its_own_pool(scale_mdp):
             pytest.fail("the forked child's sweep did not finish within 30 s")
         time.sleep(0.01)
     assert os.waitstatus_to_exitcode(status) == 0
+
+
+# -- value iteration's action elimination against full sweeps -------------
+
+
+def _dense_solve_W(mdp, g, cfg=ic.BellmanConfig()):
+    """``solve_W`` with a full sweep every time: the reference that its
+    action elimination must match bitwise."""
+    cost = combined_cost(mdp, g)
+    W = np.zeros(mdp.n_states)
+    sup_change, trace, iterations = math.inf, [], 0
+    for k in range(1, cfg.max_iterations + 1):
+        _, W_new, _ = bellman._sweep(mdp, W, cost)
+        assert not np.any(W_new < W)
+        sup_change = float(np.max(W_new - W))
+        iterations = k
+        trace.append((k, sup_change))
+        W = W_new
+        if sup_change <= cfg.tolerance:
+            break
+    flat, _, _ = bellman._sweep(mdp, W, cost)
+    return ic.BellmanSolution(
+        W=W, policy=ic.StationaryPolicy(flat, mdp.n_labels),
+        iterations=iterations, converged=sup_change <= cfg.tolerance,
+        residual=sup_change, trace=tuple(trace))
+
+
+def _assert_bitwise(got, want):
+    """Same W (bit patterns), policy, iterations, flag, residual and trace."""
+    assert np.array_equal(got.W.view(np.uint64), want.W.view(np.uint64))
+    assert got.policy == want.policy
+    assert (got.iterations, got.converged) == (want.iterations, want.converged)
+    assert math.copysign(1.0, got.residual) == math.copysign(1.0, want.residual)
+    assert got.residual == want.residual and got.trace == want.trace
+
+
+class _Spy:
+    """Records the results of bellman's function ``name`` while it is
+    patched through ``monkeypatch``."""
+
+    def __init__(self, monkeypatch, name):
+        self.results, real = [], getattr(bellman, name)
+
+        def spy(*args, **kwargs):
+            self.results.append(real(*args, **kwargs))
+            return self.results[-1]
+
+        monkeypatch.setattr(bellman, name, spy)
+
+    @property
+    def calls(self):
+        return len(self.results)
+
+
+@st.composite
+def _drawn_solves(draw):
+    """(config document, g, max_iterations): 10-40 states, one or two
+    constraints, a constant (state-free) or scale reset, g from 0 to 1e3."""
+    J = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(10, 40))
+    top = draw(st.floats(1.0, 5.0))
+    if draw(st.sampled_from(["constant", "scale"])) == "constant":
+        reset = {"type": "constant", "value": draw(st.floats(0.0, top))}
+    else:
+        reset = {"type": "scale", "factor": draw(st.floats(0.0, 0.9))}
+
+    def rate():
+        return {"type": "polynomial", "coeffs": [draw(st.floats(0.0, 1.0)),
+                                                 draw(st.floats(0.1, 2.0))]}
+
+    doc = {
+        "model": "custom", "alpha": draw(st.floats(0.25, 2.0)), "x0": 0.0,
+        "flow": {"type": draw(st.sampled_from(["drift", "exponential_decay"])),
+                 "rate": draw(st.floats(0.25, 2.0))},
+        "reset": reset, "actions": draw(st.sampled_from([["a"], ["a", "b"]])),
+        "bounds": [1.0] * J,
+        "gradual_costs": [rate() for _ in range(J + 1)],
+        "impulse_costs": [{"type": "constant", "value": v} for v in (
+            [draw(st.floats(0.1, 2.0))]
+            + [draw(st.floats(0.0, 1.0)) for _ in range(J)])],
+        "grid": {"state_min": 0.0, "state_max": top, "state_n": n,
+                 "theta_max": top, "theta_n": n, "quadrature_step": 0.01},
+    }
+    g = draw(st.lists(st.one_of(st.floats(0.0, 2.0), st.floats(2.0, 1e3)),
+                      min_size=J, max_size=J))
+    return doc, g, draw(st.sampled_from([100_000, 8]))
+
+
+@pytest.mark.filterwarnings("ignore:.*clamped to the boundary:RuntimeWarning")
+@settings(max_examples=60, deadline=2000, derandomize=True)
+@given(drawn=_drawn_solves())
+def test_elimination_is_bitwise_full_sweeps_on_drawn_problems(drawn):
+    doc, g, cap = drawn
+    mdp = ic.discretize(*ic.problem_from_config(doc))
+    assert (mdp.landing_states is None) == (doc["reset"]["type"] == "scale")
+    cfg = ic.BellmanConfig(max_iterations=cap)
+    want = _dense_solve_W(mdp, g, cfg)
+    _assert_bitwise(ic.solve_W(mdp, g, cfg), want)
+    # a small table keeps few cells; with room for all of them the
+    # elimination starts as soon as the changes shrink, and with a zero
+    # margin every state whose value still rises is swept in full
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bellman, "_KEPT_SHARE", 1)
+        _assert_bitwise(ic.solve_W(mdp, g, cfg), want)
+        mp.setattr(bellman, "_tail_margin", lambda prev, last: 0.0)
+        _assert_bitwise(ic.solve_W(mdp, g, cfg), want)
+
+
+@pytest.mark.parametrize("mdp_name", ["small_mdp", "j2_mdp", "scale_mdp"])
+def test_states_above_their_cut_are_swept_in_full(monkeypatch, request,
+                                                  mdp_name):
+    # a zero margin keeps only each state's minimizers, so every state whose
+    # value still rises exceeds its cut on the next sweep and is swept in full
+    mdp = request.getfixturevalue(mdp_name)
+    g = np.full(mdp.n_constraints, G_STAR)
+    want = _dense_solve_W(mdp, g)
+    monkeypatch.setattr(bellman, "_tail_margin", lambda prev, last: 0.0)
+    monkeypatch.setattr(bellman, "_KEPT_SHARE", 1)
+    kept = _Spy(monkeypatch, "_kept_sweep")
+    _assert_bitwise(ic.solve_W(mdp, g), want)
+    assert any(cells is None for _, _, cells in kept.results)
+
+
+@pytest.fixture(scope="module")
+def fluid_1600():
+    """The fluid config with d = 0.5 at 1600 x 1600."""
+    return ic.discretize(*ic.problem_from_config(fluid_doc(0.5, 1600, 5.0)))
+
+
+@pytest.mark.parametrize("g", [1.0, 4.0])
+@pytest.mark.parametrize("mdp_name", ["verify_800", "fluid_1600"])
+def test_elimination_is_bitwise_full_sweeps_on_large_grids(
+        monkeypatch, request, mdp_name, g):
+    mdp = request.getfixturevalue(mdp_name)
+    want = _dense_solve_W(mdp, [g])
+    dense = _Spy(monkeypatch, "_sweep")
+    kept = _Spy(monkeypatch, "_kept_sweep")
+    _assert_bitwise(ic.solve_W(mdp, [g]), want)
+    # the first sweeps are full ones, the rest run on the kept cells
+    assert dense.calls <= 6 < kept.calls, (dense.calls, kept.calls)
+    assert dense.calls + kept.calls < want.iterations + 1
+
+
+def test_a_sweep_that_changes_nothing_gives_the_policy(monkeypatch, verify_800):
+    # at g = 0 the first sweep from W = 0 changes nothing: its minimizers
+    # are the greedy policy, and no second sweep runs
+    want = _dense_solve_W(verify_800, [0.0])
+    dense = _Spy(monkeypatch, "_sweep")
+    got = ic.solve_W(verify_800, [0.0])
+    assert dense.calls == 1 and got.iterations == 1 and got.residual == 0.0
+    _assert_bitwise(got, want)

@@ -1140,6 +1140,8 @@ def _mutated(name, edits):
          command="solve")
 @example(case=("fluid", [(("d",), 1e-300)]), command="analytic")
 @example(case=("fluid", [(("alpha",), 1e-300)]), command="dual-curve")
+# a list as an action label: unhashable, it once crashed verify's oracle
+@example(case=("j2", [(("actions", 0), [])]), command="verify")
 def test_fuzzed_config_exits_with_a_documented_code(tmp_path_factory, case,
                                                     command):
     path = tmp_path_factory.mktemp("fuzz") / "doc.json"

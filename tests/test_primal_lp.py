@@ -192,6 +192,20 @@ def _drawn_problems(draw):
     "grid": {"state_min": 0.0, "state_max": 3.5, "state_n": 29,
              "theta_max": 3.5, "theta_n": 29, "quadrature_step": 0.01}},
     [1.0, 0.5]))
+# the search stops on its gap with the cut at g* outside the master; the
+# master over every cut, that one too, meets the LP's optimum
+@example(drawn=({
+    "model": "custom", "alpha": 0.5, "x0": 0.0,
+    "flow": {"type": "drift", "rate": 0.96875},
+    "reset": {"type": "constant", "value": 1.109375}, "actions": ["a"],
+    "bounds": [1.0],
+    "gradual_costs": [{"type": "polynomial", "coeffs": [0.0, 1.0]},
+                      {"type": "constant", "value": 0.5}],
+    "impulse_costs": [{"type": "constant", "value": 0.5},
+                      {"type": "constant", "value": 1.0}],
+    "grid": {"state_min": 0.0, "state_max": 3.0, "state_n": 36,
+             "theta_max": 3.0, "theta_n": 36, "quadrature_step": 0.01}},
+    [1.5]))
 def test_the_dual_route_meets_the_primal_lp_on_drawn_problems(drawn):
     doc, scales = drawn
     mdp = _mdp(doc)
