@@ -423,8 +423,8 @@ def _verify_checks(problem, grid, mdp, tol_scale: float, rep):
            "exact kill at INF, exact carry at 0, strictly decreasing between")
 
     # tabulated costs against the scalar quadrature on a sample of cells
-    idxs = np.unique(np.linspace(0, mdp.n_states - 1, 5).astype(int))
-    ks = np.unique(np.linspace(0, th.size - 1, 5).astype(int))
+    idxs = model._distinct(np.linspace(0, mdp.n_states - 1, 5).astype(int))
+    ks = model._distinct(np.linspace(0, th.size - 1, 5).astype(int))
     worst = 0.0
     for i in idxs:
         for k in ks:

@@ -15,9 +15,12 @@ maximize the cut model over the multiplier box and whose primal weights are
 the mixture.  The master has J+1 rows and one column per cut, so it is
 solved in process by a dense revised primal simplex with Bland's
 anti-cycling rule (Bland 1977); its optimal basis mixes at most J+1 cut
-policies.  Optimality certificates (feasibility, Lagrangian value,
-slackness, weak duality) are checked last, on mixture costs evaluated
-independently of the search.
+policies.  Each master after the first resumes from the last one's
+optimal basis, as column generation does (Lubbecke and Desrosiers 2005):
+a new cut adds a column and a box doubling changes costs, neither of which
+makes that basis infeasible.  Optimality certificates (feasibility,
+Lagrangian value, slackness, weak duality) are checked last, on mixture
+costs evaluated independently of the search.
 
 h, its cuts and the mixture's costs are properties of the process started
 at x0.  Under a constant reset that process only visits x0 and the at most
@@ -25,8 +28,9 @@ four landing states, a set R that every action maps into itself, so the
 search runs on the MDP restricted to R (:func:`search_mdp`), as do
 ``dual-curve`` and ``verify``'s weak-duality values, and reads the same
 rows as on the full grid: its multipliers, values, cuts and weights are
-bitwise those of a full-grid search.  Only the policies the result
-reports are made on the full grid (see :func:`solve_constrained`).
+bitwise those of a full-grid search.  Only the mixture's policies are
+made on the full grid, one sweep each; no policy iteration runs there
+(see :func:`solve_constrained`).
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import DiscreteMDP
+from .model import DiscreteMDP, _distinct
 from .bellman import (BellmanConfig, BellmanSolution, StationaryPolicy,
                       _sweep, combined_cost, policy_iteration)
 # unused here; the benchmark tracer (perfbench/tracing.py) patches these names
@@ -183,8 +187,9 @@ class DualResult:
     ``slack_used`` is the relative gap of the search: at g* the mixture
     minimizes the Lagrangian within it.  ``trace`` and ``F`` come from the
     search, so under a constant reset their solutions and policies are on
-    the search MDP's states (:func:`search_mdp`).  ``mixture`` and
-    ``solution``, the Bellman solve at g*, are on the full grid.
+    the search MDP's states (:func:`search_mdp`), and so is ``solution``,
+    the search's own Bellman solve at g* (``trace[-1].solution``).
+    ``mixture`` is on the full grid.
     """
 
     g_star: np.ndarray
@@ -218,7 +223,7 @@ def _converged_solve(mdp: DiscreteMDP, g: np.ndarray, cfg: BellmanConfig,
 def _search_states(mdp: DiscreteMDP) -> np.ndarray:
     """R = landing states and x0, sorted: under a constant reset every
     action from any state lands in R, so x0's process never leaves it."""
-    return np.union1d(mdp.landing_states, mdp.x0_index)
+    return _distinct(np.append(mdp.landing_states, mdp.x0_index))
 
 
 def search_mdp(mdp: DiscreteMDP) -> DiscreteMDP:
@@ -280,7 +285,7 @@ def dual_value(mdp: DiscreteMDP, g, cfg: BellmanConfig = BellmanConfig(),
         solution=sol, costs=costs)
 
 
-def mix_weights(V: np.ndarray, d: np.ndarray, box: np.ndarray):
+def mix_weights(V: np.ndarray, d: np.ndarray, box: np.ndarray, basis=None):
     """Solve the restricted master program over the cut policies.
 
     ``V`` is (n_cuts, 1 + J), row k the cost vector (V0, V_1, ..., V_J) of
@@ -297,11 +302,16 @@ def mix_weights(V: np.ndarray, d: np.ndarray, box: np.ndarray):
 
     The LP is solved in process by a dense revised primal simplex with
     Bland's anti-cycling rule (Bland 1977) on the standard form with slacks
-    s_j, starting from the cut of least elastic cost, which is a feasible
-    basis.  It ends on a basis of J+1 columns, so at most J+1 cuts carry
-    weight.  Returns (w, g, UB); raises RuntimeError when the simplex hits
-    its pivot cap, meets a singular basis or a column tolerance that
-    overflows, or ends on a non-finite solution.
+    s_j.  Its columns are w_1..w_K, mu_1..mu_J, s_1..s_J, and ``basis``,
+    when given, holds J+1 of them, a primal feasible basis to start from:
+    the optimal basis of an earlier master, whose columns stay feasible
+    when cuts are added or ``box`` changes, since b = (d, 1) does not.
+    Otherwise the simplex starts from the cut of least elastic cost, which
+    is a feasible basis.  It ends on a basis of J+1 columns, so at most J+1
+    cuts carry weight.  Returns (w, g, UB, basis), the last the optimal
+    basis; raises RuntimeError when the simplex hits its pivot cap, meets a
+    singular basis or a column tolerance that overflows, or ends on a
+    non-finite solution.
     """
     n_cuts, J = V.shape[0], d.size
     if not np.isfinite(V).all():
@@ -314,11 +324,14 @@ def mix_weights(V: np.ndarray, d: np.ndarray, box: np.ndarray):
     A[J, :n_cuts] = 1.0
     b = np.append(d, 1.0)
     absA = np.abs(A)
-    excess = V[:, 1:] - d
-    k0 = int(np.argmin(V[:, 0] + np.maximum(excess, 0.0) @ box))
-    rows = np.arange(J)
-    basis = np.append(np.where(excess[k0] > 0.0, n_cuts + rows,
-                               n_cuts + J + rows), k0)
+    if basis is None:
+        excess = V[:, 1:] - d
+        k0 = int(np.argmin(V[:, 0] + np.maximum(excess, 0.0) @ box))
+        rows = np.arange(J)
+        basis = np.append(np.where(excess[k0] > 0.0, n_cuts + rows,
+                                   n_cuts + J + rows), k0)
+    else:
+        basis = np.array(basis, dtype=np.intp)  # the pivots write into it
     for _ in range(_MAX_PIVOTS):
         try:
             B_inv = np.linalg.inv(A[:, basis])
@@ -368,7 +381,7 @@ def mix_weights(V: np.ndarray, d: np.ndarray, box: np.ndarray):
             "cutting-plane master LP failed: non-finite solution")
     w = np.maximum(x[:n_cuts], 0.0)
     w[w < 1e-12] = 0.0
-    return w / w.sum(), np.clip(-y[:J], 0.0, box), float(c @ x)
+    return w / w.sum(), np.clip(-y[:J], 0.0, box), float(c @ x), basis
 
 
 def maximize_dual(mdp: DiscreteMDP, cfg: BellmanConfig = BellmanConfig()):
@@ -389,16 +402,20 @@ def maximize_dual(mdp: DiscreteMDP, cfg: BellmanConfig = BellmanConfig()):
     policy, of which there are finitely many, so the search ends.  A
     non-converged evaluation raises ``BellmanNotConvergedError``.  Each
     evaluation's policy iteration starts from the previous cut's solution
-    and takes its first step from that solution's per-cost values.
+    and takes its first step from that solution's per-cost values.  The
+    first master starts from the cut of least elastic cost; every later
+    one has one cut more and resumes from the last one's optimal basis,
+    its mu and s columns moved up one past the new cut.
 
     Returns (g*, trace, weights): g* = g_m, the trace of every evaluation
     (the last one is at g*), and the mixture weights over the trace's
     leading cuts from the master program that gave g*, or ``[1.0]`` when
     g* = 0 at the first evaluation.  A search that stops on the gap solves
     the master once more, the cut at g* among its columns, and returns its
-    weights over every cut: they can only lower the mixture's cost.  The trace's solutions are on the
-    states of ``mdp``, which :func:`solve_constrained` gives as
-    :func:`search_mdp`'s restriction under a constant reset.
+    weights over every cut: they can only lower the mixture's cost.  The
+    trace's solutions are on the states of ``mdp``, which
+    :func:`solve_constrained` gives as :func:`search_mdp`'s restriction
+    under a constant reset.
     """
     d = _bounds_vector(mdp)
     pt = dual_value(mdp, np.zeros(d.size), cfg)
@@ -407,9 +424,19 @@ def maximize_dual(mdp: DiscreteMDP, cfg: BellmanConfig = BellmanConfig()):
         return pt.g, trace, np.ones(1)
     eps = _gap_tol(cfg)
     box = np.full(d.size, G_INIT)
+
+    def master(basis):
+        # every master has one cut more than the last, so the last one's
+        # mu and s columns move up one
+        if basis is not None:
+            basis = basis + (basis >= len(trace) - 1)
+        return mix_weights(np.asarray([p.costs.v for p in trace]), d, box,
+                           basis)
+
+    basis = None
     while True:
         try:
-            w, g, ub = mix_weights(np.asarray([p.costs.v for p in trace]), d, box)
+            w, g, ub, basis = master(basis)
         except RuntimeError as exc:
             if np.all(box == G_INIT):
                 raise
@@ -434,8 +461,7 @@ def maximize_dual(mdp: DiscreteMDP, cfg: BellmanConfig = BellmanConfig()):
         elif pt.h >= ub - eps * (1.0 + abs(ub)):
             # stopped on the gap: the master over every cut, this one too,
             # can only lower the mixture's cost
-            return g, trace, mix_weights(
-                np.asarray([p.costs.v for p in trace]), d, box)[0]
+            return g, trace, master(basis)[0]
 
 
 def _unbounded(why: str, trace, d: np.ndarray, box, cap) -> DualBracketError:
@@ -488,14 +514,14 @@ def solve_constrained(mdp: DiscreteMDP,
 
     :func:`maximize_dual` runs on :func:`search_mdp`, so under a constant
     reset ``trace`` and ``F`` hold solutions and policies on R = landing
-    states and x0.  The reported policies are then made on the full grid.
-    ``solution`` is a full policy iteration at g*, started as the search's
-    last evaluation was: from the previous cut's policy lifted to the grid
-    (its actions on R, the smallest-index minimizer at its multiplier
-    elsewhere), or cold after one evaluation; it raises
-    ``BellmanNotConvergedError`` at its step cap.  The mixture's policies
-    are the support cuts lifted the same way (that start among them), or
-    ``solution.policy`` after one evaluation.  Off R a lifted action can
+    states and x0, and ``solution`` is the search's last policy iteration,
+    the one at g*, on R too.  No policy iteration runs on the full grid:
+    every action lands in R, so off R the values at g* are one Bellman
+    backup of those on R, and a full-grid policy iteration started from the
+    last cut lifted to the grid would stop after one step with that policy.
+    The mixture's policies are the support cuts lifted to the grid, one
+    sweep each (:func:`_lift`: its actions on R, the smallest-index
+    minimizer at its multiplier elsewhere).  Off R a lifted action can
     differ from a full-grid search's only where two actions tie within the
     switching threshold, at states x0 never reaches, so costs and
     certificates do not move.
@@ -504,20 +530,10 @@ def solve_constrained(mdp: DiscreteMDP,
     g_star, trace, w = maximize_dual(search, cfg)
     star = trace[-1]
     support = np.nonzero(w)[0]
-    if search is mdp:
-        solution = star.solution
-        policies = [trace[i].policy for i in support]
-    else:
-        start = _lift(mdp, trace[-2]) if len(trace) > 1 else None
-        solution = _converged_solve(mdp, g_star, cfg, start)
-        # the master that gave g* mixed only the cuts before the last, at
-        # every band point trace[-2] among them; the cut at g* is the whole
-        # mixture after one evaluation, and may join it after a gap stop
-        policies = [solution.policy if i == len(trace) - 1
-                    else start if i == len(trace) - 2
-                    else _lift(mdp, trace[i]) for i in support]
-    mixture = MixedPolicy(weights=tuple(float(w[i]) for i in support),
-                          policies=tuple(policies))
+    mixture = MixedPolicy(
+        weights=tuple(float(w[i]) for i in support),
+        policies=tuple(trace[i].policy if search is mdp
+                       else _lift(mdp, trace[i]) for i in support))
     costs = eval_mixture(mdp, mixture)
     trace = tuple(trace)
     return DualResult(
@@ -525,4 +541,4 @@ def solve_constrained(mdp: DiscreteMDP,
         F=tuple(pt.policy for pt in trace), mixture=mixture, costs=costs,
         certificates=_certify(g_star, star.h, costs, trace,
                               _bounds_vector(mdp), cfg),
-        trace=trace, slack_used=_gap_tol(cfg), solution=solution)
+        trace=trace, slack_used=_gap_tol(cfg), solution=star.solution)

@@ -79,6 +79,15 @@ _LATTICE_NODE_BYTES = 48
 _SWEEP_SPLIT_CELLS = 2 ** 18
 
 
+def _distinct(a) -> np.ndarray:
+    """The sorted distinct values of ``a``, flattened, as ``np.unique``
+    gives them, without the ``numpy.ma`` import of its first call."""
+    a = np.sort(np.ravel(a))
+    keep = np.ones(a.size, dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
+
+
 def _usable_cores() -> int:
     """Cores this process may run on (its CPU affinity where known)."""
     try:
@@ -313,7 +322,7 @@ class DiscreteMDP:
     def landing_states(self) -> np.ndarray | None:
         if self.next_states.strides[0] or self.next_weights.strides[0]:
             return None
-        return np.unique(self.next_states[0])
+        return _distinct(self.next_states[0])
 
     @property
     def n_states(self) -> int:
@@ -807,7 +816,7 @@ def _running_integral_scalar(problem: ImpulseProblem, x: float, theta: float,
         vals = _eval(rate, _eval(problem.flow, x, tt)) * np.exp(-alpha * tt)
         return float(np.dot(w, vals))
     at = np.array([float(x)])
-    cuts = np.unique([t for b in rate.breakpoints
+    cuts = _distinct([t for b in rate.breakpoints
                       for t in problem.flow.reach(at, b) if 0.0 < t < end])
     edges = np.concatenate(([0.0], cuts, [end]))
     tt, w, starts = _simpson_lattice(edges[:-1], edges[1:], step)
@@ -1111,7 +1120,7 @@ def validate(problem: ImpulseProblem, grid: GridSpec) -> ValidationReport:
     evenly spaced grid states).
     """
     xs = grid.state_points
-    sample = xs[np.unique(np.linspace(0, xs.size - 1, FLOW_SAMPLES).astype(int))]
+    sample = xs[_distinct(np.linspace(0, xs.size - 1, FLOW_SAMPLES).astype(int))]
 
     delta_hat = math.inf
     sup_rate = sup_lump = 0.0

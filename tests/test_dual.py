@@ -142,7 +142,7 @@ def test_nonconverged_evaluation_stops_the_search(small_mdp):
 def test_mix_weights_active_bound_is_tight():
     # cut model min(1 - 0.3 g, 0.3 g) peaks at g = 5/3 with value 1/2
     V = np.asarray([[1.0, 0.2], [0.0, 0.8]])
-    w, g, ub = mix_weights(V, np.asarray([0.5]), np.asarray([10.0]))
+    w, g, ub, _ = mix_weights(V, np.asarray([0.5]), np.asarray([10.0]))
     assert np.allclose(w, [0.5, 0.5], atol=1e-12)
     assert w @ V[:, 1] == pytest.approx(0.5, abs=1e-12)
     assert g[0] == pytest.approx(5.0 / 3.0, abs=1e-12)
@@ -151,7 +151,7 @@ def test_mix_weights_active_bound_is_tight():
 
 def test_mix_weights_loose_bound_picks_cheapest():
     V = np.asarray([[3.0, 0.2], [1.0, 0.8]])
-    w, g, ub = mix_weights(V, np.asarray([1.0]), np.asarray([1.0]))
+    w, g, ub, _ = mix_weights(V, np.asarray([1.0]), np.asarray([1.0]))
     assert np.allclose(w, [0.0, 1.0], atol=1e-12)
     assert g[0] == 0.0
     assert ub == pytest.approx(1.0, abs=1e-12)
@@ -162,7 +162,7 @@ def test_mix_weights_infeasible_bound_sits_on_the_box():
     # and the multiplier sits on the box
     V = np.asarray([[1.0, 0.8], [0.0, 0.9]])
     box = np.asarray([1.0])
-    w, g, ub = mix_weights(V, np.asarray([0.5]), box)
+    w, g, ub, _ = mix_weights(V, np.asarray([0.5]), box)
     assert g[0] == pytest.approx(box[0], abs=1e-12)
     mu = (ub - w @ V[:, 0]) / box[0]
     assert mu > 0.0
@@ -183,10 +183,9 @@ def _cut_model_max(V, d, box):
     return float(res.x[0]) if res.success else None
 
 
-def _check_master(V, d, box, ref):
-    """(w, g, UB) of mix_weights against the cut model's maximum ``ref``."""
-    J = d.size
-    w, g, ub = mix_weights(V, d, box)
+def _master_tol(V, d, box, ref, g):
+    """How far an optimal UB of the master at multiplier g may be from the
+    cut model's maximum ``ref`` as HiGHS finds it."""
     # HiGHS stops within its default 1e-7 primal and dual feasibility
     # tolerances, so either LP may settle on a cut cheaper by less than that.
     # HiGHS also drops matrix entries below 1e-9 (its small_matrix_value), so
@@ -195,8 +194,16 @@ def _check_master(V, d, box, ref):
     # up to that of box.(w V - d): far below 1e-7 for a box of 8, not for
     # one of 2^60.
     gap = np.abs(V[:, 1:] - d)
-    tol = (1e-7 * (1.0 + abs(ref)) + 1e-13 * float(g @ gap.max(axis=0))
-           + float(box @ np.where(gap <= 1e-9, gap, 0.0).max(axis=0)))
+    return (1e-7 * (1.0 + abs(ref)) + 1e-13 * float(g @ gap.max(axis=0))
+            + float(box @ np.where(gap <= 1e-9, gap, 0.0).max(axis=0)))
+
+
+def _check_master(V, d, box, ref, basis=None):
+    """(w, g, UB) of mix_weights, started from ``basis`` when given, against
+    the cut model's maximum ``ref``."""
+    J = d.size
+    w, g, ub, _ = mix_weights(V, d, box, basis)
+    tol = _master_tol(V, d, box, ref, g)
     assert ub == pytest.approx(ref, abs=tol)
     # g maximizes the cut model, inside the box
     assert np.all(g >= 0.0) and np.all(g <= box)
@@ -214,9 +221,8 @@ def _check_master(V, d, box, ref):
 _LATTICE = st.integers(0, 8).map(lambda i: i / 4.0)
 
 
-@settings(max_examples=200, deadline=None)
-@given(data=st.data())
-def test_mix_weights_agrees_with_cut_model(data):
+def _draw_master(data):
+    """(V, d, box) of a master: 1 to 3 bounds and up to 8 cuts."""
     J = data.draw(st.sampled_from([1, 2, 3]))
     n_distinct = data.draw(st.integers(1, 6))
     cuts = data.draw(hnp.arrays(np.float64, (n_distinct, 1 + J), elements=st.one_of(
@@ -228,9 +234,38 @@ def test_mix_weights_agrees_with_cut_model(data):
         st.integers(1, 6).map(lambda i: i / 4.0), st.floats(0.1, 1.5))))
     box = data.draw(hnp.arrays(np.float64, J, elements=st.one_of(
         st.floats(0.5, 8.0), st.integers(0, 60).map(lambda e: 2.0 ** e))))
+    return V, d, box
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_mix_weights_agrees_with_cut_model(data):
+    V, d, box = _draw_master(data)
     ref = _cut_model_max(V, d, box)
     assume(ref is not None)
     _check_master(V, d, box, ref)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_warm_master_agrees_with_a_cold_one(data):
+    # the search's next master has one cut more, or one box coordinate
+    # doubled; either way the last optimal basis stays primal feasible
+    V, d, box = _draw_master(data)
+    basis = mix_weights(V, d, box)[3]
+    if data.draw(st.booleans(), label="add a cut"):
+        cut = data.draw(hnp.arrays(np.float64, V.shape[1], elements=st.one_of(
+            _LATTICE, st.floats(0.0, 2.0))))
+        basis = basis + (basis >= len(V))  # mu and s move up one
+        V = np.vstack([V, cut])
+    else:
+        box = box.copy()
+        box[data.draw(st.integers(0, d.size - 1), label="doubled")] *= 2.0
+    ref = _cut_model_max(V, d, box)
+    assume(ref is not None)
+    w, g, ub = _check_master(V, d, box, ref, basis)
+    cold = mix_weights(V, d, box)[2]
+    assert ub == pytest.approx(cold, abs=_master_tol(V, d, box, ref, g))
 
 
 @pytest.mark.parametrize("J", [1, 2, 3])
@@ -346,6 +381,27 @@ def test_mix_weights_is_the_only_lp_of_a_solve(monkeypatch, j2_mdp):
     assert len(res.trace) == 1 and not calls
 
 
+@pytest.mark.parametrize("name, expected", [
+    ("fluid-accept", 17), ("fluid-tight", 24), ("custom-j2", 15)],
+    ids=["fluid-accept-17", "fluid-tight-24", "custom-j2-15"])
+def test_band_centre_master_basis_inverses(monkeypatch, name, expected):
+    # each master resumes from the last one's optimal basis; restarted
+    # from the cut of least elastic cost they took 29, 36 and 25
+    mdp = _band_mdp(band_centre_doc(name))
+    real_inv, real_mix = np.linalg.inv, dual.mix_weights
+    inverses = []
+
+    def counting(*args):
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "inv",
+                      lambda a: inverses.append(1) or real_inv(a))
+            return real_mix(*args)
+
+    monkeypatch.setattr(dual, "mix_weights", counting)
+    ic.solve_constrained(mdp)
+    assert len(inverses) == expected
+
+
 def test_master_lp_failure_after_doubling_is_a_bracket_error(monkeypatch):
     prob, grid = ic.problem_from_config(INFEASIBLE_J1_DOC)
     mdp = ic.discretize(prob, grid)
@@ -437,7 +493,7 @@ class _TrackedFactor:
 
 @pytest.mark.parametrize("doc, expected, factored", [
     *(pytest.param(band_centre_doc(name), n, False, id=f"{name}-{n}")
-      for name, n in (("fluid-tight", 18), ("fluid-accept", 14), ("custom-j2", 11))),
+      for name, n in (("fluid-tight", 17), ("fluid-accept", 12), ("custom-j2", 10))),
     pytest.param(custom_two_action_off_grid_doc(), 5, True,
                  id="custom-two-action-off-grid-5")])
 def test_band_centre_factorizations(monkeypatch, doc, expected, factored):
@@ -445,11 +501,10 @@ def test_band_centre_factorizations(monkeypatch, doc, expected, factored):
     # previous cut's per-cost values, so the search makes sum of steps -
     # (evaluations - 1) linear solves.  The band centres reset to a
     # constant, so the search runs on x0's states and makes 17, 12 and 10
-    # (30, 21 and 18 when each step solves); the full-grid solve at g*
-    # then starts from a lifted bare policy and solves at each of its 1, 2
-    # and 1 steps, and the lifts solve nothing.  Those solves are on the
-    # landing states, so the grid is never factored.  The cuts read the
-    # search's values, so off-grid landings add no solve there; only the
+    # (30, 21 and 18 when each step solves), and the lifts of its cuts to
+    # the full grid solve nothing.  Those solves are on the landing
+    # states, so the grid is never factored.  The cuts read the search's
+    # values, so off-grid landings add no solve there; only the
     # certificates' own evaluation of the mixture solves, once on the
     # off-grid doc (7 when each cut evaluated its policy again), whose
     # scale reset keeps the full search and factors once per solve
@@ -466,8 +521,7 @@ def test_band_centre_factorizations(monkeypatch, doc, expected, factored):
         made_by_search.append(len(solves)) or real_mixture(mdp, m)))
     result = ic.solve_constrained(mdp)
     steps = sum(pt.solution.iterations for pt in result.trace)
-    full = 0 if mdp.landing_states is None else result.solution.iterations
-    assert made_by_search == [steps - (len(result.trace) - 1) + full]
+    assert made_by_search == [steps - (len(result.trace) - 1)]
     assert len(solves) == expected
     assert ledger.made == (expected if factored else 0)
     # no factor outlives its use: none alive when another is made, and none
@@ -559,11 +613,23 @@ def test_search_on_x0_states_matches_the_full_grid_search(name):
     assert result.mixture.weights == tuple(float(x) for x in w[w > 0.0])
     assert result.mixture.policies == mixture.policies
     assert np.array_equal(result.costs.v, ic.eval_mixture(mdp, mixture).v)
-    got = result.solution
-    assert np.array_equal(got.W, solution.W) and got.policy == solution.policy
-    assert got.iterations == solution.iterations
-    assert got.trace == solution.trace
-    assert np.array_equal(got.V, solution.V)
+    assert result.solution is result.trace[-1].solution
+    R = dual._search_states(mdp)
+    assert np.array_equal(result.solution.W, solution.W[R])
+    assert np.array_equal(result.solution.policy.flat, solution.policy.flat[R])
+
+
+@pytest.mark.parametrize("name", list(CONSTANT_RESET_DOCS))
+def test_full_grid_policy_iteration_at_g_star_is_one_step(name):
+    # off R a constant reset's optimal values are one backup of R's, so
+    # the search's last policy lifted to the grid is already the full
+    # grid's policy iteration answer at g*: it stops after one step
+    mdp = _band_mdp(CONSTANT_RESET_DOCS[name])
+    result = ic.solve_constrained(mdp)
+    start = dual._lift(mdp, result.trace[-1])
+    full = ic.policy_iteration(mdp, result.g_star, ic.BellmanConfig(), start)
+    assert full.converged and full.iterations == 1
+    assert full.policy == start
 
 
 def test_state_dependent_kernel_keeps_the_full_search():

@@ -543,6 +543,31 @@ def test_only_a_state_dependent_kernel_loads_the_sparse_lu(tmp_path):
                    stdout=subprocess.DEVNULL)
 
 
+@pytest.mark.parametrize("values", [
+    [3, 1, 3, 2, 1], [], [0.5, 0.25, 0.5, -0.0, 0.0], [[4, 2], [2, 0]],
+    np.asarray([7, 7, 1], dtype=np.int32)])
+def test_distinct_is_np_unique(values):
+    want, got = np.unique(values), model._distinct(values)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_solve_and_verify_do_not_load_numpy_ma(tmp_path):
+    # the first np.unique or np.union1d of a process imports numpy.ma
+    # (about 10 ms); the package sorts and masks instead (model._distinct)
+    root = Path(ic.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root), os.environ.get("PYTHONPATH", "")]))
+    config = str(root.parent / "configs" / "fluid_benchmark.json")
+    solve = ["solve", "--config", config, "--out", str(tmp_path / "r.json")]
+    verify = ["verify", "--config", config]
+    code = ("import sys; from impulsecontrol import cli; "
+            f"assert cli.main({solve!r}) == 0; "
+            f"assert cli.main({verify!r}) == 0; "
+            "assert 'numpy.ma' not in sys.modules")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                   stdout=subprocess.DEVNULL)
+
+
 @pytest.mark.parametrize("case", ["fluid-accept-centre", "j2"])
 def test_a_state_free_run_builds_no_row_blocks(case):
     # the solve and verify's checks sweep and solve on the landing states,

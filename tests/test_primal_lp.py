@@ -23,6 +23,7 @@ import re
 import numpy as np
 import pytest
 from hypothesis import assume, event, example, given, settings, strategies as st
+from hypothesis.internal.conjecture import providers
 import scipy.optimize
 import scipy.sparse as sparse
 
@@ -244,3 +245,13 @@ def test_the_dual_route_meets_the_primal_lp_on_drawn_problems(drawn):
         assert least[j] > d[j]
     else:
         assert named == list(range(mdp.n_constraints))
+
+
+def test_property_draws_ignore_the_project_literals():
+    # conftest.py pins Hypothesis's hook for the literals of the loaded
+    # project modules to an empty set, so a constant added to src/ does not
+    # move the drawn problems above; without the pin the hook would offer
+    # the dual layer's own tolerances
+    assert ic.dual.MULTIPLIER_TOL in providers.constants_from_module(ic.dual)
+    assert len(providers._get_local_constants()) == 0
+    assert len(providers.HypothesisProvider(None)._local_constants) == 0
