@@ -27,31 +27,32 @@ keeps only the cells whose Q is within the changes' geometric tail of its
 minimum, below a cut(x).  Every cell's Q is nondecreasing from sweep to
 sweep, so a dropped cell stays above cut(x), and while a state's kept
 minimum is at most cut(x) it is the minimum over all its cells, at the same
-smallest-index minimizer; a state whose kept minimum exceeds cut(x) is swept
-in full.  Every state's value is still computed on every sweep, and the
-iterates, trace and policy are bitwise those of full sweeps.
+smallest-index minimizer; a sweep on which some state's kept minimum
+exceeds cut(x) is a full one.  Every state's value is still computed on
+every sweep, and the iterates, trace and policy are bitwise those of full
+sweeps.
 
-Both solvers go through one sweep, :func:`_sweep`: Q = survival *
-(w_lo W[next_lo] + w_hi W[next_hi]) + cost, reduced per state to its
-smallest-index minimizer.  Under a constant reset every state lands where
+Every Bellman table goes through one pass, :func:`_reduce`: Q = survival
+* (w_lo W[next_lo] + w_hi W[next_hi]) + cost, made and reduced in chunks
+of ``_BLOCK_ELEMENTS // n_actions`` rows (81 at 800 x 801), so no full Q
+table is written and read back.  Each chunk gives its rows' smallest-index
+minimizers and minima, Q at a given action, and the cells within a margin
+of the minimum; a sweep (:func:`_sweep`, which both solvers use), value
+iteration's choice of the cells it keeps and :func:`argmin_set` are
+reductions of that pass.  Under a constant reset every state lands where
 state 0 does (``DiscreteMDP.landing_states`` is not None), so state 0's
-row of Q is formed once from its landing pairs and broadcast over the
-states; the policy solve reads the same pairs.  A cost table of at least
-2^18 cells is then reduced in chunks of ``_BLOCK_ELEMENTS // n_actions``
-rows (81 at 800 x 801), each added into one reused buffer that stays in
-cache, instead of writing a full Q table and reading it back for the
-argmin.  Otherwise the sweep goes
-by row blocks: a sweep is a Jacobi update, every row reading only the
-previous iterate, so the rows split into independent blocks (Bertsekas &
-Tsitsiklis, *Parallel and Distributed Computation*, 1989, section 1.2).  A
-large MDP carries one row block per usable core
-(``DiscreteMDP.sweep_blocks``, CSR views of the landing pairs made on the
-first row-block sweep): the calling thread sweeps the first, a shared
-thread pool the others, and the caller takes back any block the pool has
-not started by the time it is done.  Each block makes and reduces only its
-own rows of the Q table.  Each cell is computed by the same operations in
-the same order on every path, so the results are bitwise independent of
-the path and of the core count.
+row of Q is formed once from its landing pairs and added to each chunk's
+cost rows in one reused buffer that stays in cache; the policy solve reads
+the same pairs.  Otherwise each chunk is a CSR view of its states' landing
+pairs (``DiscreteMDP.sweep_blocks``) times W.  A sweep is a Jacobi update,
+every row reading only the previous iterate, so the chunks are independent
+(Bertsekas & Tsitsiklis, *Parallel and Distributed Computation*, 1989,
+section 1.2): on a large state-dependent table they split into one
+contiguous run per usable core, the calling thread reducing the first and
+a shared thread pool the others, and the caller takes back any run the
+pool has not started by the time it is done.  Each cell is computed by the
+same operations in the same order on every path, so the results are
+bitwise independent of the chunks and of the core count.
 """
 
 from __future__ import annotations
@@ -63,8 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (_BLOCK_ELEMENTS, _SWEEP_SPLIT_CELLS, DiscreteMDP,
-                    _usable_cores)
+from .model import _SWEEP_SPLIT_CELLS, DiscreteMDP, _usable_cores
 
 
 @dataclass(frozen=True)
@@ -196,39 +196,89 @@ if hasattr(os, "register_at_fork"):
 def _q_row(mdp: DiscreteMDP, W: np.ndarray) -> np.ndarray:
     """State 0's survival * (w_lo W[lo] + w_hi W[hi]): every state's, if
     the kernel is state-free."""
-    q = mdp.w_lo[0] * W[mdp.next_lo[0]] + mdp.w_hi[0] * W[mdp.next_hi[0]]
+    q = mdp.w_lo[0] * W.take(mdp.next_lo[0])
+    q += mdp.w_hi[0] * W.take(mdp.next_hi[0])
     q *= mdp.survival
     return q
 
 
-def _sweep_rows(q, flat):
-    best = q.argmin(axis=1)
-    rows = np.arange(best.size)
-    return best, q[rows, best], None if flat is None else q[rows, flat]
+def _reduce(mdp: DiscreteMDP, W: np.ndarray, cost: np.ndarray,
+            flat: np.ndarray | None = None, margin=None,
+            cap: float = math.inf) -> tuple:
+    """One pass over Q = survival * (w_lo W[next_lo] + w_hi W[next_hi]) +
+    ``cost`` in the row chunks of ``mdp.sweep_blocks``, each made and
+    reduced before the next is made.
 
-
-def _sweep_chunks(q_row, cost, flat):
-    """``_sweep_rows(q_row + cost, flat)``, made and reduced in row chunks.
-
-    Each chunk of ``max(1, _BLOCK_ELEMENTS // n_actions)`` rows is added
-    into one reused buffer that stays in cache, and its argmin and gathers
-    go straight into the outputs, so no full Q table is written or read back.
+    Returns per state the smallest-index minimizer of Q and its minimum,
+    Q at action ``flat`` (None when ``flat`` is None), and, given a
+    ``margin`` (a scalar or one per state), the (states, actions) of the
+    cells with Q <= minimum + margin in flat order; None when there are
+    more than ``cap`` of them, which stops their collection early.  A
+    state-free chunk is state 0's row of Q added to its cost rows in one
+    reused buffer (it rounds as the CSR row, whose sum starts at an exact
+    0); any other is its CSR view times W, times survival, plus its cost
+    rows.  On a state-dependent table of at least ``_SWEEP_SPLIT_CELLS``
+    cells the calling thread reduces the first run of chunks while the pool
+    takes the others, then takes back and reduces itself every run no
+    worker has started, so a worker that is slow to wake costs at most the
+    serial pass.  No pool task waits on another, so concurrent callers
+    cannot deadlock.
     """
     n, n_actions = cost.shape
-    step = max(1, _BLOCK_ELEMENTS // n_actions)
-    buf = np.empty((min(step, n), n_actions))
-    starts = np.arange(buf.shape[0]) * n_actions  # flat index of each row
-    best = np.empty(n, dtype=np.intp)
-    q_best = np.empty(n)
-    q_flat = None if flat is None else np.empty(n)
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        q = np.add(cost[lo:hi], q_row, out=buf[:hi - lo])
-        b = q.argmin(axis=1, out=best[lo:hi])
-        np.take(q, starts[:hi - lo] + b, out=q_best[lo:hi])
-        if flat is not None:
-            np.take(q, starts[:hi - lo] + flat[lo:hi], out=q_flat[lo:hi])
-    return best, q_best, q_flat
+    if margin is not None:
+        margin = np.broadcast_to(margin, (n,))
+    chunks = mdp.sweep_blocks
+    if mdp.landing_states is not None:
+        q_row = _q_row(mdp, W)
+        # one buffer of the first chunk's rows, when there is more than one
+        buf = np.empty((chunks[0][1], n_actions)) if len(chunks) > 1 else None
+
+    def run(part):  # -> per chunk (minimizers, minima, Q at flat, cells)
+        out, count = [], 0
+        for lo, hi, kernel in part:
+            if kernel is None:
+                q = np.add(cost[lo:hi], q_row,
+                           out=None if buf is None else buf[:hi - lo])
+            else:
+                q = (kernel @ W).reshape(hi - lo, n_actions)
+                q *= mdp.survival
+                q += cost[lo:hi]
+            rows = np.arange(hi - lo)
+            best = q.argmin(axis=1)
+            low = q[rows, best]
+            cells = None
+            if margin is not None and count <= cap:
+                cells = np.flatnonzero(q <= (low + margin[lo:hi])[:, None])
+                cells += lo * n_actions
+                count += cells.size
+            at_flat = None if flat is None else q[rows, flat[lo:hi]]
+            out.append((best, low, at_flat, cells))
+            del q  # before the next chunk's product is made
+        return out
+
+    if mdp.landing_states is not None or cost.size < _SWEEP_SPLIT_CELLS:
+        parts = run(chunks)
+    else:
+        k, m = min(_usable_cores(), len(chunks)), len(chunks)
+        first, *rest = [chunks[m * r // k:m * (r + 1) // k] for r in range(k)]
+        pool = _executor()
+        futures = [pool.submit(run, part) for part in rest]
+        done = [run(first)]
+        done += [run(part) if f.cancel() else f
+                 for f, part in zip(futures, rest)]
+        parts = [chunk for d in done
+                 for chunk in (d if isinstance(d, list) else d.result())]
+    if len(parts) == 1:  # no copies: the search's sweeps on R are this case
+        (best, low, at_flat, _), = parts
+    else:
+        best, low, at_flat = (None if col[0] is None else np.concatenate(col)
+                              for col in list(zip(*parts))[:3])
+    kept = None
+    if margin is not None and all(cells is not None for *_, cells in parts):
+        near = np.concatenate([cells for *_, cells in parts])
+        if near.size <= cap:
+            kept = np.divmod(near, n_actions)
+    return best, low, at_flat, kept
 
 
 def _sweep(mdp: DiscreteMDP, W: np.ndarray, cost: np.ndarray,
@@ -237,46 +287,12 @@ def _sweep(mdp: DiscreteMDP, W: np.ndarray, cost: np.ndarray,
 
     Returns per state the smallest-index minimizer of
     Q = survival * (w_lo W[next_lo] + w_hi W[next_hi]) + cost, its Q value,
-    and the Q value of action ``flat`` (None when ``flat`` is None).  On a
-    state-free kernel (``mdp.landing_states`` is not None) every state's
-    row of Q is state 0's, formed on the calling thread from row 0's pairs
-    and broadcast onto ``cost``; it rounds as the CSR row, whose sum starts
-    at an exact 0.  A ``cost`` of at least ``_SWEEP_SPLIT_CELLS`` cells is
-    reduced in chunks of ``max(1, _BLOCK_ELEMENTS // n_actions)`` rows
-    (:func:`_sweep_chunks`), a smaller one in one ``q + cost`` table; each
-    cell goes through the same operations, so the results are bitwise the
-    same either way.  Otherwise each row block of ``mdp.sweep_blocks``, a
-    CSR view of its states' landing pairs, makes and reduces its own part
-    of Q.  The calling thread sweeps the first block while the pool takes
-    the others, then takes back and sweeps itself every block no worker has
-    started, so a worker that is slow to wake costs at most the serial
-    sweep.  No pool task waits on another, so concurrent callers cannot
-    deadlock.
+    and the Q value of action ``flat`` (None when ``flat`` is None), from
+    one chunked pass over Q (:func:`_reduce`).  Each cell goes through the
+    same operations whatever the chunks and the core count, so the results
+    are bitwise those of one full Q table.
     """
-    if mdp.landing_states is not None:
-        q = _q_row(mdp, W)
-        if cost.size >= _SWEEP_SPLIT_CELLS:
-            return _sweep_chunks(q, cost, flat)
-        return _sweep_rows(q + cost, flat)
-
-    def rows(block):
-        lo, hi, kernel = block
-        q = (kernel @ W).reshape(hi - lo, -1)
-        q *= mdp.survival
-        q += cost[lo:hi]
-        return _sweep_rows(q, None if flat is None else flat[lo:hi])
-
-    first, *rest = mdp.sweep_blocks
-    if not rest:
-        return rows(first)
-    pool = _executor()
-    futures = [pool.submit(rows, block) for block in rest]
-    parts = [rows(first)]
-    parts += [rows(block) if f.cancel() else f for f, block in zip(futures, rest)]
-    parts = [p if isinstance(p, tuple) else p.result() for p in parts]
-    best, q_best, q_at_flat = zip(*parts)
-    return (np.concatenate(best), np.concatenate(q_best),
-            None if flat is None else np.concatenate(q_at_flat))
+    return _reduce(mdp, W, cost, flat)[:3]
 
 
 # value iteration sweeps only the cells near their row minimum once the sup
@@ -293,67 +309,27 @@ def _tail_margin(prev: float, last: float) -> float | None:
     return last * r / (1.0 - r) if r <= _SHRINK else None
 
 
-def _q(mdp, W, q_row, cost, ij, out=None):
-    """Q at ``cost[ij]``: whole rows for ij = (states,), cells for ij =
-    (states, actions), each rounded as in :func:`_sweep`."""
-    act = ij[1:]
-    if q_row is not None:
-        return np.add(cost[ij], q_row[act], out=out)
-    q = np.take(W, mdp.next_lo[ij], out=out)  # as the CSR row, from an exact 0
-    q *= mdp.w_lo[ij]
-    hi = W.take(mdp.next_hi[ij])
-    hi *= mdp.w_hi[ij]
-    q += hi
-    q *= mdp.survival[act]
-    q += cost[ij]
-    return q
-
-
-def _full_rows(mdp, W, q_row, cost, rows, margin=None):
-    """Per state of the sorted ``rows``: Q's smallest-index minimizer and
-    minimum over every action, in row chunks, and given a ``margin`` the
-    (state, action) cells within it of the minimum, in flat order; None as
-    soon as those pass 1/_KEPT_SHARE of the table."""
-    n_actions = cost.shape[1]
-    step = max(1, _BLOCK_ELEMENTS // n_actions)
-    best, low = np.empty(rows.size, dtype=np.intp), np.empty(rows.size)
-    buf = np.empty((min(step, rows.size), n_actions))
-    # the kept cells fill these in place; pages never written are never paid
-    near, count = np.empty((2, cost.size // _KEPT_SHARE), dtype=np.intp), 0
-    for lo in range(0, rows.size, step):
-        r = rows[lo:lo + step]
-        if r[-1] - r[0] == r.size - 1:  # contiguous states: read views
-            r = slice(r[0], r[-1] + 1)
-        q = _q(mdp, W, q_row, cost, (r,), buf[:min(step, rows.size - lo)])
-        b = q.argmin(axis=1, out=best[lo:lo + step])
-        v = low[lo:lo + step] = q[np.arange(b.size), b]
-        if margin is not None:
-            mask = q <= (v + margin)[:, np.newaxis]
-            end = count + np.count_nonzero(mask)
-            if end > near.shape[1]:
-                return None
-            i, near[1, count:end] = np.divmod(np.flatnonzero(mask), n_actions)
-            near[0, count:end] = rows[lo + i]
-            count = end
-    return best, low, near[:, :count]
-
-
-def _kept_sweep(mdp, W, q_row, cost, kept, margin):
+def _kept_sweep(mdp, W, cost, kept, margin):
     """(minimizers, minima, cells kept after) of a sweep over the cells
-    ``kept`` = (states, actions, cut per state) holds, in flat order.
-    States whose kept minimum exceeds their cut are swept in full and the
-    cells chosen afresh on the next sweep (None); otherwise each state
-    keeps its cells within min(cut, minimum + ``margin``)."""
+    ``kept`` = (states, actions, cut per state) holds, in flat order, each
+    Q rounded as in :func:`_reduce`.  When a state's kept minimum exceeds
+    its cut, the sweep is one full pass and the cells are chosen afresh on
+    the next sweep (None); otherwise each state keeps its cells within
+    min(cut, minimum + ``margin``)."""
     row, act, cut = kept
+    if mdp.landing_states is not None:
+        q = cost[row, act] + _q_row(mdp, W)[act]
+    else:  # as the CSR row, from an exact 0
+        q = W.take(mdp.next_lo[row, act]) * mdp.w_lo[row, act]
+        q += W.take(mdp.next_hi[row, act]) * mdp.w_hi[row, act]
+        q *= mdp.survival[act]
+        q += cost[row, act]
     starts = np.searchsorted(row, np.arange(cut.size))
-    q = _q(mdp, W, q_row, cost, (row, act))
     low = np.minimum.reduceat(q, starts)
+    if np.any(low > cut):
+        return _reduce(mdp, W, cost)[:2] + (None,)
     at = np.where(q == low[row], np.arange(q.size), q.size)
     best = act[np.minimum.reduceat(at, starts)]
-    redo = np.flatnonzero(low > cut)
-    if redo.size:
-        best[redo], low[redo], _ = _full_rows(mdp, W, q_row, cost, redo)
-        return best, low, None
     cut = np.minimum(cut, low + margin)
     keep = q <= cut[row]
     return best, low, (row[keep], act[keep], cut)
@@ -377,8 +353,11 @@ def solve_W(mdp: DiscreteMDP, g, cfg: BellmanConfig = BellmanConfig(),
     keeps the cells with Q <= cut(x), its minimum plus the changes'
     geometric tail (:func:`_tail_margin`), and later sweeps, the greedy one
     too, make Q on those alone.  Each cell's Q is nondecreasing, so a
-    dropped cell stays above cut(x); a state whose kept minimum exceeds
-    cut(x) is swept in full.  Results are bitwise those of full sweeps.
+    dropped cell stays above cut(x); a sweep on which some state's kept
+    minimum exceeds cut(x) is a full one.  Results are bitwise those of full
+    sweeps.  A try at choosing the cells that finds more than
+    1/``_KEPT_SHARE`` of the table stops collecting them and finishes as a
+    full sweep, so no sweep passes over the table twice.
     """
     cost = combined_cost(mdp, g)
     W = np.zeros(mdp.n_states)
@@ -387,7 +366,8 @@ def solve_W(mdp: DiscreteMDP, g, cfg: BellmanConfig = BellmanConfig(),
     iterations = 0
     kept = None
     # under one kept cell per state the elimination can never start
-    fits = cost.size // _KEPT_SHARE >= mdp.n_states
+    cap = cost.size // _KEPT_SHARE
+    fits = cap >= mdp.n_states
 
     def sweep(W):  # -> (minimizers, minima); eliminates once changes shrink
         nonlocal kept
@@ -396,15 +376,11 @@ def solve_W(mdp: DiscreteMDP, g, cfg: BellmanConfig = BellmanConfig(),
         if margin is None:
             kept = None
             return _sweep(mdp, W, cost)[:2]
-        q_row = None if mdp.landing_states is None else _q_row(mdp, W)
         if kept is not None:
-            best, low, kept = _kept_sweep(mdp, W, q_row, cost, kept, margin)
+            best, low, kept = _kept_sweep(mdp, W, cost, kept, margin)
             return best, low
-        full = _full_rows(mdp, W, q_row, cost, np.arange(mdp.n_states), margin)
-        if full is None:  # too many cells near the minima: a full sweep
-            return _sweep(mdp, W, cost)[:2]
-        best, low, (row, act) = full
-        kept = (row, act, low + margin)
+        best, low, _, cells = _reduce(mdp, W, cost, margin=margin, cap=cap)
+        kept = None if cells is None else (*cells, low + margin)
         return best, low
 
     if on_iterate is not None:
@@ -504,8 +480,6 @@ def argmin_set(mdp: DiscreteMDP, W: np.ndarray, g, slack) -> tuple:
     ``slack`` may be a scalar or a per-state array of absolute slacks; the
     strict argmin is always included.  Returns one index array per state.
     """
-    q = mdp.w_lo * W[mdp.next_lo] + mdp.w_hi * W[mdp.next_hi]
-    q *= mdp.survival
-    q += combined_cost(mdp, g)
-    thr = q.min(axis=1) + np.asarray(slack, dtype=float)
-    return tuple(np.nonzero(q[i] <= thr[i])[0] for i in range(mdp.n_states))
+    _, _, _, (row, act) = _reduce(mdp, W, combined_cost(mdp, g),
+                                  margin=np.asarray(slack, dtype=float))
+    return tuple(np.split(act, np.searchsorted(row, np.arange(1, mdp.n_states))))

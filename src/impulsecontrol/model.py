@@ -64,8 +64,8 @@ INFINITY = math.inf
 # exp(-60) ~ 9e-27, negligible for any subexponential cost rate.
 _INF_HORIZON = 60.0
 # float64 elements of one block's workspace in discretize, (states x
-# actions) or (states x quadrature nodes), and of one row chunk of a large
-# state-free Bellman sweep: 512 KiB, so it stays in L2 cache
+# actions) or (states x quadrature nodes), and of one row chunk of a
+# Bellman pass: 512 KiB, so it stays in L2 cache
 _BLOCK_ELEMENTS = 2 ** 16
 # validate's flow identities: grid states sampled and the residual they allow
 FLOW_SAMPLES = 12
@@ -74,8 +74,9 @@ FLOW_TOLERANCE = 1e-9
 # index, offset, node and weight, plus temporaries) and then kept (node,
 # weight, discounted weight)
 _LATTICE_NODE_BYTES = 48
-# (state, action) cells from which a Bellman sweep is split into one row
-# block per usable core: a 2 MiB float64 Q table, one core's L2 cache
+# (state, action) cells from which a state-dependent Bellman pass splits its
+# row chunks into one run per usable core: a 2 MiB float64 Q table, one
+# core's L2 cache
 _SWEEP_SPLIT_CELLS = 2 ** 18
 
 
@@ -96,37 +97,33 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _sweep_block_count(cells: int) -> int:
-    """Row blocks of a Bellman sweep over a Q table of ``cells`` cells."""
-    return _usable_cores() if cells >= _SWEEP_SPLIT_CELLS else 1
-
-
 def _row_blocks(next_states: np.ndarray, next_weights: np.ndarray,
-                n_blocks: int) -> tuple:
-    """The kernel as ``n_blocks`` CSR row blocks of contiguous grid states.
+                rows: int) -> tuple:
+    """The kernel as CSR row blocks of ``rows`` contiguous grid states each,
+    the last one shorter if need be.
 
     Returns (first state, end state, CSR) triples.  Row ``i * n_actions + q``
     of a block holds cell (i, q)'s two entries, so a block's ``data`` and
     ``indices`` view a slice of the pair arrays, and its ``indptr`` a prefix
-    of one row pointer that all blocks share.  The sweep reads the
+    of one row pointer that all blocks share.  The Bellman pass reads the
     blocks only when ``DiscreteMDP.landing_states`` is None; scipy.sparse
     is imported here, on that path only.
     """
     from scipy.sparse import csr_matrix
     n_states, n_actions, _ = next_states.shape
-    edges = [n_states * b // n_blocks for b in range(n_blocks + 1)]
     indptr = np.arange(0, next_states.size + 1, 2, dtype=np.int32)  # two a row
     indptr.setflags(write=False)
     blocks = []
-    for lo, hi in zip(edges, edges[1:]):
+    for lo in range(0, n_states, rows):
+        hi = min(lo + rows, n_states)
         n_rows = (hi - lo) * n_actions
         # the views are set after construction: the (data, indices, indptr)
         # constructor copies a view that is under half of its base array
-        rows = csr_matrix((n_rows, n_states), dtype=next_weights.dtype)
-        rows.data, rows.indices, rows.indptr = (
+        block = csr_matrix((n_rows, n_states), dtype=next_weights.dtype)
+        block.data, block.indices, block.indptr = (
             next_weights[lo:hi].reshape(-1), next_states[lo:hi].reshape(-1),
             indptr[:n_rows + 1])
-        blocks.append((lo, hi, rows))
+        blocks.append((lo, hi, block))
     return tuple(blocks)
 
 
@@ -258,10 +255,11 @@ class DiscreteMDP:
     weights (``next_lo``, ``next_hi``, ``w_lo``, ``w_hi`` view them); the
     killed mass 1 - survival[q] leaves, as no state holds it.
 
-    ``sweep_blocks`` cuts the kernel into (first state, end state, CSR) row
-    blocks for the Bellman sweep, made on the first row-block sweep.  A Q
-    table of at least 2^18 cells (2 MiB) gets one block per usable core; a
-    smaller table, or a process with one usable core, gets a single block.
+    ``sweep_blocks`` holds the row chunks of the Bellman pass, (first
+    state, end state, CSR) triples of ``max(1, _BLOCK_ELEMENTS //
+    n_actions)`` states each, made on the first pass.  The CSR views the
+    chunk's landing pairs; it is None on a state-free kernel, whose pass
+    reads state 0's pairs alone.
 
     Under a :class:`ConstantReset` the pairs are state 0's, broadcast over
     the states (stride 0 on axis 0), and ``landing_states`` holds the at
@@ -315,8 +313,11 @@ class DiscreteMDP:
 
     @cached_property
     def sweep_blocks(self) -> tuple:
-        return _row_blocks(self.next_states, self.next_weights,
-                           _sweep_block_count(self.next_lo.size))
+        rows = max(1, _BLOCK_ELEMENTS // self.n_actions)
+        if self.landing_states is None:
+            return _row_blocks(self.next_states, self.next_weights, rows)
+        return tuple((lo, min(lo + rows, self.n_states), None)
+                     for lo in range(0, self.n_states, rows))
 
     @cached_property
     def landing_states(self) -> np.ndarray | None:

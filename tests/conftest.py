@@ -142,7 +142,7 @@ def csr_kernel(mdp):
 
     Row ``i * n_actions + q`` holds cell (i, q)'s two grid states, lower
     first, with their weights: the kernel as ``discretize`` once stored it,
-    and the reference for the row-block sweep's blocks.  It is built anew
+    and the reference for the Bellman pass's CSR chunks.  It is built anew
     on each call, sharing no memory with ``mdp``.
     """
     n, n_actions = mdp.n_states, mdp.n_actions
@@ -152,20 +152,19 @@ def csr_kernel(mdp):
                              shape=(n * n_actions, n))
 
 
-def with_sweep_blocks(mdp, n_blocks):
-    """A copy of ``mdp`` (sharing its arrays) swept in ``n_blocks`` row blocks.
+def with_sweep_chunks(mdp, rows):
+    """A copy of ``mdp`` (sharing its arrays) swept in chunks of ``rows`` states.
 
-    The copy's lazy ``sweep_blocks`` is built at once with the block count
-    forced, whatever the table size and the number of usable cores.  Its
-    lazy ``landing_states`` is forced to None before its first use, so a
-    state-free kernel takes the row blocks in the sweep and the sparse LU
-    in ``solve_policy``, together.  The blocks of a constant reset's
-    broadcast pairs are contiguous copies, not views.
+    The copy's lazy ``sweep_blocks`` is set at once to CSR row chunks of
+    ``rows`` states, whatever the table size.  Its lazy ``landing_states``
+    is forced to None before its first use, so a state-free kernel takes
+    the CSR chunks in the sweep and the sparse LU in ``solve_policy``,
+    together.  The chunks of a constant reset's broadcast pairs are
+    contiguous copies, not views.
     """
     copy = dataclasses.replace(mdp)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(model, "_sweep_block_count", lambda cells: n_blocks)
-        copy.sweep_blocks
+    copy.__dict__["sweep_blocks"] = model._row_blocks(
+        mdp.next_states, mdp.next_weights, rows)
     copy.__dict__["landing_states"] = None
     return copy
 

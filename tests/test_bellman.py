@@ -14,8 +14,8 @@ import impulsecontrol as ic
 from impulsecontrol import bellman, fluidq, model
 from impulsecontrol.bellman import combined_cost
 
-from conftest import (assert_landing_states, csr_kernel, fluid_doc,
-                      fluid_mdp, traced_peak, with_sweep_blocks)
+from conftest import (assert_landing_states, csr_kernel, custom_j2_doc,
+                      fluid_doc, fluid_mdp, traced_peak, with_sweep_chunks)
 
 
 G_STAR = 1.8480894645490473  # analytic multiplier for the benchmark
@@ -181,6 +181,18 @@ def test_argmin_set_is_the_csr_product_reference(scale_mdp):
                        for i in range(n))
 
 
+def test_argmin_set_keeps_one_cost_table(verify_800):
+    # the combined cost, then one chunk of Q at a time and the sets
+    mdp = verify_800
+    sol = ic.policy_iteration(mdp, [G_STAR])
+    slack = 1e-9 * (1.0 + np.abs(sol.W))
+    table = mdp.n_states * mdp.n_actions * 8
+    ic.argmin_set(mdp, sol.W, [G_STAR], slack)  # warm
+    peak, sets = traced_peak(lambda: ic.argmin_set(mdp, sol.W, [G_STAR], slack))
+    assert peak <= 1.3 * table, peak / table
+    assert all(sol.policy.flat[i] in sets[i] for i in range(mdp.n_states))
+
+
 def test_argmin_set_matches_analytic_threshold_rule(small_mdp, bench_analytic):
     g = bench_analytic.g_star
     sol = ic.solve_W(small_mdp, [g])
@@ -309,15 +321,29 @@ def test_bellman_solve_keeps_one_q_table(accept_fluid, solver):
     assert peak <= 2.2 * table, peak / table
 
 
-def test_sweep_splits_from_two_to_the_eighteen_cells(scale_mdp):
-    assert model._sweep_block_count(2 ** 18 - 1) == 1
-    assert model._sweep_block_count(2 ** 18) == model._usable_cores()
-    (lo, hi, kernel), = scale_mdp.sweep_blocks  # 120 x 242 cells: one block
+def test_sweep_chunks_are_the_block_budget_in_rows(scale_mdp):
+    # 120 x 242 cells: chunks of 65536 // 242 = 270 rows, so one chunk
+    (lo, hi, kernel), = scale_mdp.sweep_blocks
     assert (lo, hi) == (0, scale_mdp.n_states)
     assert np.shares_memory(kernel.data, scale_mdp.next_weights)
     assert np.shares_memory(kernel.indices, scale_mdp.next_states)
     _assert_csr_equal(kernel, csr_kernel(scale_mdp))
     assert scale_mdp.landing_states is None
+
+
+def test_sweep_splits_from_two_to_the_eighteen_cells(monkeypatch, scale_mdp):
+    # forty chunks of three rows; with more than one usable core the pass
+    # splits them among the cores only on a table of at least 2^18 cells
+    mdp = with_sweep_chunks(scale_mdp, 3)
+    W = np.linspace(0.0, 1.0, mdp.n_states)
+    cost = combined_cost(mdp, [1.0])
+    monkeypatch.setattr(bellman, "_usable_cores", lambda: 2)
+    made = _Spy(monkeypatch, "_executor")
+    for split, pooled in ((cost.size + 1, 0), (cost.size, 1)):
+        monkeypatch.setattr(bellman, "_SWEEP_SPLIT_CELLS", split)
+        bellman._sweep(mdp, W, cost)
+        assert made.calls == pooled
+    assert model._SWEEP_SPLIT_CELLS == 2 ** 18
 
 
 def _assert_csr_equal(got, want):
@@ -363,15 +389,22 @@ def _assert_solvers_agree(want_mdp, got_mdp, g, bitwise=True):
         assert np.all(np.abs(got.W - want.W) <= 1e-14 * (1.0 + np.abs(want.W)))
 
 
-@pytest.mark.parametrize("n_blocks", [1, 2, 3, "n_states"])
-def test_sweep_blocks_are_bitwise_the_full_table(scale_mdp, n_blocks):
-    k = scale_mdp.n_states if n_blocks == "n_states" else n_blocks
-    mdp = with_sweep_blocks(scale_mdp, k)
+def _pooled(monkeypatch, n_runs):
+    """Every state-dependent pass splits its chunks into ``n_runs`` runs."""
+    monkeypatch.setattr(bellman, "_SWEEP_SPLIT_CELLS", 0)
+    monkeypatch.setattr(bellman, "_usable_cores", lambda: n_runs)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, "n_states"])
+def test_sweep_blocks_are_bitwise_the_full_table(monkeypatch, scale_mdp, rows):
+    k = scale_mdp.n_states if rows == "n_states" else rows
+    mdp = with_sweep_chunks(scale_mdp, k)
     assert mdp.landing_states is None
     edges = [b[:2] for b in mdp.sweep_blocks]
-    assert len(edges) == k and edges[0][0] == 0 and edges[-1][1] == mdp.n_states
+    assert len(edges) == -(-mdp.n_states // k) and edges[0][0] == 0
+    assert edges[-1][1] == mdp.n_states
     assert all(a[1] == b[0] for a, b in zip(edges, edges[1:]))
-    # each block views the pair arrays, and the blocks stack to the kernel
+    # each chunk views the pair arrays, and the chunks stack to the kernel
     for _, _, block in mdp.sweep_blocks:
         assert np.shares_memory(block.data, scale_mdp.next_weights)
         assert np.shares_memory(block.indices, scale_mdp.next_states)
@@ -379,6 +412,7 @@ def test_sweep_blocks_are_bitwise_the_full_table(scale_mdp, n_blocks):
                             format="csr")
     _assert_csr_equal(stacked, csr_kernel(scale_mdp))
     sol = ic.policy_iteration(scale_mdp, [G_STAR])
+    _pooled(monkeypatch, 3)  # the chunks in three runs, two through the pool
     _assert_sweep_is_the_reference(mdp, [G_STAR], sol)
     _assert_solvers_agree(scale_mdp, mdp, [G_STAR])
 
@@ -394,8 +428,8 @@ def test_state_free_kernel_is_swept_once_per_action(request, mdp_name):
     # the declared constant reset stores state 0's row, broadcast
     assert mdp.next_states.strides[0] == mdp.next_weights.strides[0] == 0
     _assert_sweep_is_the_reference(mdp, g, ic.policy_iteration(mdp, g))
-    # a forced row block is a contiguous copy of the broadcast pairs
-    blocks = with_sweep_blocks(mdp, 1)
+    # a forced chunk is a contiguous copy of the broadcast pairs
+    blocks = with_sweep_chunks(mdp, mdp.n_states)
     assert blocks.landing_states is None
     (_, _, kernel), = blocks.sweep_blocks
     _assert_csr_equal(kernel, csr_kernel(mdp))
@@ -412,26 +446,50 @@ def test_large_state_free_table_is_swept_in_row_chunks(verify_800):
     # 800 x 801 cells: chunks of 65536 // 801 = 81 rows, the last one 71
     mdp = verify_800
     assert mdp.landing_states is not None
-    assert mdp.costs[0].size >= model._SWEEP_SPLIT_CELLS
     rows = model._BLOCK_ELEMENTS // mdp.n_actions
     assert (rows, mdp.n_states % rows) == (81, 71)
+    assert [(hi - lo, kernel) for lo, hi, kernel in mdp.sweep_blocks] \
+        == [(81, None)] * 9 + [(71, None)]
     cost = combined_cost(mdp, [G_STAR])
     sol = ic.policy_iteration(mdp, [G_STAR])
     tied = np.floor(2.0 * cost) / 2.0  # W = 0 makes Q this table
+    states = np.arange(mdp.n_states)
     for W, c in ((sol.W, cost), (np.zeros(mdp.n_states), tied)):
         q = mdp.w_lo[0] * W[mdp.next_lo[0]] + mdp.w_hi[0] * W[mdp.next_hi[0]]
         q *= mdp.survival
+        q = q + c
         for flat in (sol.policy.flat, None):
             got = bellman._sweep(mdp, W, c, flat)
-            want = bellman._sweep_rows(q + c, flat)
-            assert np.array_equal(got[0], want[0])
-            assert np.array_equal(got[1], want[1])
+            assert np.array_equal(got[0], q.argmin(axis=1))
+            assert np.array_equal(got[1], q.min(axis=1))
             assert (got[2] is None if flat is None
-                    else np.array_equal(got[2], want[2]))
+                    else np.array_equal(got[2], q[states, flat]))
     # the chunks reuse one small buffer: no second table is written
     bellman._sweep(mdp, sol.W, cost, sol.policy.flat)  # warm
     peak, _ = traced_peak(lambda: bellman._sweep(mdp, sol.W, cost,
                                                  sol.policy.flat))
+    assert peak < 0.4 * cost.nbytes, peak / cost.nbytes
+
+
+@pytest.fixture(scope="module")
+def scale_800():
+    """custom_j2 with the scale reset (factor 0.5) at 800 x 800."""
+    doc = custom_j2_doc(0.5, 800)
+    doc["reset"] = {"type": "scale", "factor": 0.5}
+    return ic.discretize(*ic.problem_from_config(doc))
+
+
+def test_large_state_dependent_sweep_keeps_only_chunks(scale_800):
+    # each chunk's product, then its Q, is 81 rows: well under a table, on
+    # every core at once too
+    mdp = scale_800
+    assert mdp.landing_states is None and len(mdp.sweep_blocks) == 10
+    g = np.ones(mdp.n_constraints)
+    cost = combined_cost(mdp, g)
+    W = np.linspace(0.0, 1.0, mdp.n_states)
+    flat = np.zeros(mdp.n_states, dtype=np.intp)
+    bellman._sweep(mdp, W, cost, flat)  # warm
+    peak, _ = traced_peak(lambda: bellman._sweep(mdp, W, cost, flat))
     assert peak < 0.4 * cost.nbytes, peak / cost.nbytes
 
 
@@ -456,16 +514,17 @@ def test_one_state_off_the_shared_landing_is_not_state_free(landing):
     _assert_sweep_is_the_reference(mdp, [1.0], ic.policy_iteration(mdp, [1.0]))
 
 
-def test_sweep_takes_back_blocks_a_busy_pool_has_not_started(scale_mdp):
-    mdp = with_sweep_blocks(scale_mdp, 3)
+def test_sweep_takes_back_blocks_a_busy_pool_has_not_started(monkeypatch,
+                                                             scale_mdp):
+    mdp = with_sweep_chunks(scale_mdp, 40)
     assert len(mdp.sweep_blocks) == 3 and mdp.landing_states is None
     W = np.linspace(0.0, 1.0, mdp.n_states)
     cost = combined_cost(mdp, [1.0])
     want = bellman._sweep(scale_mdp, W, cost)
+    _pooled(monkeypatch, 3)
     release = threading.Event()
     pool = bellman._executor()
-    busy = [pool.submit(release.wait, 30.0)
-            for _ in range(max(1, model._usable_cores() - 1))]
+    busy = [pool.submit(release.wait, 30.0) for _ in range(pool._max_workers)]
     try:
         got = bellman._sweep(mdp, W, cost)  # would wait 30 s on a busy pool
         assert not any(f.done() for f in busy)
@@ -475,11 +534,12 @@ def test_sweep_takes_back_blocks_a_busy_pool_has_not_started(scale_mdp):
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_forked_child_sweeps_with_its_own_pool(scale_mdp):
+def test_forked_child_sweeps_with_its_own_pool(monkeypatch, scale_mdp):
     # the child inherits the pool object but not its worker threads: a task
     # submitted to that pool would never run, so the child waits with a cap
-    mdp = with_sweep_blocks(scale_mdp, 3)
+    mdp = with_sweep_chunks(scale_mdp, 40)
     assert len(mdp.sweep_blocks) == 3 and mdp.landing_states is None
+    _pooled(monkeypatch, 3)
     W = np.linspace(0.0, 1.0, mdp.n_states)
     cost = combined_cost(mdp, [1.0])
     want = bellman._sweep(mdp, W, cost)  # the pool and its worker exist now
@@ -645,6 +705,39 @@ def test_elimination_is_bitwise_full_sweeps_on_large_grids(
     # the first sweeps are full ones, the rest run on the kept cells
     assert dense.calls <= 6 < kept.calls, (dense.calls, kept.calls)
     assert dense.calls + kept.calls < want.iterations + 1
+
+
+@pytest.fixture(scope="module")
+def scale_400():
+    """custom_j2 with the scale reset (factor 0.5) at 400 x 400."""
+    doc = custom_j2_doc(0.5, 400)
+    doc["reset"] = {"type": "scale", "factor": 0.5}
+    return ic.discretize(*ic.problem_from_config(doc))
+
+
+def test_a_failed_elimination_try_is_the_sweep(monkeypatch, scale_400):
+    # at g = ones the first tries find more than 1/32 of the table near the
+    # minima: each stops keeping cells and finishes as the sweep, so no
+    # sweep passes over the table twice
+    mdp = scale_400
+    g = np.ones(mdp.n_constraints)
+    want = _dense_solve_W(mdp, g)
+    real, passes, failed = bellman._reduce, [], []
+
+    def spy(*args, margin=None, **kwargs):
+        out = real(*args, margin=margin, **kwargs)
+        passes.append(margin)
+        if margin is not None:  # a try: did it keep too many cells?
+            failed.append(out[3] is None)
+        return out
+
+    monkeypatch.setattr(bellman, "_reduce", spy)
+    before = []  # passes made before each iterate
+    got = ic.solve_W(mdp, g, on_iterate=lambda k, W: before.append(len(passes)))
+    _assert_bitwise(got, want)
+    per_sweep = np.diff(before + [len(passes)])
+    assert per_sweep.max() == 1 and per_sweep.sum() == len(passes)
+    assert failed[:4] == [True] * 4 and not failed[-1], failed
 
 
 def test_a_sweep_that_changes_nothing_gives_the_policy(monkeypatch, verify_800):

@@ -24,7 +24,7 @@ from impulsecontrol.dual import mix_weights
 
 from conftest import (BANDS, J2_DOC, band_centre_doc, constant_theta_policy,
                       custom_j2_doc, custom_two_action_off_grid_doc, fluid_mdp,
-                      with_sweep_blocks)
+                      with_sweep_chunks)
 
 
 D_BENCH = 0.5
@@ -882,8 +882,7 @@ def test_unconstrained_problem_runs_through_pipeline():
 
 @pytest.fixture(scope="module")
 def split_fluid():
-    """A fluid MDP of exactly 2^18 cells (one block per core); its kernel is
-    state-free."""
+    """A fluid MDP of exactly 2^18 cells; its kernel is state-free."""
     mdp = fluid_mdp(state_n=512, theta_n=511)[2]
     assert mdp.costs[0].size == model._SWEEP_SPLIT_CELLS
     return mdp
@@ -891,8 +890,8 @@ def split_fluid():
 
 @pytest.fixture(scope="module")
 def split_scale():
-    """custom-j2 with a scale reset on exactly 2^18 cells, as built (one
-    block per core): its landings depend on the state."""
+    """custom-j2 with a scale reset on exactly 2^18 cells, as built (its
+    chunks in one run per usable core): its landings depend on the state."""
     doc = custom_j2_doc(0.5, 512)
     doc["reset"] = {"type": "scale", "factor": 0.5}
     doc["grid"]["theta_n"] = 511
@@ -935,19 +934,18 @@ def _assert_threads_get(shared, ref):
     assert all(r is not None and _same_result(r, ref) for r in results)
 
 
-@pytest.mark.parametrize("n_blocks", [None, 3])
-def test_threads_sharing_an_mdp_get_the_single_block_answer(split_scale,
-                                                            n_blocks):
-    # None: a fresh copy whose state-free check and row blocks (one per
-    # usable core) the callers' first sweeps make
-    ref = ic.solve_constrained(with_sweep_blocks(split_scale, 1))
-    if n_blocks is None:
+@pytest.mark.parametrize("rows", [None, 3])
+def test_threads_sharing_an_mdp_get_the_single_block_answer(split_scale, rows):
+    # None: a fresh copy whose state-free check and row chunks (128 rows,
+    # in one run per usable core) the callers' first sweeps make
+    ref = ic.solve_constrained(with_sweep_chunks(split_scale, 512))
+    if rows is None:
         shared = dataclasses.replace(split_scale)
         assert "sweep_blocks" not in shared.__dict__
     else:
-        shared = with_sweep_blocks(split_scale, n_blocks)
+        shared = with_sweep_chunks(split_scale, rows)
     _assert_threads_get(shared, ref)
-    assert len(shared.sweep_blocks) == (n_blocks or model._usable_cores())
+    assert len(shared.sweep_blocks) == {None: 4, 3: 171}[rows]
     assert shared.landing_states is None
 
 

@@ -60,7 +60,7 @@ VERIFY_DOCS = {
     # the benchmark's verify-800 workload at its band centre
     "verify-800": fluid_doc(0.5, 800, 5.0),
     # a state-dependent kernel: every check, weak duality included, runs on
-    # the full grid through the row-block sweep (oracle-agreement fails at
+    # the full grid through the CSR row chunks (oracle-agreement fails at
     # 200 and 400 states, ROADMAP item 9b)
     "verify-custom_j2-scale-800": _scale_reset_doc(),
 }

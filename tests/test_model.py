@@ -19,7 +19,7 @@ from impulsecontrol.model import INFINITY, ConfigError
 from conftest import (BANDS, CUSTOM_TWO_ACTION_DOC, J2_DOC, accept_fluid_problem,
                       assert_landing_states, band_centre_doc, csr_kernel,
                       fluid_mdp, python_map_twin, shared_landings, traced_peak,
-                      transition, with_sweep_blocks)
+                      transition, with_sweep_chunks)
 
 
 @pytest.fixture(scope="module")
@@ -571,7 +571,7 @@ def test_solve_and_verify_do_not_load_numpy_ma(tmp_path):
 @pytest.mark.parametrize("case", ["fluid-accept-centre", "j2"])
 def test_a_state_free_run_builds_no_row_blocks(case):
     # the solve and verify's checks sweep and solve on the landing states,
-    # so the CSR row blocks are never made
+    # so no chunk of the Bellman pass has a CSR
     doc = band_centre_doc("fluid-accept") if case != "j2" else J2_DOC
     prob, grid = ic.problem_from_config(doc)
     mdp = ic.discretize(prob, grid)
@@ -579,7 +579,7 @@ def test_a_state_free_run_builds_no_row_blocks(case):
     checks = list(cli._verify_checks(prob, grid, mdp, 1.0, ic.validate(prob, grid)))
     assert all(passed for _, passed, _ in checks), checks
     assert mdp.landing_states is not None
-    assert "sweep_blocks" not in mdp.__dict__
+    assert all(kernel is None for _, _, kernel in mdp.sweep_blocks)
 
 
 BLOCK_CASES = {
@@ -721,10 +721,10 @@ def test_split_landings_are_solved_on_four_states(monkeypatch):
             want = _solve_policy_reference(mdp, flat, rhs, transpose)
             _assert_solves_match(got, want, bitwise=False)
     # the landing solve never factors the grid; the Python-map twin and a
-    # row-block copy take the LU, bitwise the reference
+    # row-chunk copy take the LU, bitwise the reference
     want = _solve_policy_reference(mdp, policies[0], rhs, False)
     for copy in (_split_landing_mdp(2.05, declared=False),
-                 with_sweep_blocks(mdp, 2)):
+                 with_sweep_chunks(mdp, 2)):
         assert copy.landing_states is None
         assert np.array_equal(copy.solve_policy(policies[0], rhs), want)
     monkeypatch.setattr(scipy.sparse.linalg, "splu", None)
