@@ -32,20 +32,20 @@ exceeds cut(x) is a full one.  Every state's value is still computed on
 every sweep, and the iterates, trace and policy are bitwise those of full
 sweeps.
 
-Every Bellman table goes through one pass, :func:`_reduce`: Q = survival
-* (w_lo W[next_lo] + w_hi W[next_hi]) + cost, made and reduced in chunks
-of ``_BLOCK_ELEMENTS // n_actions`` rows (81 at 800 x 801), so no full Q
-table is written and read back.  Each chunk gives its rows' smallest-index
-minimizers and minima, Q at a given action, and the cells within a margin
-of the minimum; a sweep (:func:`_sweep`, which both solvers use), value
-iteration's choice of the cells it keeps and :func:`argmin_set` are
-reductions of that pass.  Under a constant reset every state lands where
-state 0 does (``DiscreteMDP.landing_states`` is not None), so state 0's
-row of Q is formed once from its landing pairs and added to each chunk's
-cost rows in one reused buffer that stays in cache; the policy solve reads
-the same pairs.  Otherwise each chunk is a CSR view of its states' landing
-pairs (``DiscreteMDP.sweep_blocks``) times W.  A sweep is a Jacobi update,
-every row reading only the previous iterate, so the chunks are independent
+Every Bellman table goes through one pass, the sweep :func:`_sweep`: Q =
+survival * (w_lo W[next_lo] + w_hi W[next_hi]) + cost, made and reduced
+in chunks of ``_BLOCK_ELEMENTS // n_actions`` rows (81 at 800 x 801), so
+no full Q table is written and read back.  Each chunk gives its rows'
+smallest-index minimizers and minima and, given a margin, the cells within
+it of the minimum.  Policy iteration reads no Q at its own policy: W, the
+policy's exact value, is that Q up to the solve's round-off.  Under a
+constant reset every state lands where state 0 does
+(``DiscreteMDP.landing_states`` is not None), so state 0's row of Q is
+formed once from its landing pairs and added to each chunk's cost rows in
+one reused buffer that stays in cache; the policy solve reads the same
+pairs.  Otherwise each chunk is a CSR view of its states' landing pairs
+(``DiscreteMDP.sweep_blocks``) times W.  A sweep is a Jacobi update, every
+row reading only the previous iterate, so the chunks are independent
 (Bertsekas & Tsitsiklis, *Parallel and Distributed Computation*, 1989,
 section 1.2): on a large state-dependent table they split into one
 contiguous run per usable core, the calling thread reducing the first and
@@ -202,27 +202,26 @@ def _q_row(mdp: DiscreteMDP, W: np.ndarray) -> np.ndarray:
     return q
 
 
-def _reduce(mdp: DiscreteMDP, W: np.ndarray, cost: np.ndarray,
-            flat: np.ndarray | None = None, margin=None,
-            cap: float = math.inf) -> tuple:
-    """One pass over Q = survival * (w_lo W[next_lo] + w_hi W[next_hi]) +
-    ``cost`` in the row chunks of ``mdp.sweep_blocks``, each made and
-    reduced before the next is made.
+def _sweep(mdp: DiscreteMDP, W: np.ndarray, cost: np.ndarray, margin=None,
+           cap: float = math.inf) -> tuple:
+    """One Bellman sweep of W under the (n_states, n_actions) table
+    ``cost``: one pass over Q in the row chunks of ``mdp.sweep_blocks``,
+    each made and reduced before the next is made.
 
     Returns per state the smallest-index minimizer of Q and its minimum,
-    Q at action ``flat`` (None when ``flat`` is None), and, given a
-    ``margin`` (a scalar or one per state), the (states, actions) of the
-    cells with Q <= minimum + margin in flat order; None when there are
-    more than ``cap`` of them, which stops their collection early.  A
-    state-free chunk is state 0's row of Q added to its cost rows in one
-    reused buffer (it rounds as the CSR row, whose sum starts at an exact
-    0); any other is its CSR view times W, times survival, plus its cost
-    rows.  On a state-dependent table of at least ``_SWEEP_SPLIT_CELLS``
-    cells the calling thread reduces the first run of chunks while the pool
-    takes the others, then takes back and reduces itself every run no
-    worker has started, so a worker that is slow to wake costs at most the
-    serial pass.  No pool task waits on another, so concurrent callers
-    cannot deadlock.
+    and, given a ``margin`` (a scalar or one per state), the (states,
+    actions) of the cells with Q <= minimum + margin in flat order; None
+    without a margin, or when there are more than ``cap`` of them, which
+    stops their collection early.  A state-free chunk is state 0's row of
+    Q added to its cost rows in one reused buffer (it rounds as the CSR
+    row, whose sum starts at an exact 0); any other is its CSR view times
+    W, times survival, plus its cost rows, so the results are bitwise those
+    of one full Q table.  On a state-dependent table of at least
+    ``_SWEEP_SPLIT_CELLS`` cells the calling thread reduces the first run
+    of chunks while the pool takes the others, then takes back and reduces
+    itself every run no worker has started, so a worker that is slow to
+    wake costs at most the serial pass.  No pool task waits on another, so
+    concurrent callers cannot deadlock.
     """
     n, n_actions = cost.shape
     if margin is not None:
@@ -233,7 +232,7 @@ def _reduce(mdp: DiscreteMDP, W: np.ndarray, cost: np.ndarray,
         # one buffer of the first chunk's rows, when there is more than one
         buf = np.empty((chunks[0][1], n_actions)) if len(chunks) > 1 else None
 
-    def run(part):  # -> per chunk (minimizers, minima, Q at flat, cells)
+    def run(part):  # -> per chunk (minimizers, minima, cells)
         out, count = [], 0
         for lo, hi, kernel in part:
             if kernel is None:
@@ -243,16 +242,14 @@ def _reduce(mdp: DiscreteMDP, W: np.ndarray, cost: np.ndarray,
                 q = (kernel @ W).reshape(hi - lo, n_actions)
                 q *= mdp.survival
                 q += cost[lo:hi]
-            rows = np.arange(hi - lo)
             best = q.argmin(axis=1)
-            low = q[rows, best]
+            low = q[np.arange(hi - lo), best]
             cells = None
             if margin is not None and count <= cap:
                 cells = np.flatnonzero(q <= (low + margin[lo:hi])[:, None])
                 cells += lo * n_actions
                 count += cells.size
-            at_flat = None if flat is None else q[rows, flat[lo:hi]]
-            out.append((best, low, at_flat, cells))
+            out.append((best, low, cells))
             del q  # before the next chunk's product is made
         return out
 
@@ -269,30 +266,15 @@ def _reduce(mdp: DiscreteMDP, W: np.ndarray, cost: np.ndarray,
         parts = [chunk for d in done
                  for chunk in (d if isinstance(d, list) else d.result())]
     if len(parts) == 1:  # no copies: the search's sweeps on R are this case
-        (best, low, at_flat, _), = parts
+        (best, low, _), = parts
     else:
-        best, low, at_flat = (None if col[0] is None else np.concatenate(col)
-                              for col in list(zip(*parts))[:3])
+        best, low = (np.concatenate(col) for col in list(zip(*parts))[:2])
     kept = None
     if margin is not None and all(cells is not None for *_, cells in parts):
         near = np.concatenate([cells for *_, cells in parts])
         if near.size <= cap:
             kept = np.divmod(near, n_actions)
-    return best, low, at_flat, kept
-
-
-def _sweep(mdp: DiscreteMDP, W: np.ndarray, cost: np.ndarray,
-           flat: np.ndarray | None = None) -> tuple:
-    """One Bellman sweep of W under the (n_states, n_actions) table ``cost``.
-
-    Returns per state the smallest-index minimizer of
-    Q = survival * (w_lo W[next_lo] + w_hi W[next_hi]) + cost, its Q value,
-    and the Q value of action ``flat`` (None when ``flat`` is None), from
-    one chunked pass over Q (:func:`_reduce`).  Each cell goes through the
-    same operations whatever the chunks and the core count, so the results
-    are bitwise those of one full Q table.
-    """
-    return _reduce(mdp, W, cost, flat)[:3]
+    return best, low, kept
 
 
 # value iteration sweeps only the cells near their row minimum once the sup
@@ -312,10 +294,10 @@ def _tail_margin(prev: float, last: float) -> float | None:
 def _kept_sweep(mdp, W, cost, kept, margin):
     """(minimizers, minima, cells kept after) of a sweep over the cells
     ``kept`` = (states, actions, cut per state) holds, in flat order, each
-    Q rounded as in :func:`_reduce`.  When a state's kept minimum exceeds
-    its cut, the sweep is one full pass and the cells are chosen afresh on
-    the next sweep (None); otherwise each state keeps its cells within
-    min(cut, minimum + ``margin``)."""
+    Q rounded as in :func:`_sweep`.  When a state's kept minimum exceeds
+    its cut, the sweep is the full one, :func:`_sweep` without a margin,
+    and the cells are chosen afresh on the next sweep (None); otherwise
+    each state keeps its cells within min(cut, minimum + ``margin``)."""
     row, act, cut = kept
     if mdp.landing_states is not None:
         q = cost[row, act] + _q_row(mdp, W)[act]
@@ -327,7 +309,7 @@ def _kept_sweep(mdp, W, cost, kept, margin):
     starts = np.searchsorted(row, np.arange(cut.size))
     low = np.minimum.reduceat(q, starts)
     if np.any(low > cut):
-        return _reduce(mdp, W, cost)[:2] + (None,)
+        return _sweep(mdp, W, cost)
     at = np.where(q == low[row], np.arange(q.size), q.size)
     best = act[np.minimum.reduceat(at, starts)]
     cut = np.minimum(cut, low + margin)
@@ -373,14 +355,11 @@ def solve_W(mdp: DiscreteMDP, g, cfg: BellmanConfig = BellmanConfig(),
         nonlocal kept
         margin = (_tail_margin(trace[-2][1], trace[-1][1])
                   if fits and len(trace) > 1 else None)
-        if margin is None:
-            kept = None
-            return _sweep(mdp, W, cost)[:2]
-        if kept is not None:
+        if margin is not None and kept is not None:
             best, low, kept = _kept_sweep(mdp, W, cost, kept, margin)
-            return best, low
-        best, low, _, cells = _reduce(mdp, W, cost, margin=margin, cap=cap)
-        kept = None if cells is None else (*cells, low + margin)
+        else:  # without a margin no cells come back, and none are kept
+            best, low, cells = _sweep(mdp, W, cost, margin, cap)
+            kept = None if cells is None else (*cells, low + margin)
         return best, low
 
     if on_iterate is not None:
@@ -416,12 +395,13 @@ def policy_iteration(mdp: DiscreteMDP, g, cfg: BellmanConfig = BellmanConfig(),
 
     Each step solves V_j = c_j,f + P_f V_j for the current policy f and
     every cost j in one linear solve (``DiscreteMDP.solve_policy``), sets
-    W = V @ (1, g), then switches
-    a state to its smallest-index Q minimizer only where that beats the
-    current action by more than ``tolerance * (1 + |W|)``, so round-off
-    cannot cycle between tied actions.  It stops when no state
-    switches; after ``max_iterations`` steps it returns the last evaluated
-    policy flagged ``converged=False``.
+    W = V @ (1, g), then switches a state to its smallest-index Q minimizer
+    where that is another action and W - min_a Q > ``tolerance * (1 +
+    |W|)``.  W, the policy's exact value, is Q at its own action up to the
+    solve's round-off, which the threshold keeps from cycling between tied
+    actions; a state at its minimizer never switches, whatever the
+    tolerance.  It stops when no state switches; after ``max_iterations``
+    steps it returns the last evaluated policy flagged ``converged=False``.
 
     The never-impulse start kills all mass in one step, so it is proper (no
     survival-1 cycle).  With positive impulse costs a zero-wait loop never
@@ -460,10 +440,10 @@ def policy_iteration(mdp: DiscreteMDP, g, cfg: BellmanConfig = BellmanConfig(),
                     f"policy iteration step {k} met a survival-1 cycle; "
                     "impulse costs must be positive")
         W = V @ weights
-        best, q_best, q_flat = _sweep(mdp, W, cost, flat)
+        best, q_best, _ = _sweep(mdp, W, cost)
         res = float(np.max(np.abs(q_best - W)))
         trace.append((k, res))
-        switch = q_flat - q_best > cfg.tolerance * (1.0 + np.abs(W))
+        switch = (best != flat) & (W - q_best > cfg.tolerance * (1.0 + np.abs(W)))
         if not switch.any() or k == cfg.max_iterations:
             break
         flat = np.where(switch, best, flat)
@@ -480,6 +460,6 @@ def argmin_set(mdp: DiscreteMDP, W: np.ndarray, g, slack) -> tuple:
     ``slack`` may be a scalar or a per-state array of absolute slacks; the
     strict argmin is always included.  Returns one index array per state.
     """
-    _, _, _, (row, act) = _reduce(mdp, W, combined_cost(mdp, g),
-                                  margin=np.asarray(slack, dtype=float))
+    _, _, (row, act) = _sweep(mdp, W, combined_cost(mdp, g),
+                              np.asarray(slack, dtype=float))
     return tuple(np.split(act, np.searchsorted(row, np.arange(1, mdp.n_states))))

@@ -174,8 +174,8 @@ def _bellman_config(tol_scale: float) -> BellmanConfig:
 
 def _policy_rows(mdp, pol: StationaryPolicy) -> list:
     thetas = mdp.theta_points.tolist()
-    labels = [str(a) for a in mdp.action_labels]
-    return [[x, thetas[t_idx], labels[a_idx]]
+    names = model.label_names(mdp.action_labels)
+    return [[x, thetas[t_idx], names[a_idx]]
             for x, (t_idx, a_idx) in zip(mdp.states.tolist(), pol.choice.tolist())]
 
 
@@ -327,11 +327,11 @@ def _dual_grid(doc: dict, args: argparse.Namespace, J: int) -> list:
     else:
         grid_pts = [np.asarray([g]) for g in
                     np.linspace(args.g_min, args.g_max, args.g_steps)]
-    for g in grid_pts:
-        if g.size != J:
+    for k, g in enumerate(grid_pts):
+        if g.size != J:  # only a dual_grid entry can
             raise ConfigError(
-                f"dual_grid entry {g.tolist()} has {g.size} components, "
-                f"expected {J}")
+                f"'dual_grid[{k}]' has {g.size} components, expected {J}, "
+                f"got {g.tolist()}")
         if not np.all(g >= 0.0):
             raise ConfigError(
                 f"dual-curve multiplier {g.tolist()}: every component must "

@@ -208,18 +208,6 @@ def _bounds_vector(mdp: DiscreteMDP) -> np.ndarray:
     return np.asarray(mdp.bounds, dtype=float)
 
 
-def _converged_solve(mdp: DiscreteMDP, g: np.ndarray, cfg: BellmanConfig,
-                     start) -> BellmanSolution:
-    """Policy iteration at ``g``; ``BellmanNotConvergedError`` at its cap."""
-    sol = policy_iteration(mdp, g, cfg, start)
-    if not sol.converged:
-        raise BellmanNotConvergedError(
-            f"Bellman solve at multiplier {g.tolist()} did not converge "
-            f"within max_iterations={cfg.max_iterations} (last sup-norm "
-            f"change {sol.residual:.3g}, tolerance {cfg.tolerance:.3g})")
-    return sol
-
-
 def _search_states(mdp: DiscreteMDP) -> np.ndarray:
     """R = landing states and x0, sorted: under a constant reset every
     action from any state lands in R, so x0's process never leaves it."""
@@ -277,7 +265,12 @@ def dual_value(mdp: DiscreteMDP, g, cfg: BellmanConfig = BellmanConfig(),
     """
     g = np.atleast_1d(np.asarray(g, dtype=float))
     d = _bounds_vector(mdp)
-    sol = _converged_solve(mdp, g, cfg, start)
+    sol = policy_iteration(mdp, g, cfg, start)
+    if not sol.converged:
+        raise BellmanNotConvergedError(
+            f"Bellman solve at multiplier {g.tolist()} did not converge "
+            f"within max_iterations={cfg.max_iterations} (last sup-norm "
+            f"change {sol.residual:.3g}, tolerance {cfg.tolerance:.3g})")
     W0 = float(sol.W[mdp.x0_index])
     costs = CostVector(sol.V[mdp.x0_index])
     return DualPoint(

@@ -127,6 +127,11 @@ def _row_blocks(next_states: np.ndarray, next_weights: np.ndarray,
     return tuple(blocks)
 
 
+def label_names(labels) -> tuple:
+    """Action labels as reports, policy tables and ``action_factors`` name them."""
+    return tuple(str(label) for label in labels)
+
+
 @dataclass(frozen=True)
 class ImpulseProblem:
     """Continuous-time impulse control problem.
@@ -153,7 +158,8 @@ class ImpulseProblem:
     bounds:
         Constraint bounds d_1..d_J, all > 0 (empty for unconstrained).
     actions:
-        Finite list of impulse action labels.
+        Nonempty list of impulse action labels that print (``str``) as
+        distinct policy-table fields: nonempty, without whitespace or ``#``.
     """
 
     flow: Callable
@@ -179,8 +185,13 @@ class ImpulseProblem:
             )
         if not all(d > 0.0 for d in self.bounds):
             raise ValueError(f"all constraint bounds must be > 0, got {self.bounds}")
-        if not self.actions:
-            raise ValueError("at least one impulse action is required")
+        names = label_names(self.actions)
+        if not names or len(set(names)) < len(names) or any(
+                name.split() != [name] or "#" in name for name in names):
+            raise ValueError(
+                "'actions' must be one or more labels that print (str) "
+                "distinct, nonempty and free of whitespace and '#', got "
+                f"{reprlib.repr(self.actions)}")
 
     @property
     def n_costs(self) -> int:
@@ -1272,15 +1283,16 @@ def _impulse_from_spec(spec, actions, path: str):
         raise ConfigError(
             f"'{path}.action_factors' must be an object mapping action labels "
             f"to numbers, got {reprlib.repr(factors)}")
-    for label in factors:
-        if label not in actions:
+    names = label_names(actions)
+    for name in factors:
+        if name not in names:
             raise ConfigError(
-                f"'{path}.action_factors' names unknown action '{label}'")
+                f"'{path}.action_factors' names unknown action '{name}'")
     if not factors:
         return lambda x, a: base(x)
-    fmap = {label: _number(factors, label, f"{path}.action_factors.")
-            if label in factors else 1.0 for label in actions}
-    return lambda x, a: fmap[a] * base(x)
+    fmap = {name: _number(factors, name, f"{path}.action_factors.")
+            if name in factors else 1.0 for name in names}
+    return lambda x, a: fmap[str(a)] * base(x)
 
 
 def _flow_from_spec(spec, path: str):
@@ -1348,9 +1360,10 @@ def problem_from_config(cfg: dict) -> tuple[ImpulseProblem, GridSpec]:
                                           for key in ("h", "K", "d")))
             return replace(prob, x0=x0), grid
         if model == "custom":
-            actions = tuple(_require(cfg, "actions", ""))
-            if not actions:
-                raise ConfigError("'actions' must be nonempty")
+            actions = _require(cfg, "actions", "")
+            if not isinstance(actions, list) or not actions:
+                raise ConfigError("'actions' must be a nonempty list, got "
+                                  f"{reprlib.repr(actions)}")
             for label in actions:
                 if isinstance(label, (list, dict)):  # unhashable: no label
                     raise ConfigError("'actions' entries must be strings or "
@@ -1374,7 +1387,7 @@ def problem_from_config(cfg: dict) -> tuple[ImpulseProblem, GridSpec]:
                 alpha=alpha,
                 x0=x0,
                 bounds=bounds,
-                actions=actions,
+                actions=tuple(actions),
             )
             return prob, grid
     except ConfigError:

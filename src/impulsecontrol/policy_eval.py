@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DiscreteMDP, ImpulseProblem, stage_cost
+from .model import DiscreteMDP, ImpulseProblem, label_names, stage_cost
 from .bellman import StationaryPolicy
 
 
@@ -339,10 +339,11 @@ def simulate_oracle(problem: ImpulseProblem, rule, horizon: int,
 def policy_to_table(mdp: DiscreteMDP, f: StationaryPolicy) -> str:
     """Serialize a policy as text rows: grid state, theta or INF, action label."""
     lines = ["# state theta action"]
+    names = label_names(mdp.action_labels)
     for i, (t_idx, a_idx) in enumerate(f.choice):
         theta = float(mdp.theta_points[t_idx])
         theta_s = "INF" if math.isinf(theta) else repr(theta)
-        lines.append(f"{float(mdp.states[i])!r} {theta_s} {mdp.action_labels[a_idx]}")
+        lines.append(f"{float(mdp.states[i])!r} {theta_s} {names[a_idx]}")
     return "\n".join(lines) + "\n"
 
 
@@ -350,12 +351,14 @@ def policy_from_table(mdp: DiscreteMDP, text: str) -> StationaryPolicy:
     """Parse a policy table; every grid state must get exactly one row.
 
     Rows are whitespace separated: state, theta (or INF), and an optional
-    action label (defaults to the first action).  States and waiting times
-    must match grid points within 1e-6 relative (NaN and -inf match
-    nothing), and a second row for the same grid state is an error.
+    action label as ``str`` prints it (defaults to the first action).
+    States and waiting times must match grid points within 1e-6 relative
+    (NaN and -inf match nothing), and a second row for the same grid state
+    is an error.
     """
     flat = np.full(mdp.n_states, -1, dtype=np.intp)
     finite_thetas = mdp.theta_points[:-1]
+    names = label_names(mdp.action_labels)
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -380,10 +383,10 @@ def policy_from_table(mdp: DiscreteMDP, text: str) -> StationaryPolicy:
                     <= 1e-6 * (1.0 + abs(theta))):
                 raise ValueError(
                     f"policy table line {ln}: theta {theta} is not on the grid")
-        label = parts[2] if len(parts) == 3 else mdp.action_labels[0]
-        if label not in mdp.action_labels:
-            raise ValueError(f"policy table line {ln}: unknown action '{label}'")
-        a_idx = mdp.action_labels.index(label)
+        name = parts[2] if len(parts) == 3 else names[0]
+        if name not in names:
+            raise ValueError(f"policy table line {ln}: unknown action '{name}'")
+        a_idx = names.index(name)
         flat[i] = t_idx * mdp.n_labels + a_idx
     if np.any(flat < 0):
         missing = int(np.argmax(flat < 0))

@@ -277,11 +277,16 @@ def test_warm_start_from_a_solution_reuses_its_factor(monkeypatch, small_mdp,
 
 def test_policy_iteration_cut_is_exact(small_mdp, j2_mdp):
     # W(x0) is the evaluated policy's own combined cost, so the dual value
-    # h(g) = V0(f) + g.(V(f) - d) holds to round-off
+    # h(g) = V0(f) + g.(V(f) - d) holds to round-off.  A tolerance below
+    # the round-off of W (1e-16, as --tol 1e-7 sets) still stops, on the
+    # same policy: a state already at its minimizer never switches
     for mdp, g in ((small_mdp, np.asarray([G_STAR])),
                    (small_mdp, np.asarray([40.0])),
                    (j2_mdp, np.asarray([3.0, 0.5]))):
         sol = ic.policy_iteration(mdp, g)
+        tight = ic.policy_iteration(
+            mdp, g, ic.BellmanConfig(tolerance=1e-16, max_iterations=50))
+        assert tight.converged and tight.policy == sol.policy
         assert np.array_equal(sol.W, sol.V @ np.concatenate(([1.0], g)))
         v = ic.eval_policy(mdp, sol.policy).v
         np.testing.assert_allclose(sol.V[mdp.x0_index], v, rtol=1e-12, atol=0)
@@ -355,22 +360,29 @@ def _assert_csr_equal(got, want):
                                                      b.view(np.uint8)), attr
 
 
+def _assert_same_cells(got, q, margin):
+    """``got`` is the (states, actions) of the cells of ``q`` within
+    ``margin`` of their row minimum, in flat order."""
+    want = np.nonzero(q <= (q.min(axis=1) + margin)[:, None])
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
 def _assert_sweep_is_the_reference(mdp, g, sol):
     """``_sweep`` is bitwise survival * (w_lo W[lo] + w_hi W[hi]) + cost, at
-    the value and policy of ``sol`` and on a tie-heavy table at W = 0."""
+    the value of ``sol`` and on a tie-heavy table at W = 0: its minimizers,
+    its minima and, given a margin, the cells within it."""
     cost = combined_cost(mdp, g)
-    flat = sol.policy.flat
     tied = np.floor(2.0 * cost) / 2.0  # W = 0 makes Q this table
     assert np.any((tied == tied.min(axis=1, keepdims=True)).sum(axis=1) > 1)
-    rows = np.arange(mdp.n_states)
     for W, c in ((sol.W, cost), (np.zeros(mdp.n_states), tied)):
         q = mdp.survival * (mdp.w_lo * W[mdp.next_lo] + mdp.w_hi * W[mdp.next_hi])
         q += c
-        best, q_best, q_flat = bellman._sweep(mdp, W, c, flat)
+        best, q_best, cells = bellman._sweep(mdp, W, c)
         assert np.array_equal(best, q.argmin(axis=1))
         assert np.array_equal(q_best, q.min(axis=1))
-        assert np.array_equal(q_flat, q[rows, flat])
-        assert bellman._sweep(mdp, W, c)[2] is None
+        assert cells is None
+        for margin in (0.0, 0.5):
+            _assert_same_cells(bellman._sweep(mdp, W, c, margin)[2], q, margin)
 
 
 def _assert_solvers_agree(want_mdp, got_mdp, g, bitwise=True):
@@ -453,21 +465,21 @@ def test_large_state_free_table_is_swept_in_row_chunks(verify_800):
     cost = combined_cost(mdp, [G_STAR])
     sol = ic.policy_iteration(mdp, [G_STAR])
     tied = np.floor(2.0 * cost) / 2.0  # W = 0 makes Q this table
-    states = np.arange(mdp.n_states)
     for W, c in ((sol.W, cost), (np.zeros(mdp.n_states), tied)):
         q = mdp.w_lo[0] * W[mdp.next_lo[0]] + mdp.w_hi[0] * W[mdp.next_hi[0]]
         q *= mdp.survival
         q = q + c
-        for flat in (sol.policy.flat, None):
-            got = bellman._sweep(mdp, W, c, flat)
+        for margin in (None, 0.0):
+            got = bellman._sweep(mdp, W, c, margin)
             assert np.array_equal(got[0], q.argmin(axis=1))
             assert np.array_equal(got[1], q.min(axis=1))
-            assert (got[2] is None if flat is None
-                    else np.array_equal(got[2], q[states, flat]))
+            if margin is None:
+                assert got[2] is None
+            else:
+                _assert_same_cells(got[2], q, margin)
     # the chunks reuse one small buffer: no second table is written
-    bellman._sweep(mdp, sol.W, cost, sol.policy.flat)  # warm
-    peak, _ = traced_peak(lambda: bellman._sweep(mdp, sol.W, cost,
-                                                 sol.policy.flat))
+    bellman._sweep(mdp, sol.W, cost)  # warm
+    peak, _ = traced_peak(lambda: bellman._sweep(mdp, sol.W, cost))
     assert peak < 0.4 * cost.nbytes, peak / cost.nbytes
 
 
@@ -487,9 +499,8 @@ def test_large_state_dependent_sweep_keeps_only_chunks(scale_800):
     g = np.ones(mdp.n_constraints)
     cost = combined_cost(mdp, g)
     W = np.linspace(0.0, 1.0, mdp.n_states)
-    flat = np.zeros(mdp.n_states, dtype=np.intp)
-    bellman._sweep(mdp, W, cost, flat)  # warm
-    peak, _ = traced_peak(lambda: bellman._sweep(mdp, W, cost, flat))
+    bellman._sweep(mdp, W, cost)  # warm
+    peak, _ = traced_peak(lambda: bellman._sweep(mdp, W, cost))
     assert peak < 0.4 * cost.nbytes, peak / cost.nbytes
 
 
@@ -702,9 +713,11 @@ def test_elimination_is_bitwise_full_sweeps_on_large_grids(
     dense = _Spy(monkeypatch, "_sweep")
     kept = _Spy(monkeypatch, "_kept_sweep")
     _assert_bitwise(ic.solve_W(mdp, [g]), want)
-    # the first sweeps are full ones, the rest run on the kept cells
+    # the first sweeps are full passes, the rest run on the kept cells; a
+    # kept sweep on which a state exceeds its cut makes one full pass instead
+    redone = sum(cells is None for _, _, cells in kept.results)
     assert dense.calls <= 6 < kept.calls, (dense.calls, kept.calls)
-    assert dense.calls + kept.calls < want.iterations + 1
+    assert dense.calls + kept.calls - redone == want.iterations + 1
 
 
 @pytest.fixture(scope="module")
@@ -722,16 +735,16 @@ def test_a_failed_elimination_try_is_the_sweep(monkeypatch, scale_400):
     mdp = scale_400
     g = np.ones(mdp.n_constraints)
     want = _dense_solve_W(mdp, g)
-    real, passes, failed = bellman._reduce, [], []
+    real, passes, failed = bellman._sweep, [], []
 
-    def spy(*args, margin=None, **kwargs):
-        out = real(*args, margin=margin, **kwargs)
+    def spy(mdp, W, cost, margin=None, cap=math.inf):
+        out = real(mdp, W, cost, margin, cap)
         passes.append(margin)
         if margin is not None:  # a try: did it keep too many cells?
-            failed.append(out[3] is None)
+            failed.append(out[2] is None)
         return out
 
-    monkeypatch.setattr(bellman, "_reduce", spy)
+    monkeypatch.setattr(bellman, "_sweep", spy)
     before = []  # passes made before each iterate
     got = ic.solve_W(mdp, g, on_iterate=lambda k, W: before.append(len(passes)))
     _assert_bitwise(got, want)

@@ -135,17 +135,22 @@ def test_dual_curve_multi_constraint_uses_config_grid(tmp_path, capsys):
 
 
 def test_eval_command_reports_policy_costs(config_file, tmp_path, capsys):
-    prob, grid = ic.problem_from_config(BASE_DOC)
-    mdp = ic.discretize(prob, grid)
-    pol = threshold_policy(mdp, 1.25)
-    table = tmp_path / "policy.txt"
-    table.write_text(ic.policy_to_table(mdp, pol))
-    assert cli.main(["eval", "--config", config_file,
-                     "--policy", str(table)]) == 0
-    report = json.loads(capsys.readouterr().out)
-    jsonschema.validate(report, _schema("eval_report.schema.json"))
-    expected = ic.eval_policy(mdp, pol).v
-    assert report["costs"] == pytest.approx(list(expected), abs=1e-12)
+    # the fluid config, and the two-constraint one with a number for its
+    # action label: the table prints it as "1", and eval reads that back
+    numbered = tmp_path / "numbered.json"
+    numbered.write_text(json.dumps(dict(J2_DOC, actions=[1])))
+    for path in (config_file, str(numbered)):
+        with open(path) as fh:
+            mdp = ic.discretize(*ic.problem_from_config(json.load(fh)))
+        pol = threshold_policy(mdp, 1.25)
+        table = tmp_path / "policy.txt"
+        table.write_text(ic.policy_to_table(mdp, pol))
+        assert cli.main(["eval", "--config", path,
+                         "--policy", str(table)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        jsonschema.validate(report, _schema("eval_report.schema.json"))
+        expected = ic.eval_policy(mdp, pol).v
+        assert report["costs"] == pytest.approx(list(expected), abs=1e-12)
 
 
 def test_eval_reports_infinite_cost_as_inf_string(config_file, tmp_path, capsys):
@@ -277,6 +282,9 @@ def test_malformed_config_exits_2(tmp_path):
     empty = tmp_path / "empty.json"
     empty.write_text(json.dumps({"model": "fluid"}))
     assert cli.main(["solve", "--config", str(empty)]) == 2
+    array = tmp_path / "array.json"
+    array.write_text(json.dumps([BASE_DOC]))
+    assert cli.main(["solve", "--config", str(array)]) == 2
 
 
 
@@ -316,24 +324,54 @@ def test_fractional_grid_count_exits_2(config_file, field, value, needle,
      "'impulse_costs[0].action_factors.flush'"),
     ("solve", (("flow", "rate"), "1"), "'flow.rate'"),
     ("solve", (("impulse_costs", 0, "action_factors"), ["flush"]),
-     "'impulse_costs[0].action_factors' must be an object")],
+     "'impulse_costs[0].action_factors' must be an object"),
+    ("solve", (("impulse_costs", 0, "action_factors"), "flush"),
+     "'impulse_costs[0].action_factors' must be an object"),
+    ("solve", (("actions",), "flush"), "'actions' must be a nonempty list"),
+    ("solve", (("actions",), []), "'actions' must be a nonempty list"),
+    ("solve", (("actions",), ["flush", "flush"]), "'actions' must be one or "
+     "more labels that print (str) distinct"),
+    ("solve", (("actions",), [1, "1"]), "print (str) distinct"),
+    ("solve", (("actions",), ["flush", "a b"]), "free of whitespace and '#'"),
+    ("solve", (("actions",), ["flush", "x#y"]), "free of whitespace and '#'"),
+    ("solve", (("actions",), ["flush", ""]), "distinct, nonempty"),
+    ("solve", (("reset", "type"), "teleport"), "unknown reset type "
+     "'teleport' at 'reset'"),
+    ("solve", (("flow",), {"type": "exponential_decay", "rate": -0.5}),
+     "'flow.rate' must be >= 0"),
+    ("solve", (("gradual_costs", 1, "coeffs"), []),
+     "'gradual_costs[1].coeffs' must be nonempty"),
+    ("solve", ["--tol", "0"], "--tol 0.0: tolerance must be > 0"),
+    ("solve", ["--tol", "nan"], "--tol nan: tolerance must be > 0"),
+    ("solve", ["--set", "alpha"], "--set: expects KEY=VALUE, got 'alpha'")],
     ids=["alpha-true", "h-true", "d-string", "K-string", "step-string",
          "state_n-string", "analytic-h-true", "constant-value-string",
          "rate-true", "action-factor-true", "flow-rate-string",
-         "action-factors-list"])
+         "action-factors-list", "action-factors-string", "actions-string",
+         "actions-empty", "actions-repeated", "actions-printed-alike",
+         "actions-label-whitespace", "actions-label-hash", "actions-label-empty",
+         "reset-type-unknown", "decay-rate-negative", "coeffs-empty",
+         "tol-zero", "tol-nan", "set-without-equals"])
 def test_malformed_number_field_exits_2_naming_it(tmp_path, command, edit,
                                                    field, capsys):
+    shipped = os.path.join(os.path.dirname(__file__), os.pardir,
+                           "configs", "fluid_benchmark.json")
     if isinstance(edit, str):
-        shipped = os.path.join(os.path.dirname(__file__), os.pardir,
-                               "configs", "fluid_benchmark.json")
         argv = ["--config", shipped, "--set", edit]
+    elif isinstance(edit, list):  # command-line options
+        argv = ["--config", shipped] + edit
     else:
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(_mutated("j2", [edit])))
         argv = ["--config", str(path)]
-    assert cli.main([command] + argv) == 2
+    prefix = "config error: "
+    try:
+        code = cli.main([command] + argv)
+    except SystemExit as exc:  # argparse refuses the command line itself
+        code, prefix = exc.code, "usage: "
+    assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: ") and field in err
+    assert err.startswith(prefix) and field in err, err
 
 
 # a lump cost of -x: negative at every state but 0
@@ -404,8 +442,9 @@ def test_dual_curve_bad_multiplier_grid_exits_2(config_file, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("dual_grid", [
-    [True], ["1"], [[0.5, True]], True, [10 ** 400]],
-    ids=["bool", "string", "bool-component", "not-a-list", "huge-integer"])
+    [True], ["1"], [[0.5, True]], True, [10 ** 400], [0.5, [0.5, 1.0]]],
+    ids=["bool", "string", "bool-component", "not-a-list", "huge-integer",
+         "two-components"])
 def test_dual_grid_entries_are_read_as_config_numbers(config_file, dual_grid,
                                                        capsys):
     assert cli.main(["dual-curve", "--config", config_file,

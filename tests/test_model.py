@@ -1048,6 +1048,18 @@ def test_problem_from_config_custom_cost_tables():
     assert prob.gradual_costs[1](0.5) == 2.0 and prob.gradual_costs[1](1.5) == 3.0
     assert prob.impulse_costs[0](2.0, "a") == 2.0
     assert prob.impulse_costs[0](2.0, "b") == 4.0
+    # labels 1 and true are equal in Python but print as "1" and "True":
+    # action_factors names them as printed
+    doc = json.loads(json.dumps(CUSTOM_TWO_ACTION_DOC))
+    doc["actions"] = [1, True]
+    doc["impulse_costs"][0]["action_factors"] = {"True": 2.0}
+    prob, grid = ic.problem_from_config(doc)
+    assert prob.impulse_costs[0](2.0, 1) == 2.0
+    assert prob.impulse_costs[0](2.0, True) == 4.0
+    doc["actions"] = [1]
+    doc["impulse_costs"][0]["action_factors"] = {"1": 3.0}
+    prob, grid = ic.problem_from_config(doc)
+    assert prob.impulse_costs[0](2.0, 1) == 6.0
 
 
 @pytest.mark.parametrize("mutate, needle", [
@@ -1089,6 +1101,14 @@ def test_impulse_problem_invariants():
             gradual_costs=(lambda x: 0.0, lambda x: x),
             impulse_costs=(lambda x, a: 1.0, lambda x, a: 0.0),
             alpha=1.0, x0=0.0, bounds=(-0.5,), actions=("a",))
+    # each label prints as one policy-table field, told apart from the others
+    for actions in ((), ("a", "a"), ("a", "a b"), ("a", "b\t"), ("x#y",), ("",)):
+        with pytest.raises(ValueError, match="'actions' must be one or more"):
+            ic.ImpulseProblem(
+                flow=lambda x, t: x + t, reset=lambda x, a: 0.0,
+                gradual_costs=(lambda x: 0.0, lambda x: x),
+                impulse_costs=(lambda x, a: 1.0, lambda x, a: 0.0),
+                alpha=1.0, x0=0.0, bounds=(0.5,), actions=actions)
 
 
 

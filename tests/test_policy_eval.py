@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -482,7 +483,17 @@ def test_policy_table_roundtrip(fluid):
     _, _, mdp = fluid
     pol = threshold_policy(mdp, 1.3)
     text = ic.policy_to_table(mdp, pol)
-    assert ic.policy_from_table(mdp, text) == pol
+    back = ic.policy_from_table(mdp, text)
+    assert back == pol and hash(back) == hash(pol)
+    # labels are matched as printed: 1 and True are equal in Python but
+    # name two actions; each row reads back its own
+    doc = json.loads(json.dumps(CUSTOM_TWO_ACTION_DOC))
+    doc["actions"] = [1, True]
+    doc["impulse_costs"][0]["action_factors"] = {"True": 2.0}
+    labelled = ic.discretize(*ic.problem_from_config(doc))
+    pol = ic.StationaryPolicy(np.arange(labelled.n_states) % 2, 2)
+    back = ic.policy_from_table(labelled, ic.policy_to_table(labelled, pol))
+    assert back == pol and hash(back) == hash(pol)
 
 
 def test_policy_table_roundtrip_with_inf_rows(fluid):
